@@ -34,7 +34,7 @@ def main():
     rows = []
     for n in sizes:
         plan = SweepPlan(e_grid=e_grid,
-                         eta_grid=SweepPlan.dyadic_etas(n, 64 / n),
+                         eta_grid=SweepPlan.dyadic_etas(64 / n),
                          samples=1)
         xi = default_xi(n)
         records = []

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -18,12 +17,13 @@ import numpy as np
 
 from . import law as law_mod
 from . import stability as stab_mod
-from .errors import ReggError
+from .errors import InvalidParametersError, ReggError
 from .graphs import ModelKind, sample_model, to_edgelist
 from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
                          um_exact_invariance)
 from .manifest import ExperimentConfig, RunManifest
-from .observables import delocalization_stats, density_mass, interval_count
+from .observables import (_kappa, counting_bounds, delocalization_stats,
+                          density_mass)
 from .rng import resolve_seed, stream
 from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi)
 from .svg import line_plot
@@ -123,36 +123,18 @@ def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
     return tuple(round(e_min + k * e_step, 12) for k in range(count))
 
 
-def _sweep_trial(packed):
-    plan, model, n, d, seed, trial = packed
-    rng = stream(seed, trial)
-    g = sample_model(model, n, d, rng)
-    xi = default_xi(n) if plan.xi is None else plan.xi
-    params = EnvelopeParams.for_model(n, d, model, xi=xi)
-    view = ResolventView(build_H(g, model), offdiag_pairs=plan.offdiag_pairs,
-                         pair_seed=seed)
-    return law_mod.records_for_view(view, model, n, d, seed, trial, plan, params)
-
-
 def _cmd_lawsweep(args, argv) -> int:
     cfg = _load_config(args)
     seed = resolve_seed(args.seed)
     n = args.n
     xi = args.xi if args.xi is not None else default_xi(n)
-    eta_grid = law_mod.SweepPlan.dyadic_etas(n, eta_min=args.eta_min,
+    eta_grid = law_mod.SweepPlan.dyadic_etas(eta_min=args.eta_min,
                                              eta_max=args.eta_max)
     plan = law_mod.SweepPlan(
         e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
-        eta_grid=eta_grid, samples=args.samples, envelope=args.envelope,
-        xi=xi, offdiag_pairs=cfg.get("spectral_core", "offdiag_pairs"))
-    if args.workers > 1:
-        jobs = [(plan, args.model, n, args.d, seed, t)
-                for t in range(plan.samples)]
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            chunks = list(pool.map(_sweep_trial, jobs))
-        records = [r for chunk in chunks for r in chunk]
-    else:
-        records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
+        eta_grid=eta_grid, samples=args.samples, xi=xi,
+        offdiag_pairs=cfg.get("spectral_core", "offdiag_pairs"))
+    records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
     law_mod.write_law_csv(records, args.out)
 
     accept = cfg.get("law_harness", "acceptance_constant")
@@ -164,8 +146,8 @@ def _cmd_lawsweep(args, argv) -> int:
     }
     params = {"model": args.model, "n": n, "d": args.d, "seed": seed,
               "samples": plan.samples, "e_grid": list(plan.e_grid),
-              "eta_grid": list(plan.eta_grid), "envelope": plan.envelope,
-              "xi": xi, "offdiag_pairs": plan.offdiag_pairs}
+              "eta_grid": list(plan.eta_grid), "xi": xi,
+              "offdiag_pairs": plan.offdiag_pairs}
     outputs = [args.out]
     if args.svg:
         _sweep_svg(records, xi, args.svg)
@@ -192,6 +174,10 @@ def _sweep_svg(records, xi: float, path: str) -> None:
 # eigen
 
 def _cmd_eigen(args, argv) -> int:
+    if args.samples < 1:
+        raise InvalidParametersError("--samples must be at least 1")
+    if not args.bin_width > 0:
+        raise InvalidParametersError("--bin-width must be positive")
     seed = resolve_seed(args.seed)
     n, d = args.n, args.d
     rows: list[list] = []
@@ -245,16 +231,8 @@ def _cmd_eigen(args, argv) -> int:
                 a_k, b_k = edges[k], edges[k + 1]
                 nu = float(np.count_nonzero((lam >= a_k) & (lam < b_k))) / n
                 rho = density_mass(a_k, b_k, d)
-                kappa = min(abs(a_k - 2), abs(a_k + 2), abs(b_k - 2), abs(b_k + 2))
-                if a_k <= -2 <= b_k or a_k <= 2 <= b_k:
-                    kappa = 0.0
-                xi = params.xi
-                bulk = (xi * width / math.sqrt(kappa + width)
-                        * (1 / math.sqrt(params.D) + 1 / math.sqrt(n * width))
-                        + xi ** 2 / n)
-                edge = (math.sqrt(xi) * width
-                        * (params.D ** -0.25 + (n * width) ** -0.25)
-                        + xi ** 2 / n)
+                kappa = _kappa(a_k, b_k)
+                bulk, edge = counting_bounds(width, kappa, params)
                 tv += abs(nu - rho)
                 rows.append([seed, trial, a_k, b_k, nu, rho, kappa, bulk, edge])
             tvs.append(tv)
@@ -390,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-step", type=float, default=0.2)
     p.add_argument("--eta-max", type=float, default=1.0)
     p.add_argument("--eta-min", type=float, default=None)
-    p.add_argument("--envelope", default="phi", choices=["phi", "psi"])
     p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lawsweep)

@@ -57,6 +57,10 @@ class LawRecord:
     flag: str = ""
 
 
+#: smallest eta a sweep grid may contain
+ETA_FLOOR = 1e-8
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Grid and sampling plan for one sweep."""
@@ -64,24 +68,22 @@ class SweepPlan:
     e_grid: tuple[float, ...]
     eta_grid: tuple[float, ...]
     samples: int
-    envelope: str = "phi"
     xi: float | None = None
     offdiag_pairs: int = 10000
-    eta_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.e_grid or not self.eta_grid:
             raise InvalidParametersError("grids must be nonempty")
+        if self.samples < 1:
+            raise InvalidParametersError("samples must be at least 1")
         if any(eta <= 0 for eta in self.eta_grid):
             raise InvalidParametersError("all eta must be positive")
-        if any(eta < self.eta_floor for eta in self.eta_grid):
+        if any(eta < ETA_FLOOR for eta in self.eta_grid):
             raise InvalidParametersError(
-                f"eta grid goes below the floor {self.eta_floor}")
-        if self.envelope not in ("phi", "psi"):
-            raise InvalidParametersError("envelope must be 'phi' or 'psi'")
+                f"eta grid goes below the floor {ETA_FLOOR}")
 
     @staticmethod
-    def dyadic_etas(n: int, eta_min: float, eta_max: float = 1.0) -> tuple[float, ...]:
+    def dyadic_etas(eta_min: float, eta_max: float = 1.0) -> tuple[float, ...]:
         """{eta_max * 2^-k} down to the last value >= eta_min."""
         out = []
         eta = float(eta_max)
@@ -96,11 +98,7 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
                      params: EnvelopeParams) -> list[LawRecord]:
     """Evaluate all grid points against one decomposed sample."""
     zs = np.array([complex(E, eta) for E in plan.e_grid for eta in plan.eta_grid])
-    lam, vec = view.eigenvalues, view.eigenvectors
-    weights = 1.0 / (lam[None, :] - zs[:, None])          # (nz, N)
-    diag = (vec * vec) @ weights.T                        # (N, nz)
-    i_idx, j_idx = view._pair_sample
-    off = (vec[i_idx] * vec[j_idx]) @ weights.T           # (P, nz)
+    diag, off = view.grid(zs)
 
     records = []
     for k, z in enumerate(zs):
@@ -221,21 +219,12 @@ def write_law_csv(records: list[LawRecord], path: str) -> None:
 
 
 def read_law_csv(path: str) -> list[LawRecord]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# regg-csv "):
-        raise InvalidParametersError(f"{path}: missing schema header")
-    tag = lines[0].split()
-    if tag[2] != CSV_VERSION or tag[3] != "law":
-        raise InvalidParametersError(f"{path}: unsupported schema {lines[0]!r}")
-    if lines[1] != ",".join(_CSV_COLUMNS):
+    columns, rows = read_table(path, "law")
+    if columns != _CSV_COLUMNS:
         raise InvalidParametersError(f"{path}: unexpected column header")
     types = {f.name: f.type for f in fields(LawRecord)}
     records = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        parts = line.split(",")
+    for parts in rows:
         kwargs = {}
         for name, raw in zip(_CSV_COLUMNS, parts):
             t = types[name]

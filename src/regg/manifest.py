@@ -81,29 +81,17 @@ class RunManifest:
         )
 
 
-# Every design-decision knob, by module section.  Values are (type, default).
+# Every tuning knob a command reads, by module section.
+# Values are (type, default).
 CONFIG_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "graph_models": {
-        "uniform_method": (str, "auto"),
-        "rejection_budget": (int, 100000),
-        "chain_burn_in_factor": (int, 10),
-    },
     "spectral_core": {
         "offdiag_pairs": (int, 10000),
-        "exhaustive_n": (int, 300),
-        "eta_domain_constant": (float, 100.0),
     },
     "law_harness": {
         "acceptance_constant": (float, 10.0),
     },
-    "eigen_observables": {
-        "interval_cap": (float, 3.0),
-    },
     "stability_concentration": {
         "moment_constant": (float, 16.0),
-    },
-    "cli_runner": {
-        "workers": (int, 1),
     },
 }
 

@@ -22,6 +22,7 @@ __all__ = [
     "IntervalCount",
     "TestVector",
     "density_mass",
+    "counting_bounds",
     "interval_count",
     "delocalization_stats",
     "isotropic_error",
@@ -108,33 +109,40 @@ def _kappa(a: float, b: float) -> float:
     return min(abs(a + 2), abs(b + 2), abs(a - 2), abs(b - 2))
 
 
+def counting_bounds(size: float, kappa: float,
+                    params: EnvelopeParams) -> tuple[float, float]:
+    """(bulk, edge) counting bounds for an interval of length |I| = size at
+    edge distance kappa.
+
+    bulk is the general small-scale expression
+    xi |I| / sqrt(kappa + |I|) (1/sqrt D + 1/sqrt(N |I|)) + xi^2 / N;
+    edge is the edge-improved variant
+    sqrt(xi) |I| (D^{-1/4} + (N |I|)^{-1/4}) + xi^2 / N.
+    Both reduce to xi^2 / N for an empty interval.
+    """
+    n, D, xi = params.n, params.D, params.xi
+    if size <= 0:
+        return xi ** 2 / n, xi ** 2 / n
+    bulk = (xi * size / math.sqrt(kappa + size)
+            * (1 / math.sqrt(D) + 1 / math.sqrt(n * size))
+            + xi ** 2 / n)
+    edge = (math.sqrt(xi) * size * (D ** -0.25 + (n * size) ** -0.25)
+            + xi ** 2 / n)
+    return bulk, edge
+
+
 def interval_count(view: ResolventView, a: float, b: float,
                    params: EnvelopeParams, d_reference: int | None = None,
                    K: float = 3.0) -> IntervalCount:
-    """Count eigenvalues in [a, b] against the reference density and
-    evaluate both counting bounds.
-
-    bound_bulk is the general small-scale expression
-    xi |I| / sqrt(kappa + |I|) (1/sqrt D + 1/sqrt(N |I|)) + xi^2 / N;
-    bound_edge is the edge-improved variant
-    sqrt(xi) |I| (D^{-1/4} + (N |I|)^{-1/4}) + xi^2 / N.
-    """
+    """Count eigenvalues in the closed interval [a, b] against the reference
+    density and evaluate both counting bounds (see counting_bounds)."""
     if not (-K <= a <= b <= K):
         raise InvalidParametersError(f"interval must sit inside [-{K}, {K}]")
     lam = view.eigenvalues
     nu = float(np.count_nonzero((lam >= a) & (lam <= b))) / view.n
     rho = density_mass(a, b, d_reference)
     kappa = _kappa(a, b)
-    size = b - a
-    n, D, xi = params.n, params.D, params.xi
-    if size > 0:
-        bulk = (xi * size / math.sqrt(kappa + size)
-                * (1 / math.sqrt(D) + 1 / math.sqrt(n * size))
-                + xi ** 2 / n)
-        edge = (math.sqrt(xi) * size * (D ** -0.25 + (n * size) ** -0.25)
-                + xi ** 2 / n)
-    else:
-        bulk = edge = xi ** 2 / n
+    bulk, edge = counting_bounds(b - a, kappa, params)
     return IntervalCount(a=a, b=b, nu=nu, rho=rho, kappa=kappa,
                          bound_bulk=bulk, bound_edge=edge)
 

@@ -1,6 +1,6 @@
 """Switching operators and local resampling around the pivot vertex 0.
 
-Three families of degree-preserving local moves:
+Four families of degree-preserving local moves:
 
 * elementary single/double switchings acting on adjacency matrices,
 * the matching-model resampling that redraws the pivot's partner,
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMoveError, InvalidParametersError, NumericalDegeneracyError
+from .errors import InvalidMoveError, InvalidParametersError
 from .graphs import Matching, MultiGraph, Permutation
+from .spectral import ResolventView, resolvent_solve
 
 __all__ = [
     "DirectedEdgeSpec",
@@ -385,29 +386,17 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
 # ---------------------------------------------------------------------------
 # Resolvent perturbation
 
-def _full_resolvent(h: np.ndarray, z: complex) -> np.ndarray:
-    n = h.shape[0]
-    if z.imag == 0:
-        raise NumericalDegeneracyError("resolvent needs Im z != 0")
-    try:
-        return np.linalg.solve(h - z * np.eye(n), np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"singular solve at z={z}") from exc
-
-
 def resolvent_switch_delta(h_before: np.ndarray, h_after: np.ndarray,
                            z: complex, rng: np.random.Generator | None = None,
                            npairs: int = 10000) -> float:
     """Max over sampled (i, j) of |G_after_ij - G_before_ij| at z.
 
-    Exhaustive for n <= 300; otherwise over npairs index pairs drawn from
-    rng (required in that case).
+    Exhaustive for n <= ResolventView.EXHAUSTIVE_N or when rng is None;
+    otherwise over npairs index pairs drawn from rng.
     """
     n = h_before.shape[0]
-    g0 = _full_resolvent(np.asarray(h_before, dtype=float), complex(z))
-    g1 = _full_resolvent(np.asarray(h_after, dtype=float), complex(z))
-    diff = np.abs(g1 - g0)
-    if n <= 300 or rng is None:
+    diff = np.abs(resolvent_solve(h_after, z) - resolvent_solve(h_before, z))
+    if n <= ResolventView.EXHAUSTIVE_N or rng is None:
         return float(diff.max())
     i = rng.integers(0, n, size=npairs)
     j = rng.integers(0, n, size=npairs)

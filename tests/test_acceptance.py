@@ -42,7 +42,7 @@ def _sweep(n: int, d: int, seeds) -> dict:
     """Law records, fitted constants, and per-(E, eta) Gamma values for the
     permutation-model sweep protocol."""
     plan = SweepPlan(e_grid=E_GRID,
-                     eta_grid=SweepPlan.dyadic_etas(n, 64 / n),
+                     eta_grid=SweepPlan.dyadic_etas(64 / n),
                      samples=1, offdiag_pairs=10000)
     xi = default_xi(n)
     params = EnvelopeParams.for_model(n, d, "permutation", xi=xi)
@@ -55,12 +55,9 @@ def _sweep(n: int, d: int, seeds) -> dict:
                                         plan, params))
         zs = np.array([complex(E, eta) for E in plan.e_grid
                        for eta in plan.eta_grid])
-        w = 1.0 / (view.eigenvalues[None, :] - zs[:, None])
-        vec = view.eigenvectors
-        dmax = np.abs((vec * vec) @ w.T).max(axis=0)
-        i, j = view._pair_sample
-        omax = np.abs((vec[i] * vec[j]) @ w.T).max(axis=0)
-        gam = np.maximum(1.0, np.maximum(dmax, omax))
+        diag, off = view.grid(zs)
+        gam = np.maximum(1.0, np.maximum(np.abs(diag).max(axis=0),
+                                         np.abs(off).max(axis=0)))
         gammas.extend((seed, z.real, z.imag, float(gv))
                       for z, gv in zip(zs, gam))
     constants = fit_envelope_constant(records, xi)

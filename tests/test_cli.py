@@ -19,8 +19,12 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run([]) == EXIT_USAGE
 
-    def test_unknown_flag(self, capsys):
+    def test_unknown_flag(self, tmp_path, capsys):
         assert run(["sample", "--bogus"]) == EXIT_USAGE
+        sweep = ["lawsweep", "--model", "permutation", "--n", "100", "--d", "10",
+                 "--out", str(tmp_path / "law.csv")]
+        assert run([*sweep, "--workers", "2"]) == EXIT_USAGE
+        assert run([*sweep, "--envelope", "psi"]) == EXIT_USAGE
 
     def test_precondition_error_exit(self, tmp_path, capsys):
         # odd n for the matching model violates a model precondition
@@ -28,6 +32,16 @@ class TestUsage:
         code = run(["sample", "--model", "matching", "--n", "5", "--d", "2",
                     "--seed", "0", "--out", str(out)])
         assert code == EXIT_PRECONDITION
+        model = ["--model", "matching", "--n", "40", "--d", "3", "--seed", "0"]
+        intervals = ["eigen", "--mode", "intervals", *model,
+                     "--out", str(tmp_path / "km.csv")]
+        for bad in ([*intervals, "--samples", "0"],
+                    [*intervals, "--bin-width", "0"],
+                    [*intervals, "--bin-width", "-0.1"],
+                    ["lawsweep", *model, "--samples", "0",
+                     "--out", str(tmp_path / "law.csv")]):
+            assert run(bad) == EXIT_PRECONDITION
+            assert "error: " in capsys.readouterr().err
 
 
 class TestSample:
@@ -97,16 +111,6 @@ class TestLawsweep:
         assert "constants" in man.results
         assert man.params["eta_grid"] == [1.0, 0.5]
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
-
-    def test_parallel_matches_serial(self, tmp_path):
-        argv_tail = ["--model", "permutation", "--n", "100", "--d", "10",
-                     "--seed", "4", "--samples", "2", "--e-min", "0",
-                     "--e-max", "1", "--e-step", "1", "--eta-min", "0.5"]
-        a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-        assert run(["lawsweep", *argv_tail, "--out", str(a)]) == EXIT_OK
-        assert run(["lawsweep", *argv_tail, "--workers", "2",
-                    "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestEigen:
@@ -193,8 +197,8 @@ class TestConfig:
         path.write_text("[law_harness]\nacceptance_constant = 5.5\n")
         cfg = ExperimentConfig.from_file(str(path))
         assert cfg.get("law_harness", "acceptance_constant") == 5.5
-        cfg.override("cli_runner", "workers", "3")
-        assert cfg.get("cli_runner", "workers") == 3
+        cfg.override("stability_concentration", "moment_constant", "8")
+        assert cfg.get("stability_concentration", "moment_constant") == 8.0
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -204,6 +208,12 @@ class TestConfig:
         path.write_text("[nosuch]\na = 1\n")
         with pytest.raises(InvalidParametersError):
             ExperimentConfig.from_file(str(path))
+        # knobs that no command reads are not accepted either
+        for text in ("[cli_runner]\nworkers = 2\n",
+                     "[graph_models]\nrejection_budget = 5\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidParametersError):
+                ExperimentConfig.from_file(str(path))
 
     def test_config_feeds_cli(self, tmp_path):
         path = tmp_path / "exp.cfg"

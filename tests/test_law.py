@@ -20,9 +20,9 @@ def small_sweep():
 
 class TestSweepPlan:
     def test_dyadic_etas(self):
-        assert SweepPlan.dyadic_etas(2000, 64 / 2000) == (
+        assert SweepPlan.dyadic_etas(64 / 2000) == (
             1.0, 0.5, 0.25, 0.125, 0.0625)
-        assert SweepPlan.dyadic_etas(100, 0.9, eta_max=2.0) == (2.0, 1.0)
+        assert SweepPlan.dyadic_etas(0.9, eta_max=2.0) == (2.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(InvalidParametersError):
@@ -32,8 +32,7 @@ class TestSweepPlan:
         with pytest.raises(InvalidParametersError):
             SweepPlan(e_grid=(0.0,), eta_grid=(1e-12,), samples=1)
         with pytest.raises(InvalidParametersError):
-            SweepPlan(e_grid=(0.0,), eta_grid=(1.0,), samples=1,
-                      envelope="chi")
+            SweepPlan(e_grid=(0.0,), eta_grid=(1.0,), samples=0)
 
 
 class TestSweep:
@@ -62,7 +61,7 @@ class TestSweep:
             float(np.abs(view.diag(z) - m).max()), abs=1e-13)
         assert rec.s_minus_m == pytest.approx(
             abs(view.stieltjes(z) - m), abs=1e-13)
-        i, j = view._pair_sample
+        i, j = np.triu_indices(100, k=1)  # N <= EXHAUSTIVE_N: every pair
         assert rec.max_offdiag == pytest.approx(
             float(np.abs(view.entries(z, i, j)).max()), abs=1e-13)
 

@@ -106,14 +106,22 @@ class TestResolventView:
         with pytest.raises(InvalidParametersError):
             v.gamma_star(0.0, 0.0)
 
-    def test_pair_sample_deterministic(self):
+    def test_offdiag_sample_deterministic(self):
         g = sample_permutation_model(400, 4, stream(42, 0))
         h = build_H(g, "permutation")
         v1 = ResolventView(h, offdiag_pairs=500, pair_seed=7)
         v2 = ResolventView(h, offdiag_pairs=500, pair_seed=7)
-        assert np.array_equal(v1._pair_sample[0], v2._pair_sample[0])
-        assert v1._pair_sample[0].size <= 500
-        assert np.all(v1._pair_sample[0] != v1._pair_sample[1])
+        zs = np.array([0.3 + 0.1j, -1.0 + 0.5j])
+        _, off1 = v1.grid(zs)
+        _, off2 = v2.grid(zs)
+        assert np.array_equal(off1, off2)
+        assert 0 < off1.shape[0] <= 500
+        # a diagonal H has G_ij = 0 exactly for i != j, so any sampled
+        # diagonal pair (i, i) would show up as a nonzero entry
+        diag_view = ResolventView(np.diag(np.arange(400.0)),
+                                  offdiag_pairs=500, pair_seed=7)
+        _, off = diag_view.grid(zs)
+        assert off.shape[0] > 0 and not off.any()
 
 
 class TestSemicircleTransform:
