@@ -18,7 +18,7 @@ import numpy as np
 from . import law as law_mod
 from . import stability as stab_mod
 from .errors import InvalidParametersError, ReggError
-from .graphs import ModelKind, sample_model, to_edgelist
+from .graphs import ModelKind, sample_model, to_edgelist, uniform_method
 from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
                          um_exact_invariance)
 from .manifest import ExperimentConfig, RunManifest
@@ -74,10 +74,10 @@ def _cmd_sample(args, argv) -> int:
     text = to_edgelist(g, args.model, seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
+    method = (uniform_method(args.n, args.d, args.method)
+              if args.model == "uniform" else None)
     params = {"model": args.model, "n": args.n, "d": args.d, "seed": seed,
-              "method": args.method if args.model == "uniform" else None,
-              "approximate": args.model == "uniform"
-              and args.method == "switching-chain"}
+              "method": method, "approximate": method == "switching-chain"}
     _write_manifest("sample", argv, params, [args.out], {},
                     args.out + ".manifest.json")
     return EXIT_OK
@@ -118,7 +118,15 @@ def _cmd_invariance(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # lawsweep
 
+def _approximate(model: str, n: int, d: int) -> bool:
+    """True when sample_model draws this model's graphs from the
+    switching chain, which is only approximately uniform."""
+    return model == "uniform" and uniform_method(n, d) == "switching-chain"
+
+
 def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
+    if not e_step > 0:
+        raise InvalidParametersError("--e-step must be positive")
     count = int(round((e_max - e_min) / e_step)) + 1
     return tuple(round(e_min + k * e_step, 12) for k in range(count))
 
@@ -147,7 +155,8 @@ def _cmd_lawsweep(args, argv) -> int:
     params = {"model": args.model, "n": n, "d": args.d, "seed": seed,
               "samples": plan.samples, "e_grid": list(plan.e_grid),
               "eta_grid": list(plan.eta_grid), "xi": xi,
-              "offdiag_pairs": plan.offdiag_pairs}
+              "offdiag_pairs": plan.offdiag_pairs,
+              "approximate": _approximate(args.model, n, args.d)}
     outputs = [args.out]
     if args.svg:
         _sweep_svg(records, xi, args.svg)
@@ -215,6 +224,8 @@ def _cmd_eigen(args, argv) -> int:
         results = {"worst_stat": worst, "bound": bound, "xi": xi,
                    "interval_size": size, "pass": worst <= bound}
     elif args.mode == "intervals":
+        if d < 2:
+            raise InvalidParametersError("--mode intervals needs d >= 2")
         columns = ["seed", "trial", "a", "b", "nu", "rho", "kappa",
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width
@@ -224,8 +235,11 @@ def _cmd_eigen(args, argv) -> int:
         tvs = []
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
-            # fixed-d histogram comparison uses the plain (d-1)^{-1/2} A scale
-            lam = np.linalg.eigvalsh(g.adj / math.sqrt(d - 1))
+            # fixed-d histogram comparison uses the plain (d-1)^{-1/2} A scale;
+            # eigvalsh holds the matrix and its working copy
+            a = g.dense(np.float64, copies=2)
+            a /= math.sqrt(d - 1)
+            lam = np.linalg.eigvalsh(a)
             tv = 0.0
             for k in range(nbins):
                 a_k, b_k = edges[k], edges[k + 1]
@@ -242,7 +256,8 @@ def _cmd_eigen(args, argv) -> int:
 
     law_mod.write_table(args.out, f"eigen-{args.mode}", columns, rows)
     params_out = {"mode": args.mode, "model": args.model, "n": n, "d": d,
-                  "seed": seed, "samples": args.samples}
+                  "seed": seed, "samples": args.samples,
+                  "approximate": _approximate(args.model, n, d)}
     if args.mode == "que":
         params_out["interval_size"] = args.interval_size
     if args.mode == "intervals":

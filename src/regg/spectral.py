@@ -75,11 +75,16 @@ class HamiltonianMatrix:
         object.__setattr__(self, "entries", h)
 
 
+#: N x N float64 arrays alive at once on the eigh path: H, LAPACK's working
+#: copy, its 2 N^2 workspace and the eigenvectors
+EIGH_COPIES = 5
+
+
 def build_H(g: MultiGraph, model: str | ModelKind = "unknown") -> HamiltonianMatrix:
     """H = (d-1)^{-1/2} (A - (d/n) J).  Requires d >= 2."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    a = g.adj.astype(np.float64)
+    a = g.dense(np.float64, copies=EIGH_COPIES)
     a -= g.deg / g.n
     a /= math.sqrt(g.deg - 1)
     name = model if isinstance(model, str) else ModelKind(model).value

@@ -2,7 +2,7 @@
 
 Four families of degree-preserving local moves:
 
-* elementary single/double switchings acting on adjacency matrices,
+* elementary single/double switchings, each editing O(1) edge codes,
 * the matching-model resampling that redraws the pivot's partner,
 * the simple-graph simultaneous switching driven by per-edge triples,
 * the permutation-model conjugation move.
@@ -13,12 +13,13 @@ vertex-distinctness condition fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidMoveError, InvalidParametersError
-from .graphs import Matching, MultiGraph, Permutation
+from .graphs import Matching, MultiGraph, Permutation, dense_adjacency
 from .spectral import ResolventView, resolvent_solve
 
 __all__ = [
@@ -105,15 +106,11 @@ def delta(i: int, j: int, n: int) -> np.ndarray:
     diagonal entry 2."""
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidParametersError(f"vertices ({i}, {j}) out of range [0, {n})")
-    a = np.zeros((n, n), dtype=np.int64)
-    a[i, j] += 1
-    a[j, i] += 1
-    return a
+    return dense_adjacency(n, [i], [j])
 
 
 def _require_edge(g: MultiGraph, x: int, y: int) -> None:
-    need = 2 if x == y else 1
-    if g.adj[x, y] < need:
+    if g.multiplicity(x, y) < 1:
         raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
 
 
@@ -126,10 +123,8 @@ def single_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
     _require_edge(g, spec.a, spec.abar)
     if len(set(spec.vertices())) < 4:
         return g
-    n = g.n
-    a = g.adj + delta(spec.rbar, spec.a, n) + delta(spec.r, spec.abar, n) \
-        - delta(spec.r, spec.rbar, n) - delta(spec.a, spec.abar, n)
-    return MultiGraph(n, g.deg, a)
+    return g.replace_edges([(spec.r, spec.rbar), (spec.a, spec.abar)],
+                           [(spec.rbar, spec.a), (spec.r, spec.abar)])
 
 
 def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
@@ -143,13 +138,9 @@ def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
     _require_edge(g, spec.b, spec.bbar)
     if len(set(spec.vertices())) < 6:
         return g
-    n = g.n
-    a = g.adj \
-        + delta(spec.rbar, spec.a, n) + delta(spec.abar, spec.b, n) \
-        + delta(spec.bbar, spec.r, n) \
-        - delta(spec.r, spec.rbar, n) - delta(spec.a, spec.abar, n) \
-        - delta(spec.b, spec.bbar, n)
-    return MultiGraph(n, g.deg, a)
+    return g.replace_edges(
+        [(spec.r, spec.rbar), (spec.a, spec.abar), (spec.b, spec.bbar)],
+        [(spec.rbar, spec.a), (spec.abar, spec.b), (spec.bbar, spec.r)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +186,15 @@ def pivot_edges(g: MultiGraph) -> list[Edge]:
     """The d edges at the pivot vertex 0, ordered by neighbour index."""
     if not g.simple:
         raise InvalidParametersError("pivot edge enumeration needs a simple graph")
-    return [(0, int(r)) for r in np.flatnonzero(g.adj[0])]
+    i, j = g.endpoints()
+    return [(0, r) for r in j[i == 0].tolist()]
 
 
 def _nonpivot_edges(g: MultiGraph) -> list[Edge]:
-    rows, cols = np.nonzero(np.triu(g.adj, k=1))
-    return [(int(x), int(y)) for x, y in zip(rows, cols) if x != 0]
+    """The edges of a simple graph not at the pivot, in row-major order."""
+    i, j = g.endpoints()
+    keep = i != 0
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
@@ -226,13 +220,15 @@ def um_switchable(g: MultiGraph, S) -> bool:
     if len(edges) != 3:
         raise InvalidMoveError("S must consist of three distinct edges")
     for (x, y) in edges:
-        if g.adj[x, y] != 1:
+        if g.multiplicity(x, y) != 1:
             raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
     verts = sorted({v for e in edges for v in e})
     if len(verts) != 6:
         return False
-    induced = g.adj[np.ix_(verts, verts)]
-    return int(induced.sum()) == 6  # exactly the three S-edges, each seen twice
+    inside = np.zeros(g.n, dtype=bool)
+    inside[verts] = True
+    i, j = g.endpoints()
+    return int(np.count_nonzero(inside[i] & inside[j])) == 3  # only the S-edges
 
 
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -302,7 +298,7 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
         if len(edges) != 3 or e_mu not in edges:
             raise InvalidMoveError(f"triple {mu} must contain the pivot edge {e_mu}")
         for (x, y) in edges:
-            if g.adj[x, y] != 1:
+            if g.multiplicity(x, y) != 1:
                 raise InvalidMoveError(f"triple {mu}: ({x}, {y}) is not an edge")
             if (x, y) != e_mu and x == 0:
                 raise InvalidMoveError(
@@ -317,36 +313,51 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     ]
     active = [sw and cp for sw, cp in zip(switchable, compatible)]
 
-    edge_set = {_norm_edge((0, r)) for r in np.flatnonzero(g.adj[0])}
-    edge_set |= set(_nonpivot_edges(g))
+    # active triples meet only at the pivot, so their edits are disjoint
+    removed: list[Edge] = []
+    added: list[Edge] = []
     a_list: list[int] = []
     alpha: list[int] = []
     for mu in range(d):
         a_mu, r_mu = _triple_targets(tuple(norm_triples[mu]), selection.s[mu])
         a_list.append(a_mu)
         if active[mu]:
-            removed, added, _, _ = _triple_replacement(
+            rm, ad, _, _ = _triple_replacement(
                 tuple(norm_triples[mu]), selection.s[mu])
-            edge_set -= removed
-            edge_set |= added
+            removed.extend(rm)
+            added.extend(ad)
             alpha.append(a_mu)
         else:
             alpha.append(r_mu)
 
-    adj = np.zeros((g.n, g.n), dtype=np.int64)
-    for (x, y) in edge_set:
-        adj[x, y] = adj[y, x] = 1
-    out = MultiGraph(g.n, g.deg, adj)
+    out = g.replace_edges(removed, added)
     return ResampleOutcome(out, tuple(a_list), tuple(alpha), tuple(active),
                            selection)
 
 
+def _unrank_pair(k: int, m: int) -> tuple[int, int]:
+    """The k-th pair (a, b), a < b < m, in lexicographic order."""
+    total = m * (m - 1) // 2
+    # t = m - 1 - a is the largest t with C(t, 2) <= total - 1 - k
+    t = (math.isqrt(8 * (total - 1 - k) + 1) + 1) // 2
+    a = m - 1 - t
+    return a, a + 1 + k - total + t * (t + 1) // 2
+
+
 def um_resample(g: MultiGraph, rng: np.random.Generator) -> ResampleOutcome:
     """Draw a uniform TripleSelection and apply the simultaneous switch.
-    Preserves the uniform distribution on simple d-regular graphs."""
-    space = triple_space(g)
-    triples = tuple(t[int(rng.integers(len(t)))] for t in space)
-    s = tuple(int(rng.integers(1, 9)) for _ in space)
+    Preserves the uniform distribution on simple d-regular graphs.
+
+    Each pivot edge's triple is drawn as a uniform index into its
+    triple_space list and unranked to that list's pair of non-pivot edges,
+    so no d * C(m, 2) list of triples is built.
+    """
+    pivots = pivot_edges(g)
+    others = _nonpivot_edges(g)
+    m = len(others)
+    pairs = [_unrank_pair(int(rng.integers(m * (m - 1) // 2)), m) for _ in pivots]
+    triples = tuple((e, others[a], others[b]) for e, (a, b) in zip(pivots, pairs))
+    s = tuple(int(rng.integers(1, 9)) for _ in pivots)
     return um_simultaneous_switch(g, TripleSelection(triples, s))
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,11 +37,14 @@ class TestUsage:
         model = ["--model", "matching", "--n", "40", "--d", "3", "--seed", "0"]
         intervals = ["eigen", "--mode", "intervals", *model,
                      "--out", str(tmp_path / "km.csv")]
+        sweep = ["lawsweep", *model, "--out", str(tmp_path / "law.csv")]
         for bad in ([*intervals, "--samples", "0"],
                     [*intervals, "--bin-width", "0"],
                     [*intervals, "--bin-width", "-0.1"],
-                    ["lawsweep", *model, "--samples", "0",
-                     "--out", str(tmp_path / "law.csv")]):
+                    [*intervals, "--d", "1"],
+                    [*sweep, "--samples", "0"],
+                    [*sweep, "--e-step", "0"],
+                    [*sweep, "--e-step", "-0.2"]):
             assert run(bad) == EXIT_PRECONDITION
             assert "error: " in capsys.readouterr().err
 
@@ -64,6 +69,23 @@ class TestSample:
                     "--out", str(out)]) == EXIT_OK
         _, header = from_edgelist(out.read_text())
         assert header["seed"] == 77
+
+    def test_manifest_records_resolved_method(self, tmp_path):
+        for d, method in ((3, "rejection"), (8, "switching-chain")):
+            out = tmp_path / f"g{d}.edges"
+            assert run(["sample", "--model", "uniform", "--n", "30", "--d",
+                        str(d), "--seed", "1", "--out", str(out)]) == EXIT_OK
+            params = RunManifest.load(str(out) + ".manifest.json").params
+            assert params["method"] == method
+            assert params["approximate"] is (method == "switching-chain")
+
+    def test_forced_rejection_out_of_range_fails_fast(self, tmp_path, capsys):
+        start = time.monotonic()
+        code = run(["sample", "--model", "uniform", "--n", "2000", "--d", "8",
+                    "--method", "rejection", "--out", str(tmp_path / "g.edges")])
+        assert code == EXIT_PRECONDITION
+        assert time.monotonic() - start < 1.0
+        assert "tries expected" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
@@ -140,6 +162,20 @@ class TestEigen:
         assert code == EXIT_OK
         man = RunManifest.load(str(out) + ".manifest.json")
         assert man.results["tv_mean"] < 0.5
+
+    def test_intervals_checks_memory_before_dense_matrix(self, tmp_path, capsys):
+        # an N x N float64 matrix at N = 10^6 is 8 TB: refused up front
+        tracemalloc.start()
+        try:
+            code = run(["eigen", "--mode", "intervals", "--model", "matching",
+                        "--n", "1000000", "--d", "3", "--seed", "0",
+                        "--out", str(tmp_path / "int.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PRECONDITION
+        assert "RAM" in capsys.readouterr().err
+        assert peak < 1e9
 
 
 class TestStability:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from regg.graphs import (Matching, ModelKind, MultiGraph, Permutation,
                          enumerate_simple_regular, from_edgelist,
                          permutation_pair_matrix, random_matching,
                          sample_configuration_model, sample_matching_model,
-                         sample_permutation_model, sample_uniform, to_edgelist)
+                         sample_model, sample_permutation_model,
+                         sample_uniform, to_edgelist, uniform_method)
 from regg.rng import stream
 
 
@@ -26,25 +29,31 @@ def assert_model_invariants(g: MultiGraph, loops_ok: bool, multi_ok: bool):
 class TestMultiGraph:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidParametersError):
-            MultiGraph(2, 1, np.array([[0, 1], [0, 0]]))
+            MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [0, 0]]))
 
     def test_rejects_odd_diagonal(self):
         with pytest.raises(InvalidParametersError):
-            MultiGraph(2, 1, np.array([[1, 0], [0, 1]]))
+            MultiGraph.from_adjacency(2, 1, np.array([[1, 0], [0, 1]]))
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(InvalidParametersError):
-            MultiGraph(2, 2, np.array([[0, 1], [1, 0]]))
+            MultiGraph.from_adjacency(2, 2, np.array([[0, 1], [1, 0]]))
 
     def test_adjacency_readonly(self):
-        g = MultiGraph(2, 1, np.array([[0, 1], [1, 0]]))
+        g = MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             g.adj[0, 1] = 5
 
+    def test_codes_validated(self):
+        assert MultiGraph(2, 1, [1]).simple  # code 0*2 + 1: the edge {0, 1}
+        for codes in ([2], [4], [-1], [0]):  # i > j, out of range, wrong degree
+            with pytest.raises(InvalidParametersError):
+                MultiGraph(2, 1, codes)
+
     def test_simple_flag(self):
-        assert MultiGraph(2, 1, np.array([[0, 1], [1, 0]])).simple
-        assert not MultiGraph(2, 2, np.array([[0, 2], [2, 0]])).simple
-        assert not MultiGraph(1, 2, np.array([[2]])).simple
+        assert MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [1, 0]])).simple
+        assert not MultiGraph.from_adjacency(2, 2, np.array([[0, 2], [2, 0]])).simple
+        assert not MultiGraph.from_adjacency(1, 2, np.array([[2]])).simple
 
 
 class TestMatchingModel:
@@ -137,6 +146,16 @@ class TestUniformModel:
         assert g.simple
         assert_model_invariants(g, loops_ok=False, multi_ok=False)
 
+    def test_method_rule(self):
+        # rejection needs about exp((d^2 - 1)/4) tries whatever n is
+        assert uniform_method(6, 3) == uniform_method(1000, 6) == "rejection"
+        assert uniform_method(2000, 8) == "switching-chain"
+        assert uniform_method(100, 20) == "switching-chain"
+        with pytest.raises(BudgetExceededError):
+            uniform_method(2000, 8, "rejection")
+        with pytest.raises(BudgetExceededError):
+            sample_uniform(2000, 8, stream(0, 0), method="rejection")
+
     def test_seed_determinism(self):
         g1 = sample_uniform(20, 3, stream(9, 0))
         g2 = sample_uniform(20, 3, stream(9, 0))
@@ -173,8 +192,36 @@ class TestSerialization:
         assert np.array_equal(back.adj, g.adj)
         assert header == {"n": 12, "d": 4, "model": "configuration", "seed": 10}
 
+    # sha256 of to_edgelist output for stream(11, 0): pins every sampler's
+    # random-number use and the serialization byte for byte
+    GOLDEN = {
+        ("matching", 50, 4, None):
+            "32623850f0d7415abed662697965654f2ef0a7d90da54c6ac93534348d2da4dd",
+        ("permutation", 50, 4, None):
+            "3626c20af26e18a97402e6d82dc052701b0bbe1ef5c8629da9ca5a5a75de1998",
+        ("configuration", 50, 4, None):
+            "11b19566e5743c9ce06d81b294552d9978864051dc1e1861fb6554112cb2b122",
+        ("uniform", 50, 4, "rejection"):
+            "b8d936fc874af61a57bf49df90504e3cfd4f4e138e481f9b58ac21e3148413a5",
+        ("uniform", 24, 10, "switching-chain"):
+            "bf19b38656a9ce9c37048818155dca76911fe68c25c3659a6fc7057f210254dc",
+    }
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))
+    def test_golden_edgelists(self, key):
+        model, n, d, method = key
+        kwargs = {"method": method} if method else {}
+        g = sample_model(model, n, d, stream(11, 0), **kwargs)
+        text = to_edgelist(g, model, 11)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[key]
+
+    def test_rejects_out_of_range_vertex(self):
+        for line in ("0 2 1", "-1 1 1", "0 1 -1"):
+            with pytest.raises(InvalidParametersError):
+                from_edgelist(f"2 1 configuration 0\n{line}\n")
+
     def test_loops_serialized_once_with_loop_count(self):
-        g = MultiGraph(2, 2, np.array([[2, 0], [0, 2]]))
+        g = MultiGraph.from_adjacency(2, 2, np.array([[2, 0], [0, 2]]))
         text = to_edgelist(g, "configuration", 0)
         lines = text.strip().splitlines()
         assert lines[1:] == ["0 0 1", "1 1 1"]

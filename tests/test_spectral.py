@@ -18,7 +18,7 @@ from regg.spectral import (EnvelopeParams, HamiltonianMatrix, ResolventView,
 
 def complete_graph(n):
     adj = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return MultiGraph(n, n - 1, adj)
+    return MultiGraph.from_adjacency(n, n - 1, adj)
 
 
 class TestBuildH:
@@ -40,7 +40,7 @@ class TestBuildH:
         assert np.abs(h.entries @ e).max() < 1e-12
 
     def test_degree_one_rejected(self):
-        g = MultiGraph(2, 1, np.array([[0, 1], [1, 0]]))
+        g = MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [1, 0]]))
         with pytest.raises(InvalidParametersError):
             build_H(g)
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              pivot_edges, pm_switch, resolvent_switch_delta,
                              single_switch, switch_pair_table, triple_space,
                              um_resample, um_simultaneous_switch,
-                             um_switchable)
+                             um_switchable, _unrank_pair)
 from regg.spectral import build_H
 
 
@@ -24,7 +27,7 @@ def cycle_graph(n):
     for i in range(n):
         adj[i, (i + 1) % n] += 1
         adj[(i + 1) % n, i] += 1
-    return MultiGraph(n, 2, adj)
+    return MultiGraph.from_adjacency(n, 2, adj)
 
 
 class TestDelta:
@@ -180,6 +183,19 @@ class TestSimultaneousSwitch:
                 if sw:
                     assert alpha_mu == a_mu
             g = out.graph
+
+    def test_unranked_selection_matches_triple_space(self):
+        for m in range(2, 30):
+            assert [_unrank_pair(k, m) for k in range(math.comb(m, 2))] == \
+                list(itertools.combinations(range(m), 2))
+        g = sample_uniform(30, 4, stream(32, 0), method="switching-chain")
+        for seed in range(3):
+            out = um_resample(g, stream(seed, 5))
+            rng = stream(seed, 5)
+            space = triple_space(g)
+            triples = tuple(t[int(rng.integers(len(t)))] for t in space)
+            s = tuple(int(rng.integers(1, 9)) for _ in space)
+            assert out.selection == TripleSelection(triples, s)
 
     def test_wrong_triple_count_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
