@@ -98,7 +98,7 @@ def dense_adjacency(n: int, u, v, dtype=np.int64, copies: int = 1) -> np.ndarray
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGraph:
     """A d-regular multigraph on n vertices, stored as its edges.
 
@@ -210,6 +210,14 @@ class MultiGraph:
     def edge_key(self) -> tuple:
         """Hashable identity of the labeled multigraph."""
         return (self.n, self.deg, self.codes.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultiGraph):
+            return NotImplemented
+        return self.edge_key() == other.edge_key()
+
+    def __hash__(self) -> int:
+        return hash(self.edge_key())
 
 
 @dataclass(frozen=True)

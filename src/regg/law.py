@@ -138,6 +138,9 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
                              pair_seed=seed)
         records.extend(records_for_view(view, model, n, d, seed, trial, plan,
                                         params))
+        # the next trial's build_H and eigh must not run beside this view's
+        # eigenvectors and H
+        del view
     return records
 
 
@@ -150,7 +153,7 @@ def dyadic_scan(view: ResolventView, E: float, k_max: int | None = None) -> dict
     if k_max > cap:
         raise InvalidParametersError(f"k_max {k_max} exceeds 4 log2 N = {cap}")
     etas = [n / 2 ** k for k in range(k_max + 1)]
-    gammas = [view.gamma(complex(E, eta)) for eta in etas]
+    gammas = view.gammas(E + 1j * np.array(etas)).tolist()
     ratios = [gammas[k + 1] / gammas[k] for k in range(len(gammas) - 1)]
     return {
         "E": E,

@@ -4,6 +4,10 @@ H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
+ResolventView.grid evaluates a whole z-grid in real arithmetic and in blocks
+of PAIR_BLOCK pairs, so beyond the eigenvectors, its outputs and its weights
+it holds at most N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 that
+the decomposition itself needs.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ class HamiltonianMatrix:
 #: copy, its 2 N^2 workspace and the eigenvectors
 EIGH_COPIES = 5
 
+#: off-diagonal pairs per block in ResolventView.grid; a block holds
+#: 2 PAIR_BLOCK x N reals
+PAIR_BLOCK = 1024
+
 
 def build_H(g: MultiGraph, model: str | ModelKind = "unknown") -> HamiltonianMatrix:
     """H = (d-1)^{-1/2} (A - (d/n) J).  Requires d >= 2."""
@@ -130,14 +138,36 @@ class ResolventView:
 
     def grid(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G_ii(z) for every i and G_ij(z) over the seeded pair sample, for
-        a whole grid of z at once: (diag (N x nz), off (P x nz))."""
+        a whole grid of z at once: (diag (N x nz), off (P x nz)), complex.
+
+        G_ij(z) = sum_a v_ia v_ja / (lambda_a - z), taken as two real
+        matrix products with the real and imaginary parts of the weights.
+        Beyond the eigenvectors, the outputs and the N x nz weights it holds
+        at most N^2 + 2 PAIR_BLOCK N reals (v*v, then one block of gathered
+        pair rows), within the EIGH_COPIES N^2 budget of the decomposition.
+        """
+        zs = np.asarray(zs, dtype=complex)
         vec = self.eigenvectors
-        weights = 1.0 / (self.eigenvalues[None, :] - zs[:, None])   # (nz, N)
-        diag = (vec * vec) @ weights.T
+        delta = self.eigenvalues[:, None] - zs.real                 # (N, nz)
+        scale = 1.0 / (delta * delta + zs.imag * zs.imag)
+        w_re, w_im = delta * scale, zs.imag * scale
+
+        diag = np.empty((self.n, zs.size), dtype=complex)
+        sq = vec * vec
+        diag.real = sq @ w_re
+        diag.imag = sq @ w_im
+        del sq
         # drawn after the diagonal product: drawing the pair sample first
         # raised lawsweep's peak RSS by about 4 MB at N = 2000
         i, j = self._pair_sample
-        return diag, (vec[i] * vec[j]) @ weights.T
+        off = np.empty((i.size, zs.size), dtype=complex)
+        for start in range(0, i.size, PAIR_BLOCK):
+            rows = slice(start, start + PAIR_BLOCK)
+            prod = vec[i[rows]]
+            prod *= vec[j[rows]]
+            off.real[rows] = prod @ w_re
+            off.imag[rows] = prod @ w_im
+        return diag, off
 
     def diag(self, z: complex) -> np.ndarray:
         """All diagonal entries G_ii(z)."""
@@ -162,27 +192,29 @@ class ResolventView:
         """s(z) = N^{-1} sum_a (lambda_a - z)^{-1} = N^{-1} tr G(z)."""
         return complex(np.mean(self._weights(z)))
 
+    def gammas(self, zs: np.ndarray) -> np.ndarray:
+        """Gamma(z) = (max |G_ij|) clamped below by 1 for each z of zs, the
+        maximum taken over all diagonal entries and the seeded off-diagonal
+        pair sample."""
+        diag, off = self.grid(zs)
+        out = np.maximum(1.0, np.abs(diag).max(axis=0))
+        if off.size:
+            out = np.maximum(out, np.abs(off).max(axis=0))
+        return out
+
     def gamma(self, z: complex) -> float:
-        """Gamma(z) = (max |G_ij|) clamped below by 1, the maximum taken
-        over all diagonal entries and the seeded off-diagonal pair sample."""
-        diag, off = self.grid(np.array([complex(z)]))
-        dmax = float(np.abs(diag).max())
-        omax = float(np.abs(off).max()) if off.size else 0.0
-        return max(1.0, dmax, omax)
+        """Gamma(z) at one point: gammas() on a one-point grid."""
+        return float(self.gammas(np.array([complex(z)]))[0])
 
     def gamma_star(self, E: float, eta_min: float) -> float:
         """sup of Gamma(E + i eta) over the dyadic grid eta_min * 2^k up
         through the first point >= N."""
         if not eta_min > 0:
             raise InvalidParametersError("eta_min must be positive")
-        best = 0.0
-        eta = float(eta_min)
-        while True:
-            best = max(best, self.gamma(complex(E, eta)))
-            if eta >= self.n:
-                break
-            eta *= 2
-        return best
+        etas = [float(eta_min)]
+        while etas[-1] < self.n:
+            etas.append(etas[-1] * 2)
+        return float(self.gammas(E + 1j * np.array(etas)).max())
 
 
 def resolvent_solve(h: np.ndarray, z: complex) -> np.ndarray:

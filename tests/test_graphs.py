@@ -50,6 +50,18 @@ class TestMultiGraph:
             with pytest.raises(InvalidParametersError):
                 MultiGraph(2, 1, codes)
 
+    def test_equality_and_hash(self):
+        g = sample_permutation_model(30, 4, stream(7, 0))
+        same = sample_permutation_model(30, 4, stream(7, 0))
+        other = sample_permutation_model(30, 4, stream(7, 1))
+        assert g == same and hash(g) == hash(same)
+        assert g != other
+        assert g != g.edge_key()
+        counts = {g: 1}
+        counts[same] = counts.get(same, 0) + 1
+        counts[other] = counts.get(other, 0) + 1
+        assert counts == {g: 2, other: 1}
+
     def test_simple_flag(self):
         assert MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [1, 0]])).simple
         assert not MultiGraph.from_adjacency(2, 2, np.array([[0, 2], [2, 0]])).simple

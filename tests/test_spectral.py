@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from regg.errors import InvalidParametersError, OutOfRegimeWarning
 from regg.graphs import MultiGraph, sample_permutation_model, sample_uniform
 from regg.rng import stream
-from regg.spectral import (EnvelopeParams, HamiltonianMatrix, ResolventView,
-                           SpectralPoint, build_H, default_xi, effective_D,
+from regg.spectral import (PAIR_BLOCK, EnvelopeParams, HamiltonianMatrix,
+                           ResolventView, SpectralPoint, build_H, default_xi,
+                           effective_D,
                            f_envelope, kesten_mckay_density, m_semicircle,
                            phi_envelope, psi_envelope, resolvent_solve,
                            semicircle_density)
@@ -122,6 +124,43 @@ class TestResolventView:
                                   offdiag_pairs=500, pair_seed=7)
         _, off = diag_view.grid(zs)
         assert off.shape[0] > 0 and not off.any()
+
+    def test_grid_matches_solve_across_pair_blocks(self):
+        n = 320  # above EXHAUSTIVE_N: the seeded pair sample
+        h = build_H(sample_permutation_model(n, 6, stream(43, 0)), "permutation")
+        v = ResolventView(h, offdiag_pairs=2500, pair_seed=5)
+        i, j = v._pair_sample
+        assert i.size > 2 * PAIR_BLOCK and i.size % PAIR_BLOCK
+        zs = np.array([0.4 + 1j / n, -1.7 + 0.03j, 2.5 + 1j])
+        diag, off = v.grid(zs)
+        assert diag.shape == (n, 3) and off.shape == (i.size, 3)
+        for k, z in enumerate(zs):
+            oracle = resolvent_solve(h.entries, z)
+            assert np.abs(diag[:, k] - np.diag(oracle)).max() < 1e-10
+            assert np.abs(off[:, k] - oracle[i, j]).max() < 1e-10
+
+    def test_grid_empty_pair_sample(self):
+        v = ResolventView(np.array([[0.5]]))
+        diag, off = v.grid(np.array([1j, 0.5 + 0.1j]))
+        assert off.shape == (0, 2) and off.dtype == complex
+        assert np.allclose(diag[0], [1 / (0.5 - 1j), 1 / -0.1j])
+        assert v.gamma(0.5 + 0.1j) == pytest.approx(10.0)
+
+    def test_grid_memory_bounded(self):
+        n, pairs = 1000, 10000
+        v = ResolventView(build_H(sample_permutation_model(n, 10, stream(44, 0)),
+                                  "permutation"), offdiag_pairs=pairs)
+        zs = np.array([complex(E, eta) for E in np.linspace(-2.4, 2.4, 25)
+                       for eta in (1.0, 0.5, 0.25, 0.125, 0.0625)])
+        tracemalloc.start()
+        try:
+            v.grid(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one third of the 3 P x N float64 pair temporaries of an unblocked
+        # evaluation: (v[i], v[j], v[i] * v[j])
+        assert peak < 3 * pairs * n * 8 / 3
 
 
 class TestSemicircleTransform:
