@@ -139,7 +139,7 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
         records.extend(records_for_view(view, model, n, d, seed, trial, plan,
                                         params))
         # the next trial's build_H and eigh must not run beside this view's
-        # eigenvectors and H
+        # eigenvectors
         del view
     return records
 

@@ -4,6 +4,8 @@ H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
+Paths that need only eigenvalues call eigvalsh_inplace, which overwrites
+the one dense matrix it is given and needs O(N) more memory.
 ResolventView.grid evaluates a whole z-grid in real arithmetic and in blocks
 of PAIR_BLOCK pairs, so beyond the eigenvectors, its outputs and its weights
 it holds at most N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 that
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning)
@@ -29,6 +32,7 @@ __all__ = [
     "ResolventView",
     "EnvelopeParams",
     "build_H",
+    "eigvalsh_inplace",
     "resolvent_solve",
     "m_semicircle",
     "semicircle_density",
@@ -99,6 +103,24 @@ def build_H(g: MultiGraph, model: str | ModelKind = "unknown") -> HamiltonianMat
     return HamiltonianMatrix(g.n, g.deg, a, name)
 
 
+def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix `a`, which is destroyed.
+
+    `a` must be a writable, C-contiguous, square float64 array.  Its
+    transpose is the same matrix and is Fortran-contiguous, so LAPACK's
+    dsyevd works in a's own memory with O(N) workspace.  Any other input
+    raises InvalidParametersError rather than let a hidden N x N copy in.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.ndim == 2 and a.shape[0] == a.shape[1]
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise InvalidParametersError(
+            "eigvalsh_inplace needs a writable, C-contiguous, square float64 "
+            "array")
+    return scipy.linalg.eigh(a.T, eigvals_only=True, overwrite_a=True,
+                             check_finite=False, driver="evd")
+
+
 class ResolventView:
     """Eigendecomposition-backed access to G(z), s(z) and Gamma(z).
 
@@ -113,7 +135,6 @@ class ResolventView:
                  offdiag_pairs: int = 10000, pair_seed: int = 0):
         entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, float)
         self.n = entries.shape[0]
-        self.source = h if isinstance(h, HamiltonianMatrix) else None
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(entries)
         self.offdiag_pairs = offdiag_pairs
         self.pair_seed = pair_seed

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -162,6 +163,33 @@ class TestEigen:
         assert code == EXIT_OK
         man = RunManifest.load(str(out) + ".manifest.json")
         assert man.results["tv_mean"] < 0.5
+
+    def test_intervals_csv_matches_recorded_bytes(self, tmp_path):
+        # sha256 recorded from the eigvalsh path that held two N x N arrays
+        out = tmp_path / "int.csv"
+        code = run(["eigen", "--mode", "intervals", "--model", "matching",
+                    "--n", "1500", "--d", "3", "--seed", "5", "--samples", "2",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d33d74acfab33f8ada32048bdbf540c07d934848568d7a1e302a280bd418d6a0")
+
+    @pytest.mark.parametrize("mode", ["deloc", "que"])
+    def test_trials_do_not_accumulate_memory(self, tmp_path, mode):
+        # the previous trial's view must be gone before the next eigh
+        peaks = []
+        for samples in ("1", "2"):
+            tracemalloc.start()
+            try:
+                code = run(["eigen", "--mode", mode, "--model", "permutation",
+                            "--n", "800", "--d", "10", "--seed", "5",
+                            "--samples", samples,
+                            "--out", str(tmp_path / f"{mode}{samples}.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_intervals_checks_memory_before_dense_matrix(self, tmp_path, capsys):
         # an N x N float64 matrix at N = 10^6 is 8 TB: refused up front

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regg.errors import InvalidParametersError, OutOfRegimeWarning
-from regg.graphs import MultiGraph, sample_permutation_model, sample_uniform
+from regg.graphs import (MultiGraph, sample_matching_model,
+                         sample_permutation_model, sample_uniform)
 from regg.rng import stream
 from regg.spectral import (PAIR_BLOCK, EnvelopeParams, HamiltonianMatrix,
                            ResolventView, SpectralPoint, build_H, default_xi,
-                           effective_D,
+                           effective_D, eigvalsh_inplace,
                            f_envelope, kesten_mckay_density, m_semicircle,
                            phi_envelope, psi_envelope, resolvent_solve,
                            semicircle_density)
@@ -161,6 +162,39 @@ class TestResolventView:
         # one third of the 3 P x N float64 pair temporaries of an unblocked
         # evaluation: (v[i], v[j], v[i] * v[j])
         assert peak < 3 * pairs * n * 8 / 3
+
+
+class TestEigvalshInplace:
+    def test_matches_numpy(self):
+        g = sample_matching_model(300, 3, stream(12, 0))
+        a = g.dense(np.float64)
+        ref = np.linalg.eigvalsh(a)
+        lam = eigvalsh_inplace(a)
+        assert lam.shape == (300,) and np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - ref).max() < 1e-12
+
+    def test_rejects_inputs_it_would_copy(self):
+        g = sample_matching_model(20, 3, stream(12, 1))
+        a = g.dense(np.float64)
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        for bad in (g.adj, frozen, a.astype(np.float32), a[::2, ::2],
+                    np.asfortranarray(a), a[:10],
+                    list(a)):
+            with pytest.raises(InvalidParametersError):
+                eigvalsh_inplace(bad)
+
+    def test_no_hidden_matrix_copy(self):
+        n = 1000
+        a = sample_matching_model(n, 3, stream(12, 2)).dense(np.float64)
+        tracemalloc.start()
+        try:
+            eigvalsh_inplace(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a second N x N float64 array would be 8 N^2 bytes
+        assert peak < 0.25 * 8 * n * n
 
 
 class TestSemicircleTransform:
