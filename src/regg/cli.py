@@ -198,17 +198,20 @@ def _cmd_eigen(args, argv) -> int:
         worst = 0.0
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
-            view = ResolventView(build_H(g, args.model))
+            view = ResolventView(build_H(g))
             stats = delocalization_stats(view)
             worst = max(worst, stats["normalized"])
             rows.append([seed, trial, stats["max_inf_norm"],
                          stats["normalized"], bound])
-            del view  # before the next trial's build_H and eigh
+            del view  # before the next trial's build_H and decomposition
         results = {"worst_normalized": worst, "bound": bound,
                    "pass": worst <= bound}
     elif args.mode == "que":
         columns = ["seed", "trial", "alpha", "stat", "bound"]
         size = args.interval_size
+        if not 1 <= size <= n - 1:
+            raise InvalidParametersError(
+                f"--interval-size must lie in 1..{n - 1}, got {size}")
         xi = default_xi(n)
         bound = 10 * math.log(n) ** 4 * math.sqrt(size) / n
         a = np.zeros(n)
@@ -217,13 +220,13 @@ def _cmd_eigen(args, argv) -> int:
         worst = 0.0
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
-            view = ResolventView(build_H(g, args.model))
+            view = ResolventView(build_H(g))
             v2 = view.eigenvectors ** 2
             stats = a @ v2
             worst = max(worst, float(np.abs(stats).max()))
             rows.extend([seed, trial, alpha, float(stats[alpha]), bound]
                         for alpha in range(n))
-            del view, v2  # before the next trial's build_H and eigh
+            del view, v2  # before the next trial's build_H and decomposition
         results = {"worst_stat": worst, "bound": bound, "xi": xi,
                    "interval_size": size, "pass": worst <= bound}
     elif args.mode == "intervals":

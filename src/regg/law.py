@@ -134,12 +134,12 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     for trial in range(plan.samples):
         rng = stream(seed, trial)
         g = sample_model(model, n, d, rng)
-        view = ResolventView(build_H(g, model), offdiag_pairs=plan.offdiag_pairs,
+        view = ResolventView(build_H(g), offdiag_pairs=plan.offdiag_pairs,
                              pair_seed=seed)
         records.extend(records_for_view(view, model, n, d, seed, trial, plan,
                                         params))
-        # the next trial's build_H and eigh must not run beside this view's
-        # eigenvectors
+        # the next trial's build_H and decomposition must not run beside
+        # this view's eigenvectors
         del view
     return records
 

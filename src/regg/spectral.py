@@ -4,12 +4,12 @@ H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
-Paths that need only eigenvalues call eigvalsh_inplace, which overwrites
-the one dense matrix it is given and needs O(N) more memory.
-ResolventView.grid evaluates a whole z-grid in real arithmetic and in blocks
-of PAIR_BLOCK pairs, so beyond the eigenvectors, its outputs and its weights
-it holds at most N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 that
-the decomposition itself needs.
+Both LAPACK paths let scipy's dsyevd overwrite the one dense matrix they
+are given: eigvalsh_inplace with O(N) workspace, ResolventView with H's
+memory left holding the eigenvectors and 2 N^2 of workspace.  grid works in
+real arithmetic on scipy's dgemm and in blocks of PAIR_BLOCK pairs: beyond
+the eigenvectors, its outputs and its weights it holds at most
+N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 of the decomposition.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning)
@@ -28,7 +29,6 @@ from .graphs import ModelKind, MultiGraph
 
 __all__ = [
     "SpectralPoint",
-    "HamiltonianMatrix",
     "ResolventView",
     "EnvelopeParams",
     "build_H",
@@ -61,62 +61,53 @@ class SpectralPoint:
         return complex(self.E, self.eta)
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Centered, rescaled adjacency matrix with its source metadata."""
-
-    n: int
-    deg: int
-    entries: np.ndarray
-    model: str = "unknown"
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.entries, dtype=np.float64)
-        if h.shape != (self.n, self.n):
-            raise InvalidParametersError("entry matrix shape mismatch")
-        e = np.full(self.n, self.n ** -0.5)
-        residual = np.abs(h @ e).max()
-        if residual > 1e-12 * math.sqrt(self.n):
-            raise InvalidParametersError(
-                f"centering violated: |H e| = {residual:.3e}")
-        h.flags.writeable = False
-        object.__setattr__(self, "entries", h)
-
-
-#: N x N float64 arrays alive at once on the eigh path: H, LAPACK's working
-#: copy, its 2 N^2 workspace and the eigenvectors
-EIGH_COPIES = 5
+#: N x N float64 arrays alive at once on the eigh path: H, which LAPACK
+#: overwrites with the eigenvectors, and its 2 N^2 workspace
+EIGH_COPIES = 3
 
 #: off-diagonal pairs per block in ResolventView.grid; a block holds
 #: 2 PAIR_BLOCK x N reals
 PAIR_BLOCK = 1024
 
 
-def build_H(g: MultiGraph, model: str | ModelKind = "unknown") -> HamiltonianMatrix:
-    """H = (d-1)^{-1/2} (A - (d/n) J).  Requires d >= 2."""
+def build_H(g: MultiGraph) -> np.ndarray:
+    """H = (d-1)^{-1/2} (A - (d/n) J) as a writable, C-contiguous float64
+    array, ready to be consumed by ResolventView.  Requires d >= 2."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    a = g.dense(np.float64, copies=EIGH_COPIES)
-    a -= g.deg / g.n
-    a /= math.sqrt(g.deg - 1)
-    name = model if isinstance(model, str) else ModelKind(model).value
-    return HamiltonianMatrix(g.n, g.deg, a, name)
+    h = g.dense(np.float64, copies=EIGH_COPIES)
+    h -= g.deg / g.n
+    h /= math.sqrt(g.deg - 1)
+    _check_centred(h)
+    return h
 
 
-def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix `a`, which is destroyed.
+def _check_centred(h: np.ndarray) -> None:
+    """Raise unless |H e| <= 1e-12 sqrt(N), e the normalized all-ones vector;
+    H e is the row sums over sqrt(N), which need no BLAS work."""
+    n = h.shape[0]
+    residual = np.abs(h.sum(axis=1)).max() / math.sqrt(n)
+    if residual > 1e-12 * math.sqrt(n):
+        raise InvalidParametersError(
+            f"centering violated: |H e| = {residual:.3e}")
 
-    `a` must be a writable, C-contiguous, square float64 array.  Its
-    transpose is the same matrix and is Fortran-contiguous, so LAPACK's
-    dsyevd works in a's own memory with O(N) workspace.  Any other input
-    raises InvalidParametersError rather than let a hidden N x N copy in.
-    """
+
+def _check_inplace(a: np.ndarray, who: str) -> None:
+    """The input rule of both in-place LAPACK paths: only a writable,
+    C-contiguous, square float64 array has a transpose that LAPACK can
+    overwrite without an N x N copy, so anything else raises."""
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.ndim == 2 and a.shape[0] == a.shape[1]
             and a.flags.c_contiguous and a.flags.writeable):
         raise InvalidParametersError(
-            "eigvalsh_inplace needs a writable, C-contiguous, square float64 "
-            "array")
+            f"{who} needs a writable, C-contiguous, square float64 array")
+
+
+def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix `a`, which is destroyed:
+    a.T is the same matrix, Fortran-contiguous, so LAPACK's dsyevd works in
+    a's own memory with O(N) workspace.  `a` must pass _check_inplace."""
+    _check_inplace(a, "eigvalsh_inplace")
     return scipy.linalg.eigh(a.T, eigvals_only=True, overwrite_a=True,
                              check_finite=False, driver="evd")
 
@@ -124,18 +115,23 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
 class ResolventView:
     """Eigendecomposition-backed access to G(z), s(z) and Gamma(z).
 
-    The decomposition is computed once; all per-z accessors are read-only
-    and independent, so a single view can serve a whole z-grid.
+    The view consumes H, which must pass _check_inplace: LAPACK's dsyevd
+    writes the eigenvectors into H's memory (pass h.copy() to keep H).  All
+    per-z accessors are read-only and independent, so a single view can
+    serve a whole z-grid.
     """
 
     #: below this size the off-diagonal maximum is exhaustive
     EXHAUSTIVE_N = 300
 
-    def __init__(self, h: HamiltonianMatrix | np.ndarray,
-                 offdiag_pairs: int = 10000, pair_seed: int = 0):
-        entries = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, float)
-        self.n = entries.shape[0]
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(entries)
+    def __init__(self, h: np.ndarray, offdiag_pairs: int = 10000,
+                 pair_seed: int = 0):
+        _check_inplace(h, "ResolventView")
+        self.n = h.shape[0]
+        self.eigenvalues, vec = scipy.linalg.eigh(
+            h.T, overwrite_a=True, check_finite=False, driver="evd")
+        # C order once, so that grid gathers pair rows, not strided columns
+        self.eigenvectors = np.ascontiguousarray(vec)
         self.offdiag_pairs = offdiag_pairs
         self.pair_seed = pair_seed
 
@@ -169,14 +165,16 @@ class ResolventView:
         """
         zs = np.asarray(zs, dtype=complex)
         vec = self.eigenvectors
-        delta = self.eigenvalues[:, None] - zs.real                 # (N, nz)
+        # Fortran-ordered (N, nz) weights: dgemm(1, x.T, w, trans_a=1) is
+        # x @ w on scipy's BLAS with no operand copied
+        delta = (self.eigenvalues - zs.real[:, None]).T
         scale = 1.0 / (delta * delta + zs.imag * zs.imag)
         w_re, w_im = delta * scale, zs.imag * scale
 
         diag = np.empty((self.n, zs.size), dtype=complex)
         sq = vec * vec
-        diag.real = sq @ w_re
-        diag.imag = sq @ w_im
+        diag.real = dgemm(1.0, sq.T, w_re, trans_a=1)
+        diag.imag = dgemm(1.0, sq.T, w_im, trans_a=1)
         del sq
         # drawn after the diagonal product: drawing the pair sample first
         # raised lawsweep's peak RSS by about 4 MB at N = 2000
@@ -186,8 +184,8 @@ class ResolventView:
             rows = slice(start, start + PAIR_BLOCK)
             prod = vec[i[rows]]
             prod *= vec[j[rows]]
-            off.real[rows] = prod @ w_re
-            off.imag[rows] = prod @ w_im
+            off.real[rows] = dgemm(1.0, prod.T, w_re, trans_a=1)
+            off.imag[rows] = dgemm(1.0, prod.T, w_im, trans_a=1)
         return diag, off
 
     def diag(self, z: complex) -> np.ndarray:

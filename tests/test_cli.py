@@ -39,13 +39,19 @@ class TestUsage:
         intervals = ["eigen", "--mode", "intervals", *model,
                      "--out", str(tmp_path / "km.csv")]
         sweep = ["lawsweep", *model, "--out", str(tmp_path / "law.csv")]
+        que = ["eigen", "--mode", "que", *model,
+               "--out", str(tmp_path / "que.csv")]
         for bad in ([*intervals, "--samples", "0"],
                     [*intervals, "--bin-width", "0"],
                     [*intervals, "--bin-width", "-0.1"],
                     [*intervals, "--d", "1"],
                     [*sweep, "--samples", "0"],
                     [*sweep, "--e-step", "0"],
-                    [*sweep, "--e-step", "-0.2"]):
+                    [*sweep, "--e-step", "-0.2"],
+                    [*que, "--interval-size", "-1"],
+                    [*que, "--interval-size", "0"],
+                    [*que, "--interval-size", "40"],
+                    [*que, "--interval-size", "500"]):
             assert run(bad) == EXIT_PRECONDITION
             assert "error: " in capsys.readouterr().err
 

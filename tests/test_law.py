@@ -51,7 +51,7 @@ class TestSweep:
     def test_statistics_match_view_oracle(self, small_sweep):
         plan, records = small_sweep
         g = sample_permutation_model(100, 10, stream(3, 0))
-        view = ResolventView(build_H(g, "permutation"),
+        view = ResolventView(build_H(g),
                              offdiag_pairs=plan.offdiag_pairs, pair_seed=3)
         z = 1.0 + 0.5j
         m = m_semicircle(z)
@@ -121,7 +121,7 @@ class TestRecordedValues:
 class TestDyadicScan:
     def test_ratios_bounded(self):
         g = sample_permutation_model(200, 10, stream(5, 0))
-        view = ResolventView(build_H(g, "permutation"), offdiag_pairs=500)
+        view = ResolventView(build_H(g), offdiag_pairs=500)
         out = dyadic_scan(view, 0.2)
         assert out["pass"]
         assert out["etas"][0] == 200.0
@@ -130,7 +130,7 @@ class TestDyadicScan:
 
     def test_k_max_capped(self):
         g = sample_permutation_model(100, 10, stream(6, 0))
-        view = ResolventView(build_H(g, "permutation"), offdiag_pairs=100)
+        view = ResolventView(build_H(g), offdiag_pairs=100)
         with pytest.raises(InvalidParametersError):
             dyadic_scan(view, 0.0, k_max=1000)
 

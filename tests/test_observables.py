@@ -21,7 +21,7 @@ from regg.spectral import (EnvelopeParams, ResolventView, build_H,
 @pytest.fixture(scope="module")
 def view():
     g = sample_permutation_model(300, 20, stream(50, 0))
-    return ResolventView(build_H(g, "permutation"))
+    return ResolventView(build_H(g))
 
 
 class TestDensityMass:
@@ -174,7 +174,7 @@ class TestTestVector:
 @given(shift=st.floats(-5, 5), seed=st.integers(0, 2**32))
 def test_que_projection_invariance_property(shift, seed):
     g = sample_uniform(30, 3, stream(seed, 9))
-    view = ResolventView(build_H(g, "uniform"))
+    view = ResolventView(build_H(g))
     rng = stream(seed, 10)
     a = rng.standard_normal(30)
     a -= a.mean()

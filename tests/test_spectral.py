@@ -11,8 +11,8 @@ from regg.errors import InvalidParametersError, OutOfRegimeWarning
 from regg.graphs import (MultiGraph, sample_matching_model,
                          sample_permutation_model, sample_uniform)
 from regg.rng import stream
-from regg.spectral import (PAIR_BLOCK, EnvelopeParams, HamiltonianMatrix,
-                           ResolventView, SpectralPoint, build_H, default_xi,
+from regg.spectral import (PAIR_BLOCK, EnvelopeParams, ResolventView,
+                           SpectralPoint, _check_centred, build_H, default_xi,
                            effective_D, eigvalsh_inplace,
                            f_envelope, kesten_mckay_density, m_semicircle,
                            phi_envelope, psi_envelope, resolvent_solve,
@@ -27,20 +27,20 @@ def complete_graph(n):
 class TestBuildH:
     def test_k3_eigenvalues(self):
         h = build_H(complete_graph(3))
-        vals = np.sort(np.linalg.eigvalsh(h.entries))
+        vals = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(vals, [-1.0, -1.0, 0.0], atol=1e-12)
 
     def test_k4_eigenvalues(self):
         h = build_H(complete_graph(4))
-        vals = np.sort(np.linalg.eigvalsh(h.entries))
+        vals = np.sort(np.linalg.eigvalsh(h))
         r = -1 / math.sqrt(2)
         assert np.allclose(vals, [r, r, r, 0.0], atol=1e-12)
 
     def test_perron_direction_annihilated(self):
         g = sample_uniform(20, 3, stream(40, 0))
-        h = build_H(g, "uniform")
+        h = build_H(g)
         e = np.full(20, 20 ** -0.5)
-        assert np.abs(h.entries @ e).max() < 1e-12
+        assert np.abs(h @ e).max() < 1e-12
 
     def test_degree_one_rejected(self):
         g = MultiGraph.from_adjacency(2, 1, np.array([[0, 1], [1, 0]]))
@@ -49,7 +49,7 @@ class TestBuildH:
 
     def test_centering_validated(self):
         with pytest.raises(InvalidParametersError):
-            HamiltonianMatrix(2, 2, np.eye(2))
+            _check_centred(np.eye(2))
 
 
 class TestResolventView:
@@ -57,13 +57,13 @@ class TestResolventView:
     @staticmethod
     def view():
         g = sample_uniform(40, 3, stream(41, 0))
-        h = build_H(g, "uniform")
-        return h, ResolventView(h)
+        h = build_H(g)
+        return h, ResolventView(h.copy())
 
     def test_matches_direct_solve(self, view):
         h, v = view
         for z in (1j, 0.7 + 0.05j, -1.9 + 0.01j):
-            oracle = resolvent_solve(h.entries, z)
+            oracle = resolvent_solve(h, z)
             assert np.abs(v.full(z) - oracle).max() < 1e-8
             assert np.abs(v.diag(z) - np.diag(oracle)).max() < 1e-10
             assert np.abs(v.row(z, 3) - oracle[3]).max() < 1e-10
@@ -71,7 +71,7 @@ class TestResolventView:
     def test_entries_accessor(self, view):
         h, v = view
         z = 0.2 + 0.1j
-        oracle = resolvent_solve(h.entries, z)
+        oracle = resolvent_solve(h, z)
         rows = np.array([0, 1, 5])
         cols = np.array([2, 9, 5])
         got = v.entries(z, rows, cols)
@@ -111,8 +111,8 @@ class TestResolventView:
 
     def test_offdiag_sample_deterministic(self):
         g = sample_permutation_model(400, 4, stream(42, 0))
-        h = build_H(g, "permutation")
-        v1 = ResolventView(h, offdiag_pairs=500, pair_seed=7)
+        h = build_H(g)
+        v1 = ResolventView(h.copy(), offdiag_pairs=500, pair_seed=7)
         v2 = ResolventView(h, offdiag_pairs=500, pair_seed=7)
         zs = np.array([0.3 + 0.1j, -1.0 + 0.5j])
         _, off1 = v1.grid(zs)
@@ -128,15 +128,15 @@ class TestResolventView:
 
     def test_grid_matches_solve_across_pair_blocks(self):
         n = 320  # above EXHAUSTIVE_N: the seeded pair sample
-        h = build_H(sample_permutation_model(n, 6, stream(43, 0)), "permutation")
-        v = ResolventView(h, offdiag_pairs=2500, pair_seed=5)
+        h = build_H(sample_permutation_model(n, 6, stream(43, 0)))
+        v = ResolventView(h.copy(), offdiag_pairs=2500, pair_seed=5)
         i, j = v._pair_sample
         assert i.size > 2 * PAIR_BLOCK and i.size % PAIR_BLOCK
         zs = np.array([0.4 + 1j / n, -1.7 + 0.03j, 2.5 + 1j])
         diag, off = v.grid(zs)
         assert diag.shape == (n, 3) and off.shape == (i.size, 3)
         for k, z in enumerate(zs):
-            oracle = resolvent_solve(h.entries, z)
+            oracle = resolvent_solve(h, z)
             assert np.abs(diag[:, k] - np.diag(oracle)).max() < 1e-10
             assert np.abs(off[:, k] - oracle[i, j]).max() < 1e-10
 
@@ -149,8 +149,8 @@ class TestResolventView:
 
     def test_grid_memory_bounded(self):
         n, pairs = 1000, 10000
-        v = ResolventView(build_H(sample_permutation_model(n, 10, stream(44, 0)),
-                                  "permutation"), offdiag_pairs=pairs)
+        v = ResolventView(build_H(sample_permutation_model(n, 10, stream(44, 0))),
+                          offdiag_pairs=pairs)
         zs = np.array([complex(E, eta) for E in np.linspace(-2.4, 2.4, 25)
                        for eta in (1.0, 0.5, 0.25, 0.125, 0.0625)])
         tracemalloc.start()
@@ -162,6 +162,42 @@ class TestResolventView:
         # one third of the 3 P x N float64 pair temporaries of an unblocked
         # evaluation: (v[i], v[j], v[i] * v[j])
         assert peak < 3 * pairs * n * 8 / 3
+
+    def test_rejects_inputs_it_would_copy(self):
+        g = sample_permutation_model(20, 4, stream(45, 0))
+        h = build_H(g)
+        frozen = h.copy()
+        frozen.flags.writeable = False
+        for bad in (g.adj, frozen, h.astype(np.float32), h[::2, ::2],
+                    np.asfortranarray(h), h[:10]):
+            with pytest.raises(InvalidParametersError):
+                ResolventView(bad)
+
+    def test_eigenpairs_match_numpy_and_consume_h(self):
+        h = build_H(sample_permutation_model(200, 6, stream(45, 1)))
+        ref_vals = np.linalg.eigh(h)[0]
+        oracle = h.copy()
+        v = ResolventView(h)
+        assert np.abs(v.eigenvalues - ref_vals).max() < 1e-12
+        vec = v.eigenvectors
+        assert vec.flags.c_contiguous
+        assert np.abs((vec * v.eigenvalues) @ vec.T - oracle).max() < 1e-12
+        assert np.abs(vec.T @ vec - np.eye(200)).max() < 1e-12
+        # LAPACK wrote the eigenvectors into H's own memory
+        assert np.array_equal(h.T, vec)
+
+    def test_decomposition_holds_three_matrices(self):
+        n = 1000
+        g = sample_permutation_model(n, 10, stream(44, 0))
+        tracemalloc.start()
+        try:
+            ResolventView(build_H(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # H plus LAPACK's 2 N^2 workspace; a fourth N x N float64 array
+        # would add 8 N^2 bytes
+        assert peak < 3.5 * 8 * n * n
 
 
 class TestEigvalshInplace:

@@ -264,21 +264,21 @@ class TestPermutationSwitch:
 class TestResolventSwitchDelta:
     def test_identical_matrices_give_zero(self):
         g = sample_uniform(10, 3, stream(26, 0))
-        h = build_H(g, "uniform").entries
+        h = build_H(g)
         assert resolvent_switch_delta(h, h, 1j) == 0.0
 
     def test_local_move_small_delta(self):
         rng = stream(27, 0)
         g = sample_uniform(20, 3, rng)
         out = um_resample(g, rng)
-        h0 = build_H(g, "uniform").entries
-        h1 = build_H(out.graph, "uniform").entries
+        h0 = build_H(g)
+        h1 = build_H(out.graph)
         dmax = resolvent_switch_delta(h0, h1, 2 + 1j)
         assert 0.0 <= dmax < 2.0
 
     def test_real_z_rejected(self):
         g = sample_uniform(10, 3, stream(28, 0))
-        h = build_H(g, "uniform").entries
+        h = build_H(g)
         with pytest.raises(NumericalDegeneracyError):
             resolvent_switch_delta(h, h, 2.0)
 
