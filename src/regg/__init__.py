@@ -11,13 +11,13 @@ from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      sample_matching_model, sample_model,
                      sample_permutation_model, sample_uniform)
 from .rng import resolve_seed, stream
-from .spectral import (EnvelopeParams, ResolventView, SpectralPoint, build_H,
-                       default_xi, effective_D, f_envelope,
-                       kesten_mckay_density, m_semicircle, phi_envelope,
-                       psi_envelope, semicircle_density)
+from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
+                       effective_D, f_envelope, kesten_mckay_density,
+                       m_semicircle, phi_envelope, psi_envelope,
+                       semicircle_density)
 from .switchings import (DirectedEdgeSpec, ResampleOutcome, TripleSelection,
                          delta, double_switch, mm_resample, mm_switch,
-                         pm_switch, resolvent_switch_delta, single_switch,
-                         um_resample, um_simultaneous_switch, um_switchable)
+                         pm_switch, single_switch, um_resample,
+                         um_simultaneous_switch, um_switchable)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,8 +22,9 @@ from .graphs import ModelKind, sample_model, to_edgelist, uniform_method
 from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
                          um_exact_invariance)
 from .manifest import ExperimentConfig, RunManifest
-from .observables import (_kappa, counting_bounds, delocalization_stats,
-                          density_mass)
+from .observables import (_kappa, counting_bounds, deloc_bound,
+                          delocalization_stats, density_mass, interval_counts,
+                          que_bound, que_statistics)
 from .rng import resolve_seed, stream
 from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                        eigvalsh_inplace)
@@ -194,7 +195,7 @@ def _cmd_eigen(args, argv) -> int:
     results: dict = {}
     if args.mode == "deloc":
         columns = ["seed", "trial", "max_inf_norm", "normalized", "bound"]
-        bound = 10 * math.log(n) ** 2
+        bound = deloc_bound(n)
         worst = 0.0
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
@@ -213,20 +214,16 @@ def _cmd_eigen(args, argv) -> int:
             raise InvalidParametersError(
                 f"--interval-size must lie in 1..{n - 1}, got {size}")
         xi = default_xi(n)
-        bound = 10 * math.log(n) ** 4 * math.sqrt(size) / n
-        a = np.zeros(n)
-        a[:size] = 1.0
-        a -= size / n
+        bound = que_bound(n, size)
         worst = 0.0
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
             view = ResolventView(build_H(g))
-            v2 = view.eigenvectors ** 2
-            stats = a @ v2
+            stats = que_statistics(view, size)
             worst = max(worst, float(np.abs(stats).max()))
             rows.extend([seed, trial, alpha, float(stats[alpha]), bound]
                         for alpha in range(n))
-            del view, v2  # before the next trial's build_H and decomposition
+            del view  # before the next trial's build_H and decomposition
         results = {"worst_stat": worst, "bound": bound, "xi": xi,
                    "interval_size": size, "pass": worst <= bound}
     elif args.mode == "intervals":
@@ -236,6 +233,9 @@ def _cmd_eigen(args, argv) -> int:
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width
         nbins = int(round((hi - lo) / width))
+        if nbins < 1:
+            raise InvalidParametersError(
+                f"--bin-width {width} gives no bin on [{lo}, {hi}]")
         edges = [lo + k * width for k in range(nbins + 1)]
         params = EnvelopeParams.for_model(n, d, args.model)
         tvs = []
@@ -247,10 +247,11 @@ def _cmd_eigen(args, argv) -> int:
             a /= math.sqrt(d - 1)
             lam = eigvalsh_inplace(a)
             del a
+            counts = interval_counts(lam, edges).tolist()
             tv = 0.0
             for k in range(nbins):
                 a_k, b_k = edges[k], edges[k + 1]
-                nu = float(np.count_nonzero((lam >= a_k) & (lam < b_k))) / n
+                nu = counts[k] / n
                 rho = density_mass(a_k, b_k, d)
                 kappa = _kappa(a_k, b_k)
                 bulk, edge = counting_bounds(width, kappa, params)
@@ -322,9 +323,13 @@ def _cmd_stability(args, argv) -> int:
 # report
 
 def _cmd_report(args, argv) -> int:
+    try:
+        names = sorted(os.listdir(args.dir))
+    except OSError as exc:
+        raise InvalidParametersError(f"cannot list --dir: {exc}") from exc
     entries = []
     ok = True
-    for name in sorted(os.listdir(args.dir)):
+    for name in names:
         if not name.endswith(".manifest.json"):
             continue
         man = RunManifest.load(os.path.join(args.dir, name))

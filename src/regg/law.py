@@ -1,5 +1,5 @@
 """Monte-Carlo sweeps of the resolvent error statistics against their
-envelopes, the dyadic Gamma ladder scan, and envelope-constant fitting.
+envelopes, and envelope-constant fitting.
 
 One eigendecomposition per sampled graph serves the whole z-grid; the
 per-z evaluations are vectorized across the grid.
@@ -7,7 +7,6 @@ per-z evaluations are vectorized across the grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "SweepPlan",
     "law_sweep",
     "records_for_view",
-    "dyadic_scan",
     "fit_envelope_constant",
     "write_law_csv",
     "read_law_csv",
@@ -142,26 +140,6 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
         # this view's eigenvectors
         del view
     return records
-
-
-def dyadic_scan(view: ResolventView, E: float, k_max: int | None = None) -> dict:
-    """Gamma along the ladder eta_k = N / 2^k: each halving of eta may at
-    most double Gamma, and eta * Gamma must be nondecreasing in eta."""
-    n = view.n
-    cap = int(4 * math.log2(n))
-    k_max = cap if k_max is None else k_max
-    if k_max > cap:
-        raise InvalidParametersError(f"k_max {k_max} exceeds 4 log2 N = {cap}")
-    etas = [n / 2 ** k for k in range(k_max + 1)]
-    gammas = view.gammas(E + 1j * np.array(etas)).tolist()
-    ratios = [gammas[k + 1] / gammas[k] for k in range(len(gammas) - 1)]
-    return {
-        "E": E,
-        "etas": etas,
-        "gammas": gammas,
-        "ratios": ratios,
-        "pass": all(r <= 2.0 + 1e-12 for r in ratios),
-    }
 
 
 def fit_envelope_constant(records: list[LawRecord], xi: float,

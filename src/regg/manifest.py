@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -113,14 +113,19 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         parser = ConfigParser()
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
         cfg = cls()
-        for section in parser.sections():
-            if section not in CONFIG_SCHEMA:
-                raise InvalidParametersError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                cfg.override(section, key, raw)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+            for section in parser.sections():
+                if section not in CONFIG_SCHEMA:
+                    raise InvalidParametersError(
+                        f"unknown config section [{section}]")
+                for key, raw in parser.items(section):
+                    cfg.override(section, key, raw)
+        except (OSError, ConfigError) as exc:
+            raise InvalidParametersError(
+                f"cannot read config {path}: {exc}") from exc
         return cfg
 
     def override(self, section: str, key: str, value) -> None:

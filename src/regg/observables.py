@@ -2,13 +2,13 @@
 
 Interval counts against the semicircle / degree-d tree densities with both
 error envelopes, sup-norm delocalization statistics, the isotropic resolvent
-error, and the eigenvector flatness (QUE) statistic.
+error, and the eigenvector flatness (QUE) statistics, with the bounds each
+is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,60 +19,18 @@ from .spectral import (EnvelopeParams, ResolventView, f_envelope,
                        semicircle_density)
 
 __all__ = [
-    "IntervalCount",
-    "TestVector",
     "density_mass",
     "counting_bounds",
-    "interval_count",
+    "deloc_bound",
+    "que_bound",
+    "interval_counts",
     "delocalization_stats",
     "isotropic_error",
     "isotropic_envelope",
-    "que_statistic",
+    "que_statistics",
     "random_unit_perp_e",
     "default_zeta",
 ]
-
-
-@dataclass(frozen=True)
-class IntervalCount:
-    """Empirical vs reference mass of one spectral interval with the two
-    bound expressions evaluated at the same parameters."""
-
-    a: float
-    b: float
-    nu: float
-    rho: float
-    kappa: float
-    bound_bulk: float
-    bound_edge: float
-
-    @property
-    def error(self) -> float:
-        return abs(self.nu - self.rho)
-
-
-@dataclass(frozen=True)
-class TestVector:
-    """Coefficient vector with its constraint flags."""
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    values: np.ndarray
-    sums_to_zero: bool
-    unit_norm: bool
-    perp_e: bool
-
-    @classmethod
-    def of(cls, values) -> "TestVector":
-        v = np.asarray(values, dtype=float)
-        n = v.shape[0]
-        e = np.full(n, n ** -0.5)
-        return cls(
-            values=v,
-            sums_to_zero=bool(abs(v.sum()) <= 1e-12),
-            unit_norm=bool(abs(v @ v - 1.0) <= 1e-10),
-            perp_e=bool(abs(v @ e) <= 1e-10),
-        )
 
 
 def default_zeta(xi: float) -> float:
@@ -131,20 +89,22 @@ def counting_bounds(size: float, kappa: float,
     return bulk, edge
 
 
-def interval_count(view: ResolventView, a: float, b: float,
-                   params: EnvelopeParams, d_reference: int | None = None,
-                   K: float = 3.0) -> IntervalCount:
-    """Count eigenvalues in the closed interval [a, b] against the reference
-    density and evaluate both counting bounds (see counting_bounds)."""
-    if not (-K <= a <= b <= K):
-        raise InvalidParametersError(f"interval must sit inside [-{K}, {K}]")
-    lam = view.eigenvalues
-    nu = float(np.count_nonzero((lam >= a) & (lam <= b))) / view.n
-    rho = density_mass(a, b, d_reference)
-    kappa = _kappa(a, b)
-    bulk, edge = counting_bounds(b - a, kappa, params)
-    return IntervalCount(a=a, b=b, nu=nu, rho=rho, kappa=kappa,
-                         bound_bulk=bulk, bound_edge=edge)
+def deloc_bound(n: int) -> float:
+    """Bound 10 (log N)^2 on N max_alpha |v_alpha|_inf^2."""
+    return 10 * math.log(n) ** 2
+
+
+def que_bound(n: int, size: int) -> float:
+    """Bound 10 (log N)^4 sqrt(|I|) / N on the QUE statistics of an
+    interval I of |I| = size vertices."""
+    return 10 * math.log(n) ** 4 * math.sqrt(size) / n
+
+
+def interval_counts(lam: np.ndarray, edges) -> np.ndarray:
+    """Half-open counts #{lambda in [e_k, e_{k+1})} for each bin of the
+    ascending edges.  `lam` must be ascending, as eigvalsh_inplace returns
+    it: the counts are differences of sorted insertion points."""
+    return np.diff(np.searchsorted(lam, edges, side="left"))
 
 
 def delocalization_stats(view: ResolventView) -> dict:
@@ -170,16 +130,16 @@ def random_unit_perp_e(n: int, rng: np.random.Generator) -> np.ndarray:
 def isotropic_error(view: ResolventView, z: complex, a, b) -> complex:
     """<a, G(z) b> - m(z) <a, b> for unit vectors orthogonal to the constant
     direction (on which G acts trivially as -1/z)."""
-    av, bv = TestVector.of(a), TestVector.of(b)
-    for name, tv in (("a", av), ("b", bv)):
-        if not tv.unit_norm:
+    av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for name, vec in (("a", av), ("b", bv)):
+        if not abs(vec @ vec - 1.0) <= 1e-10:
             raise InvalidParametersError(f"{name} must be a unit vector")
-        if not tv.perp_e:
+        if not abs(vec @ np.full(vec.size, vec.size ** -0.5)) <= 1e-10:
             raise InvalidParametersError(f"{name} must be orthogonal to e")
     v = view.eigenvectors
     w = 1.0 / (view.eigenvalues - complex(z))
-    gb = v @ (w * (v.T @ bv.values))
-    return complex(av.values @ gb - m_semicircle(z) * (av.values @ bv.values))
+    gb = v @ (w * (v.T @ bv))
+    return complex(av @ gb - m_semicircle(z) * (av @ bv))
 
 
 def isotropic_envelope(z: complex, params: EnvelopeParams, zeta: float) -> float:
@@ -189,19 +149,12 @@ def isotropic_envelope(z: complex, params: EnvelopeParams, zeta: float) -> float
     return f_envelope(z, min(1.0, params.xi * phi)) + params.xi * zeta ** 4 * phi
 
 
-def que_statistic(view: ResolventView, a, alpha: int,
-                  project: bool = False) -> float:
-    """Flatness statistic sum_i a_i v_i^2 for eigenvector alpha.
-
-    Coefficients must sum to zero (to 1e-12); with project=True the constant
-    component is removed first instead, which makes the statistic invariant
-    under adding a constant to a.
-    """
-    av = np.asarray(a, dtype=float)
-    if project:
-        av = av - av.mean()
-    elif abs(av.sum()) > 1e-12:
-        raise InvalidParametersError("coefficients must sum to zero "
-                                     "(or pass project=True)")
-    v = view.eigenvectors[:, alpha]
-    return float(av @ (v * v))
+def que_statistics(view: ResolventView, size: int) -> np.ndarray:
+    """Flatness statistics sum_i a_i v_alpha(i)^2 for every eigenvector
+    alpha, with a = 1_I - |I|/N for I the first `size` vertices, so that
+    each is sum_{i in I} v_alpha(i)^2 - |I|/N.  Needs 1 <= size <= N - 1."""
+    n = view.n
+    a = np.zeros(n)
+    a[:size] = 1.0
+    a -= size / n
+    return a @ view.eigenvectors ** 2

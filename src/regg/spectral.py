@@ -1,4 +1,4 @@
-"""Centered matrix H, resolvent access, reference densities and envelopes.
+"""Centered matrix H, the resolvent z-grid, reference densities and envelopes.
 
 H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
@@ -28,7 +28,6 @@ from .errors import (InvalidParametersError, NumericalDegeneracyError,
 from .graphs import ModelKind, MultiGraph
 
 __all__ = [
-    "SpectralPoint",
     "ResolventView",
     "EnvelopeParams",
     "build_H",
@@ -43,22 +42,6 @@ __all__ = [
     "f_envelope",
     "psi_envelope",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameter z = E + i eta in the upper half-plane."""
-
-    E: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise InvalidParametersError(f"eta must be positive, got {self.eta}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.E, self.eta)
 
 
 #: N x N float64 arrays alive at once on the eigh path: H, which LAPACK
@@ -113,12 +96,10 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
 
 
 class ResolventView:
-    """Eigendecomposition-backed access to G(z), s(z) and Gamma(z).
+    """One eigendecomposition of H, evaluated on a z-grid by grid().
 
     The view consumes H, which must pass _check_inplace: LAPACK's dsyevd
-    writes the eigenvectors into H's memory (pass h.copy() to keep H).  All
-    per-z accessors are read-only and independent, so a single view can
-    serve a whole z-grid.
+    writes the eigenvectors into H's memory (pass h.copy() to keep H).
     """
 
     #: below this size the off-diagonal maximum is exhaustive
@@ -149,9 +130,6 @@ class ResolventView:
         j = rng.integers(0, n, size=self.offdiag_pairs)
         keep = i != j
         return i[keep], j[keep]
-
-    def _weights(self, z: complex) -> np.ndarray:
-        return 1.0 / (self.eigenvalues - z)
 
     def grid(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G_ii(z) for every i and G_ij(z) over the seeded pair sample, for
@@ -187,53 +165,6 @@ class ResolventView:
             off.real[rows] = dgemm(1.0, prod.T, w_re, trans_a=1)
             off.imag[rows] = dgemm(1.0, prod.T, w_im, trans_a=1)
         return diag, off
-
-    def diag(self, z: complex) -> np.ndarray:
-        """All diagonal entries G_ii(z)."""
-        return (self.eigenvectors ** 2) @ self._weights(z)
-
-    def entries(self, z: complex, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """G_ij(z) for paired index arrays."""
-        v = self.eigenvectors
-        return (v[np.asarray(rows)] * v[np.asarray(cols)]) @ self._weights(z)
-
-    def row(self, z: complex, i: int) -> np.ndarray:
-        """Full row G_i.(z)."""
-        v = self.eigenvectors
-        return v @ (self._weights(z) * v[i])
-
-    def full(self, z: complex) -> np.ndarray:
-        """Dense G(z); O(N^3), for small instances and oracles."""
-        v = self.eigenvectors
-        return (v * self._weights(z)) @ v.T
-
-    def stieltjes(self, z: complex) -> complex:
-        """s(z) = N^{-1} sum_a (lambda_a - z)^{-1} = N^{-1} tr G(z)."""
-        return complex(np.mean(self._weights(z)))
-
-    def gammas(self, zs: np.ndarray) -> np.ndarray:
-        """Gamma(z) = (max |G_ij|) clamped below by 1 for each z of zs, the
-        maximum taken over all diagonal entries and the seeded off-diagonal
-        pair sample."""
-        diag, off = self.grid(zs)
-        out = np.maximum(1.0, np.abs(diag).max(axis=0))
-        if off.size:
-            out = np.maximum(out, np.abs(off).max(axis=0))
-        return out
-
-    def gamma(self, z: complex) -> float:
-        """Gamma(z) at one point: gammas() on a one-point grid."""
-        return float(self.gammas(np.array([complex(z)]))[0])
-
-    def gamma_star(self, E: float, eta_min: float) -> float:
-        """sup of Gamma(E + i eta) over the dyadic grid eta_min * 2^k up
-        through the first point >= N."""
-        if not eta_min > 0:
-            raise InvalidParametersError("eta_min must be positive")
-        etas = [float(eta_min)]
-        while etas[-1] < self.n:
-            etas.append(etas[-1] * 2)
-        return float(self.gammas(E + 1j * np.array(etas)).max())
 
 
 def resolvent_solve(h: np.ndarray, z: complex) -> np.ndarray:
@@ -323,10 +254,10 @@ class EnvelopeParams:
                    xi=default_xi(n) if xi is None else xi)
 
 
-def phi_envelope(point: SpectralPoint | complex, params: EnvelopeParams) -> float:
+def phi_envelope(z: complex, params: EnvelopeParams) -> float:
     """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D).  Warns when D < 1 (outside the
     regime where the bounds carry content)."""
-    eta = point.eta if isinstance(point, SpectralPoint) else complex(point).imag
+    eta = complex(z).imag
     if not eta > 0:
         raise InvalidParametersError("phi_envelope needs eta > 0")
     if params.D < 1:
@@ -348,11 +279,11 @@ def f_envelope(z: complex, r: float) -> float:
     return min((1.0 + 1.0 / math.sqrt(gap)) * r, math.sqrt(r))
 
 
-def psi_envelope(point: SpectralPoint | complex, params: EnvelopeParams,
+def psi_envelope(z: complex, params: EnvelopeParams,
                  m: complex | None = None) -> float:
     """Refined envelope xi sqrt(Im m / (N eta)) + xi / sqrt(D)
     + (xi^2 / (N eta))^{2/3}."""
-    z = point.z if isinstance(point, SpectralPoint) else complex(point)
+    z = complex(z)
     if not z.imag > 0:
         raise InvalidParametersError("psi_envelope needs eta > 0")
     if m is None:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidMoveError, InvalidParametersError
 from .graphs import Matching, MultiGraph, Permutation, dense_adjacency
-from .spectral import ResolventView, resolvent_solve
 
 __all__ = [
     "DirectedEdgeSpec",
@@ -38,7 +37,6 @@ __all__ = [
     "um_simultaneous_switch",
     "um_resample",
     "pm_switch",
-    "resolvent_switch_delta",
 ]
 
 Edge = tuple[int, int]
@@ -393,22 +391,3 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
     comp = _transposition(n, b_plus)[comp]
     return Permutation(comp)
 
-
-# ---------------------------------------------------------------------------
-# Resolvent perturbation
-
-def resolvent_switch_delta(h_before: np.ndarray, h_after: np.ndarray,
-                           z: complex, rng: np.random.Generator | None = None,
-                           npairs: int = 10000) -> float:
-    """Max over sampled (i, j) of |G_after_ij - G_before_ij| at z.
-
-    Exhaustive for n <= ResolventView.EXHAUSTIVE_N or when rng is None;
-    otherwise over npairs index pairs drawn from rng.
-    """
-    n = h_before.shape[0]
-    diff = np.abs(resolvent_solve(h_after, z) - resolvent_solve(h_before, z))
-    if n <= ResolventView.EXHAUSTIVE_N or rng is None:
-        return float(diff.max())
-    i = rng.integers(0, n, size=npairs)
-    j = rng.integers(0, n, size=npairs)
-    return float(np.max(diff[i, j]))

@@ -16,7 +16,9 @@ from regg.invariance import (mm_exact_invariance, pm_exact_uniformity,
                              um_exact_invariance)
 from regg.law import SweepPlan, fit_envelope_constant, records_for_view
 from regg.manifest import RunManifest
-from regg.observables import delocalization_stats, density_mass
+from regg.observables import (deloc_bound, delocalization_stats,
+                              density_mass, interval_counts, que_bound,
+                              que_statistics)
 from regg.rng import stream
 from regg.spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                            eigvalsh_inplace, m_semicircle, resolvent_solve)
@@ -90,7 +92,7 @@ def test_criterion_1_exact_switching_invariance():
     report(1, "exact-switching-invariance", ok, detail)
 
 
-def test_criterion_2_ward_and_resolvent_consistency():
+def test_criterion_2_ward_and_resolvent_consistency(dense_resolvent):
     rng = stream(100, 0)
     worst_ward = 0.0
     worst_solve = 0.0
@@ -104,7 +106,7 @@ def test_criterion_2_ward_and_resolvent_consistency():
         view = ResolventView(h.copy())
         for _ in range(5):
             z = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.05, 2.0))
-            gm = view.full(z)
+            gm = dense_resolvent(view, z)
             ward = np.abs((np.abs(gm) ** 2).sum(axis=1)
                           - gm.diagonal().imag / z.imag)
             scale = np.abs(gm.diagonal().imag / z.imag).max()
@@ -173,7 +175,7 @@ def test_criterion_5_local_law_envelope(sweep_2000):
 
 
 def test_criterion_6_delocalization(views_2000_d30):
-    bound = 10 * math.log(2000) ** 2
+    bound = deloc_bound(2000)
     worst = max(delocalization_stats(v)["normalized"] for v in views_2000_d30)
     ok = worst <= bound
     detail = f"N max v^2 = {worst:.2f} <= 10 (log N)^2 = {bound:.2f}, 5 seeds"
@@ -192,9 +194,8 @@ def test_criterion_7_kesten_mckay_histogram():
         lam = eigvalsh_inplace(adj)
         del adj
         tv = 0.0
-        for (a, b), rho in zip(zip(edges, edges[1:]), rhos):
-            nu = float(np.count_nonzero((lam >= a) & (lam < b))) / n
-            tv += abs(nu - rho)
+        for count, rho in zip(interval_counts(lam, edges).tolist(), rhos):
+            tv += abs(count / n - rho)
         tvs.append(tv)
     mean_tv = sum(tvs) / len(tvs)
     ok = mean_tv <= 0.03
@@ -253,13 +254,10 @@ def test_criterion_10_exchangeable_moments():
 
 def test_criterion_11_que_flatness(views_2000_d30):
     n, size = 2000, 200
-    bound = 10 * math.log(n) ** 4 * math.sqrt(size) / n
-    a = np.zeros(n)
-    a[:size] = 1.0
-    a -= size / n
+    bound = que_bound(n, size)
     worst = 0.0
     for view in views_2000_d30[:3]:
-        stats = a @ (view.eigenvectors ** 2)
+        stats = que_statistics(view, size)
         worst = max(worst, float(np.abs(stats).max()))
     ok = worst <= bound
     detail = (f"max |sum_I v^2 - |I|/N| = {worst:.4f} <= {bound:.4f}, "

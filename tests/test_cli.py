@@ -44,6 +44,7 @@ class TestUsage:
         for bad in ([*intervals, "--samples", "0"],
                     [*intervals, "--bin-width", "0"],
                     [*intervals, "--bin-width", "-0.1"],
+                    [*intervals, "--bin-width", "9"],  # round(4.4 / 9) = 0 bins
                     [*intervals, "--d", "1"],
                     [*sweep, "--samples", "0"],
                     [*sweep, "--e-step", "0"],
@@ -237,6 +238,11 @@ class TestReport:
         assert run(["report", "--dir", str(tmp_path), "--strict"]) \
             == EXIT_ACCEPTANCE
 
+    def test_missing_dir_exits_2(self, tmp_path, capsys):
+        assert run(["report", "--dir", str(tmp_path / "nosuch")]) \
+            == EXIT_PRECONDITION
+        assert "error: " in capsys.readouterr().err
+
 
 class TestRerun:
     def test_rerun_reproduces_csv(self, tmp_path, capsys):
@@ -281,6 +287,23 @@ class TestConfig:
         # knobs that no command reads are not accepted either
         for text in ("[cli_runner]\nworkers = 2\n",
                      "[graph_models]\nrejection_budget = 5\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidParametersError):
+                ExperimentConfig.from_file(str(path))
+
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        path = str(tmp_path / "nosuch.cfg")
+        with pytest.raises(InvalidParametersError):
+            ExperimentConfig.from_file(path)
+        assert run(["lawsweep", "--model", "permutation", "--n", "100",
+                    "--d", "10", "--config", path,
+                    "--out", str(tmp_path / "law.csv")]) == EXIT_PRECONDITION
+        assert "error: " in capsys.readouterr().err
+
+    def test_unparsable_file_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        for text in ("offdiag_pairs = 5\n",  # no section header
+                     "[spectral_core]\noffdiag_pairs = 5%\n"):  # bad interpolation
             path.write_text(text)
             with pytest.raises(InvalidParametersError):
                 ExperimentConfig.from_file(str(path))

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from regg.errors import InvalidParametersError
 from regg.graphs import sample_permutation_model, sample_uniform
-from regg.observables import (IntervalCount, TestVector, default_zeta,
-                              delocalization_stats, density_mass,
-                              interval_count, isotropic_envelope,
-                              isotropic_error, que_statistic,
+from regg.observables import (_kappa, counting_bounds, default_zeta,
+                              deloc_bound, delocalization_stats, density_mass,
+                              interval_counts, isotropic_envelope,
+                              isotropic_error, que_bound, que_statistics,
                               random_unit_perp_e)
 from regg.rng import stream
 from regg.spectral import (EnvelopeParams, ResolventView, build_H,
@@ -52,29 +52,32 @@ class TestDensityMass:
 class TestIntervalCount:
     def test_counts_match_density(self, view):
         params = EnvelopeParams.for_model(300, 20, "permutation")
-        ic = interval_count(view, -0.5, 0.5, params)
-        assert isinstance(ic, IntervalCount)
-        assert 0 <= ic.nu <= 1
-        assert ic.error < 0.1
-        assert ic.kappa == 1.5
-        assert ic.bound_bulk > 0 and ic.bound_edge > 0
+        (count,) = interval_counts(view.eigenvalues, [-0.5, 0.5])
+        nu = count / view.n
+        assert 0 <= nu <= 1
+        assert abs(nu - density_mass(-0.5, 0.5)) < 0.1
+        assert _kappa(-0.5, 0.5) == 1.5
+        bulk, edge = counting_bounds(1.0, 1.5, params)
+        assert bulk > 0 and edge > 0
 
-    def test_kappa_zero_across_edge(self, view):
-        params = EnvelopeParams.for_model(300, 20, "permutation")
-        ic = interval_count(view, 1.9, 2.1, params)
-        assert ic.kappa == 0.0
-
-    def test_interval_cap(self, view):
-        params = EnvelopeParams.for_model(300, 20, "permutation")
-        with pytest.raises(InvalidParametersError):
-            interval_count(view, -4.0, 0.0, params)
-        interval_count(view, -4.0, 0.0, params, K=5.0)
+    def test_kappa_zero_across_edge(self):
+        assert _kappa(1.9, 2.1) == 0.0
 
     def test_degenerate_interval(self, view):
         params = EnvelopeParams.for_model(300, 20, "permutation")
-        ic = interval_count(view, 0.5, 0.5, params)
-        assert ic.rho == 0.0
-        assert ic.bound_bulk == ic.bound_edge == params.xi ** 2 / params.n
+        assert interval_counts(view.eigenvalues, [0.5, 0.5]).tolist() == [0]
+        assert density_mass(0.5, 0.5) == 0.0
+        bulk, edge = counting_bounds(0.0, _kappa(0.5, 0.5), params)
+        assert bulk == edge == params.xi ** 2 / params.n
+
+    def test_matches_half_open_loop(self, view):
+        # edges placed on eigenvalues: each bin [a, b) counts a but not b
+        lam = view.eigenvalues
+        edges = np.concatenate([[-3.0], lam[::37], [3.0]])
+        loop = [int(np.count_nonzero((lam >= a) & (lam < b)))
+                for a, b in zip(edges, edges[1:])]
+        counts = interval_counts(lam, edges)
+        assert counts.tolist() == loop and counts.sum() == lam.size
 
 
 class TestDelocalization:
@@ -85,7 +88,7 @@ class TestDelocalization:
         assert stats["max_inf_norm"] >= n ** -0.5 - 1e-12
         assert stats["normalized"] == n * stats["max_inf_norm"] ** 2
         # delocalized at this size: all mass spread to within polylog factors
-        assert stats["normalized"] <= 10 * math.log(n) ** 2
+        assert stats["normalized"] <= deloc_bound(n)
 
 
 class TestIsotropic:
@@ -125,58 +128,40 @@ class TestIsotropic:
 
 class TestQueStatistic:
     def test_small_for_delocalized_vectors(self, view):
-        rng = stream(53, 0)
-        n = view.n
-        a = np.zeros(n)
-        a[:50] = 1.0
-        a -= a.mean()
-        for alpha in rng.integers(0, n, size=10):
-            val = que_statistic(view, a, int(alpha))
-            assert abs(val) < 10 * math.log(n) ** 4 * math.sqrt(50) / n
+        stats = que_statistics(view, 50)
+        assert stats.shape == (view.n,)
+        assert np.abs(stats).max() < que_bound(view.n, 50)
 
     def test_sum_zero_enforced(self, view):
-        with pytest.raises(InvalidParametersError):
-            que_statistic(view, np.ones(view.n), 0)
+        # a = 1_I - |I|/N sums to zero, and sum_alpha v_alpha(i)^2 = 1, so
+        # the statistics of all eigenvectors sum to zero too
+        assert abs(que_statistics(view, 50).sum()) < 1e-12
 
     def test_projection_gives_constant_invariance(self, view):
-        rng = stream(54, 0)
-        a = rng.standard_normal(view.n)
-        a -= a.mean()
-        base = que_statistic(view, a, 5)
-        shifted = que_statistic(view, a + 3.7, 5, project=True)
-        assert abs(base - shifted) < 1e-12
+        # a is 1_I projected off the constant direction, so a constant
+        # added to 1_I drops out
+        n, size = view.n, 40
+        shifted = np.full(n, 3.7)
+        shifted[:size] += 1.0
+        expect = (shifted - shifted.mean()) @ view.eigenvectors ** 2
+        assert np.abs(que_statistics(view, size) - expect).max() < 1e-12
 
     def test_indicator_minus_mean_equals_partial_mass(self, view):
         # with a = 1_I - |I|/N the statistic is sum_{i in I} v_i^2 - |I|/N
         n = view.n
         size = 30
-        a = np.zeros(n)
-        a[:size] = 1.0
-        a -= size / n
         v = view.eigenvectors[:, 7]
         expect = float((v[:size] ** 2).sum() - size / n)
-        assert que_statistic(view, a, 7) == pytest.approx(expect, abs=1e-14)
-
-
-class TestTestVector:
-    def test_flags(self):
-        n = 16
-        v = np.full(n, n ** -0.5)
-        tv = TestVector.of(v)
-        assert tv.unit_norm and not tv.perp_e and not tv.sums_to_zero
-        w = np.zeros(n)
-        w[0], w[1] = 2 ** -0.5, -(2 ** -0.5)
-        tw = TestVector.of(w)
-        assert tw.unit_norm and tw.perp_e and tw.sums_to_zero
+        assert que_statistics(view, size)[7] == pytest.approx(expect, abs=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
-@given(shift=st.floats(-5, 5), seed=st.integers(0, 2**32))
-def test_que_projection_invariance_property(shift, seed):
+@given(shift=st.floats(-5, 5), size=st.integers(1, 29),
+       seed=st.integers(0, 2**32))
+def test_que_projection_invariance_property(shift, size, seed):
     g = sample_uniform(30, 3, stream(seed, 9))
     view = ResolventView(build_H(g))
-    rng = stream(seed, 10)
-    a = rng.standard_normal(30)
-    a -= a.mean()
-    assert que_statistic(view, a + shift, 3, project=True) == pytest.approx(
-        que_statistic(view, a, 3), abs=1e-10)
+    shifted = np.full(30, shift)
+    shifted[:size] += 1.0
+    expect = (shifted - shifted.mean()) @ view.eigenvectors ** 2
+    assert np.abs(que_statistics(view, size) - expect).max() < 1e-10

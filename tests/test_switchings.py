@@ -15,11 +15,11 @@ from regg.graphs import (Matching, MultiGraph, Permutation,
 from regg.rng import stream
 from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              double_switch, mm_resample, mm_switch,
-                             pivot_edges, pm_switch, resolvent_switch_delta,
-                             single_switch, switch_pair_table, triple_space,
-                             um_resample, um_simultaneous_switch,
-                             um_switchable, _unrank_pair)
-from regg.spectral import build_H
+                             pivot_edges, pm_switch, single_switch,
+                             switch_pair_table, triple_space, um_resample,
+                             um_simultaneous_switch, um_switchable,
+                             _unrank_pair)
+from regg.spectral import build_H, resolvent_solve
 
 
 def cycle_graph(n):
@@ -261,26 +261,36 @@ class TestPermutationSwitch:
         assert np.all(a.sum(axis=1) == 2)
 
 
+def resolvent_delta(h0, h1, z):
+    """max_ij |G1_ij(z) - G0_ij(z)| by the direct-solve oracle."""
+    return float(np.abs(resolvent_solve(h1, z) - resolvent_solve(h0, z)).max())
+
+
 class TestResolventSwitchDelta:
     def test_identical_matrices_give_zero(self):
         g = sample_uniform(10, 3, stream(26, 0))
         h = build_H(g)
-        assert resolvent_switch_delta(h, h, 1j) == 0.0
+        assert resolvent_delta(h, h, 1j) == 0.0
 
     def test_local_move_small_delta(self):
+        # G1 - G0 = G1 (H0 - H1) G0, so the change is at most
+        # ||H1 - H0|| / eta^2
         rng = stream(27, 0)
         g = sample_uniform(20, 3, rng)
         out = um_resample(g, rng)
+        while not any(out.switched):
+            out = um_resample(g, rng)
         h0 = build_H(g)
         h1 = build_H(out.graph)
-        dmax = resolvent_switch_delta(h0, h1, 2 + 1j)
-        assert 0.0 <= dmax < 2.0
+        dmax = resolvent_delta(h0, h1, 2 + 1j)
+        assert 0.0 < dmax < 2.0
+        assert dmax <= np.linalg.norm(h1 - h0, 2) + 1e-12
 
     def test_real_z_rejected(self):
         g = sample_uniform(10, 3, stream(28, 0))
         h = build_H(g)
         with pytest.raises(NumericalDegeneracyError):
-            resolvent_switch_delta(h, h, 2.0)
+            resolvent_solve(h, 2.0)
 
 
 @settings(max_examples=30, deadline=None)
