@@ -48,7 +48,7 @@ class _UsageError(Exception):
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return ExperimentConfig.from_file(args.config)
     return ExperimentConfig()
 
@@ -350,8 +350,13 @@ def _cmd_report(args, argv) -> int:
 
 def rerun_manifest(path: str, out_map: dict[str, str] | None = None) -> int:
     """Re-execute the argv recorded in a manifest, optionally redirecting
-    output paths (old -> new)."""
-    man = RunManifest.load(path)
+    output paths (old -> new).  An unreadable or malformed manifest exits
+    with EXIT_PRECONDITION."""
+    try:
+        man = RunManifest.load(path)
+    except ReggError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     argv = list(man.argv)
     if out_map:
         argv = [out_map.get(a, a) for a in argv]
@@ -370,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--d", type=int, required=True)
         p.add_argument("--seed", type=int, default=None,
                        help="falls back to $REGG_SEED, then 0")
-        p.add_argument("--config", default=None)
 
     p = sub.add_parser("sample", help="sample one graph to an edge list")
     add_common(p)
@@ -389,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lawsweep", help="resolvent error sweep")
     add_common(p)
+    p.add_argument("--config", default=None)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--e-min", type=float, default=-2.4)
     p.add_argument("--e-max", type=float, default=2.4)
@@ -411,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="deterministic inequality checks")
     add_common(p, model=False)
+    p.add_argument("--config", default=None)
     p.add_argument("--check", default="all",
                    choices=["all", "sweep", "ladder", "arcsinh", "moments"])
     p.add_argument("--points", type=int, default=10000)

@@ -64,12 +64,22 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidParametersError(
+                f"cannot read manifest {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InvalidParametersError(f"{path}: manifest is not an object")
         if payload.get("manifest_version") != MANIFEST_VERSION:
             raise InvalidParametersError(
                 f"{path}: unsupported manifest version "
                 f"{payload.get('manifest_version')}")
+        missing = [k for k in ("command", "argv", "params") if k not in payload]
+        if missing:
+            raise InvalidParametersError(
+                f"{path}: manifest lacks {', '.join(missing)}")
         return cls(
             command=payload["command"],
             argv=list(payload["argv"]),
@@ -123,7 +133,7 @@ class ExperimentConfig:
                         f"unknown config section [{section}]")
                 for key, raw in parser.items(section):
                     cfg.override(section, key, raw)
-        except (OSError, ConfigError) as exc:
+        except (OSError, UnicodeDecodeError, ConfigError) as exc:
             raise InvalidParametersError(
                 f"cannot read config {path}: {exc}") from exc
         return cfg

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParametersError
 from .spectral import (EnvelopeParams, ResolventView, f_envelope,
@@ -45,6 +44,8 @@ def density_mass(a: float, b: float, d: int | None = None,
     """Integral of the reference density over [a, b] by adaptive quadrature
     after the substitution x = 2 sin(theta), which removes the square-root
     endpoint singularity.  d = None selects the semicircle."""
+    from scipy.integrate import quad
+
     if b < a:
         raise InvalidParametersError("interval endpoints out of order")
     lo, hi = max(a, -2.0), min(b, 2.0)

@@ -10,6 +10,10 @@ memory left holding the eigenvectors and 2 N^2 of workspace.  grid works in
 real arithmetic on scipy's dgemm and in blocks of PAIR_BLOCK pairs: beyond
 the eigenvectors, its outputs and its weights it holds at most
 N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 of the decomposition.
+
+scipy is imported inside the functions that call LAPACK or BLAS, so a
+process loads scipy.linalg only when it decomposes a matrix (lawsweep,
+eigen); sample, invariance, stability and report run on numpy alone.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning)
@@ -90,6 +92,8 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix `a`, which is destroyed:
     a.T is the same matrix, Fortran-contiguous, so LAPACK's dsyevd works in
     a's own memory with O(N) workspace.  `a` must pass _check_inplace."""
+    import scipy.linalg
+
     _check_inplace(a, "eigvalsh_inplace")
     return scipy.linalg.eigh(a.T, eigvals_only=True, overwrite_a=True,
                              check_finite=False, driver="evd")
@@ -107,6 +111,8 @@ class ResolventView:
 
     def __init__(self, h: np.ndarray, offdiag_pairs: int = 10000,
                  pair_seed: int = 0):
+        import scipy.linalg
+
         _check_inplace(h, "ResolventView")
         self.n = h.shape[0]
         self.eigenvalues, vec = scipy.linalg.eigh(
@@ -141,6 +147,8 @@ class ResolventView:
         at most N^2 + 2 PAIR_BLOCK N reals (v*v, then one block of gathered
         pair rows), within the EIGH_COPIES N^2 budget of the decomposition.
         """
+        from scipy.linalg.blas import dgemm
+
         zs = np.asarray(zs, dtype=complex)
         vec = self.eigenvectors
         # Fortran-ordered (N, nz) weights: dgemm(1, x.T, w, trans_a=1) is

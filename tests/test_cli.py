@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 
@@ -12,6 +16,9 @@ from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
 from regg.errors import InvalidParametersError
 from regg.graphs import from_edgelist
 from regg.manifest import CONFIG_SCHEMA, ExperimentConfig, RunManifest
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -28,6 +35,15 @@ class TestUsage:
                  "--out", str(tmp_path / "law.csv")]
         assert run([*sweep, "--workers", "2"]) == EXIT_USAGE
         assert run([*sweep, "--envelope", "psi"]) == EXIT_USAGE
+        # only lawsweep and stability read --config
+        model = ["--model", "matching", "--n", "10", "--d", "3"]
+        for argv in (["sample", *model, "--out", str(tmp_path / "g.edges")],
+                     ["invariance", *model],
+                     ["eigen", "--mode", "deloc", *model,
+                      "--out", str(tmp_path / "deloc.csv")]):
+            assert run([*argv, "--config", str(tmp_path / "nonexistent.cfg")]) \
+                == EXIT_USAGE
+            assert "--config" in capsys.readouterr().err
 
     def test_precondition_error_exit(self, tmp_path, capsys):
         # odd n for the matching model violates a model precondition
@@ -243,6 +259,23 @@ class TestReport:
             == EXIT_PRECONDITION
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b"\xff\xfe{}",
+        b"[1, 2]",
+        json.dumps({"manifest_version": 1, "argv": [], "params": {}}).encode(),
+        json.dumps({"manifest_version": 1, "command": "x"}).encode(),
+    ], ids=["not-json", "not-utf8", "not-object", "no-command", "no-argv"])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.manifest.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidParametersError):
+            RunManifest.load(str(path))
+        assert run(["report", "--dir", str(tmp_path)]) == EXIT_PRECONDITION
+        assert str(path) in capsys.readouterr().err
+        assert rerun_manifest(str(path)) == EXIT_PRECONDITION
+        assert str(path) in capsys.readouterr().err
+
 
 class TestRerun:
     def test_rerun_reproduces_csv(self, tmp_path, capsys):
@@ -295,16 +328,18 @@ class TestConfig:
         path = str(tmp_path / "nosuch.cfg")
         with pytest.raises(InvalidParametersError):
             ExperimentConfig.from_file(path)
-        assert run(["lawsweep", "--model", "permutation", "--n", "100",
-                    "--d", "10", "--config", path,
-                    "--out", str(tmp_path / "law.csv")]) == EXIT_PRECONDITION
-        assert "error: " in capsys.readouterr().err
+        for argv in (["lawsweep", "--model", "permutation", "--n", "100",
+                      "--d", "10", "--out", str(tmp_path / "law.csv")],
+                     ["stability", "--check", "sweep", "--points", "10"]):
+            assert run([*argv, "--config", path]) == EXIT_PRECONDITION
+            assert "error: " in capsys.readouterr().err
 
     def test_unparsable_file_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        for text in ("offdiag_pairs = 5\n",  # no section header
-                     "[spectral_core]\noffdiag_pairs = 5%\n"):  # bad interpolation
-            path.write_text(text)
+        for data in (b"offdiag_pairs = 5\n",  # no section header
+                     b"[spectral_core]\noffdiag_pairs = 5%\n",  # bad interpolation
+                     b"\xff\xfe[spectral_core]\n"):  # not UTF-8
+            path.write_bytes(data)
             with pytest.raises(InvalidParametersError):
                 ExperimentConfig.from_file(str(path))
 
@@ -345,3 +380,37 @@ class TestManifest:
         man.add_output(str(f))
         import hashlib
         assert man.outputs[str(f)] == hashlib.sha256(b"hello\n").hexdigest()
+
+
+class TestScipyLoading:
+    def test_scipy_loads_only_for_linear_algebra(self, tmp_path):
+        # commands that do no linear algebra or quadrature start on numpy
+        # alone; eigen --mode intervals then loads LAPACK and quadrature
+        script = textwrap.dedent("""
+            import sys
+            import regg
+            import regg.cli
+            out = sys.argv[1]
+            heavy = ("scipy.linalg", "scipy.integrate", "scipy.sparse")
+            for argv in (
+                    ["sample", "--model", "uniform", "--n", "200", "--d", "8",
+                     "--out", out + "/g.edges"],
+                    ["invariance", "--model", "uniform", "--n", "6", "--d", "3",
+                     "--out", out + "/inv.json"],
+                    ["stability", "--check", "sweep", "--points", "100",
+                     "--out", out + "/stab.json"]):
+                assert regg.cli.main(argv) == 0, argv
+            loaded = [m for m in heavy if m in sys.modules]
+            assert not loaded, loaded
+            assert regg.cli.main(
+                ["eigen", "--mode", "intervals", "--model", "matching",
+                 "--n", "100", "--d", "3", "--out", out + "/km.csv"]) == 0
+            missing = [m for m in heavy[:2] if m not in sys.modules]
+            assert not missing, missing
+        """)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

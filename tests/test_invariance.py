@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from regg.errors import InvalidParametersError
+from regg.graphs import enumerate_simple_regular
 from regg.invariance import (all_matchings, mc_pivot_tv, mm_exact_invariance,
                              mm_pivot_conditional_tv, pm_exact_uniformity,
                              um_alpha_match_rate, um_exact_invariance)
+from regg.switchings import triple_space, um_switchable
 
 
 class TestAllMatchings:
@@ -48,6 +50,17 @@ class TestUniformInvariance:
         assert rep.states == 70
         assert rep.counts["off_state_mass"] == 0
         assert rep.total_inputs == 70 * 15**3 * 8**3
+
+    def test_n6_d3_never_switches(self):
+        # A switchable triple spans six distinct vertices with no further
+        # edge among them.  At n = 6 those six vertices are the whole graph,
+        # which has 3 * 6 / 2 = 9 edges, not 3, so no triple of any of the
+        # 70 graphs switches: the exact check at (6, 3) sees an identity
+        # transition matrix and tests the bookkeeping, not the switching.
+        graphs = enumerate_simple_regular(6, 3)
+        assert len(graphs) == 70
+        assert not any(um_switchable(g, t) for g in graphs
+                       for triples in triple_space(g) for t in triples)
 
     def test_other_degree_rejected(self):
         with pytest.raises(InvalidParametersError):
