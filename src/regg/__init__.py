@@ -17,7 +17,7 @@ from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                        semicircle_density)
 from .switchings import (DirectedEdgeSpec, ResampleOutcome, TripleSelection,
                          delta, double_switch, mm_resample, mm_switch,
-                         pm_switch, single_switch, um_resample,
+                         pm_switch, um_resample,
                          um_simultaneous_switch, um_switchable)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

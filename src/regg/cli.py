@@ -88,8 +88,17 @@ def _cmd_sample(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # invariance
 
+#: the degree each model's resampling move acts on: one matching, or one
+#: permutation with its inverse
+_MOVE_DEGREE = {"matching": 1, "permutation": 2}
+
+
 def _cmd_invariance(args, argv) -> int:
     seed = resolve_seed(args.seed)
+    if _MOVE_DEGREE.get(args.model, args.d) != args.d:
+        raise InvalidParametersError(
+            f"the {args.model} move acts on d = {_MOVE_DEGREE[args.model]}, "
+            f"got --d {args.d}")
     if args.mc:
         tv = mc_pivot_tv(args.model, args.n, args.d, seed, args.samples)
         payload = {"model": args.model, "n": args.n, "d": args.d,

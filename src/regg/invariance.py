@@ -5,24 +5,31 @@ enumerable sizes they are checked with exact integer counts over the full
 input space: every (state, randomness) pair is applied once and the counts
 of resulting states are compared, with no floating point and no sampling.
 
-The simple-graph check at n = 6, d = 3 enumerates 70 * 15^3 * 8^3 outcomes;
-to keep that fast, 6-vertex simple graphs are encoded as 15-bit edge masks
-and every switch becomes an XOR mask, so the whole outcome space reduces to
-vectorized integer XORs and one bincount per source graph.
+The simple-graph check runs the program's own operator: every transition
+comes from switchings.um_simultaneous_switch, and only the active triples'
+switch indices are enumerated, each outcome weighted by the 8^(d - |A|)
+indices of the inactive ones.  Each check works out its input count from
+its parameters first and raises BudgetExceededError when the enumeration
+would not finish in seconds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParametersError
-from .graphs import Matching, MultiGraph, Permutation, enumerate_simple_regular
-from .switchings import (mm_switch, switch_pair_table, triple_space, um_resample,
-                         um_switchable)
+from .errors import BudgetExceededError, InvalidParametersError
+from .graphs import (Matching, ModelKind, Permutation, enumerate_simple_regular,
+                     random_matching, sample_uniform)
+from .rng import stream
+from .switchings import (TripleSelection, _active_triples, mm_resample,
+                         mm_switch, pm_switch, triple_space, um_resample,
+                         um_simultaneous_switch, um_switchable)
 
 __all__ = [
     "InvarianceReport",
@@ -34,6 +41,21 @@ __all__ = [
     "mc_pivot_tv",
     "um_alpha_match_rate",
 ]
+
+#: most (state, randomness) inputs the matching and permutation checks
+#: enumerate, about ten seconds at their measured 5-10 us per input
+EXACT_INPUT_LIMIT = 10**6
+#: the simple-graph check enumerates every labeled graph, so it is bounded
+#: in n, and in its triple choices per graph, C(nd/2 - d, 2)^d
+UM_EXACT_MAX_N = 8
+UM_TRIPLE_CHOICE_LIMIT = 10**4
+
+
+def _check_budget(model: str, unit: str, count: int, limit: int) -> None:
+    """Raise before enumerating when a check's size is above its limit."""
+    if count > limit:
+        raise BudgetExceededError(
+            f"exact {model} check needs {count} {unit}, above its limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +111,9 @@ def mm_exact_invariance(n: int) -> InvarianceReport:
     """Apply the pivot resampling to every (matching, a, b) input and count
     the resulting matchings: starting from the uniform distribution, one
     step must be exactly uniform again."""
+    ModelKind.MATCHING.check_parity(n, 1)
+    _check_budget("matching", "inputs",
+                  math.prod(range(n - 1, 0, -2)) * (n - 1) ** 2, EXACT_INPUT_LIMIT)
     matchings = all_matchings(n)
     counts: dict[tuple, int] = {tuple(m.pairing): 0 for m in matchings}
     total = 0
@@ -126,102 +151,72 @@ def mm_pivot_conditional_tv(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Simple-graph model, exhaustive at n = 6, d = 3
-
-def _edge_index(n: int) -> dict[tuple[int, int], int]:
-    return {e: k for k, e in enumerate(itertools.combinations(range(n), 2))}
-
-
-def _graph_bits(g: MultiGraph, eidx: dict) -> int:
-    bits = 0
-    for i, j, _ in g.edges():
-        bits |= 1 << eidx[(i, j)]
-    return bits
-
+# Simple-graph model
 
 def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     """Exhaustive invariance and detailed-balance check for the simultaneous
     switching at an enumerable size.
 
-    For every labeled simple d-regular graph and every admissible choice of
-    triples and switch indices, the resulting graph is counted once.  The
-    aggregated counts must be identical across all graphs, and the
-    transition count from E1 to E2 must equal the one from E2 to E1.
+    Every labeled simple d-regular graph meets every choice of one triple
+    per pivot edge and eight switch indices per triple.  A choice with no
+    active triple leaves the graph unchanged for all 8^d indices; otherwise
+    each index choice of the active triples A is applied once and counted
+    8^(d - |A|) times.  The aggregated counts must be identical across all
+    graphs, and the transition count from E1 to E2 must equal the one from
+    E2 to E1.
     """
-    if d != 3 or n > 6:
-        raise InvalidParametersError(
-            "exhaustive check implemented for d == 3 and n <= 6")
-    graphs = enumerate_simple_regular(n, d)
-    if not graphs:
+    if d < 1:
+        raise InvalidParametersError(f"the simultaneous switching needs d >= 1, got {d}")
+    ModelKind.UNIFORM.check_parity(n, d)
+    if d >= n:
         raise InvalidParametersError(f"no simple {d}-regular graphs on {n} vertices")
-    eidx = _edge_index(n)
-    nbits = len(eidx)
-    codes = np.array([_graph_bits(g, eidx) for g in graphs], dtype=np.int64)
+    choices = math.comb(n * d // 2 - d, 2) ** d
+    if choices == 0:
+        raise InvalidParametersError(
+            f"no admissible triple at the pivot for n={n}, d={d}")
+    _check_budget("uniform", "vertices", n, UM_EXACT_MAX_N)
+    _check_budget("uniform", "triple choices per graph", choices,
+                  UM_TRIPLE_CHOICE_LIMIT)
+    graphs = enumerate_simple_regular(n, d)
+    index = {g: k for k, g in enumerate(graphs)}
+    transitions: Counter[tuple[int, int]] = Counter()
+    off_states = 0
+    for src, g in enumerate(graphs):
+        space = [[(t, um_switchable(g, t)) for t in triples]
+                 for triples in triple_space(g)]
+        for picked in itertools.product(*space):
+            triples, switchable = zip(*picked)
+            active = _active_triples(triples, switchable)
+            if not any(active):
+                transitions[src, src] += 8**d
+                continue
+            weight = 8 ** (d - sum(active))
+            for s_active in itertools.product(range(1, 9), repeat=sum(active)):
+                it = iter(s_active)
+                # an inactive triple's index leaves the outcome unchanged
+                s = tuple(next(it) if act else 1 for act in active)
+                out = um_simultaneous_switch(g, TripleSelection(triples, s))
+                dst = index.get(out.graph)
+                if dst is None:
+                    off_states += weight
+                else:
+                    transitions[src, dst] += weight
 
-    per_source = np.zeros((len(graphs), 1 << nbits), dtype=np.int64)
-    total_per_source = None
-    for gi, g in enumerate(graphs):
-        space = triple_space(g)
-        if len(space) != d:
-            raise InvalidParametersError("pivot degree mismatch")
-        switch_ok, vmasks, xors = [], [], []
-        for triples in space:
-            ok = np.array([um_switchable(g, t) for t in triples], dtype=bool)
-            vm = np.array(
-                [sum(1 << v for e in t for v in e) for t in triples],
-                dtype=np.int64)
-            xo = np.zeros((len(triples), 8), dtype=np.int64)
-            for ti, t in enumerate(triples):
-                if not ok[ti]:
-                    # never applied; mask stays zero
-                    continue
-                removed = sum(1 << eidx[e] for e in t)
-                (z, r) = t[0]
-                assert z == 0
-                for si, ((a, abar), (b, bbar)) in enumerate(switch_pair_table(t)):
-                    added = (1 << eidx[(0, a)]
-                             | 1 << eidx[(min(abar, b), max(abar, b))]
-                             | 1 << eidx[(min(bbar, r), max(bbar, r))])
-                    xo[ti, si] = removed ^ added
-            switch_ok.append(ok)
-            vmasks.append(vm)
-            xors.append(xo)
-        c01 = (vmasks[0][:, None] & vmasks[1][None, :]) == 1
-        c02 = (vmasks[0][:, None] & vmasks[2][None, :]) == 1
-        c12 = (vmasks[1][:, None] & vmasks[2][None, :]) == 1
-        act0 = switch_ok[0][:, None, None] & c01[:, :, None] & c02[:, None, :]
-        act1 = switch_ok[1][None, :, None] & c01[:, :, None] & c12[None, :, :]
-        act2 = switch_ok[2][None, None, :] & c02[:, None, :] & c12[None, :, :]
-        y0 = np.where(act0[..., None], xors[0][:, None, None, :], 0)
-        y1 = np.where(act1[..., None], xors[1][None, :, None, :], 0)
-        y2 = np.where(act2[..., None], xors[2][None, None, :, :], 0)
-        res = (codes[gi]
-               ^ y0[:, :, :, :, None, None]
-               ^ y1[:, :, :, None, :, None]
-               ^ y2[:, :, :, None, None, :])
-        per_source[gi] = np.bincount(res.ravel(), minlength=1 << nbits)
-        if total_per_source is None:
-            total_per_source = res.size
-        assert per_source[gi].sum() == total_per_source
-
-    aggregated = per_source.sum(axis=0)
-    on_states = aggregated[codes]
-    off_states = aggregated.sum() - on_states.sum()
-    exact_equal = bool(off_states == 0 and np.all(on_states == on_states[0]))
-
-    transition = per_source[:, codes]
-    balanced = bool(np.array_equal(transition, transition.T))
-
+    on_states = [0] * len(graphs)
+    for (_, dst), count in transitions.items():
+        on_states[dst] += count
+    per_source = choices * 8**d
     return InvarianceReport(
-        model="uniform", n=n, d=d,
-        total_inputs=int(total_per_source) * len(graphs),
-        states=len(graphs), exact_equal=exact_equal,
+        model="uniform", n=n, d=d, total_inputs=per_source * len(graphs),
+        states=len(graphs),
+        exact_equal=off_states == 0 and len(set(on_states)) == 1,
         counts={
-            "per_state": [int(on_states.min()), int(on_states.max())],
-            "expected": int(total_per_source),
-            "off_state_mass": int(off_states),
+            "per_state": [min(on_states), max(on_states)],
+            "expected": per_source,
+            "off_state_mass": off_states,
         },
-        detailed_balance=balanced,
+        detailed_balance=all(transitions[dst, src] == count
+                             for (src, dst), count in transitions.items()),
     )
 
 
@@ -242,8 +237,10 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
     """Enumerate every (pi, a+, a-, b+, b-) input of the permutation move and
     count the resulting permutations: the output law must be exactly uniform
     on all n! permutations."""
-    from .switchings import pm_switch
-
+    if n < 2:
+        raise InvalidParametersError(f"the pivot 2-cycle needs n >= 2, got {n}")
+    _check_budget("permutation", "inputs",
+                  math.factorial(n - 2) * n * (n - 1) ** 3, EXACT_INPUT_LIMIT)
     inputs = _embedded_pivot_permutations(n)
     counts: dict[tuple, int] = {}
     total = 0
@@ -256,7 +253,6 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
                         key = tuple(res.mapping)
                         counts[key] = counts.get(key, 0) + 1
                         total += 1
-    import math
     values = set(counts.values())
     exact = (len(counts) == math.factorial(n) and len(values) == 1)
     return InvarianceReport(
@@ -273,10 +269,6 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
 def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     """Empirical TV distance between the law of the pivot's first neighbour
     after one resampling step and the uniform law on the other vertices."""
-    from .graphs import random_matching, sample_uniform
-    from .rng import stream
-    from .switchings import mm_resample
-
     hits = np.zeros(n, dtype=np.int64)
     for t in range(samples):
         rng = stream(seed, t)
@@ -298,9 +290,6 @@ def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
 def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
     """Fraction of (trial, mu) pairs where the realized neighbour equals the
     targeted one, i.e. the triple actually switched."""
-    from .graphs import sample_uniform
-    from .rng import stream
-
     hit = 0
     tot = 0
     for t in range(trials):

@@ -2,9 +2,10 @@
 
 Four families of degree-preserving local moves:
 
-* elementary single/double switchings, each editing O(1) edge codes,
+* the elementary double switching, editing three edge codes,
 * the matching-model resampling that redraws the pivot's partner,
-* the simple-graph simultaneous switching driven by per-edge triples,
+* the simple-graph simultaneous switching driven by per-edge triples, which
+  applies one double switching per active triple,
 * the permutation-model conjugation move.
 
 All operators are pure and collapse to the identity whenever the required
@@ -26,7 +27,6 @@ __all__ = [
     "TripleSelection",
     "ResampleOutcome",
     "delta",
-    "single_switch",
     "double_switch",
     "mm_switch",
     "mm_resample",
@@ -112,23 +112,9 @@ def _require_edge(g: MultiGraph, x: int, y: int) -> None:
         raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
 
 
-def single_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
-    """Replace edges {r, rbar}, {a, abar} by {rbar, a}, {r, abar}.  Identity
-    unless the four vertices are distinct."""
-    if spec.is_double:
-        raise InvalidParametersError("single_switch takes a two-edge spec")
-    _require_edge(g, spec.r, spec.rbar)
-    _require_edge(g, spec.a, spec.abar)
-    if len(set(spec.vertices())) < 4:
-        return g
-    return g.replace_edges([(spec.r, spec.rbar), (spec.a, spec.abar)],
-                           [(spec.rbar, spec.a), (spec.r, spec.abar)])
-
-
 def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
     """Replace edges {r, rbar}, {a, abar}, {b, bbar} by {rbar, a}, {abar, b},
-    {bbar, r}.  Identity unless the six vertices are distinct.  Equals the
-    composition of two single switches (checked by the test suite)."""
+    {bbar, r}.  Identity unless the six vertices are distinct."""
     if not spec.is_double:
         raise InvalidParametersError("double_switch takes a three-edge spec")
     _require_edge(g, spec.r, spec.rbar)
@@ -253,35 +239,24 @@ def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return table
 
 
-def _triple_replacement(S, s: int) -> tuple[set[Edge], set[Edge], int, int]:
-    """Edges removed/added by switch index s on pivot triple S, plus the
-    targeted pivot neighbour a and the pivot edge endpoint r.  Only valid
-    when the triple spans six distinct vertices (otherwise the replacement
-    edges may degenerate to loops)."""
-    edges = sorted(_norm_edge(e) for e in S)
-    pivot = [e for e in edges if e[0] == 0]
-    r = pivot[0][1]
-    (a, abar), (b, bbar) = switch_pair_table(S)[s - 1]
-    removed = set(edges)
-    added = {_norm_edge((0, a)), _norm_edge((abar, b)), _norm_edge((bbar, r))}
-    return removed, added, a, r
-
-
-def _triple_targets(S, s: int) -> tuple[int, int]:
-    """The targeted pivot neighbour a and current pivot neighbour r for
-    switch index s on pivot triple S (well-defined for any triple)."""
-    edges = sorted(_norm_edge(e) for e in S)
-    r = [e for e in edges if e[0] == 0][0][1]
-    (a, _), _ = switch_pair_table(S)[s - 1]
-    return a, r
+def _active_triples(triples, switchable) -> list[bool]:
+    """Which triples of a selection switch: those that are switchable and
+    whose vertex set meets every other triple's in the pivot alone.  Active
+    switches therefore edit disjoint edge sets and commute."""
+    if not any(switchable):
+        return [False] * len(triples)
+    vsets = [{v for e in t for v in e} for t in triples]
+    return [sw and all(vsets[mu] & vsets[nu] <= {0}
+                       for nu in range(len(vsets)) if nu != mu)
+            for mu, sw in enumerate(switchable)]
 
 
 def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> ResampleOutcome:
-    """Apply the switchable, mutually compatible triple switches at once.
+    """Apply the active triple switches (see _active_triples) at once.
 
-    A triple takes part only when it is switchable and its vertex set meets
-    every other triple's vertex set in the pivot alone; the participating
-    switches act on disjoint edge sets and commute.
+    Triple mu = {(0, r), (a, abar), (b, bbar)} with switch index s switches
+    as the double switch (r, 0, a, abar, b, bbar), where (a, abar), (b, bbar)
+    is entry s of switch_pair_table: the pivot's neighbour r becomes a.
     """
     if not g.simple:
         raise InvalidParametersError("simultaneous switch needs a simple graph")
@@ -303,32 +278,18 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
                     f"triple {mu}: extra edge ({x}, {y}) touches the pivot")
         norm_triples.append(edges)
 
-    vsets = [frozenset(v for e in t for v in e) for t in norm_triples]
-    switchable = [um_switchable(g, t) for t in norm_triples]
-    compatible = [
-        all(vsets[mu] & vsets[nu] <= {0} for nu in range(d) if nu != mu)
-        for mu in range(d)
-    ]
-    active = [sw and cp for sw, cp in zip(switchable, compatible)]
-
-    # active triples meet only at the pivot, so their edits are disjoint
-    removed: list[Edge] = []
-    added: list[Edge] = []
+    active = _active_triples(norm_triples,
+                             [um_switchable(g, t) for t in norm_triples])
+    out = g
     a_list: list[int] = []
     alpha: list[int] = []
-    for mu in range(d):
-        a_mu, r_mu = _triple_targets(tuple(norm_triples[mu]), selection.s[mu])
-        a_list.append(a_mu)
-        if active[mu]:
-            rm, ad, _, _ = _triple_replacement(
-                tuple(norm_triples[mu]), selection.s[mu])
-            removed.extend(rm)
-            added.extend(ad)
-            alpha.append(a_mu)
-        else:
-            alpha.append(r_mu)
-
-    out = g.replace_edges(removed, added)
+    for (_, r), triple, s, act in zip(pe, norm_triples, selection.s, active):
+        (a, abar), (b, bbar) = switch_pair_table(triple)[s - 1]
+        if act:
+            # removes {r, 0}, {a, abar}, {b, bbar}; adds {0, a}, {abar, b}, {bbar, r}
+            out = double_switch(out, DirectedEdgeSpec(r, 0, a, abar, b, bbar))
+        a_list.append(a)
+        alpha.append(a if act else r)
     return ResampleOutcome(out, tuple(a_list), tuple(alpha), tuple(active),
                            selection)
 

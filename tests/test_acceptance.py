@@ -84,10 +84,11 @@ def views_2000_d30():
 def test_criterion_1_exact_switching_invariance():
     start = time.monotonic()
     reports = [mm_exact_invariance(4), mm_exact_invariance(6),
-               um_exact_invariance(6, 3), pm_exact_uniformity(4)]
+               um_exact_invariance(6, 3), um_exact_invariance(8, 1),
+               pm_exact_uniformity(4)]
     elapsed = time.monotonic() - start
     ok = all(r.exact_equal for r in reports) and elapsed < 120
-    detail = (f"mm N=4/6, um N=6 d=3, pm N=4 all exact; "
+    detail = (f"mm N=4/6, um N=6 d=3 and N=8 d=1, pm N=4 all exact; "
               f"{elapsed:.1f}s < 120s")
     report(1, "exact-switching-invariance", ok, detail)
 

@@ -68,7 +68,14 @@ class TestUsage:
                     [*que, "--interval-size", "-1"],
                     [*que, "--interval-size", "0"],
                     [*que, "--interval-size", "40"],
-                    [*que, "--interval-size", "500"]):
+                    [*que, "--interval-size", "500"],
+                    # the matching move acts on d = 1, the permutation move on d = 2
+                    ["invariance", "--model", "matching", "--n", "4", "--d", "3"],
+                    ["invariance", "--model", "matching", "--n", "12", "--d", "2",
+                     "--mc", "--samples", "10"],
+                    ["invariance", "--model", "permutation", "--n", "4", "--d", "7"],
+                    ["invariance", "--model", "permutation", "--n", "4", "--d", "4",
+                     "--mc", "--samples", "10"]):
             assert run(bad) == EXIT_PRECONDITION
             assert "error: " in capsys.readouterr().err
 
@@ -140,6 +147,21 @@ class TestInvariance:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "mc"
         assert 0 <= payload["tv_distance"] <= 1
+
+    @pytest.mark.parametrize("model, n, d", [
+        ("matching", 14, 1),     # 13!! * 13^2 = 2.3e7 inputs
+        ("permutation", 9, 2),   # 7! * 9 * 8^3 = 2.3e7 inputs
+        ("uniform", 8, 3),       # C(9, 2)^3 = 46656 triple choices per graph
+        ("uniform", 10, 2),      # beyond n = 8
+        ("uniform", 4, 1),       # one edge off the pivot: no admissible triple
+        ("uniform", 6, 0),
+    ])
+    def test_unenumerable_size_fails_fast(self, model, n, d, capsys):
+        start = time.monotonic()
+        assert run(["invariance", "--model", model, "--n", str(n),
+                    "--d", str(d)]) == EXIT_PRECONDITION
+        assert time.monotonic() - start < 1.0
+        assert "error: " in capsys.readouterr().err
 
 
 class TestLawsweep:

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from regg.errors import InvalidParametersError
+from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
 from regg.invariance import (all_matchings, mc_pivot_tv, mm_exact_invariance,
                              mm_pivot_conditional_tv, pm_exact_uniformity,
                              um_alpha_match_rate, um_exact_invariance)
-from regg.switchings import triple_space, um_switchable
+from regg.switchings import (TripleSelection, triple_space,
+                             um_simultaneous_switch, um_switchable)
 
 
 class TestAllMatchings:
@@ -62,9 +63,39 @@ class TestUniformInvariance:
         assert not any(um_switchable(g, t) for g in graphs
                        for triples in triple_space(g) for t in triples)
 
-    def test_other_degree_rejected(self):
+    def test_n8_d1_switches_every_selection(self):
+        # A perfect matching induces no edge besides its own, so every
+        # triple at d = 1 is switchable and every selection switches.
+        for g in enumerate_simple_regular(8, 1):
+            (triples,) = triple_space(g)
+            for t in triples:
+                assert um_switchable(g, t)
+                for s in range(1, 9):
+                    out = um_simultaneous_switch(g, TripleSelection((t,), (s,)))
+                    assert out.switched == (True,) and out.graph != g
+        rep = um_exact_invariance(8, 1)
+        assert rep.exact_equal
+        assert rep.detailed_balance
+        assert rep.states == 105
+        assert rep.total_inputs == 105 * 3 * 8 == 2520
+        assert rep.counts["per_state"] == [24, 24]
+        assert rep.counts["off_state_mass"] == 0
+
+    @pytest.mark.parametrize("n, d", [(4, 1), (2, 1), (6, 0), (5, 3), (4, 4)])
+    def test_no_admissible_triple_rejected(self, n, d):
         with pytest.raises(InvalidParametersError):
-            um_exact_invariance(8, 2)
+            um_exact_invariance(n, d)
+
+
+@pytest.mark.parametrize("check, args", [
+    (um_exact_invariance, (8, 3)),
+    (um_exact_invariance, (10, 2)),
+    (mm_exact_invariance, (14,)),
+    (pm_exact_uniformity, (9,)),
+], ids=["uniform-8-3", "uniform-10-2", "matching-14", "permutation-9"])
+def test_unenumerable_size_rejected(check, args):
+    with pytest.raises(BudgetExceededError):
+        check(*args)
 
 
 class TestPermutationUniformity:

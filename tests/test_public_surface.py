@@ -1,5 +1,5 @@
-"""Every public name of regg.spectral, regg.observables and ResolventView is
-used by the program: src/ or scripts/ reference it outside its own
+"""Every public name of regg.spectral, regg.observables, regg.switchings and
+ResolventView is used by the program: src/ or scripts/ reference it outside its own
 definition.  A name only tests call is a second implementation that the
 commands never run."""
 
@@ -12,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")])
 SPECTRAL = ROOT / "src" / "regg" / "spectral.py"
 OBSERVABLES = ROOT / "src" / "regg" / "observables.py"
+SWITCHINGS = ROOT / "src" / "regg" / "switchings.py"
 
 #: public names with no caller in src/ or scripts/, each kept on purpose
 ALLOWED = {
@@ -23,6 +24,9 @@ ALLOWED = {
     "isotropic_envelope",
     "random_unit_perp_e",
     "default_zeta",
+    # the paper's one-edge adjacency matrix Delta_ij, kept as the reference
+    # notation; no command builds a dense single-edge matrix
+    "delta",
 }
 
 
@@ -93,7 +97,7 @@ def _unreferenced(candidates, home, attribute):
 
 
 def test_module_names_are_used_by_the_program():
-    for path in (SPECTRAL, OBSERVABLES):
+    for path in (SPECTRAL, OBSERVABLES, SWITCHINGS):
         names = list(_module_names(ast.parse(path.read_text(encoding="utf-8"))))
         assert len(names) > 5, f"no public names parsed from {path.name}"
         assert _unreferenced(names, path, attribute=False) == [], path.name

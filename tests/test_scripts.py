@@ -35,7 +35,7 @@ def test_run_full_verification_quick(tmp_path):
                       "--outdir", str(outdir), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("invariance-matching.json", "invariance-uniform.json",
-                 "invariance-permutation.json", "lawsweep.csv", "deloc.csv",
+                 "invariance-uniform-switching.json", "invariance-permutation.json", "lawsweep.csv", "deloc.csv",
                  "que.csv", "kesten-mckay.csv", "stability.json"):
         assert (outdir / name).is_file(), name
         assert (outdir / (name + ".manifest.json")).is_file(), name

@@ -15,7 +15,7 @@ from regg.graphs import (Matching, MultiGraph, Permutation,
 from regg.rng import stream
 from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              double_switch, mm_resample, mm_switch,
-                             pivot_edges, pm_switch, single_switch,
+                             pivot_edges, pm_switch,
                              switch_pair_table, triple_space, um_resample,
                              um_simultaneous_switch, um_switchable,
                              _unrank_pair)
@@ -44,38 +44,16 @@ class TestDelta:
             delta(0, 3, 3)
 
 
-class TestSingleSwitch:
-    def test_basic_replacement(self):
-        g = cycle_graph(6)
-        out = single_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4))
-        assert out.adj[0, 1] == 0 and out.adj[3, 4] == 0
-        assert out.adj[1, 3] == 1 and out.adj[0, 4] == 1
-        assert np.all(out.adj.sum(axis=1) == 2)
-
-    def test_identity_when_not_distinct(self):
-        g = cycle_graph(6)
-        out = single_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=1, abar=2))
-        assert out is g
-
-    def test_missing_edge_rejected(self):
-        g = cycle_graph(6)
-        with pytest.raises(InvalidMoveError):
-            single_switch(g, DirectedEdgeSpec(r=0, rbar=3, a=1, abar=2))
-
-    def test_double_spec_rejected(self):
-        g = cycle_graph(6)
-        with pytest.raises(InvalidParametersError):
-            single_switch(g, DirectedEdgeSpec(0, 1, 2, 3, 4, 5))
-
-
 class TestDoubleSwitch:
-    def test_equals_two_singles(self):
+    def test_replaces_three_edges(self):
         g = cycle_graph(8)
-        spec = DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4, b=6, bbar=7)
-        out = double_switch(g, spec)
-        step1 = single_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4))
-        step2 = single_switch(step1, DirectedEdgeSpec(r=0, rbar=4, a=6, abar=7))
-        assert np.array_equal(out.adj, step2.adj)
+        out = double_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4, b=6, bbar=7))
+        for x, y in ((0, 1), (3, 4), (6, 7)):
+            assert out.multiplicity(x, y) == 0
+        # new edges {rbar, a}, {abar, b}, {bbar, r}; the cycle already has {7, 0}
+        assert out.multiplicity(1, 3) == out.multiplicity(4, 6) == 1
+        assert out.multiplicity(7, 0) == 2
+        assert out.codes.size == 8 and np.all(out.adj.sum(axis=1) == 2)
 
     def test_identity_when_not_distinct(self):
         g = cycle_graph(8)
@@ -86,6 +64,11 @@ class TestDoubleSwitch:
         g = cycle_graph(8)
         with pytest.raises(InvalidParametersError):
             double_switch(g, DirectedEdgeSpec(0, 1, 2, 3))
+
+    def test_missing_edge_rejected(self):
+        g = cycle_graph(8)
+        with pytest.raises(InvalidMoveError):
+            double_switch(g, DirectedEdgeSpec(r=0, rbar=3, a=4, abar=5, b=6, bbar=7))
 
 
 class TestMatchingSwitch:
