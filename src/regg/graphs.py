@@ -347,39 +347,74 @@ def _circulant_simple(n: int, d: int) -> np.ndarray:
     return np.sort(_join(parts))
 
 
+#: rows of proposals _chain_proposals draws per pair of RNG calls
+_CHAIN_BLOCK = 256
+
+
+def _chain_proposals(m: int, moves: int, rng: np.random.Generator):
+    """Yield the switching chain's proposals in blocks, `moves` rows in all.
+
+    Each block is one rng.integers(m, size=(B, 3)) draw of edge indices
+    and one rng.integers(2, size=(B, 3)) draw of orientation bits, with
+    B <= _CHAIN_BLOCK rows.  Rows with a repeated edge index are dropped
+    and redrawn in a later block, so every yielded row is uniform over the
+    m(m-1)(m-2) ordered triples of distinct edges, with three independent
+    fair bits.  Needs m >= 3.
+    """
+    left = moves
+    while left:
+        idx = rng.integers(m, size=(min(left, _CHAIN_BLOCK), 3))
+        flip = rng.integers(2, size=idx.shape)
+        keep = ((idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2])
+                & (idx[:, 1] != idx[:, 2]))
+        idx, flip = idx[keep], flip[keep]
+        left -= len(idx)
+        yield idx, flip
+
+
 def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
                    moves: int) -> list[int]:
     """Random double-switching walk on simple d-regular graphs, from the
-    sorted edge codes of a simple graph.  Moves that would create a loop or
-    multi-edge are rejected, which keeps the chain inside the simple
-    graphs."""
+    sorted edge codes of a simple graph.
+
+    The walk makes exactly `moves` proposals, drawn by _chain_proposals:
+    three distinct edges and an orientation of each (a proposal with a
+    repeated edge is redrawn and does not count).  Moves that would create
+    a loop or multi-edge are rejected, which keeps the chain inside the
+    simple graphs.
+    """
     edges = [divmod(c, n) for c in codes.tolist()]
     present = set(codes.tolist())
     m = len(edges)
-    for _ in range(moves):
-        e1, e2, e3 = rng.choice(m, size=3, replace=False)
-        r, rb = edges[e1]
-        if rng.integers(2):
-            r, rb = rb, r
-        aa, ab = edges[e2]
-        if rng.integers(2):
-            aa, ab = ab, aa
-        b, bb = edges[e3]
-        if rng.integers(2):
-            b, bb = bb, b
-        verts = {r, rb, aa, ab, b, bb}
-        if len(verts) < 6:
-            continue
-        # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
-        new = [(min(x, y), max(x, y)) for x, y in ((rb, aa), (ab, b), (bb, r))]
-        new_codes = [x * n + y for x, y in new]
-        if any(c in present for c in new_codes):
-            continue
-        for k in (e1, e2, e3):
-            x, y = edges[k]
-            present.remove(x * n + y)
-        present.update(new_codes)
-        edges[e1], edges[e2], edges[e3] = new
+    if m < 3:
+        raise InvalidParametersError(
+            f"the switching chain needs at least 3 edges, got {m}")
+    for idx, flip in _chain_proposals(m, moves, rng):
+        for (e1, e2, e3), (f1, f2, f3) in zip(idx.tolist(), flip.tolist()):
+            r, rb = edges[e1]
+            if f1:
+                r, rb = rb, r
+            aa, ab = edges[e2]
+            if f2:
+                aa, ab = ab, aa
+            b, bb = edges[e3]
+            if f3:
+                b, bb = bb, b
+            if len({r, rb, aa, ab, b, bb}) < 6:
+                continue
+            # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
+            new1 = (rb, aa) if rb < aa else (aa, rb)
+            new2 = (ab, b) if ab < b else (b, ab)
+            new3 = (bb, r) if bb < r else (r, bb)
+            c1 = new1[0] * n + new1[1]
+            c2 = new2[0] * n + new2[1]
+            c3 = new3[0] * n + new3[1]
+            if c1 in present or c2 in present or c3 in present:
+                continue
+            for x, y in (edges[e1], edges[e2], edges[e3]):
+                present.remove(x * n + y)
+            present.update((c1, c2, c3))
+            edges[e1], edges[e2], edges[e3] = new1, new2, new3
     return [x * n + y for x, y in edges]
 
 
@@ -413,9 +448,11 @@ def sample_uniform(n: int, d: int, rng: np.random.Generator,
     """Sample a simple d-regular graph.
 
     method="rejection" resamples the configuration model until the result
-    is simple (exactly uniform).  method="switching-chain" runs 10*n*d
-    double-switching moves from a deterministic circulant start and is only
-    approximately uniform.  method="auto" chooses by uniform_method.
+    is simple (exactly uniform).  method="switching-chain" makes 10*n*d
+    double-switching proposals from a deterministic circulant start and is
+    only approximately uniform; a proposal that repeats an edge is redrawn
+    and not counted, and the chain needs at least 3 edges.  method="auto"
+    chooses by uniform_method.
     """
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:

@@ -8,9 +8,11 @@ of resulting states are compared, with no floating point and no sampling.
 The simple-graph check runs the program's own operator: every transition
 comes from switchings.um_simultaneous_switch, and only the active triples'
 switch indices are enumerated, each outcome weighted by the 8^(d - |A|)
-indices of the inactive ones.  Each check works out its input count from
-its parameters first and raises BudgetExceededError when the enumeration
-would not finish in seconds.
+indices of the inactive ones.  Selections with no switchable triple are
+idle, so they are counted in closed form, as the product over the pivot
+edges of their unswitchable triples, and never enumerated.  Each check
+works out its input count from its parameters first and raises
+BudgetExceededError when the enumeration would not finish in seconds.
 """
 
 from __future__ import annotations
@@ -153,17 +155,35 @@ def mm_pivot_conditional_tv(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Simple-graph model
 
+def _split_selections(space):
+    """Split the selections of one (triple, switchable) pair per pivot edge.
+
+    Returns the number of selections with no switchable triple, which
+    _active_triples leaves idle, and an iterator over all the others.  The
+    others are grouped by the first pivot whose pick is switchable: earlier
+    picks are unswitchable, later ones arbitrary, so each selection comes
+    out exactly once.
+    """
+    unswitchable = [[p for p in picks if not p[1]] for picks in space]
+    active = itertools.chain.from_iterable(
+        itertools.product(*unswitchable[:mu], [p for p in picks if p[1]],
+                          *space[mu + 1:])
+        for mu, picks in enumerate(space))
+    return math.prod(len(u) for u in unswitchable), active
+
+
 def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     """Exhaustive invariance and detailed-balance check for the simultaneous
     switching at an enumerable size.
 
     Every labeled simple d-regular graph meets every choice of one triple
     per pivot edge and eight switch indices per triple.  A choice with no
-    active triple leaves the graph unchanged for all 8^d indices; otherwise
-    each index choice of the active triples A is applied once and counted
-    8^(d - |A|) times.  The aggregated counts must be identical across all
-    graphs, and the transition count from E1 to E2 must equal the one from
-    E2 to E1.
+    active triple leaves the graph unchanged for all 8^d indices (those
+    with no switchable triple are counted, not enumerated: see
+    _split_selections); otherwise each index choice of the active triples
+    A is applied once and counted 8^(d - |A|) times.  The aggregated counts
+    must be identical across all graphs, and the transition count from E1
+    to E2 must equal the one from E2 to E1.
     """
     if d < 1:
         raise InvalidParametersError(f"the simultaneous switching needs d >= 1, got {d}")
@@ -184,7 +204,9 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     for src, g in enumerate(graphs):
         space = [[(t, um_switchable(g, t)) for t in triples]
                  for triples in triple_space(g)]
-        for picked in itertools.product(*space):
+        idle, selections = _split_selections(space)
+        transitions[src, src] += idle * 8**d
+        for picked in selections:
             triples, switchable = zip(*picked)
             active = _active_triples(triples, switchable)
             if not any(active):

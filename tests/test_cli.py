@@ -118,6 +118,16 @@ class TestSample:
         assert time.monotonic() - start < 1.0
         assert "tries expected" in capsys.readouterr().err
 
+    def test_forced_chain_needs_three_edges(self, tmp_path, capsys):
+        for n in ("4", "2"):
+            start = time.monotonic()
+            code = run(["sample", "--model", "uniform", "--n", n, "--d", "1",
+                        "--method", "switching-chain",
+                        "--out", str(tmp_path / "g.edges")])
+            assert code == EXIT_PRECONDITION
+            assert time.monotonic() - start < 1.0
+            assert "at least 3 edges" in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for out in (a, b):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from regg import graphs
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import (Matching, ModelKind, MultiGraph, Permutation,
                          enumerate_simple_regular, from_edgelist,
@@ -168,10 +170,66 @@ class TestUniformModel:
         with pytest.raises(BudgetExceededError):
             sample_uniform(2000, 8, stream(0, 0), method="rejection")
 
+    def test_chain_needs_three_edges(self):
+        # 2 and 1 edges: no proposal of three distinct edges exists
+        for n in (4, 2):
+            with pytest.raises(InvalidParametersError, match="at least 3 edges"):
+                sample_uniform(n, 1, stream(0, 0), method="switching-chain")
+
+    def test_chain_makes_ten_nd_proposals(self, monkeypatch):
+        rows = []
+        draw = graphs._chain_proposals
+
+        def counted(m, moves, rng):
+            for idx, flip in draw(m, moves, rng):
+                rows.append(len(idx))
+                yield idx, flip
+
+        monkeypatch.setattr(graphs, "_chain_proposals", counted)
+        sample_uniform(24, 10, stream(8, 0), method="switching-chain")
+        assert sum(rows) == 10 * 24 * 10
+
     def test_seed_determinism(self):
         g1 = sample_uniform(20, 3, stream(9, 0))
         g2 = sample_uniform(20, 3, stream(9, 0))
         assert np.array_equal(g1.adj, g2.adj)
+
+
+class TestChainProposals:
+    """The switching chain's proposal kernel at m = 5 edges: 60 ordered
+    triples of distinct edges, each with three orientation bits."""
+
+    M, MOVES = 5, 30000
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        return list(graphs._chain_proposals(self.M, self.MOVES, stream(12, 0)))
+
+    def test_exactly_moves_rows_in_bounded_blocks(self, blocks):
+        assert sum(len(idx) for idx, _ in blocks) == self.MOVES
+        assert all(len(idx) == len(flip) <= graphs._CHAIN_BLOCK
+                   for idx, flip in blocks)
+
+    def test_no_repeated_edge(self, blocks):
+        idx = np.concatenate([idx for idx, _ in blocks])
+        assert np.all((idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2])
+                      & (idx[:, 1] != idx[:, 2]))
+
+    def test_uniform_over_ordered_triples(self, blocks):
+        idx = np.concatenate([idx for idx, _ in blocks])
+        counts = np.bincount((idx[:, 0] * self.M + idx[:, 1]) * self.M + idx[:, 2],
+                             minlength=self.M**3)
+        triples = [(a * self.M + b) * self.M + c
+                   for a, b, c in itertools.permutations(range(self.M), 3)]
+        assert len(triples) == 60 and counts.sum() == counts[triples].sum()
+        _, p = chisquare(counts[triples])
+        assert p > 0.001
+
+    def test_orientation_bits_fair(self, blocks):
+        flip = np.concatenate([flip for _, flip in blocks])
+        assert set(np.unique(flip)) <= {0, 1}
+        _, p = chisquare(np.bincount(flip @ [4, 2, 1], minlength=8))
+        assert p > 0.001
 
 
 class TestEnumeration:
@@ -215,8 +273,11 @@ class TestSerialization:
             "11b19566e5743c9ce06d81b294552d9978864051dc1e1861fb6554112cb2b122",
         ("uniform", 50, 4, "rejection"):
             "b8d936fc874af61a57bf49df90504e3cfd4f4e138e481f9b58ac21e3148413a5",
+        # the chain draws its proposals in blocks (graphs._chain_proposals):
+        # one integers(m, size=(B, 3)) and one integers(2, size=(B, 3)) call
+        # per block of B <= _CHAIN_BLOCK = 256 rows
         ("uniform", 24, 10, "switching-chain"):
-            "bf19b38656a9ce9c37048818155dca76911fe68c25c3659a6fc7057f210254dc",
+            "b19c479f0f767487ec2e677f5b46371cdf12154fc962a8b061b693e71ce995ed",
     }
 
     @pytest.mark.parametrize("key", sorted(GOLDEN, key=str))

@@ -1,12 +1,16 @@
+import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
-from regg.invariance import (all_matchings, mc_pivot_tv, mm_exact_invariance,
-                             mm_pivot_conditional_tv, pm_exact_uniformity,
-                             um_alpha_match_rate, um_exact_invariance)
+from regg.invariance import (_split_selections, all_matchings, mc_pivot_tv,
+                             mm_exact_invariance, mm_pivot_conditional_tv,
+                             pm_exact_uniformity, um_alpha_match_rate,
+                             um_exact_invariance)
 from regg.switchings import (TripleSelection, triple_space,
                              um_simultaneous_switch, um_switchable)
 
@@ -81,10 +85,41 @@ class TestUniformInvariance:
         assert rep.counts["per_state"] == [24, 24]
         assert rep.counts["off_state_mass"] == 0
 
+    def test_n8_d2_exact_report(self):
+        # no triple switches at d = 2 below n = 9: every selection is idle
+        rep = um_exact_invariance(8, 2)
+        assert rep.exact_equal
+        assert rep.detailed_balance
+        assert rep.states == 3507
+        assert rep.total_inputs == 3507 * 15**2 * 8**2
+        assert rep.counts["per_state"] == [14400, 14400]
+        assert rep.counts["off_state_mass"] == 0
+
     @pytest.mark.parametrize("n, d", [(4, 1), (2, 1), (6, 0), (5, 3), (4, 4)])
     def test_no_admissible_triple_rejected(self, n, d):
         with pytest.raises(InvalidParametersError):
             um_exact_invariance(n, d)
+
+
+@pytest.mark.parametrize("flags", [
+    [[True, False, False], [False, True], [True, True, False, False]],
+    [[False, True, False], [False, False, False], [True]],
+    [[False, False], [False]],
+    [[True], [True, True]],
+    [[False, True, True, False, True]],
+    [[False, True], []],
+], ids=["mixed", "one-forced", "none-switchable", "all-switchable",
+        "one-pivot", "empty-pivot"])
+def test_split_selections(flags):
+    """Idle selections are counted, the others each enumerated once."""
+    space = [[(f"t{mu}{k}", sw) for k, sw in enumerate(row)]
+             for mu, row in enumerate(flags)]
+    idle, active = _split_selections(space)
+    active = Counter(active)
+    assert idle + sum(active.values()) == math.prod(len(row) for row in flags)
+    assert set(active.values()) <= {1}
+    assert set(active) == {sel for sel in itertools.product(*space)
+                           if any(sw for _, sw in sel)}
 
 
 @pytest.mark.parametrize("check, args", [
