@@ -29,7 +29,6 @@ __all__ = [
     "Permutation",
     "random_matching",
     "random_permutation",
-    "permutation_pair_matrix",
     "sample_matching_model",
     "sample_permutation_model",
     "sample_configuration_model",
@@ -171,10 +170,6 @@ class MultiGraph:
         codes, mult = np.unique(self.codes, return_counts=True)
         return (*np.divmod(codes, self.n), mult)
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """edge_arrays as a list of (i, j, multiplicity) tuples."""
-        return list(zip(*(a.tolist() for a in self.edge_arrays())))
-
     def multiplicity(self, i: int, j: int) -> int:
         """Copies of the edge {i, j}; for i == j, the loop count."""
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -260,11 +255,6 @@ class Permutation:
     def n(self) -> int:
         return int(self.mapping.shape[0])
 
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(self.n)
-        return Permutation(inv)
-
 
 def random_matching(n: int, rng: np.random.Generator) -> Matching:
     """Uniform perfect matching on [0, n)."""
@@ -279,13 +269,6 @@ def random_matching(n: int, rng: np.random.Generator) -> Matching:
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(rng.permutation(n))
-
-
-def permutation_pair_matrix(sigma: Permutation) -> np.ndarray:
-    """Adjacency contribution of one permutation: entry (i, j) counts
-    j == sigma(i) plus i == sigma(j), so every vertex gains degree 2 and a
-    fixed point becomes a loop (diagonal 2)."""
-    return dense_adjacency(sigma.n, np.arange(sigma.n), sigma.mapping)
 
 
 def sample_matching_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:

@@ -21,7 +21,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "InvarianceReport",
     "all_matchings",
     "mm_exact_invariance",
-    "mm_pivot_conditional_tv",
     "um_exact_invariance",
     "pm_exact_uniformity",
     "mc_pivot_tv",
@@ -131,25 +129,6 @@ def mm_exact_invariance(n: int) -> InvarianceReport:
         exact_equal=(len(values) == 1 and total == len(matchings) * (n - 1) ** 2),
         counts={"per_state": sorted(values), "expected": total // len(matchings)},
     )
-
-
-def mm_pivot_conditional_tv(n: int) -> Fraction:
-    """Exact total variation distance between the conditional law of the
-    pivot's new partner (for a fixed matching) and the uniform law on the
-    other n-1 points.  Decays with n; reported, never asserted against a
-    constant."""
-    pairing = np.arange(n, dtype=np.int64)
-    pairing[0::2] += 1
-    pairing[1::2] -= 1
-    m = Matching(pairing)
-    hits = {v: 0 for v in range(1, n)}
-    for a in range(1, n):
-        for b in range(1, n):
-            res = mm_switch(m, 0, a, b)
-            hits[int(res.pairing[0])] += 1
-    total = (n - 1) ** 2
-    uniform = Fraction(1, n - 1)
-    return sum(abs(Fraction(c, total) - uniform) for c in hits.values()) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +270,9 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
 def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     """Empirical TV distance between the law of the pivot's first neighbour
     after one resampling step and the uniform law on the other vertices."""
+    if samples < 1:
+        raise InvalidParametersError(
+            f"the TV report needs at least 1 sample, got {samples}")
     hits = np.zeros(n, dtype=np.int64)
     for t in range(samples):
         rng = stream(seed, t)

@@ -24,15 +24,12 @@ __all__ = [
     "records_for_view",
     "fit_envelope_constant",
     "write_law_csv",
-    "read_law_csv",
     "write_table",
     "read_table",
     "CSV_VERSION",
 ]
 
 CSV_VERSION = "v1"
-_CSV_COLUMNS = ["model", "N", "d", "seed", "trial", "E", "eta", "max_diag_err",
-                "max_offdiag", "s_minus_m", "phi", "f_xi_phi", "psi", "flag"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +50,10 @@ class LawRecord:
     f_xi_phi: float
     psi: float
     flag: str = ""
+
+
+#: the law CSV's columns: LawRecord's fields, in order
+_CSV_COLUMNS = [f.name for f in fields(LawRecord)]
 
 
 #: smallest eta a sweep grid may contain
@@ -197,23 +198,3 @@ def read_table(path: str, kind: str) -> tuple[list[str], list[list[str]]]:
 def write_law_csv(records: list[LawRecord], path: str) -> None:
     rows = [[getattr(r, c) for c in _CSV_COLUMNS] for r in records]
     write_table(path, "law", _CSV_COLUMNS, rows)
-
-
-def read_law_csv(path: str) -> list[LawRecord]:
-    columns, rows = read_table(path, "law")
-    if columns != _CSV_COLUMNS:
-        raise InvalidParametersError(f"{path}: unexpected column header")
-    types = {f.name: f.type for f in fields(LawRecord)}
-    records = []
-    for parts in rows:
-        kwargs = {}
-        for name, raw in zip(_CSV_COLUMNS, parts):
-            t = types[name]
-            if t == "int":
-                kwargs[name] = int(raw)
-            elif t == "float":
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
-        records.append(LawRecord(**kwargs))
-    return records

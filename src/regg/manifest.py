@@ -152,6 +152,3 @@ class ExperimentConfig:
         if section not in self.values or key not in self.values[section]:
             raise InvalidParametersError(f"unknown config key {section}.{key}")
         return self.values[section][key]
-
-    def as_dict(self) -> dict:
-        return {s: dict(keys) for s, keys in self.values.items()}

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import InvalidParametersError
 from .spectral import (EnvelopeParams, ResolventView, f_envelope,
-                       kesten_mckay_density, m_semicircle, phi_envelope,
-                       semicircle_density)
+                       m_semicircle, phi_envelope)
 
 __all__ = [
     "density_mass",
@@ -39,25 +38,33 @@ def default_zeta(xi: float) -> float:
     return math.log(xi)
 
 
-def density_mass(a: float, b: float, d: int | None = None,
-                 tol: float = 1e-10) -> float:
-    """Integral of the reference density over [a, b] by adaptive quadrature
-    after the substitution x = 2 sin(theta), which removes the square-root
-    endpoint singularity.  d = None selects the semicircle."""
-    from scipy.integrate import quad
+def density_mass(a: float, b: float, d: int | None = None) -> float:
+    """Mass of the reference density on [a, b]: the semicircle for
+    d = None, else the Kesten-McKay density of the d-regular tree.
 
+    Both CDFs are elementary in theta = asin(x/2) on [-2, 2]: the semicircle
+    gives (theta + sin theta cos theta) / pi, and Kesten-McKay gives
+    (theta + (d-2)/2 atan(sin(2 theta) / (d - 1 + cos(2 theta)))) / pi, which
+    equals d/(2 pi) (theta - c atan(c tan theta)) with c = (d-2)/d but has no
+    cancellation at large d.  At d = 2 it is the arcsine law theta / pi.
+    """
     if b < a:
         raise InvalidParametersError("interval endpoints out of order")
+    if d is not None and d < 2:
+        raise InvalidParametersError("Kesten-McKay density needs d >= 2")
+
+    def cdf(x: float) -> float:
+        t = math.asin(x / 2.0)
+        if d is None:
+            return (t + math.sin(t) * math.cos(t)) / math.pi
+        # the denominator is >= 0, so atan2 is the atan, also where it is 0
+        return (t + (d - 2) / 2 * math.atan2(math.sin(2 * t),
+                                             d - 1 + math.cos(2 * t))) / math.pi
+
     lo, hi = max(a, -2.0), min(b, 2.0)
     if lo >= hi:
         return 0.0
-    t0, t1 = math.asin(lo / 2.0), math.asin(hi / 2.0)
-    if d is None:
-        integrand = lambda t: semicircle_density(2 * math.sin(t)) * 2 * math.cos(t)
-    else:
-        integrand = lambda t: kesten_mckay_density(2 * math.sin(t), d) * 2 * math.cos(t)
-    val, _ = quad(integrand, t0, t1, epsabs=tol, limit=200)
-    return float(val)
+    return cdf(hi) - cdf(lo)
 
 
 def _kappa(a: float, b: float) -> float:

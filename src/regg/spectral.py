@@ -153,9 +153,9 @@ class ResolventView:
         vec = self.eigenvectors
         # Fortran-ordered (N, nz) weights: dgemm(1, x.T, w, trans_a=1) is
         # x @ w on scipy's BLAS with no operand copied
-        delta = (self.eigenvalues - zs.real[:, None]).T
-        scale = 1.0 / (delta * delta + zs.imag * zs.imag)
-        w_re, w_im = delta * scale, zs.imag * scale
+        gap = (self.eigenvalues - zs.real[:, None]).T
+        scale = 1.0 / (gap * gap + zs.imag * zs.imag)
+        w_re, w_im = gap * scale, zs.imag * scale
 
         diag = np.empty((self.n, zs.size), dtype=complex)
         sq = vec * vec

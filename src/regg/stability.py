@@ -20,7 +20,6 @@ from .rng import stream
 from .spectral import f_envelope, m_semicircle
 
 __all__ = [
-    "QuadraticPerturbation",
     "MartingaleSpec",
     "ExchangeableEnsemble",
     "solve_two_roots",
@@ -49,28 +48,6 @@ def solve_two_roots(z: complex, R: complex) -> tuple[complex, complex]:
 
 
 @dataclass(frozen=True)
-class QuadraticPerturbation:
-    """A perturbed self-consistent point: s solves s^2 + z s + 1 = R with
-    |R| bounded by (1 + |z|) r."""
-
-    z: complex
-    R: complex
-    r: float
-    s: complex
-
-    def __post_init__(self) -> None:
-        if not complex(self.z).imag > 0:
-            raise InvalidParametersError("z must lie in the upper half-plane")
-        if not 0 <= self.r <= 1:
-            raise InvalidParametersError(f"r must lie in [0, 1], got {self.r}")
-        if abs(self.R) > (1 + abs(self.z)) * self.r + 1e-12:
-            raise InvalidParametersError("|R| exceeds (1 + |z|) r")
-        residual = abs(self.s * self.s + self.z * self.s + 1 - self.R)
-        if residual > 1e-12 * max(1.0, abs(self.s) ** 2):
-            raise InvalidParametersError(f"root residual {residual:.3e}")
-
-
-@dataclass(frozen=True)
 class StabilityResult:
     lhs: float
     rhs: float
@@ -96,6 +73,9 @@ def stability_sweep(npoints: int = 10000, seed: int = 0) -> dict:
     """Randomized deterministic sweep of stability_check over |E| <= 5,
     eta in [1e-4, 3], r in [0, 1], with |R| uniform below its cap and a
     uniform phase."""
+    if npoints < 1:
+        raise InvalidParametersError(
+            f"the sweep needs at least 1 point, got {npoints}")
     rng = stream(seed, 0)
     worst = 0.0
     failures = 0
@@ -208,6 +188,8 @@ def simulate_martingale_tails(spec: MartingaleSpec, runs: int, seed: int,
     if any(abs(v - spec.step_bound ** 2) > 1e-12 for v in spec.variances):
         raise InvalidParametersError(
             "the simulator realizes +-M steps, so variances must equal M^2")
+    if runs < 1:
+        raise InvalidParametersError(f"the tails need at least 1 run, got {runs}")
     rng = stream(seed, 2)
     steps = rng.integers(0, 2, size=(runs, spec.steps), dtype=np.int8)
     walk = np.abs((2 * steps.sum(axis=1, dtype=np.int64) - spec.steps)

@@ -44,26 +44,19 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class DirectedEdgeSpec:
-    """Directed edges naming a switch: (r, rbar), (a, abar) and, for the
-    double switch, (b, bbar).  Each named pair must be an edge of the graph
-    the spec is applied to."""
+    """Directed edges (r, rbar), (a, abar), (b, bbar) naming a double
+    switch.  Each named pair must be an edge of the graph the spec is
+    applied to."""
 
     r: int
     rbar: int
     a: int
     abar: int
-    b: int | None = None
-    bbar: int | None = None
-
-    @property
-    def is_double(self) -> bool:
-        return self.b is not None
+    b: int
+    bbar: int
 
     def vertices(self) -> tuple[int, ...]:
-        v = (self.r, self.rbar, self.a, self.abar)
-        if self.is_double:
-            v += (self.b, self.bbar)
-        return v
+        return (self.r, self.rbar, self.a, self.abar, self.b, self.bbar)
 
 
 @dataclass(frozen=True)
@@ -115,8 +108,6 @@ def _require_edge(g: MultiGraph, x: int, y: int) -> None:
 def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
     """Replace edges {r, rbar}, {a, abar}, {b, bbar} by {rbar, a}, {abar, b},
     {bbar, r}.  Identity unless the six vertices are distinct."""
-    if not spec.is_double:
-        raise InvalidParametersError("double_switch takes a three-edge spec")
     _require_edge(g, spec.r, spec.rbar)
     _require_edge(g, spec.a, spec.abar)
     _require_edge(g, spec.b, spec.bbar)
@@ -199,20 +190,21 @@ def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
 def um_switchable(g: MultiGraph, S) -> bool:
     """True iff the three edges of S span six distinct vertices and the
     induced subgraph of the graph on those vertices contains no further
-    edge."""
+    edge.  Raises InvalidMoveError unless S is three distinct edges of g."""
     edges = {_norm_edge(e) for e in S}
     if len(edges) != 3:
         raise InvalidMoveError("S must consist of three distinct edges")
-    for (x, y) in edges:
-        if g.multiplicity(x, y) != 1:
-            raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
     verts = sorted({v for e in edges for v in e})
-    if len(verts) != 6:
-        return False
+    if verts[0] < 0 or verts[-1] >= g.n:
+        raise InvalidParametersError(f"vertices {verts} out of range [0, {g.n})")
     inside = np.zeros(g.n, dtype=bool)
     inside[verts] = True
     i, j = g.endpoints()
-    return int(np.count_nonzero(inside[i] & inside[j])) == 3  # only the S-edges
+    induced = g.codes[inside[i] & inside[j]].tolist()
+    for (x, y) in edges:
+        if x * g.n + y not in induced:
+            raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
+    return len(verts) == 6 and len(induced) == 3  # only the S-edges, once each
 
 
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -75,7 +75,16 @@ class TestUsage:
                      "--mc", "--samples", "10"],
                     ["invariance", "--model", "permutation", "--n", "4", "--d", "7"],
                     ["invariance", "--model", "permutation", "--n", "4", "--d", "4",
-                     "--mc", "--samples", "10"]):
+                     "--mc", "--samples", "10"],
+                    # counts below 1: an empty sweep, NaN tails or a NaN TV
+                    ["stability", "--check", "sweep", "--points", "-5"],
+                    ["stability", "--check", "sweep", "--points", "0"],
+                    ["stability", "--check", "arcsinh", "--runs", "0"],
+                    ["stability", "--check", "arcsinh", "--runs", "-1"],
+                    ["invariance", "--model", "matching", "--n", "12", "--d", "1",
+                     "--mc", "--samples", "0"],
+                    ["invariance", "--model", "matching", "--n", "12", "--d", "1",
+                     "--mc", "--samples", "-2"]):
             assert run(bad) == EXIT_PRECONDITION
             assert "error: " in capsys.readouterr().err
 
@@ -220,14 +229,15 @@ class TestEigen:
         assert man.results["tv_mean"] < 0.5
 
     def test_intervals_csv_matches_recorded_bytes(self, tmp_path):
-        # sha256 recorded from the eigvalsh path that held two N x N arrays
+        # sha256 recorded with the closed-form reference masses; against the
+        # quadrature masses only the rho column differs, by at most 8e-17
         out = tmp_path / "int.csv"
         code = run(["eigen", "--mode", "intervals", "--model", "matching",
                     "--n", "1500", "--d", "3", "--seed", "5", "--samples", "2",
                     "--out", str(out)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d33d74acfab33f8ada32048bdbf540c07d934848568d7a1e302a280bd418d6a0")
+            "75cee855c5198fb8d282730fc7f1cfd3db54f00bd67b7fad4a7bdf8e856679c8")
 
     @pytest.mark.parametrize("mode", ["deloc", "que"])
     def test_trials_do_not_accumulate_memory(self, tmp_path, mode):
@@ -416,8 +426,9 @@ class TestManifest:
 
 class TestScipyLoading:
     def test_scipy_loads_only_for_linear_algebra(self, tmp_path):
-        # commands that do no linear algebra or quadrature start on numpy
-        # alone; eigen --mode intervals then loads LAPACK and quadrature
+        # commands that do no linear algebra start on numpy alone; eigen
+        # --mode intervals then loads LAPACK, and its reference masses are
+        # closed forms that need no quadrature
         script = textwrap.dedent("""
             import sys
             import regg
@@ -437,8 +448,9 @@ class TestScipyLoading:
             assert regg.cli.main(
                 ["eigen", "--mode", "intervals", "--model", "matching",
                  "--n", "100", "--d", "3", "--out", out + "/km.csv"]) == 0
-            missing = [m for m in heavy[:2] if m not in sys.modules]
-            assert not missing, missing
+            assert "scipy.linalg" in sys.modules
+            loaded = [m for m in heavy[1:] if m in sys.modules]
+            assert not loaded, loaded
         """)
         path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                              os.environ.get("PYTHONPATH")]))

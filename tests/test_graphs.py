@@ -10,8 +10,8 @@ from scipy.stats import chisquare
 from regg import graphs
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import (Matching, ModelKind, MultiGraph, Permutation,
-                         enumerate_simple_regular, from_edgelist,
-                         permutation_pair_matrix, random_matching,
+                         dense_adjacency, enumerate_simple_regular,
+                         from_edgelist, random_matching,
                          sample_configuration_model, sample_matching_model,
                          sample_model, sample_permutation_model,
                          sample_uniform, to_edgelist, uniform_method)
@@ -99,12 +99,12 @@ class TestMatchingModel:
 class TestPermutationModel:
     def test_identity_permutation_gives_loops(self):
         sigma = Permutation(np.arange(3))
-        a = permutation_pair_matrix(sigma)
+        a = dense_adjacency(3, np.arange(3), sigma.mapping)
         assert np.array_equal(a, 2 * np.eye(3, dtype=np.int64))
 
     def test_five_cycle_gives_c5(self):
         sigma = Permutation(np.array([1, 2, 3, 4, 0]))
-        a = permutation_pair_matrix(sigma)
+        a = dense_adjacency(5, np.arange(5), sigma.mapping)
         expect = np.zeros((5, 5), dtype=np.int64)
         for i in range(5):
             expect[i, (i + 1) % 5] = expect[(i + 1) % 5, i] = 1

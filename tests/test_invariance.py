@@ -1,15 +1,13 @@
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
 from regg.invariance import (_split_selections, all_matchings, mc_pivot_tv,
-                             mm_exact_invariance, mm_pivot_conditional_tv,
-                             pm_exact_uniformity, um_alpha_match_rate,
+                             mm_exact_invariance, pm_exact_uniformity, um_alpha_match_rate,
                              um_exact_invariance)
 from regg.switchings import (TripleSelection, triple_space,
                              um_simultaneous_switch, um_switchable)
@@ -39,12 +37,6 @@ class TestMatchingInvariance:
         assert rep.exact_equal
         assert rep.total_inputs == 15 * 25
         assert rep.counts["per_state"] == [25]
-
-    def test_pivot_conditional_tv_decays(self):
-        tvs = [mm_pivot_conditional_tv(n) for n in (4, 6, 8)]
-        assert tvs[0] == Fraction(2, 3)
-        assert tvs[1] == Fraction(12, 25)
-        assert tvs[0] > tvs[1] > tvs[2]
 
 
 class TestUniformInvariance:

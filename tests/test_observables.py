@@ -18,6 +18,116 @@ from regg.spectral import (EnvelopeParams, ResolventView, build_H,
                            m_semicircle, semicircle_density)
 
 
+#: masses of the 44 bins [-2.2 + 0.1 k, -2.1 + 0.1 k) of `eigen --mode
+#: intervals`, recorded from the adaptive quadrature density_mass ran before
+#: its closed form (scipy quad after x = 2 sin theta, epsabs 1e-10); keyed
+#: by d, None for the semicircle
+QUADRATURE_MASSES = {
+    None: [
+        0.0, 0.0, 0.006660005505070603,
+        0.01203303122917869, 0.015380683282097317, 0.0179702993145673,
+        0.020102787076279823, 0.021913395779899883, 0.02347720504377677,
+        0.024841082701776596, 0.026036574441819595, 0.027086045103418714,
+        0.028005950613655087, 0.02880872764280508, 0.029503953352009487,
+        0.030099091304181494, 0.030599988846609867, 0.031011217815184657,
+        0.03133631211677596, 0.03157793461566215, 0.03173799348681427,
+        0.03181772072841669, 0.03181772072841669, 0.03173799348681427,
+        0.03157793461566208, 0.03133631211677596, 0.03101121781518473,
+        0.030599988846609867, 0.030099091304181494, 0.029503953352009397,
+        0.028808727642805107, 0.028005950613655142, 0.027086045103418714,
+        0.026036574441819595, 0.02484108270177647, 0.02347720504377682,
+        0.02191339577989996, 0.020102787076279823, 0.0179702993145673,
+        0.015380683282097263, 0.012033031229178762, 0.006660005505070597,
+        0.0, 0.0,
+    ],
+    2: [
+        0.0, 0.0, 0.10108262410436009,
+        0.042483669024446405, 0.03303554363269165, 0.028230927937735587,
+        0.025220691463482457, 0.023129854944019056, 0.021585567373895435,
+        0.020398356820336142, 0.01946047042562375, 0.01870562760684305,
+        0.018090644719983288, 0.017586141512228762, 0.017171463130439806,
+        0.016831733283336512, 0.01655606076551207, 0.01633640640619129,
+        0.016166847078538066, 0.016043089341176934, 0.015962147192599595,
+        0.015922133236660356, 0.015922133236660356, 0.015962147192599595,
+        0.0160430893411769, 0.016166847078538066, 0.01633640640619133,
+        0.01655606076551207, 0.016831733283336512, 0.017171463130439754,
+        0.017586141512228783, 0.018090644719983326, 0.01870562760684305,
+        0.01946047042562375, 0.020398356820336035, 0.021585567373895474,
+        0.023129854944019125, 0.025220691463482457, 0.028230927937735587,
+        0.033035543632691504, 0.04248366902444661, 0.10108262410436003,
+        0.0, 0.0,
+    ],
+    3: [
+        0.0, 0.0, 0.027741634021925487,
+        0.03354553841052506, 0.032154086383333905, 0.03037035760674398,
+        0.028781931862049356, 0.02744217588804581, 0.026321782615413996,
+        0.025382911351946844, 0.02459295127541308, 0.023926060165521637,
+        0.02336220100936348, 0.022885887997412487, 0.022485124158071326,
+        0.022150588938057242, 0.021875037579602713, 0.021652862362249777,
+        0.02147977393116302, 0.02135257162946184, 0.021268980809306257,
+        0.021227542004392707, 0.021227542004392707, 0.021268980809306257,
+        0.021352571629461796, 0.02147977393116302, 0.021652862362249826,
+        0.021875037579602713, 0.022150588938057242, 0.022485124158071256,
+        0.02288588799741251, 0.023362201009363526, 0.023926060165521637,
+        0.02459295127541308, 0.025382911351946712, 0.026321782615414045,
+        0.027442175888045896, 0.028781931862049356, 0.03037035760674398,
+        0.032154086383333766, 0.033545538410525245, 0.02774163402192547,
+        0.0, 0.0,
+    ],
+    4: [
+        0.0, 0.0, 0.01705609525377811,
+        0.02514597695675521, 0.027090736568270327, 0.02753976243046206,
+        0.027446152712534973, 0.027140026303425265, 0.026757200340277256,
+        0.026358771256138013, 0.0259734314110888, 0.025614700944970075,
+        0.025288643849037548, 0.024997567017289536, 0.024741884811897277,
+        0.024521094083902763, 0.024334297360365506, 0.024180488180695393,
+        0.024058707852999076, 0.023968131428967247, 0.023908114317130594,
+        0.02387821692001503, 0.02387821692001503, 0.023908114317130594,
+        0.023968131428967192, 0.024058707852999076, 0.024180488180695445,
+        0.024334297360365506, 0.024521094083902763, 0.0247418848118972,
+        0.02499756701728956, 0.025288643849037597, 0.025614700944970075,
+        0.0259734314110888, 0.026358771256137878, 0.026757200340277305,
+        0.027140026303425352, 0.027446152712534973, 0.02753976243046206,
+        0.02709073656827022, 0.025145976956755346, 0.0170560952537781,
+        0.0, 0.0,
+    ],
+    10: [
+        0.0, 0.0, 0.00906731802056698,
+        0.015634749472824463, 0.019101716399873462, 0.02141804551339334,
+        0.023081790211595503, 0.024324299162764157, 0.025275505199945012,
+        0.026016231013892475, 0.0266000937343136, 0.027064271207384097,
+        0.027435379676613247, 0.027732929621718798, 0.027971472150105533,
+        0.02816198873102382, 0.028312820015002644, 0.028430301328494133,
+        0.028519204198993443, 0.0285830448862536, 0.028624298241600215,
+        0.02864454121364147, 0.02864454121364147, 0.028624298241600215,
+        0.028583044886253538, 0.028519204198993443, 0.028430301328494195,
+        0.028312820015002644, 0.02816198873102382, 0.02797147215010545,
+        0.027732929621718833, 0.027435379676613303, 0.027064271207384097,
+        0.0266000937343136, 0.026016231013892343, 0.02527550519994506,
+        0.02432429916276424, 0.023081790211595503, 0.02141804551339334,
+        0.0191017163998734, 0.01563474947282456, 0.009067318020566975,
+        0.0, 0.0,
+    ],
+    40: [
+        0.0, 0.0, 0.007149622720782925,
+        0.012797001836038458, 0.0162040451970297, 0.01876517615871643,
+        0.020818629278191877, 0.022519174371447275, 0.023954162724008327,
+        0.025178955845565624, 0.026231328538863244, 0.02713838805356729,
+        0.02792029207423581, 0.028592414866986347, 0.02916668851874734,
+        0.029652473171898848, 0.03005714227577904, 0.030386486744090564,
+        0.03064499890883033, 0.030836073326388415, 0.030962147591029422,
+        0.031024797797802775, 0.031024797797802775, 0.030962147591029422,
+        0.030836073326388345, 0.03064499890883033, 0.03038648674409063,
+        0.03005714227577904, 0.029652473171898848, 0.029166688518747253,
+        0.028592414866986382, 0.027920292074235867, 0.02713838805356729,
+        0.026231328538863244, 0.025178955845565495, 0.023954162724008375,
+        0.02251917437144736, 0.020818629278191877, 0.01876517615871643,
+        0.016204045197029643, 0.012797001836038538, 0.00714962272078292,
+        0.0, 0.0,
+    ],
+}
+
+
 @pytest.fixture(scope="module")
 def view():
     g = sample_permutation_model(300, 20, stream(50, 0))
@@ -47,6 +157,20 @@ class TestDensityMass:
     def test_order_validated(self):
         with pytest.raises(InvalidParametersError):
             density_mass(1.0, 0.0)
+
+    def test_degree_validated(self):
+        for d in (1, 0):
+            with pytest.raises(InvalidParametersError):
+                density_mass(0.0, 1.0, d=d)
+
+    def test_density_mass_matches_quadrature(self):
+        edges = [-2.2 + k * 0.1 for k in range(45)]
+        for d, masses in QUADRATURE_MASSES.items():
+            # quad is the less accurate side at d = 2, where the arcsine
+            # density is unbounded at the edges
+            tol = 1e-12 if d == 2 else 1e-13
+            got = [density_mass(a, b, d) for a, b in zip(edges, edges[1:])]
+            assert np.abs(np.subtract(got, masses)).max() < tol, d
 
 
 class TestIntervalCount:

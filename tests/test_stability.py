@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.spectral import m_semicircle
 from regg.stability import (ExchangeableEnsemble, MartingaleSpec,
-                            QuadraticPerturbation, arcsinh_tail_bound,
+                            arcsinh_tail_bound,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
                             exchangeable_moment_exact, exchangeable_moment_mc,
@@ -30,23 +30,6 @@ class TestRoots:
         z, R = 0.3 + 0.7j, 0.2 - 0.1j
         for s in solve_two_roots(z, R):
             assert abs(s * s + z * s + 1 - R) < 1e-12
-
-
-class TestQuadraticPerturbation:
-    def test_valid_instance(self):
-        z, r = 1j, 0.1
-        R = 0.05 + 0.05j
-        s = solve_two_roots(z, R)[0]
-        QuadraticPerturbation(z=z, R=R, r=r, s=s)
-
-    def test_rejects_bad_residual(self):
-        with pytest.raises(InvalidParametersError):
-            QuadraticPerturbation(z=1j, R=0.0, r=0.1, s=1.0 + 1.0j)
-
-    def test_rejects_oversized_r(self):
-        s = solve_two_roots(1j, 1.0)[0]
-        with pytest.raises(InvalidParametersError):
-            QuadraticPerturbation(z=1j, R=1.0, r=0.1, s=s)
 
 
 class TestStabilityCheck:

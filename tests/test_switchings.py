@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from regg.errors import (InvalidMoveError, InvalidParametersError,
                          NumericalDegeneracyError)
-from regg.graphs import (Matching, MultiGraph, Permutation,
-                         enumerate_simple_regular, permutation_pair_matrix,
-                         random_matching, random_permutation,
-                         sample_uniform)
+from regg.graphs import (Matching, MultiGraph, Permutation, dense_adjacency,
+                         enumerate_simple_regular, random_matching,
+                         random_permutation, sample_uniform)
 from regg.rng import stream
 from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              double_switch, mm_resample, mm_switch,
@@ -61,9 +60,9 @@ class TestDoubleSwitch:
         assert out is g
 
     def test_single_spec_rejected(self):
-        g = cycle_graph(8)
-        with pytest.raises(InvalidParametersError):
-            double_switch(g, DirectedEdgeSpec(0, 1, 2, 3))
+        # a switch names three directed edges; there is no single switch
+        with pytest.raises(TypeError):
+            DirectedEdgeSpec(0, 1, 2, 3)
 
     def test_missing_edge_rejected(self):
         g = cycle_graph(8)
@@ -141,6 +140,12 @@ class TestTripleMachinery:
         g = enumerate_simple_regular(6, 3)[0]
         with pytest.raises(InvalidMoveError):
             um_switchable(g, (((0, 1), (0, 1), (2, 3))))
+        # three distinct pairs, one of them not an edge of g
+        g = cycle_graph(9)
+        for S in (((0, 1), (2, 3), (4, 6)), ((0, 4), (2, 3), (5, 6))):
+            with pytest.raises(InvalidMoveError):
+                um_switchable(g, S)
+        assert um_switchable(g, ((0, 1), (3, 4), (6, 7)))
 
 
 class TestSimultaneousSwitch:
@@ -240,7 +245,7 @@ class TestPermutationSwitch:
         rng = stream(25, 0)
         pi = Permutation(np.array([1, 0, 3, 2, 5, 4]))
         out = pm_switch(pi, 3, 4, 2, 5)
-        a = permutation_pair_matrix(out)
+        a = dense_adjacency(out.n, np.arange(out.n), out.mapping)
         assert np.all(a.sum(axis=1) == 2)
 
 
