@@ -297,8 +297,10 @@ def _cmd_stability(args, argv) -> int:
         if name == "sweep":
             checks.append(stab_mod.stability_sweep(args.points, seed=seed))
         elif name == "ladder":
-            checks.append(stab_mod.ladder_sweep(max(1, args.points // 50),
-                                                seed=seed))
+            # one track per 50 points, at least one; a point count below 1
+            # passes through for ladder_sweep to reject
+            checks.append(stab_mod.ladder_sweep(
+                min(args.points, max(1, args.points // 50)), seed=seed))
         elif name == "arcsinh":
             spec = stab_mod.MartingaleSpec(step_bound=1.0, variances=(1.0,) * 100)
             checks.append(stab_mod.simulate_martingale_tails(

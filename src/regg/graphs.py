@@ -71,10 +71,12 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
-def _simple(codes: np.ndarray, n: int) -> bool:
-    """True when the sorted edge codes hold no loop (a loop's code i*n + i
-    is a multiple of n + 1) and no repeated code."""
-    return bool((codes % (n + 1)).all() and (np.diff(codes) != 0).all())
+def _simple(codes: np.ndarray, n: int) -> np.ndarray:
+    """Whether the sorted edge codes along the last axis hold no loop (a
+    loop's code i*n + i is a multiple of n + 1) and no repeated code: one
+    flag per row."""
+    return ((codes % (n + 1)).all(axis=-1)
+            & (codes[..., 1:] != codes[..., :-1]).all(axis=-1))
 
 
 def dense_adjacency(n: int, u, v, dtype=np.int64, copies: int = 1) -> np.ndarray:
@@ -162,7 +164,7 @@ class MultiGraph:
     @property
     def simple(self) -> bool:
         """True when there are no loops and no multi-edges."""
-        return _simple(self.codes, self.n)
+        return bool(_simple(self.codes, self.n))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct edges as arrays (i, j, multiplicity) with i <= j, in
@@ -297,16 +299,20 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
     return MultiGraph(n, d, _join(parts))
 
 
-def _configuration_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    stubs = np.repeat(np.arange(n), d)
-    rng.shuffle(stubs)
-    return _codes(n, stubs[0::2], stubs[1::2])
+def _configuration_codes(n: int, d: int, rng: np.random.Generator,
+                         rows: int = 1) -> np.ndarray:
+    """Edge codes of `rows` independent uniform pairings of the n*d stubs,
+    one pairing per row: one rng.permuted call shuffles each row of sorted
+    stubs on its own, and consecutive stubs are paired."""
+    stubs = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
+    rng.permuted(stubs, axis=1, out=stubs)
+    return _codes(n, stubs[:, 0::2], stubs[:, 1::2])
 
 
 def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
     """Uniform pairing of the n*d half-edges, projected to a multigraph."""
     ModelKind.CONFIGURATION.check_parity(n, d)
-    return MultiGraph(n, d, _configuration_codes(n, d, rng))
+    return MultiGraph(n, d, _configuration_codes(n, d, rng)[0])
 
 
 def _circulant_simple(n: int, d: int) -> np.ndarray:
@@ -401,19 +407,57 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
     return [x * n + y for x, y in edges]
 
 
+def _expected_tries(d: int) -> float:
+    """Expected configuration pairings per simple one: a pairing is simple
+    with probability about exp(-(d^2 - 1)/4) whatever n is
+    (Bender-Canfield; McKay-Wormald)."""
+    return math.exp(min((d * d - 1) / 4, 700.0))  # finite float
+
+
+#: most stubs (rows times n*d) one block of rejection tries holds: 128 KiB
+#: of int64, so a block stays small next to the sampled graph's arrays
+_REJECTION_STUBS = 1 << 14
+
+
+def _rejection_codes(n: int, d: int, rng: np.random.Generator,
+                     max_tries: int) -> np.ndarray:
+    """Sorted edge codes of the first simple configuration pairing, drawn
+    in blocks; raises BudgetExceededError after max_tries pairings.
+
+    A block is B rows of _configuration_codes, each a uniform pairing
+    independent of all rows before it, so the first simple row is exactly
+    uniform over simple graphs.  Rows after it are discarded.  B is twice
+    the expected tries, so most blocks hold a simple row, but at most
+    _REJECTION_STUBS // (n*d) and at least 1, and never more than the
+    tries left: every examined row counts against max_tries.
+    """
+    rows = max(1, min(math.ceil(2 * _expected_tries(d)),
+                      _REJECTION_STUBS // max(n * d, 1)))
+    tries = 0
+    while tries < max_tries:
+        block = min(rows, max_tries - tries)
+        codes = np.sort(_configuration_codes(n, d, rng, block), axis=1)
+        simple = _simple(codes, n)
+        first = simple.argmax()
+        if simple[first]:
+            return codes[first]
+        tries += block
+    raise BudgetExceededError(
+        f"rejection sampler: no simple graph in {max_tries} tries "
+        f"(n={n}, d={d}); try method='switching-chain'")
+
+
 def uniform_method(n: int, d: int, method: str = "auto",
                    max_tries: int = 100000) -> str:
     """The method sample_uniform uses for these arguments.
 
-    A configuration-model graph is simple with probability about
-    exp(-(d^2 - 1)/4) whatever n is (Bender-Canfield; McKay-Wormald), so
-    rejection needs that many tries in expectation.  "auto" resolves to
-    "rejection" when d <= 2 ln n and the expected tries are at most
-    max_tries / 10, and to "switching-chain" otherwise.  A forced
-    "rejection" whose expected tries exceed max_tries raises
-    BudgetExceededError at once.
+    Rejection needs _expected_tries(d), about exp((d^2 - 1)/4),
+    configuration pairings in expectation.  "auto" resolves to "rejection"
+    when d <= 2 ln n and the expected tries are at most max_tries / 10,
+    and to "switching-chain" otherwise.  A forced "rejection" whose
+    expected tries exceed max_tries raises BudgetExceededError at once.
     """
-    expected_tries = math.exp(min((d * d - 1) / 4, 700.0))  # finite float
+    expected_tries = _expected_tries(d)
     if method == "auto":
         fits = d <= 2 * math.log(n) and expected_tries <= max_tries / 10
         return "rejection" if fits else "switching-chain"
@@ -430,25 +474,19 @@ def sample_uniform(n: int, d: int, rng: np.random.Generator,
                    method: str = "auto", max_tries: int = 100000) -> MultiGraph:
     """Sample a simple d-regular graph.
 
-    method="rejection" resamples the configuration model until the result
-    is simple (exactly uniform).  method="switching-chain" makes 10*n*d
-    double-switching proposals from a deterministic circulant start and is
-    only approximately uniform; a proposal that repeats an edge is redrawn
-    and not counted, and the chain needs at least 3 edges.  method="auto"
-    chooses by uniform_method.
+    method="rejection" draws configuration pairings, in blocks, until one
+    is simple (exactly uniform; see _rejection_codes) and raises
+    BudgetExceededError after max_tries of them.  method="switching-chain"
+    makes 10*n*d double-switching proposals from a deterministic circulant
+    start and is only approximately uniform; a proposal that repeats an
+    edge is redrawn and not counted, and the chain needs at least 3 edges.
+    method="auto" chooses by uniform_method.
     """
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
         raise InvalidParametersError("simple graph needs d < n")
     if uniform_method(n, d, method, max_tries) == "rejection":
-        for _ in range(max_tries):
-            codes = np.sort(_configuration_codes(n, d, rng))
-            if _simple(codes, n):
-                return MultiGraph(n, d, codes)
-        raise BudgetExceededError(
-            f"rejection sampler: no simple graph in {max_tries} tries "
-            f"(n={n}, d={d}); try method='switching-chain'"
-        )
+        return MultiGraph(n, d, _rejection_codes(n, d, rng, max_tries))
     codes = _chain_burn_in(_circulant_simple(n, d), n, rng, moves=10 * n * d)
     return MultiGraph(n, d, codes)
 

@@ -28,9 +28,9 @@ from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import (Matching, ModelKind, Permutation, enumerate_simple_regular,
                      random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _active_triples, mm_resample,
-                         mm_switch, pm_switch, triple_space, um_resample,
-                         um_simultaneous_switch, um_switchable)
+from .switchings import (TripleSelection, _active_triples, _switchable,
+                         mm_resample, mm_switch, pm_switch, triple_space,
+                         um_resample, um_simultaneous_switch)
 
 __all__ = [
     "InvarianceReport",
@@ -181,8 +181,10 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     transitions: Counter[tuple[int, int]] = Counter()
     off_states = 0
     for src, g in enumerate(graphs):
-        space = [[(t, um_switchable(g, t)) for t in triples]
-                 for triples in triple_space(g)]
+        space = triple_space(g)
+        flags = iter(_switchable(g, [t for triples in space for t in triples])
+                     .tolist())
+        space = [[(t, next(flags)) for t in triples] for triples in space]
         idle, selections = _split_selections(space)
         transitions[src, src] += idle * 8**d
         for picked in selections:

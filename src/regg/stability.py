@@ -132,6 +132,9 @@ def ladder_check(E: float, r: float, phase: float, eta_top: float = 3.0,
 
 def ladder_sweep(ntracks: int = 200, seed: int = 1) -> dict:
     """Randomized collection of ladder checks."""
+    if ntracks < 1:
+        raise InvalidParametersError(
+            f"the ladder sweep needs at least 1 track, got {ntracks}")
     rng = stream(seed, 1)
     worst = 0.0
     failures = 0

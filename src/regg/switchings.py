@@ -187,24 +187,41 @@ def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
     return out
 
 
+#: the 21 index pairs i <= j among a triple's six endpoints
+_SIX_PAIRS = np.triu_indices(6)
+
+
+def _switchable(g: MultiGraph, triples) -> np.ndarray:
+    """One flag per triple of three distinct edges of g, given as an array
+    of shape (T, 3, 2): whether its six endpoints are distinct and the
+    subgraph of g they induce holds only the triple's three edges, once
+    each.
+
+    The edge copies on the 21 pairs (loops included) of each triple's six
+    sorted endpoints are counted for all T triples at once, by looking up
+    their codes.  The count alone decides: it is at least 3, one for each
+    triple edge, and a vertex shared by two triple edges makes one of them
+    count twice, so it is exactly 3 only for six distinct endpoints with
+    no further edge among them.
+    """
+    v = np.sort(np.asarray(triples, dtype=np.int64).reshape(-1, 6), axis=1)
+    pairs = v[:, _SIX_PAIRS[0]] * g.n + v[:, _SIX_PAIRS[1]]
+    induced = (g.codes.searchsorted(pairs, "right")
+               - g.codes.searchsorted(pairs, "left")).sum(axis=1)
+    return induced == 3
+
+
 def um_switchable(g: MultiGraph, S) -> bool:
     """True iff the three edges of S span six distinct vertices and the
     induced subgraph of the graph on those vertices contains no further
-    edge.  Raises InvalidMoveError unless S is three distinct edges of g."""
-    edges = {_norm_edge(e) for e in S}
+    edge.  Raises InvalidMoveError unless S is three distinct edges of g,
+    and InvalidParametersError for a vertex outside the graph."""
+    edges = sorted({_norm_edge(e) for e in S})
     if len(edges) != 3:
         raise InvalidMoveError("S must consist of three distinct edges")
-    verts = sorted({v for e in edges for v in e})
-    if verts[0] < 0 or verts[-1] >= g.n:
-        raise InvalidParametersError(f"vertices {verts} out of range [0, {g.n})")
-    inside = np.zeros(g.n, dtype=bool)
-    inside[verts] = True
-    i, j = g.endpoints()
-    induced = g.codes[inside[i] & inside[j]].tolist()
     for (x, y) in edges:
-        if x * g.n + y not in induced:
-            raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
-    return len(verts) == 6 and len(induced) == 3  # only the S-edges, once each
+        _require_edge(g, x, y)
+    return bool(_switchable(g, [edges])[0])
 
 
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -263,13 +280,12 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
         if len(edges) != 3 or e_mu not in edges:
             raise InvalidMoveError(f"triple {mu} must contain the pivot edge {e_mu}")
         for (x, y) in edges:
-            if g.multiplicity(x, y) != 1:
-                raise InvalidMoveError(f"triple {mu}: ({x}, {y}) is not an edge")
             if (x, y) != e_mu and x == 0:
                 raise InvalidMoveError(
                     f"triple {mu}: extra edge ({x}, {y}) touches the pivot")
         norm_triples.append(edges)
 
+    # um_switchable raises InvalidMoveError for a triple edge not in g
     active = _active_triples(norm_triples,
                              [um_switchable(g, t) for t in norm_triples])
     out = g

@@ -79,6 +79,8 @@ class TestUsage:
                     # counts below 1: an empty sweep, NaN tails or a NaN TV
                     ["stability", "--check", "sweep", "--points", "-5"],
                     ["stability", "--check", "sweep", "--points", "0"],
+                    ["stability", "--check", "ladder", "--points", "-5"],
+                    ["stability", "--check", "ladder", "--points", "0"],
                     ["stability", "--check", "arcsinh", "--runs", "0"],
                     ["stability", "--check", "arcsinh", "--runs", "-1"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
@@ -282,6 +284,13 @@ class TestStability:
         names = {c["check"] for c in payload["checks"]}
         assert {"stability_sweep", "ladder_sweep", "arcsinh_tails",
                 "exchangeable_vector_bound"} <= names
+
+    def test_ladder_runs_a_track_per_50_points_and_at_least_one(self, capsys):
+        for points, tracks in ((10, 1), (120, 2)):
+            assert run(["stability", "--check", "ladder", "--points",
+                        str(points), "--seed", "0"]) == EXIT_OK
+            (check,) = json.loads(capsys.readouterr().out)["checks"]
+            assert check["tracks"] == tracks
 
 
 class TestReport:

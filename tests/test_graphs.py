@@ -69,6 +69,16 @@ class TestMultiGraph:
         assert not MultiGraph.from_adjacency(2, 2, np.array([[0, 2], [2, 0]])).simple
         assert not MultiGraph.from_adjacency(1, 2, np.array([[2]])).simple
 
+    def test_simple_rows(self):
+        # the rejection sampler tests a block of sorted code rows at once;
+        # each row's flag must be the one MultiGraph.simple gives
+        rows = [sample_configuration_model(6, 3, stream(s, 0)).codes
+                for s in range(20)]
+        rows += [g.codes for g in enumerate_simple_regular(6, 3)[:5]]
+        flags = graphs._simple(np.stack(rows), 6)
+        assert flags.tolist() == [MultiGraph(6, 3, r).simple for r in rows]
+        assert set(flags.tolist()) == {True, False}
+
 
 class TestMatchingModel:
     def test_d1_is_single_matching(self):
@@ -154,6 +164,14 @@ class TestUniformModel:
         assert all(c > 0 for c in oracle.values())
         _, p = chisquare(list(oracle.values()))
         assert p > 0.001
+
+    def test_rejection_budget_counts_every_pairing(self):
+        # Seed 2 draws no simple pairing among its first 8 at (6, 3).  A
+        # block holds 15 rows there, so a budget counted in blocks would
+        # go on to about a hundred pairings and almost surely find one.
+        with pytest.raises(BudgetExceededError, match="in 8 tries"):
+            sample_uniform(6, 3, stream(2, 0), method="rejection", max_tries=8)
+        assert sample_uniform(6, 3, stream(2, 0), method="rejection").simple
 
     def test_switching_chain_output_simple(self):
         g = sample_uniform(24, 10, stream(8, 0), method="switching-chain")

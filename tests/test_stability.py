@@ -57,6 +57,13 @@ class TestLadder:
         out = ladder_sweep(ntracks=50, seed=1)
         assert out["pass"] and out["failures"] == 0
 
+    def test_sweep_needs_a_track(self):
+        # an empty sweep has no failures and would report a pass
+        for ntracks in (0, -1):
+            with pytest.raises(InvalidParametersError):
+                ladder_sweep(ntracks=ntracks, seed=1)
+        assert ladder_sweep(ntracks=1, seed=1)["tracks"] == 1
+
 
 class TestArcsinhBound:
     def test_example_value(self):

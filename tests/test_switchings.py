@@ -17,7 +17,7 @@ from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              pivot_edges, pm_switch,
                              switch_pair_table, triple_space, um_resample,
                              um_simultaneous_switch, um_switchable,
-                             _unrank_pair)
+                             _switchable, _unrank_pair)
 from regg.spectral import build_H, resolvent_solve
 
 
@@ -136,6 +136,36 @@ class TestTripleMachinery:
                     assert g.adj[np.ix_(verts, verts)].sum() == 6
         assert seen == {True, False}
 
+    def test_switchable_per_graph_matches_one_triple(self):
+        # _switchable decides all triples of a graph in one pass; it must
+        # agree with the validated one-triple um_switchable, and with the
+        # definition read off the dense adjacency, on every triple of every
+        # (8, 2) graph (none switchable: d = 2 needs n >= 9) and of a
+        # (16, 3) sample that has switchable triples
+        graphs = enumerate_simple_regular(8, 2)
+        graphs.append(sample_uniform(16, 3, stream(31, 0)))
+        seen = set()
+        for g in graphs:
+            triples = [t for space in triple_space(g) for t in space]
+            flags = _switchable(g, triples).tolist()
+            assert flags == [um_switchable(g, t) for t in triples]
+            for t, ok in zip(triples, flags):
+                verts = sorted({v for e in t for v in e})
+                assert ok == (len(verts) == 6
+                              and g.adj[np.ix_(verts, verts)].sum() == 6)
+            seen.add((g.n, any(flags)))
+        assert seen == {(8, False), (16, True)}
+
+    def test_loop_at_a_triple_vertex_blocks_the_switch(self):
+        # a 3-regular multigraph on 10 vertices: the triple's six vertices
+        # carry only its three edges and a loop at 0, and the loop counts
+        # as a further induced edge
+        edges = [(0, 0), (0, 1), (2, 3), (4, 5), (1, 7), (1, 8), (2, 7),
+                 (2, 8), (3, 8), (3, 9), (4, 6), (4, 9), (5, 6), (5, 9),
+                 (6, 7)]
+        g = MultiGraph(10, 3, [x * 10 + y for x, y in edges])
+        assert not um_switchable(g, ((0, 1), (2, 3), (4, 5)))
+
     def test_switchable_rejects_non_edges(self):
         g = enumerate_simple_regular(6, 3)[0]
         with pytest.raises(InvalidMoveError):
@@ -197,6 +227,14 @@ class TestSimultaneousSwitch:
         space = triple_space(g)
         bad = (space[1][0], space[1][0], space[2][0])
         with pytest.raises(InvalidMoveError):
+            um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
+
+    def test_triple_with_non_edge_rejected(self):
+        g = enumerate_simple_regular(6, 3)[0]
+        space = triple_space(g)
+        assert g.multiplicity(1, 3) == 0 and g.multiplicity(4, 5) == 1
+        bad = (((0, 1), (1, 3), (4, 5)), space[1][0], space[2][0])
+        with pytest.raises(InvalidMoveError, match="not an edge"):
             um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
 
     def test_switch_index_range_enforced(self):
