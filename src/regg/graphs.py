@@ -133,30 +133,6 @@ class MultiGraph:
         c.flags.writeable = False
         object.__setattr__(self, "codes", c)
 
-    @classmethod
-    def from_adjacency(cls, n: int, deg: int, adj) -> "MultiGraph":
-        """The graph of a dense (n, n) symmetric nonnegative integer matrix
-        whose diagonal entries are even (twice the loop count) and whose
-        rows all sum to deg."""
-        a = np.asarray(adj, dtype=np.int64)
-        if a.shape != (n, n):
-            raise InvalidParametersError(f"adjacency shape {a.shape} != ({n}, {n})")
-        if (a < 0).any():
-            raise InvalidParametersError("adjacency entries must be nonnegative")
-        if not np.array_equal(a, a.T):
-            raise InvalidParametersError("adjacency must be symmetric")
-        if (np.diag(a) % 2).any():
-            raise InvalidParametersError("diagonal entries must be even (loops count two)")
-        rows = a.sum(axis=1)
-        if not np.all(rows == deg):
-            raise InvalidParametersError(
-                f"not {deg}-regular: row sums range "
-                f"[{rows.min()}, {rows.max()}]"
-            )
-        i, j = np.nonzero(np.triu(a))
-        copies = np.where(i == j, a[i, j] // 2, a[i, j])
-        return cls(n, deg, np.repeat(_codes(n, i, j), copies))
-
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (i, j), i <= j, of the edge copies in code order."""
         return np.divmod(self.codes, self.n)
@@ -371,40 +347,53 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
     repeated edge is redrawn and does not count).  Moves that would create
     a loop or multi-edge are rejected, which keeps the chain inside the
     simple graphs.
+
+    Edge e is held as its code and as its endpoints i < j at ends[2e] and
+    ends[2e + 1], so an edge drawn with orientation bit f runs from
+    ends[2e + f] to ends[2e + f ^ 1].  Returns the codes in edge order.
     """
-    edges = [divmod(c, n) for c in codes.tolist()]
-    present = set(codes.tolist())
-    m = len(edges)
+    codes = codes.tolist()
+    m = len(codes)
     if m < 3:
         raise InvalidParametersError(
             f"the switching chain needs at least 3 edges, got {m}")
+    ends = [x for c in codes for x in divmod(c, n)]
+    present = set(codes)
     for idx, flip in _chain_proposals(m, moves, rng):
-        for (e1, e2, e3), (f1, f2, f3) in zip(idx.tolist(), flip.tolist()):
-            r, rb = edges[e1]
-            if f1:
-                r, rb = rb, r
-            aa, ab = edges[e2]
-            if f2:
-                aa, ab = ab, aa
-            b, bb = edges[e3]
-            if f3:
-                b, bb = bb, b
+        for p1, p2, p3 in zip(*(2 * idx + flip).T.tolist()):
+            r, rb = ends[p1], ends[p1 ^ 1]
+            aa, ab = ends[p2], ends[p2 ^ 1]
+            b, bb = ends[p3], ends[p3 ^ 1]
             if len({r, rb, aa, ab, b, bb}) < 6:
                 continue
             # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
-            new1 = (rb, aa) if rb < aa else (aa, rb)
-            new2 = (ab, b) if ab < b else (b, ab)
-            new3 = (bb, r) if bb < r else (r, bb)
-            c1 = new1[0] * n + new1[1]
-            c2 = new2[0] * n + new2[1]
-            c3 = new3[0] * n + new3[1]
-            if c1 in present or c2 in present or c3 in present:
+            if rb > aa:
+                rb, aa = aa, rb
+            c1 = rb * n + aa
+            if c1 in present:
                 continue
-            for x, y in (edges[e1], edges[e2], edges[e3]):
-                present.remove(x * n + y)
-            present.update((c1, c2, c3))
-            edges[e1], edges[e2], edges[e3] = new1, new2, new3
-    return [x * n + y for x, y in edges]
+            if ab > b:
+                ab, b = b, ab
+            c2 = ab * n + b
+            if c2 in present:
+                continue
+            if bb > r:
+                bb, r = r, bb
+            c3 = bb * n + r
+            if c3 in present:
+                continue
+            e1, e2, e3 = p1 >> 1, p2 >> 1, p3 >> 1
+            present.remove(codes[e1])
+            present.remove(codes[e2])
+            present.remove(codes[e3])
+            present.add(c1)
+            present.add(c2)
+            present.add(c3)
+            codes[e1], codes[e2], codes[e3] = c1, c2, c3
+            ends[2 * e1], ends[2 * e1 + 1] = rb, aa
+            ends[2 * e2], ends[2 * e2 + 1] = ab, b
+            ends[2 * e3], ends[2 * e3 + 1] = bb, r
+    return codes
 
 
 def _expected_tries(d: int) -> float:
@@ -497,7 +486,10 @@ def enumerate_simple_regular(n: int, d: int) -> list[MultiGraph]:
     Canonical lexicographic backtracking over edge sets: the smallest vertex
     with missing degree is completed first, choosing its remaining partners
     among strictly larger vertices, so every edge set is produced in exactly
-    one order.  Independent of the sampler code paths.
+    one order.  The edges {u, v} come out with u nondecreasing and, for each
+    u, v increasing, so their codes u*n + v are built already sorted; each
+    graph is still validated by MultiGraph.  Independent of the sampler code
+    paths.
     """
     if n > 10:
         raise BudgetExceededError(f"enumeration limited to n <= 10, got {n}")
@@ -507,29 +499,30 @@ def enumerate_simple_regular(n: int, d: int) -> list[MultiGraph]:
         return []
     results: list[MultiGraph] = []
     rem = [d] * n
-    adj = np.zeros((n, n), dtype=np.int64)
+    codes: list[int] = []
 
-    def rec() -> None:
-        u = next((v for v in range(n) if rem[v] > 0), None)
+    def rec(start: int) -> None:
+        # the vertices before start are complete
+        u = next((v for v in range(start, n) if rem[v]), None)
         if u is None:
-            results.append(MultiGraph.from_adjacency(n, d, adj.copy()))
+            results.append(MultiGraph(n, d, np.array(codes, dtype=np.int64)))
             return
         need = rem[u]
-        cands = [v for v in range(u + 1, n) if rem[v] > 0]
+        cands = [v for v in range(u + 1, n) if rem[v]]
         if len(cands) < need:
             return
+        rem[u] = 0
         for combo in itertools.combinations(cands, need):
-            rem[u] = 0
             for v in combo:
                 rem[v] -= 1
-                adj[u, v] = adj[v, u] = 1
-            rec()
-            rem[u] = need
+                codes.append(u * n + v)
+            rec(u + 1)
+            del codes[-need:]
             for v in combo:
                 rem[v] += 1
-                adj[u, v] = adj[v, u] = 0
+        rem[u] = need
 
-    rec()
+    rec(0)
     return results
 
 

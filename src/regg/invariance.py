@@ -10,9 +10,12 @@ comes from switchings.um_simultaneous_switch, and only the active triples'
 switch indices are enumerated, each outcome weighted by the 8^(d - |A|)
 indices of the inactive ones.  Selections with no switchable triple are
 idle, so they are counted in closed form, as the product over the pivot
-edges of their unswitchable triples, and never enumerated.  Each check
-works out its input count from its parameters first and raises
-BudgetExceededError when the enumeration would not finish in seconds.
+edges of their unswitchable triples, and never enumerated.  Switchability
+is decided for the triples of a batch of graphs in one code lookup, and a
+graph with no switchable triple is counted whole, without building its
+triples.  Each check works out its input count from its parameters first
+and raises BudgetExceededError when the enumeration would not finish in
+seconds.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import (Matching, ModelKind, Permutation, enumerate_simple_regular,
                      random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _active_triples, _switchable,
-                         mm_resample, mm_switch, pm_switch, triple_space,
+from .switchings import (TripleSelection, _active_triples, mm_resample,
+                         mm_switch, pm_switch, triple_space, triple_space_flags,
                          um_resample, um_simultaneous_switch)
 
 __all__ = [
@@ -180,11 +183,14 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     index = {g: k for k, g in enumerate(graphs)}
     transitions: Counter[tuple[int, int]] = Counter()
     off_states = 0
-    for src, g in enumerate(graphs):
-        space = triple_space(g)
-        flags = iter(_switchable(g, [t for triples in space for t in triples])
-                     .tolist())
-        space = [[(t, next(flags)) for t in triples] for triples in space]
+    for src, (g, flags) in enumerate(zip(graphs, triple_space_flags(graphs))):
+        if not flags.any():
+            # every one of the choices selections is idle
+            transitions[src, src] += choices * 8**d
+            continue
+        flags = iter(flags.tolist())
+        space = [[(t, next(flags)) for t in triples]
+                 for triples in triple_space(g)]
         idle, selections = _split_selections(space)
         transitions[src, src] += idle * 8**d
         for picked in selections:

@@ -32,6 +32,7 @@ __all__ = [
     "mm_resample",
     "pivot_edges",
     "triple_space",
+    "triple_space_flags",
     "um_switchable",
     "switch_pair_table",
     "um_simultaneous_switch",
@@ -100,17 +101,20 @@ def delta(i: int, j: int, n: int) -> np.ndarray:
     return dense_adjacency(n, [i], [j])
 
 
-def _require_edge(g: MultiGraph, x: int, y: int) -> None:
-    if g.multiplicity(x, y) < 1:
-        raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
+def _require_edges(g: MultiGraph, edges) -> None:
+    """Raise InvalidMoveError at the first vertex pair of `edges` that is
+    not an edge of g; multiplicity raises InvalidParametersError first
+    for a vertex outside the graph."""
+    for x, y in edges:
+        if g.multiplicity(x, y) < 1:
+            raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
 
 
 def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
     """Replace edges {r, rbar}, {a, abar}, {b, bbar} by {rbar, a}, {abar, b},
     {bbar, r}.  Identity unless the six vertices are distinct."""
-    _require_edge(g, spec.r, spec.rbar)
-    _require_edge(g, spec.a, spec.abar)
-    _require_edge(g, spec.b, spec.bbar)
+    _require_edges(g, [(spec.r, spec.rbar), (spec.a, spec.abar),
+                       (spec.b, spec.bbar)])
     if len(set(spec.vertices())) < 6:
         return g
     return g.replace_edges(
@@ -191,24 +195,62 @@ def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
 _SIX_PAIRS = np.triu_indices(6)
 
 
-def _switchable(g: MultiGraph, triples) -> np.ndarray:
-    """One flag per triple of three distinct edges of g, given as an array
-    of shape (T, 3, 2): whether its six endpoints are distinct and the
-    subgraph of g they induce holds only the triple's three edges, once
-    each.
+def _switchable(codes: np.ndarray, n: int, triples) -> np.ndarray:
+    """Switchability of T triples on each of B graphs on n vertices with
+    the same edge count: `codes` is the (B, E) array whose row k holds
+    graph k's sorted edge codes, and `triples` holds T triples of three
+    distinct edges of each graph, shape (B, T, 3, 2) or any shape with B
+    rows of 6T endpoints.  Returns the (B, T) flags: whether a triple's six
+    endpoints are distinct and the subgraph they induce holds only its
+    three edges, once each.
 
-    The edge copies on the 21 pairs (loops included) of each triple's six
-    sorted endpoints are counted for all T triples at once, by looking up
-    their codes.  The count alone decides: it is at least 3, one for each
-    triple edge, and a vertex shared by two triple edges makes one of them
-    count twice, so it is exactly 3 only for six distinct endpoints with
-    no further edge among them.
+    Graph k's codes are offset by k*n^2, which keeps the flattened batch
+    sorted, so one searchsorted pair counts the edge copies on the 21
+    pairs (loops included) of every triple's six sorted endpoints.  The
+    count alone decides: it is at least 3, one for each triple edge, and a
+    vertex shared by two triple edges makes one of them count twice, so it
+    is exactly 3 only for six distinct endpoints with no further edge
+    among them.
     """
-    v = np.sort(np.asarray(triples, dtype=np.int64).reshape(-1, 6), axis=1)
-    pairs = v[:, _SIX_PAIRS[0]] * g.n + v[:, _SIX_PAIRS[1]]
-    induced = (g.codes.searchsorted(pairs, "right")
-               - g.codes.searchsorted(pairs, "left")).sum(axis=1)
+    offset = np.arange(len(codes), dtype=np.int64)[:, np.newaxis] * (n * n)
+    flat = (codes + offset).ravel()
+    v = np.sort(np.asarray(triples, dtype=np.int64)
+                .reshape(len(codes), -1, 6), axis=2)
+    pairs = (v[..., _SIX_PAIRS[0]] * n + v[..., _SIX_PAIRS[1]]
+             + offset[..., np.newaxis])
+    induced = (flat.searchsorted(pairs, "right")
+               - flat.searchsorted(pairs, "left")).sum(axis=2)
     return induced == 3
+
+
+#: most triples one _switchable call of triple_space_flags decides, which
+#: keeps its lookup arrays to tens of kilobytes
+_SWITCHABLE_BATCH = 256
+
+
+def triple_space_flags(graphs):
+    """Yield, for each of the simple d-regular graphs on n vertices, the
+    switchability flags of its triples in triple_space order.  One
+    _switchable call decides the triples of several graphs, at most
+    _SWITCHABLE_BATCH triples or one graph.
+
+    Sorted codes list the d pivot edges (0, r) first, whose code is r,
+    then the m non-pivot edges, whose pairs np.triu_indices lists in
+    triple_space's lexicographic order.
+    """
+    if not graphs:
+        return
+    n, d = graphs[0].n, graphs[0].deg
+    a, b = np.triu_indices(graphs[0].codes.size - d, 1)
+    per_call = max(1, _SWITCHABLE_BATCH // (d * a.size))
+    for lo in range(0, len(graphs), per_call):
+        codes = np.stack([g.codes for g in graphs[lo:lo + per_call]])
+        i, j = np.divmod(codes[:, np.newaxis, d:], n)
+        triples = np.zeros((len(codes), d, a.size, 6), dtype=np.int64)
+        triples[..., 1] = codes[:, :d, np.newaxis]
+        triples[..., 2], triples[..., 3] = i[..., a], j[..., a]
+        triples[..., 4], triples[..., 5] = i[..., b], j[..., b]
+        yield from _switchable(codes, n, triples)
 
 
 def um_switchable(g: MultiGraph, S) -> bool:
@@ -219,9 +261,8 @@ def um_switchable(g: MultiGraph, S) -> bool:
     edges = sorted({_norm_edge(e) for e in S})
     if len(edges) != 3:
         raise InvalidMoveError("S must consist of three distinct edges")
-    for (x, y) in edges:
-        _require_edge(g, x, y)
-    return bool(_switchable(g, [edges])[0])
+    _require_edges(g, edges)
+    return bool(_switchable(g.codes[np.newaxis], g.n, [[edges]])[0, 0])
 
 
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -267,16 +308,14 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     as the double switch (r, 0, a, abar, b, bbar), where (a, abar), (b, bbar)
     is entry s of switch_pair_table: the pivot's neighbour r becomes a.
     """
-    if not g.simple:
-        raise InvalidParametersError("simultaneous switch needs a simple graph")
-    pe = pivot_edges(g)
+    pe = pivot_edges(g)  # raises InvalidParametersError unless g is simple
     d = len(pe)
     if len(selection.triples) != d:
         raise InvalidMoveError(f"need one triple per pivot edge ({d}), "
                                f"got {len(selection.triples)}")
     norm_triples = []
     for mu, (triple, e_mu) in enumerate(zip(selection.triples, pe)):
-        edges = {_norm_edge(e) for e in triple}
+        edges = sorted({_norm_edge(e) for e in triple})
         if len(edges) != 3 or e_mu not in edges:
             raise InvalidMoveError(f"triple {mu} must contain the pivot edge {e_mu}")
         for (x, y) in edges:
@@ -285,9 +324,10 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
                     f"triple {mu}: extra edge ({x}, {y}) touches the pivot")
         norm_triples.append(edges)
 
-    # um_switchable raises InvalidMoveError for a triple edge not in g
-    active = _active_triples(norm_triples,
-                             [um_switchable(g, t) for t in norm_triples])
+    # um_switchable's checks of each triple, in the same order
+    _require_edges(g, [e for t in norm_triples for e in t])
+    switchable = _switchable(g.codes[np.newaxis], g.n, [norm_triples])[0]
+    active = _active_triples(norm_triples, switchable.tolist())
     out = g
     a_list: list[int] = []
     alpha: list[int] = []

@@ -9,7 +9,7 @@ from regg.graphs import enumerate_simple_regular
 from regg.invariance import (_split_selections, all_matchings, mc_pivot_tv,
                              mm_exact_invariance, pm_exact_uniformity, um_alpha_match_rate,
                              um_exact_invariance)
-from regg.switchings import (TripleSelection, triple_space,
+from regg.switchings import (TripleSelection, triple_space, triple_space_flags,
                              um_simultaneous_switch, um_switchable)
 
 
@@ -112,6 +112,18 @@ def test_split_selections(flags):
     assert set(active.values()) <= {1}
     assert set(active) == {sel for sel in itertools.product(*space)
                            if any(sw for _, sw in sel)}
+
+
+def test_unswitchable_graph_counted_idle():
+    """A graph with no switchable triple is counted as all C(m, 2)^d of its
+    selections idle, the count _split_selections gives its flagged space."""
+    graphs = enumerate_simple_regular(8, 2)
+    (flags,) = triple_space_flags(graphs[:1])
+    assert not flags.any()
+    it = iter(flags.tolist())
+    space = [[(t, next(it)) for t in triples] for triples in triple_space(graphs[0])]
+    idle, active = _split_selections(space)
+    assert idle == math.comb(8 - 2, 2) ** 2 and not list(active)
 
 
 @pytest.mark.parametrize("check, args", [

@@ -41,6 +41,10 @@ ALLOWED = {
     "isotropic_envelope",
     "random_unit_perp_e",
     "default_zeta",
+    # the validated one-triple switchability predicate; the program decides
+    # many triples per _switchable call, and the tests check those flags
+    # against this one
+    "um_switchable",
     # the paper's one-edge adjacency matrix Delta_ij, kept as the reference
     # notation; no command builds a dense single-edge matrix
     "delta",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regg import switchings
 from regg.errors import (InvalidMoveError, InvalidParametersError,
                          NumericalDegeneracyError)
 from regg.graphs import (Matching, MultiGraph, Permutation, dense_adjacency,
@@ -15,18 +16,16 @@ from regg.rng import stream
 from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
                              double_switch, mm_resample, mm_switch,
                              pivot_edges, pm_switch,
-                             switch_pair_table, triple_space, um_resample,
+                             switch_pair_table, triple_space,
+                             triple_space_flags, um_resample,
                              um_simultaneous_switch, um_switchable,
-                             _switchable, _unrank_pair)
+                             _unrank_pair)
 from regg.spectral import build_H, resolvent_solve
 
 
 def cycle_graph(n):
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        adj[i, (i + 1) % n] += 1
-        adj[(i + 1) % n, i] += 1
-    return MultiGraph.from_adjacency(n, 2, adj)
+    return MultiGraph(n, 2, [min(i, (i + 1) % n) * n + max(i, (i + 1) % n)
+                             for i in range(n)])
 
 
 class TestDelta:
@@ -136,24 +135,29 @@ class TestTripleMachinery:
                     assert g.adj[np.ix_(verts, verts)].sum() == 6
         assert seen == {True, False}
 
-    def test_switchable_per_graph_matches_one_triple(self):
-        # _switchable decides all triples of a graph in one pass; it must
-        # agree with the validated one-triple um_switchable, and with the
-        # definition read off the dense adjacency, on every triple of every
-        # (8, 2) graph (none switchable: d = 2 needs n >= 9) and of a
-        # (16, 3) sample that has switchable triples
-        graphs = enumerate_simple_regular(8, 2)
-        graphs.append(sample_uniform(16, 3, stream(31, 0)))
+    def test_switchable_per_graph_matches_one_triple(self, monkeypatch):
+        # triple_space_flags decides the triples of several graphs in one
+        # _switchable call; each flag must agree with the validated
+        # one-triple um_switchable, and with the definition read off the
+        # dense adjacency, on every triple of every (8, 2) graph (none
+        # switchable: d = 2 needs n >= 9) and of (16, 3) samples that have
+        # switchable triples.  A cap of 120 triples puts 4 of the 30-triple
+        # (8, 2) graphs in a call, so calls end inside the list and the
+        # last of its 3507 graphs shares a call with two others; a (16, 3)
+        # graph's 630 triples go one graph per call.
+        monkeypatch.setattr(switchings, "_SWITCHABLE_BATCH", 120)
+        samples = [sample_uniform(16, 3, stream(31, k)) for k in range(3)]
         seen = set()
-        for g in graphs:
-            triples = [t for space in triple_space(g) for t in space]
-            flags = _switchable(g, triples).tolist()
-            assert flags == [um_switchable(g, t) for t in triples]
-            for t, ok in zip(triples, flags):
-                verts = sorted({v for e in t for v in e})
-                assert ok == (len(verts) == 6
-                              and g.adj[np.ix_(verts, verts)].sum() == 6)
-            seen.add((g.n, any(flags)))
+        for graphs in (enumerate_simple_regular(8, 2), samples):
+            rows = triple_space_flags(graphs)
+            for g, flags in zip(graphs, rows, strict=True):
+                triples = [t for space in triple_space(g) for t in space]
+                assert flags.tolist() == [um_switchable(g, t) for t in triples]
+                for t, ok in zip(triples, flags):
+                    verts = sorted({v for e in t for v in e})
+                    assert ok == (len(verts) == 6
+                                  and g.adj[np.ix_(verts, verts)].sum() == 6)
+                seen.add((g.n, bool(flags.any())))
         assert seen == {(8, False), (16, True)}
 
     def test_loop_at_a_triple_vertex_blocks_the_switch(self):
@@ -236,6 +240,15 @@ class TestSimultaneousSwitch:
         bad = (((0, 1), (1, 3), (4, 5)), space[1][0], space[2][0])
         with pytest.raises(InvalidMoveError, match="not an edge"):
             um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
+
+    def test_triple_vertex_out_of_range_rejected(self):
+        g = enumerate_simple_regular(6, 3)[0]
+        space = triple_space(g)
+        bad = (((0, 1), (2, 99), (4, 5)), space[1][0], space[2][0])
+        with pytest.raises(InvalidParametersError, match="out of range"):
+            um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
+        with pytest.raises(InvalidParametersError, match="out of range"):
+            double_switch(g, DirectedEdgeSpec(1, 0, 2, 99, 4, 5))
 
     def test_switch_index_range_enforced(self):
         g = enumerate_simple_regular(6, 3)[0]
