@@ -251,9 +251,8 @@ def _cmd_eigen(args, argv) -> int:
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))
             # fixed-d histogram comparison uses the plain (d-1)^{-1/2} A scale;
-            # the one dense matrix is overwritten by its eigendecomposition
-            a = g.dense(np.float64, copies=1)
-            a /= math.sqrt(d - 1)
+            # LAPACK reads and overwrites only the one built triangle
+            a = g.upper_triangle(math.sqrt(d - 1))
             lam = eigvalsh_inplace(a)
             del a
             counts = interval_counts(lam, edges).tolist()

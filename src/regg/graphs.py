@@ -5,14 +5,18 @@ plus an exact enumerator of small simple regular graphs used as an oracle
 by the invariance tests.  A graph is stored as the sorted array of its
 edge codes i*n + j (i <= j), one entry per edge copy, so storing,
 validating and switching cost O(n d) rather than O(n^2); a loop is one
-entry and adds two to its vertex's degree.  Dense adjacency matrices are
-built only on demand, by dense_adjacency.
+entry and adds two to its vertex's degree.  Dense matrices are built only
+on demand: the full adjacency matrix by dense_adjacency, and the upper
+triangle that an eigenvalue-only LAPACK call reads by
+MultiGraph.upper_triangle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,6 +83,17 @@ def _simple(codes: np.ndarray, n: int) -> np.ndarray:
             & (codes[..., 1:] != codes[..., :-1]).all(axis=-1))
 
 
+def _check_ram(n: int, dtype, copies: int = 1) -> None:
+    """Raise InvalidParametersError when `copies` dense n x n `dtype`
+    arrays would not fit in physical RAM; called before allocating them."""
+    need = copies * np.dtype(dtype).itemsize * n * n
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise InvalidParametersError(
+            f"{copies} dense {n}x{n} {np.dtype(dtype).name} matrices need "
+            f"{need / 1e9:.3g} GB, more than the {ram / 1e9:.3g} GB of RAM")
+
+
 def dense_adjacency(n: int, u, v, dtype=np.int64, copies: int = 1) -> np.ndarray:
     """The symmetric n x n matrix with one added at (u[k], v[k]) and at
     (v[k], u[k]) for every k, so a loop adds two to its diagonal entry.
@@ -87,12 +102,7 @@ def dense_adjacency(n: int, u, v, dtype=np.int64, copies: int = 1) -> np.ndarray
     size the caller's computation holds at once; when they would not fit in
     physical RAM, raises InvalidParametersError before allocating.
     """
-    need = copies * np.dtype(dtype).itemsize * n * n
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > ram:
-        raise InvalidParametersError(
-            f"{copies} dense {n}x{n} {np.dtype(dtype).name} matrices need "
-            f"{need / 1e9:.3g} GB, more than the {ram / 1e9:.3g} GB of RAM")
+    _check_ram(n, dtype, copies)
     a = np.zeros((n, n), dtype=dtype)
     np.add.at(a, (u, v), 1)
     np.add.at(a, (v, u), 1)
@@ -171,6 +181,31 @@ class MultiGraph:
         """Adjacency matrix in `dtype`; see dense_adjacency for `copies`."""
         return dense_adjacency(self.n, *self.endpoints(), dtype=dtype,
                                copies=copies)
+
+    def upper_triangle(self, divisor: float) -> np.ndarray:
+        """The upper triangle of the adjacency matrix over `divisor`, as a
+        writable, C-contiguous n x n float64 array whose strictly lower
+        triangle is left unwritten and reads zero.
+
+        Entry (i, j), i <= j, holds the same bits as dense(np.float64)
+        divided by `divisor`: mult / divisor for an edge, 2 loops / divisor
+        on the diagonal.  The array lives in its own anonymous mapping with
+        transparent huge pages turned off, so only the 4 KiB pages a write
+        touches are faulted in; an eigenvalue-only LAPACK call that reads
+        and writes this triangle (eigvalsh_inplace) never brings in the
+        other half.  Raises InvalidParametersError before mapping if one
+        n x n float64 matrix would not fit in physical RAM.
+        """
+        n = self.n
+        _check_ram(n, np.float64)
+        buf = mmap.mmap(-1, 8 * n * n,
+                        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        with contextlib.suppress(OSError):  # a kernel without THP
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+        a = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+        i, j, mult = self.edge_arrays()
+        a[i, j] = np.where(i == j, 2 * mult, mult) / divisor
+        return a
 
     @cached_property
     def adj(self) -> np.ndarray:

@@ -5,11 +5,13 @@ Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
 Both LAPACK paths let scipy's dsyevd overwrite the one dense matrix they
-are given: eigvalsh_inplace with O(N) workspace, ResolventView with H's
-memory left holding the eigenvectors and 2 N^2 of workspace.  grid works in
-real arithmetic on scipy's dgemm and in blocks of PAIR_BLOCK pairs: beyond
-the eigenvectors, its outputs and its weights it holds at most
-N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 of the decomposition.
+are given: eigvalsh_inplace with O(N) workspace, reading and writing only
+the matrix's upper triangle (MultiGraph.upper_triangle builds just that
+half), and ResolventView with H's memory left holding the eigenvectors and
+2 N^2 of workspace.  grid works in real arithmetic on scipy's dgemm and in
+blocks of PAIR_BLOCK pairs: beyond the eigenvectors, its outputs and its
+weights it holds at most N^2 + 2 PAIR_BLOCK N reals, within the
+EIGH_COPIES N^2 of the decomposition.
 
 scipy is imported inside the functions that call LAPACK or BLAS, so a
 process loads scipy.linalg only when it decomposes a matrix (lawsweep,
@@ -89,9 +91,13 @@ def _check_inplace(a: np.ndarray, who: str) -> None:
 
 
 def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix `a`, which is destroyed:
-    a.T is the same matrix, Fortran-contiguous, so LAPACK's dsyevd works in
-    a's own memory with O(N) workspace.  `a` must pass _check_inplace."""
+    """Ascending eigenvalues of the symmetric matrix whose upper triangle
+    (diagonal included) is that of `a`; the triangle is destroyed.
+
+    a.T is Fortran-contiguous, and its lower triangle is a's upper one, so
+    LAPACK's dsyevd reads and overwrites only a's upper triangle, in a's
+    own memory with O(N) workspace: the strictly lower triangle is neither
+    read nor written.  `a` must pass _check_inplace."""
     import scipy.linalg
 
     _check_inplace(a, "eigvalsh_inplace")

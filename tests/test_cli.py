@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,11 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from regg import graphs
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       main, rerun_manifest)
 from regg.errors import InvalidParametersError
 from regg.graphs import from_edgelist
 from regg.manifest import CONFIG_SCHEMA, ExperimentConfig, RunManifest
+from regg.rng import stream
+from regg.spectral import build_H
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -241,6 +245,17 @@ class TestEigen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "75cee855c5198fb8d282730fc7f1cfd3db54f00bd67b7fad4a7bdf8e856679c8")
 
+    def test_intervals_with_loops_matches_recorded_bytes(self, tmp_path):
+        # permutation graphs carry loops and multi-edges; sha256 recorded
+        # with the full dense matrix handed to LAPACK
+        out = tmp_path / "int.csv"
+        code = run(["eigen", "--mode", "intervals", "--model", "permutation",
+                    "--n", "400", "--d", "6", "--seed", "5", "--samples", "2",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "010556992d65134f6dcb54b9cde6b03f1716ef5cb61bbfc2e7b452a6ccd9eca4")
+
     @pytest.mark.parametrize("mode", ["deloc", "que"])
     def test_trials_do_not_accumulate_memory(self, tmp_path, mode):
         # the previous trial's view must be gone before the next eigh
@@ -271,6 +286,26 @@ class TestEigen:
         assert code == EXIT_PRECONDITION
         assert "RAM" in capsys.readouterr().err
         assert peak < 1e9
+
+    def test_ram_precondition_with_little_ram(self, tmp_path, capsys,
+                                              monkeypatch):
+        # 256 pages of RAM: one 1000 x 1000 float64 matrix does not fit
+        sysconf = graphs.os.sysconf
+        monkeypatch.setattr(graphs.os, "sysconf", lambda name: (
+            256 if name == "SC_PHYS_PAGES" else sysconf(name)))
+        mapped = []
+        monkeypatch.setattr(graphs.mmap, "mmap",
+                            lambda *args, **kwargs: mapped.append(args))
+        code = run(["eigen", "--mode", "intervals", "--model", "matching",
+                    "--n", "1000", "--d", "3", "--seed", "0",
+                    "--out", str(tmp_path / "int.csv")])
+        assert code == EXIT_PRECONDITION
+        assert re.search(r"more than the [0-9.]+ GB of RAM",
+                         capsys.readouterr().err)
+        assert mapped == []
+        g = graphs.sample_permutation_model(1000, 4, stream(0, 0))
+        with pytest.raises(InvalidParametersError, match="GB of RAM"):
+            build_H(g)
 
 
 class TestStability:

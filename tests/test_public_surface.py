@@ -55,10 +55,6 @@ def _span(node):
     return range(node.lineno, node.end_lineno + 1)
 
 
-def _tree(path):
-    return ast.parse(path.read_text(encoding="utf-8"))
-
-
 def _module_names(tree):
     """(name, definition lines) of each public top-level def, class or
     assignment."""
@@ -101,14 +97,20 @@ def _class_members(cls):
                         yield part.attr, _span(node)
 
 
+#: each source read and parsed once, so that the definitions and the uses
+#: every test compares come from the same text even if a file changes
+#: while the suite runs
+TEXTS = {path: path.read_text(encoding="utf-8") for path in SOURCES}
+TREES = {path: ast.parse(text) for path, text in TEXTS.items()}
+
+
 def _uses(path):
     """(line, name, follows a dot) for each name token outside imports,
     strings and comments."""
-    text = path.read_text(encoding="utf-8")
-    imports = {line for node in ast.walk(ast.parse(text))
+    imports = {line for node in ast.walk(TREES[path])
                if isinstance(node, (ast.Import, ast.ImportFrom))
                for line in _span(node)}
-    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    tokens = list(tokenize.generate_tokens(io.StringIO(TEXTS[path]).readline))
     return [(tok.start[0], tok.string, prev.string == ".")
             for prev, tok in zip(tokens, tokens[1:])
             if tok.type == tokenize.NAME and tok.start[0] not in imports]
@@ -136,14 +138,14 @@ def test_every_module_is_walked():
     names = {path.stem for path in MODULES}
     assert {"cli", "graphs", "invariance", "law", "manifest", "observables",
             "spectral", "stability", "switchings"} <= names
-    classes = {cls.name for path in MODULES for cls in _public_classes(_tree(path))}
+    classes = {cls.name for path in MODULES for cls in _public_classes(TREES[path])}
     assert {"MultiGraph", "ResolventView", "ExperimentConfig",
             "DirectedEdgeSpec"} <= classes
     assert "_Parser" not in classes
 
 
 def test_module_names_are_used_by_the_program():
-    unused = {path.stem: _unreferenced(_module_names(_tree(path)), path,
+    unused = {path.stem: _unreferenced(_module_names(TREES[path]), path,
                                        attribute=False)
               for path in MODULES}
     assert {stem: names for stem, names in unused.items() if names} == {}
@@ -152,7 +154,7 @@ def test_module_names_are_used_by_the_program():
 def test_class_members_are_used_by_the_program():
     unused = {}
     for path in MODULES:
-        for cls in _public_classes(_tree(path)):
+        for cls in _public_classes(TREES[path]):
             names = _unreferenced(_class_members(cls), path, attribute=True)
             if names:
                 unused[f"{path.stem}.{cls.name}"] = names
@@ -160,10 +162,10 @@ def test_class_members_are_used_by_the_program():
 
 
 def test_dataclass_fields_out_of_scope():
-    (cls,) = [node for node in _tree(ROOT / "src" / "regg" / "law.py").body
+    (cls,) = [node for node in TREES[ROOT / "src" / "regg" / "law.py"].body
               if isinstance(node, ast.ClassDef) and node.name == "LawRecord"]
     assert list(_class_members(cls)) == []
-    (cls,) = [node for node in _tree(ROOT / "src" / "regg" / "spectral.py").body
+    (cls,) = [node for node in TREES[ROOT / "src" / "regg" / "spectral.py"].body
               if isinstance(node, ast.ClassDef) and node.name == "ResolventView"]
     assert {"grid", "eigenvalues", "eigenvectors", "n", "EXHAUSTIVE_N"} <= {
         name for name, _ in _class_members(cls)}
@@ -172,7 +174,7 @@ def test_dataclass_fields_out_of_scope():
 def test_allowlist_names_only_unused_names():
     unused = set()
     for path in MODULES:
-        tree = _tree(path)
+        tree = TREES[path]
         unused.update(_unreferenced(_module_names(tree), path, attribute=False,
                                     allowed=set()))
         for cls in _public_classes(tree):

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -9,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regg.errors import InvalidParametersError, OutOfRegimeWarning
-from regg.graphs import (MultiGraph, sample_matching_model,
-                         sample_permutation_model, sample_uniform)
+from regg.graphs import (MultiGraph, sample_configuration_model,
+                         sample_matching_model, sample_permutation_model,
+                         sample_uniform)
 from regg.rng import stream
 from regg.spectral import (PAIR_BLOCK, EnvelopeParams, ResolventView,
                            _check_centred, build_H, default_xi, effective_D,
@@ -224,6 +230,70 @@ class TestEigvalshInplace:
             tracemalloc.stop()
         # a second N x N float64 array would be 8 N^2 bytes
         assert peak < 0.25 * 8 * n * n
+
+
+class TestUpperTriangle:
+    @pytest.mark.parametrize("sampler, n, d, loops", [
+        (sample_matching_model, 1000, 3, False),
+        (sample_permutation_model, 500, 6, True),
+        (sample_configuration_model, 500, 6, True),
+    ])
+    def test_eigenvalues_bitwise_equal_to_full_matrix(self, sampler, n, d,
+                                                       loops):
+        g = sampler(n, d, stream(13, 0))
+        i, j, mult = g.edge_arrays()
+        assert (i == j).any() == loops and (mult > 1).any()
+        full = g.dense(np.float64)
+        full /= math.sqrt(d - 1)
+        tri = g.upper_triangle(math.sqrt(d - 1))
+        assert np.array_equal(tri, np.triu(full))
+        assert np.array_equal(eigvalsh_inplace(tri), eigvalsh_inplace(full))
+        # LAPACK neither wrote nor needed the strictly lower triangle
+        assert not np.tril(tri, -1).any()
+
+    def test_holds_about_half_a_matrix(self):
+        # growth of the peak RSS over the resident set before the build, in
+        # a fresh process, as a fraction of one N x N float64 matrix: the
+        # triangle's 4 KiB pages, with the pages that straddle a row
+        # boundary, read about 0.67 at N = 3000, the full matrix about 1.0.
+        # The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at
+        # the resident size of the process that started it.
+        script = textwrap.dedent("""
+            import math, sys
+            import numpy as np
+            from regg.graphs import sample_matching_model
+            from regg.rng import stream
+            from regg.spectral import eigvalsh_inplace
+
+            def status_kb(key):
+                with open("/proc/self/status") as status:
+                    (kb,) = [int(line.split()[1]) for line in status
+                             if line.startswith(key)]
+                return kb
+
+            n = 3000
+            g = sample_matching_model(n, 3, stream(0, 0))
+            eigvalsh_inplace(np.eye(300))  # load LAPACK and its buffers
+            before = status_kb("VmRSS:")
+            if sys.argv[1] == "full":
+                a = g.dense(np.float64)
+                a /= math.sqrt(2)
+            else:
+                a = g.upper_triangle(math.sqrt(2))
+            eigvalsh_inplace(a)
+            print((status_kb("VmHWM:") - before) * 1024 / (8 * n * n))
+        """)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        growth = {}
+        for side in ("triangle", "full"):
+            proc = subprocess.run([sys.executable, "-c", script, side],
+                                  env={**os.environ, "PYTHONPATH": path},
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            growth[side] = float(proc.stdout)
+        assert growth["triangle"] < 0.8 < growth["full"], growth
 
 
 class TestSemicircleTransform:
