@@ -27,7 +27,7 @@ from .observables import (_kappa, counting_bounds, deloc_bound,
                           que_bound, que_statistics)
 from .rng import resolve_seed, stream
 from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       eigvalsh_inplace)
+                       dsyevd_2stage, eigvalsh_inplace)
 from .svg import line_plot
 
 __all__ = ["main", "entrypoint", "rerun_manifest"]
@@ -247,6 +247,7 @@ def _cmd_eigen(args, argv) -> int:
                 f"--bin-width {width} gives no bin on [{lo}, {hi}]")
         edges = [lo + k * width for k in range(nbins + 1)]
         params = EnvelopeParams.for_model(n, d, args.model)
+        dsyevd_2stage()  # a LAPACK without it fails here, before any matrix
         tvs = []
         for trial in range(args.samples):
             g = sample_model(args.model, n, d, stream(seed, trial))

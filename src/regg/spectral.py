@@ -4,10 +4,11 @@ H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
-Both LAPACK paths let scipy's dsyevd overwrite the one dense matrix they
-are given: eigvalsh_inplace with O(N) workspace, reading and writing only
-the matrix's upper triangle (MultiGraph.upper_triangle builds just that
-half), and ResolventView with H's memory left holding the eigenvectors and
+Both LAPACK paths overwrite the one dense matrix they are given:
+eigvalsh_inplace calls LAPACK's two-stage dsyevd_2stage, which reads and
+writes only the matrix's upper triangle (MultiGraph.upper_triangle builds
+just that half) with O(N kd) workspace for a band of kd columns, and
+ResolventView leaves scipy's dsyevd's eigenvectors in H's memory with
 2 N^2 of workspace.  grid works in real arithmetic on scipy's dgemm and in
 blocks of PAIR_BLOCK pairs: beyond the eigenvectors, its outputs and its
 weights it holds at most N^2 + 2 PAIR_BLOCK N reals, within the
@@ -20,15 +21,16 @@ eigen); sample, invariance, stability and report run on numpy alone.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
-                     OutOfRegimeWarning)
+                     OutOfRegimeWarning, ReggError)
 from .graphs import ModelKind, MultiGraph
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "EnvelopeParams",
     "build_H",
     "eigvalsh_inplace",
+    "dsyevd_2stage",
     "resolvent_solve",
     "m_semicircle",
     "semicircle_density",
@@ -90,19 +93,75 @@ def _check_inplace(a: np.ndarray, who: str) -> None:
             f"{who} needs a writable, C-contiguous, square float64 array")
 
 
+#: the symbol of LAPACK's dsyevd_2stage in scipy-openblas builds, then in
+#: plain LAPACK builds
+_DSYEVD_2STAGE = ("scipy_dsyevd_2stage_", "dsyevd_2stage_")
+
+
+@cache
+def dsyevd_2stage():
+    """LAPACK's dsyevd_2stage, resolved once through the handle of the LAPACK
+    extension scipy loads (dlsym there also searches the libraries it links
+    against); raises ReggError when neither symbol of _DSYEVD_2STAGE exists.
+
+    The routine is LP64: jobz, uplo, n, a, lda, w, work, lwork, iwork,
+    liwork, info, then the two hidden lengths of jobz and uplo.  Every
+    pointer argument is passed as a numpy array."""
+    from scipy.linalg import _flapack
+
+    lib = ctypes.CDLL(_flapack.__file__)
+    for name in _DSYEVD_2STAGE:
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            break
+    else:
+        raise ReggError(
+            f"LAPACK's dsyevd_2stage is not exported by {_flapack.__file__} "
+            f"or its libraries (looked for {', '.join(_DSYEVD_2STAGE)})")
+    ints = np.ctypeslib.ndpointer(np.intc)
+    reals = np.ctypeslib.ndpointer(np.float64)
+    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ints, reals, ints,
+                        reals, reals, ints, ints, ints, ints,
+                        ctypes.c_size_t, ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
 def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose upper triangle
     (diagonal included) is that of `a`; the triangle is destroyed.
 
     a.T is Fortran-contiguous, and its lower triangle is a's upper one, so
-    LAPACK's dsyevd reads and overwrites only a's upper triangle, in a's
-    own memory with O(N) workspace: the strictly lower triangle is neither
-    read nor written.  `a` must pass _check_inplace."""
-    import scipy.linalg
-
+    LAPACK's dsyevd_2stage (jobz 'N', uplo 'L' on a.T) reads and overwrites
+    only a's upper triangle, in a's own memory: the strictly lower triangle
+    is neither read nor written.  It reduces to a band of kd columns with
+    level-3 BLAS, then chases the band down to a tridiagonal matrix, so its
+    workspace is O(N kd), about 3.3 MB at N = 4000.  `a` must pass
+    _check_inplace; a nonzero LAPACK info raises NumericalDegeneracyError."""
     _check_inplace(a, "eigvalsh_inplace")
-    return scipy.linalg.eigh(a.T, eigvals_only=True, overwrite_a=True,
-                             check_finite=False, driver="evd")
+    routine = dsyevd_2stage()
+    n = a.shape[0]
+    w = np.empty(n)
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
+             liwork: int) -> None:
+        info = np.zeros(1, np.intc)
+        routine(b"N", b"L", _intc(n), a.T, _intc(max(1, n)), w, work,
+                _intc(lwork), iwork, _intc(liwork), info, 1, 1)
+        if info[0]:
+            raise NumericalDegeneracyError(
+                f"dsyevd_2stage failed with info = {info[0]}")
+
+    work, iwork = np.empty(1), np.empty(1, np.intc)
+    call(work, iwork, -1, -1)  # the query: sizes land in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, np.intc), lwork, liwork)
+    return w
+
+
+def _intc(value: int) -> np.ndarray:
+    """A LAPACK integer argument: one C int, passed by reference."""
+    return np.array([value], np.intc)
 
 
 class ResolventView:

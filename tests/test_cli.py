@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regg import graphs
+from regg import graphs, spectral
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       main, rerun_manifest)
 from regg.errors import InvalidParametersError
@@ -306,6 +306,27 @@ class TestEigen:
         g = graphs.sample_permutation_model(1000, 4, stream(0, 0))
         with pytest.raises(InvalidParametersError, match="GB of RAM"):
             build_H(g)
+
+    def test_intervals_fail_fast_without_dsyevd_2stage(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # a LAPACK that exports neither symbol: exit 2 naming the routine,
+        # before any graph's matrix is mapped
+        monkeypatch.setattr(spectral, "_DSYEVD_2STAGE", ("regg_missing_",))
+        spectral.dsyevd_2stage.cache_clear()
+        mapped = []
+        monkeypatch.setattr(graphs.mmap, "mmap",
+                            lambda *args, **kwargs: mapped.append(args))
+        try:
+            code = run(["eigen", "--mode", "intervals", "--model", "matching",
+                        "--n", "300", "--d", "3", "--seed", "0",
+                        "--out", str(tmp_path / "int.csv")])
+        finally:
+            spectral.dsyevd_2stage.cache_clear()
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "dsyevd_2stage" in err and "regg_missing_" in err
+        assert mapped == []
+        assert not (tmp_path / "int.csv").exists()
 
 
 class TestStability:

@@ -10,10 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regg.errors import InvalidParametersError, OutOfRegimeWarning
+from regg import spectral
+from regg.errors import (InvalidParametersError, NumericalDegeneracyError,
+                         OutOfRegimeWarning)
 from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_matching_model, sample_permutation_model,
                          sample_uniform)
@@ -23,6 +26,15 @@ from regg.spectral import (PAIR_BLOCK, EnvelopeParams, ResolventView,
                            eigvalsh_inplace, f_envelope, kesten_mckay_density,
                            m_semicircle, phi_envelope, psi_envelope,
                            resolvent_solve, semicircle_density)
+
+
+#: matching 1000/3 is simple; permutation and configuration 500/6 carry
+#: loops and multi-edges
+TRIANGLE_GRAPHS = [
+    (sample_matching_model, 1000, 3, False),
+    (sample_permutation_model, 500, 6, True),
+    (sample_configuration_model, 500, 6, True),
+]
 
 
 def complete_graph(n):
@@ -231,13 +243,53 @@ class TestEigvalshInplace:
         # a second N x N float64 array would be 8 N^2 bytes
         assert peak < 0.25 * 8 * n * n
 
+    @pytest.mark.parametrize("sampler, n, d, loops", TRIANGLE_GRAPHS)
+    def test_matches_dsyevd_and_skips_lower_triangle(self, sampler, n, d,
+                                                      loops):
+        # oracle: scipy's one-stage dsyevd on the whole matrix.  NaN in the
+        # strictly lower triangle would spread into the eigenvalues if
+        # LAPACK read it, and would be overwritten if LAPACK wrote it
+        g = sampler(n, d, stream(13, 0))
+        full = g.dense(np.float64)
+        full /= math.sqrt(d - 1)
+        ref = scipy.linalg.eigvalsh(full, driver="evd")
+        a = g.upper_triangle(math.sqrt(d - 1))
+        lower = np.tril_indices(n, -1)
+        a[lower] = np.nan
+        lam = eigvalsh_inplace(a)
+        assert lam.shape == (n,) and np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - ref).max() <= 1e-12
+        assert np.isnan(a[lower]).all()
+
+    @pytest.mark.parametrize("a, expected", [
+        (np.empty((0, 0)), []),
+        (np.array([[-2.5]]), [-2.5]),
+    ])
+    def test_sizes_zero_and_one(self, a, expected):
+        lam = eigvalsh_inplace(a)
+        assert lam.dtype == np.float64 and lam.tolist() == expected
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        # the cached lookup is the seam: this fake answers the workspace
+        # query, then reports that the tridiagonal QR did not converge
+        calls = []
+
+        def fake(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info,
+                 *lengths):
+            calls.append(int(lwork[0]))
+            if lwork[0] == -1:
+                work[0], iwork[0] = 1.0, 1
+            else:
+                info[0] = 1
+
+        monkeypatch.setattr(spectral, "dsyevd_2stage", lambda: fake)
+        with pytest.raises(NumericalDegeneracyError, match="info = 1"):
+            eigvalsh_inplace(np.eye(3))
+        assert calls == [-1, 1]
+
 
 class TestUpperTriangle:
-    @pytest.mark.parametrize("sampler, n, d, loops", [
-        (sample_matching_model, 1000, 3, False),
-        (sample_permutation_model, 500, 6, True),
-        (sample_configuration_model, 500, 6, True),
-    ])
+    @pytest.mark.parametrize("sampler, n, d, loops", TRIANGLE_GRAPHS)
     def test_eigenvalues_bitwise_equal_to_full_matrix(self, sampler, n, d,
                                                        loops):
         g = sampler(n, d, stream(13, 0))
