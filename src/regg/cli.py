@@ -26,8 +26,7 @@ from .observables import (_kappa, counting_bounds, deloc_bound,
                           delocalization_stats, density_mass, interval_counts,
                           que_bound, que_statistics)
 from .rng import resolve_seed, stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       dsyevd_2stage, eigvalsh_inplace)
+from .spectral import EnvelopeParams, default_xi
 from .svg import line_plot
 
 __all__ = ["main", "entrypoint", "rerun_manifest"]
@@ -138,7 +137,12 @@ def _approximate(model: str, n: int, d: int) -> bool:
 def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
     if not e_step > 0:
         raise InvalidParametersError("--e-step must be positive")
-    count = int(round((e_max - e_min) / e_step)) + 1
+    span = (e_max - e_min) / e_step
+    if not math.isfinite(span):
+        raise InvalidParametersError(
+            f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
+            f"steps of {e_step} is not finite")
+    count = int(round(span)) + 1
     return tuple(round(e_min + k * e_step, 12) for k in range(count))
 
 
@@ -200,20 +204,17 @@ def _cmd_eigen(args, argv) -> int:
         raise InvalidParametersError("--bin-width must be positive")
     seed = resolve_seed(args.seed)
     n, d = args.n, args.d
+    keys = [(seed, trial) for trial in range(args.samples)]
     rows: list[list] = []
-    results: dict = {}
     if args.mode == "deloc":
         columns = ["seed", "trial", "max_inf_norm", "normalized", "bound"]
         bound = deloc_bound(n)
-        worst = 0.0
-        for trial in range(args.samples):
-            g = sample_model(args.model, n, d, stream(seed, trial))
-            view = ResolventView(build_H(g))
-            stats = delocalization_stats(view)
-            worst = max(worst, stats["normalized"])
-            rows.append([seed, trial, stats["max_inf_norm"],
-                         stats["normalized"], bound])
-            del view  # before the next trial's build_H and decomposition
+
+        def stat(seed, trial, view):
+            s = delocalization_stats(view)
+            rows.append([seed, trial, s["max_inf_norm"], s["normalized"], bound])
+            return s["normalized"]
+        worst = max(law_mod.per_trial(args.model, n, d, keys, stat))
         results = {"worst_normalized": worst, "bound": bound,
                    "pass": worst <= bound}
     elif args.mode == "que":
@@ -222,18 +223,15 @@ def _cmd_eigen(args, argv) -> int:
         if not 1 <= size <= n - 1:
             raise InvalidParametersError(
                 f"--interval-size must lie in 1..{n - 1}, got {size}")
-        xi = default_xi(n)
         bound = que_bound(n, size)
-        worst = 0.0
-        for trial in range(args.samples):
-            g = sample_model(args.model, n, d, stream(seed, trial))
-            view = ResolventView(build_H(g))
+
+        def stat(seed, trial, view):
             stats = que_statistics(view, size)
-            worst = max(worst, float(np.abs(stats).max()))
             rows.extend([seed, trial, alpha, float(stats[alpha]), bound]
                         for alpha in range(n))
-            del view  # before the next trial's build_H and decomposition
-        results = {"worst_stat": worst, "bound": bound, "xi": xi,
+            return float(np.abs(stats).max())
+        worst = max(law_mod.per_trial(args.model, n, d, keys, stat))
+        results = {"worst_stat": worst, "bound": bound, "xi": default_xi(n),
                    "interval_size": size, "pass": worst <= bound}
     elif args.mode == "intervals":
         if d < 2:
@@ -247,26 +245,18 @@ def _cmd_eigen(args, argv) -> int:
                 f"--bin-width {width} gives no bin on [{lo}, {hi}]")
         edges = [lo + k * width for k in range(nbins + 1)]
         params = EnvelopeParams.for_model(n, d, args.model)
-        dsyevd_2stage()  # a LAPACK without it fails here, before any matrix
-        tvs = []
-        for trial in range(args.samples):
-            g = sample_model(args.model, n, d, stream(seed, trial))
-            # fixed-d histogram comparison uses the plain (d-1)^{-1/2} A scale;
-            # LAPACK reads and overwrites only the one built triangle
-            a = g.upper_triangle(math.sqrt(d - 1))
-            lam = eigvalsh_inplace(a)
-            del a
-            counts = interval_counts(lam, edges).tolist()
+        kappas = [_kappa(a, b) for a, b in zip(edges, edges[1:])]
+        bins = [(a, b, density_mass(a, b, d), k, *counting_bounds(width, k, params))
+                for a, b, k in zip(edges, edges[1:], kappas)]
+
+        def stat(seed, trial, lam):
             tv = 0.0
-            for k in range(nbins):
-                a_k, b_k = edges[k], edges[k + 1]
-                nu = counts[k] / n
-                rho = density_mass(a_k, b_k, d)
-                kappa = _kappa(a_k, b_k)
-                bulk, edge = counting_bounds(width, kappa, params)
-                tv += abs(nu - rho)
-                rows.append([seed, trial, a_k, b_k, nu, rho, kappa, bulk, edge])
-            tvs.append(tv)
+            for count, (a, b, rho, *rest) in zip(
+                    interval_counts(lam, edges).tolist(), bins):
+                tv += abs(count / n - rho)
+                rows.append([seed, trial, a, b, count / n, rho, *rest])
+            return tv
+        tvs = law_mod.per_trial(args.model, n, d, keys, stat, vectors=False)
         results = {"tv_per_trial": tvs, "tv_mean": sum(tvs) / len(tvs)}
     else:
         raise ReggError(f"unknown eigen mode {args.mode!r}")

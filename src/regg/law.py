@@ -1,5 +1,5 @@
-"""Monte-Carlo sweeps of the resolvent error statistics against their
-envelopes, and envelope-constant fitting.
+"""The one per-trial spectral loop, Monte-Carlo sweeps of the resolvent
+error statistics against their envelopes, and envelope-constant fitting.
 
 One eigendecomposition per sampled graph serves the whole z-grid; the
 per-z evaluations are vectorized across the grid.
@@ -7,6 +7,7 @@ per-z evaluations are vectorized across the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -14,12 +15,14 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import sample_model
 from .rng import stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       f_envelope, m_semicircle, phi_envelope, psi_envelope)
+from .spectral import (EnvelopeParams, ResolventView, build_H, dsyevd_2stage,
+                       eigvalsh_inplace, f_envelope, m_semicircle,
+                       phi_envelope, psi_envelope)
 
 __all__ = [
     "LawRecord",
     "SweepPlan",
+    "per_trial",
     "law_sweep",
     "records_for_view",
     "fit_envelope_constant",
@@ -83,7 +86,13 @@ class SweepPlan:
 
     @staticmethod
     def dyadic_etas(eta_min: float, eta_max: float = 1.0) -> tuple[float, ...]:
-        """{eta_max * 2^-k} down to the last value >= eta_min."""
+        """{eta_max * 2^-k} down to the last value >= eta_min.  Both bounds
+        must be finite and eta_min positive: otherwise the halving never
+        falls below eta_min."""
+        if not (0 < eta_min < math.inf and math.isfinite(eta_max)):
+            raise InvalidParametersError(
+                f"eta bounds must be finite with eta_min > 0, got "
+                f"eta_min = {eta_min}, eta_max = {eta_max}")
         out = []
         eta = float(eta_max)
         while eta >= eta_min:
@@ -123,24 +132,35 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
     return records
 
 
+def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
+              offdiag_pairs: int = 10000) -> list:
+    """[stat(seed, trial, spectrum) for (seed, trial) in keys] on graphs from
+    stream(seed, trial): ResolventView(build_H(g)) with pair_seed = seed or,
+    without `vectors`, the ascending eigenvalues of A / sqrt(d-1).  Each is
+    dropped before the next trial's matrix is built; stat must not hold it."""
+    if not vectors:
+        dsyevd_2stage()  # a LAPACK without it fails here, before any matrix
+    out = []
+    for seed, trial in keys:
+        g = sample_model(model, n, d, stream(seed, trial))
+        spectrum = (ResolventView(build_H(g), offdiag_pairs, pair_seed=seed)
+                    if vectors else
+                    eigvalsh_inplace(g.upper_triangle(math.sqrt(d - 1))))
+        out.append(stat(seed, trial, spectrum))
+        del spectrum  # before the next trial's build and decomposition
+    return out
+
+
 def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
               seed: int) -> list[LawRecord]:
     """Sample `plan.samples` graphs and evaluate the full grid on each.
     Deterministic given the seed; trial streams are independent."""
-    records: list[LawRecord] = []
-    xi = default_xi(n) if plan.xi is None else plan.xi
-    params = EnvelopeParams.for_model(n, d, model, xi=xi)
-    for trial in range(plan.samples):
-        rng = stream(seed, trial)
-        g = sample_model(model, n, d, rng)
-        view = ResolventView(build_H(g), offdiag_pairs=plan.offdiag_pairs,
-                             pair_seed=seed)
-        records.extend(records_for_view(view, model, n, d, seed, trial, plan,
-                                        params))
-        # the next trial's build_H and decomposition must not run beside
-        # this view's eigenvectors
-        del view
-    return records
+    params = EnvelopeParams.for_model(n, d, model, xi=plan.xi)
+    per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
+                    lambda s, t, view: records_for_view(
+                        view, model, n, d, s, t, plan, params),
+                    offdiag_pairs=plan.offdiag_pairs)
+    return [r for records in per for r in records]
 
 
 def fit_envelope_constant(records: list[LawRecord], xi: float,

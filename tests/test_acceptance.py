@@ -1,8 +1,9 @@
 """Acceptance gate: each test covers one numbered criterion and prints a
 single PASS/FAIL line with the measured quantity at its pinned tolerance.
 
-The expensive N = 2000 eigendecompositions are computed once per module and
-shared between the sweep-based criteria.
+Every sampled-graph criterion but 2 runs on law.per_trial. The expensive
+N = 2000 statistics are computed once per module and shared between
+criteria; only per-seed statistics are kept, never a decomposition.
 """
 
 import math
@@ -11,17 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from regg.graphs import sample_matching_model, sample_model
+from regg.graphs import sample_model
 from regg.invariance import (mm_exact_invariance, pm_exact_uniformity,
                              um_exact_invariance)
-from regg.law import SweepPlan, fit_envelope_constant, records_for_view
+from regg.law import (SweepPlan, fit_envelope_constant, per_trial,
+                      records_for_view)
 from regg.manifest import RunManifest
 from regg.observables import (deloc_bound, delocalization_stats,
                               density_mass, interval_counts, que_bound,
                               que_statistics)
 from regg.rng import stream
 from regg.spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                           eigvalsh_inplace, m_semicircle, resolvent_solve)
+                           m_semicircle, resolvent_solve)
 from regg.stability import (ExchangeableEnsemble, MartingaleSpec,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
@@ -48,20 +50,23 @@ def _sweep(n: int, d: int, seeds) -> dict:
                      samples=1, offdiag_pairs=10000)
     xi = default_xi(n)
     params = EnvelopeParams.for_model(n, d, "permutation", xi=xi)
-    records = []
-    gammas = []  # (seed, E, eta, gamma)
-    for seed in seeds:
-        g = sample_model("permutation", n, d, stream(seed, 0))
-        view = ResolventView(build_H(g), pair_seed=seed)
-        records.extend(records_for_view(view, "permutation", n, d, seed, 0,
-                                        plan, params))
-        zs = np.array([complex(E, eta) for E in plan.e_grid
-                       for eta in plan.eta_grid])
+    zs = np.array([complex(E, eta) for E in plan.e_grid
+                   for eta in plan.eta_grid])
+
+    def stat(seed, trial, view):
+        records = records_for_view(view, "permutation", n, d, seed, trial,
+                                   plan, params)
         diag, off = view.grid(zs)
         gam = np.maximum(1.0, np.maximum(np.abs(diag).max(axis=0),
                                          np.abs(off).max(axis=0)))
-        gammas.extend((seed, z.real, z.imag, float(gv))
-                      for z, gv in zip(zs, gam))
+        # (seed, E, eta, gamma)
+        return records, [(seed, z.real, z.imag, float(gv))
+                         for z, gv in zip(zs, gam)]
+
+    per_seed = per_trial("permutation", n, d, [(seed, 0) for seed in seeds],
+                         stat, offdiag_pairs=plan.offdiag_pairs)
+    records = [r for recs, _ in per_seed for r in recs]
+    gammas = [g for _, gams in per_seed for g in gams]
     constants = fit_envelope_constant(records, xi)
     return {"plan": plan, "xi": xi, "records": records, "gammas": gammas,
             "constants": constants}
@@ -73,12 +78,15 @@ def sweep_2000():
 
 
 @pytest.fixture(scope="module")
-def views_2000_d30():
-    views = []
-    for seed in range(5):
-        g = sample_model("permutation", 2000, 30, stream(seed, 0))
-        views.append(ResolventView(build_H(g)))
-    return views
+def eigvec_stats_2000_d30():
+    """(N max v^2, max |QUE statistic| at |I| = 200) for seeds 0..4 of the
+    permutation model at N = 2000, d = 30."""
+    def stat(seed, trial, view):
+        return (delocalization_stats(view)["normalized"],
+                float(np.abs(que_statistics(view, 200)).max()))
+
+    return per_trial("permutation", 2000, 30,
+                     [(seed, 0) for seed in range(5)], stat)
 
 
 def test_criterion_1_exact_switching_invariance():
@@ -175,9 +183,9 @@ def test_criterion_5_local_law_envelope(sweep_2000):
     report(5, "local-law-envelope", ok, detail)
 
 
-def test_criterion_6_delocalization(views_2000_d30):
+def test_criterion_6_delocalization(eigvec_stats_2000_d30):
     bound = deloc_bound(2000)
-    worst = max(delocalization_stats(v)["normalized"] for v in views_2000_d30)
+    worst = max(deloc for deloc, _ in eigvec_stats_2000_d30)
     ok = worst <= bound
     detail = f"N max v^2 = {worst:.2f} <= 10 (log N)^2 = {bound:.2f}, 5 seeds"
     report(6, "eigenvector-delocalization", ok, detail)
@@ -187,16 +195,15 @@ def test_criterion_7_kesten_mckay_histogram():
     n, d = 5000, 3
     edges = [round(-2.2 + 0.1 * k, 12) for k in range(45)]
     rhos = [density_mass(a, b, d) for a, b in zip(edges, edges[1:])]
-    tvs = []
-    for seed in range(3):
-        g = sample_matching_model(n, d, stream(seed, 0))
-        adj = g.upper_triangle(math.sqrt(d - 1))
-        lam = eigvalsh_inplace(adj)
-        del adj
+
+    def bin_tv(seed, trial, lam):
         tv = 0.0
         for count, rho in zip(interval_counts(lam, edges).tolist(), rhos):
             tv += abs(count / n - rho)
-        tvs.append(tv)
+        return tv
+
+    tvs = per_trial("matching", n, d, [(seed, 0) for seed in range(3)],
+                    bin_tv, vectors=False)
     mean_tv = sum(tvs) / len(tvs)
     ok = mean_tv <= 0.03
     detail = (f"matching model d=3 N=5000, mean bin-TV {mean_tv:.4f} <= 0.03 "
@@ -252,13 +259,10 @@ def test_criterion_10_exchangeable_moments():
     report(10, "exchangeable-moment-bounds", ok, detail)
 
 
-def test_criterion_11_que_flatness(views_2000_d30):
+def test_criterion_11_que_flatness(eigvec_stats_2000_d30):
     n, size = 2000, 200
     bound = que_bound(n, size)
-    worst = 0.0
-    for view in views_2000_d30[:3]:
-        stats = que_statistics(view, size)
-        worst = max(worst, float(np.abs(stats).max()))
+    worst = max(que for _, que in eigvec_stats_2000_d30[:3])
     ok = worst <= bound
     detail = (f"max |sum_I v^2 - |I|/N| = {worst:.4f} <= {bound:.4f}, "
               f"all eigenvectors, 3 seeds")

@@ -17,6 +17,7 @@ from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       main, rerun_manifest)
 from regg.errors import InvalidParametersError
 from regg.graphs import from_edgelist
+from regg.law import read_table
 from regg.manifest import CONFIG_SCHEMA, ExperimentConfig, RunManifest
 from regg.rng import stream
 from regg.spectral import build_H
@@ -205,6 +206,23 @@ class TestLawsweep:
         assert man.params["eta_grid"] == [1.0, 0.5]
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta-min", "0"),      # the halving reaches 0.0 and stays there
+        ("--eta-min", "-1"),
+        ("--eta-min", "nan"),
+        ("--eta-max", "inf"),    # inf / 2 is inf
+        ("--e-min", "nan"),
+        ("--e-max", "inf"),
+    ])
+    def test_unbounded_grid_fails_fast(self, tmp_path, capsys, flag, value):
+        start = time.monotonic()
+        assert run(["lawsweep", "--model", "permutation", "--n", "100",
+                    "--d", "4", flag, value,
+                    "--out", str(tmp_path / "law.csv")]) == EXIT_PRECONDITION
+        assert time.monotonic() - start < 1.0
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "law.csv").exists()
+
 
 class TestEigen:
     def test_deloc(self, tmp_path):
@@ -215,6 +233,17 @@ class TestEigen:
         assert code == EXIT_OK
         man = RunManifest.load(str(out) + ".manifest.json")
         assert man.results["pass"] is True
+        # (trial, max_inf_norm, normalized), recorded before the eigen modes
+        # shared law.per_trial
+        _, rows = read_table(str(out), "eigen-deloc")
+        assert [int(r[1]) for r in rows] == [0, 1]
+        got = [[float(r[2]), float(r[3])] for r in rows]
+        assert got[0] == pytest.approx([0.27524576515611554,
+                                        15.152046247275102], rel=1e-12)
+        assert got[1] == pytest.approx([0.374543875426655,
+                                        28.056622923923534], rel=1e-12)
+        assert man.results["worst_normalized"] == pytest.approx(
+            28.056622923923534, rel=1e-12)
 
     def test_que(self, tmp_path):
         out = tmp_path / "que.csv"
@@ -224,6 +253,20 @@ class TestEigen:
         assert code == EXIT_OK
         man = RunManifest.load(str(out) + ".manifest.json")
         assert man.results["pass"] is True
+        # every 20th alpha's statistic and the largest |statistic| (alpha
+        # 178), recorded before the eigen modes shared law.per_trial
+        _, rows = read_table(str(out), "eigen-que")
+        assert [int(r[2]) for r in rows] == list(range(200))
+        stats = [float(r[3]) for r in rows]
+        assert stats[::20] == pytest.approx([
+            0.012163864696404183, 0.0275307466202493, 0.011148937644105588,
+            -0.04448691875566247, -0.016519844091144768, 0.08561171053426868,
+            -0.017380188586058453, -0.010688118868294242,
+            -0.024095883951693712, 0.009632440687558136], rel=0, abs=1e-12)
+        assert stats[178] == pytest.approx(0.10628285826758478, rel=0,
+                                           abs=1e-12)
+        assert man.results["worst_stat"] == pytest.approx(
+            0.10628285826758478, rel=0, abs=1e-12)
 
     def test_intervals(self, tmp_path):
         out = tmp_path / "int.csv"
@@ -256,16 +299,28 @@ class TestEigen:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "010556992d65134f6dcb54b9cde6b03f1716ef5cb61bbfc2e7b452a6ccd9eca4")
 
-    @pytest.mark.parametrize("mode", ["deloc", "que"])
+    @pytest.mark.parametrize("mode", ["deloc", "que", "lawsweep"])
     def test_trials_do_not_accumulate_memory(self, tmp_path, mode):
         # the previous trial's view must be gone before the next eigh
+        model = ["--model", "permutation", "--n", "800", "--d", "10",
+                 "--seed", "5"]
+        if mode == "lawsweep":
+            # 100 pairs keep grid's pair blocks below the decomposition, so
+            # both runs peak in the eigh that a held view would sit beside
+            cfg = tmp_path / "pairs.cfg"
+            cfg.write_text("[spectral_core]\noffdiag_pairs = 100\n")
+            argv = ["lawsweep", *model, "--e-step", "4.8", "--eta-min", "1",
+                    "--config", str(cfg)]
+        else:
+            argv = ["eigen", "--mode", mode, *model]
+        # loaded before tracing starts, so that its import does not count
+        # towards the first run's peak only
+        import scipy.linalg  # noqa: F401
         peaks = []
         for samples in ("1", "2"):
             tracemalloc.start()
             try:
-                code = run(["eigen", "--mode", mode, "--model", "permutation",
-                            "--n", "800", "--d", "10", "--seed", "5",
-                            "--samples", samples,
+                code = run([*argv, "--samples", samples,
                             "--out", str(tmp_path / f"{mode}{samples}.csv")])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:

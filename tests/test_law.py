@@ -25,6 +25,12 @@ class TestSweepPlan:
         assert SweepPlan.dyadic_etas(64 / 2000) == (
             1.0, 0.5, 0.25, 0.125, 0.0625)
         assert SweepPlan.dyadic_etas(0.9, eta_max=2.0) == (2.0, 1.0)
+        # halving would never fall below these bounds
+        for eta_min, eta_max in ((0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                 (math.inf, 1.0), (0.1, math.inf),
+                                 (0.1, math.nan)):
+            with pytest.raises(InvalidParametersError):
+                SweepPlan.dyadic_etas(eta_min, eta_max)
 
     def test_validation(self):
         with pytest.raises(InvalidParametersError):
