@@ -134,6 +134,10 @@ def _approximate(model: str, n: int, d: int) -> bool:
     return model == "uniform" and uniform_method(n, d) == "switching-chain"
 
 
+#: most energies a lawsweep grid may hold; finer grids exit 2
+E_GRID_MAX = 100_000
+
+
 def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
     if not e_step > 0:
         raise InvalidParametersError("--e-step must be positive")
@@ -143,6 +147,10 @@ def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
             f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
             f"steps of {e_step} is not finite")
     count = int(round(span)) + 1
+    if count > E_GRID_MAX:
+        raise InvalidParametersError(
+            f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
+            f"steps of {e_step} has {count} points, more than {E_GRID_MAX}")
     return tuple(round(e_min + k * e_step, 12) for k in range(count))
 
 
@@ -150,8 +158,10 @@ def _cmd_lawsweep(args, argv) -> int:
     cfg = _load_config(args)
     seed = resolve_seed(args.seed)
     n = args.n
+    ModelKind(args.model).check_parity(n, args.d)  # n > 0 for the defaults
     xi = args.xi if args.xi is not None else default_xi(n)
-    eta_grid = law_mod.SweepPlan.dyadic_etas(eta_min=args.eta_min,
+    eta_min = args.eta_min if args.eta_min is not None else 64.0 / n
+    eta_grid = law_mod.SweepPlan.dyadic_etas(eta_min=eta_min,
                                              eta_max=args.eta_max)
     plan = law_mod.SweepPlan(
         e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
@@ -204,6 +214,7 @@ def _cmd_eigen(args, argv) -> int:
         raise InvalidParametersError("--bin-width must be positive")
     seed = resolve_seed(args.seed)
     n, d = args.n, args.d
+    ModelKind(args.model).check_parity(n, d)  # n > 0 for the bounds
     keys = [(seed, trial) for trial in range(args.samples)]
     rows: list[list] = []
     if args.mode == "deloc":
@@ -442,8 +453,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "lawsweep" and args.eta_min is None:
-            args.eta_min = 64.0 / args.n
         return args.func(args, argv)
     except ReggError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ validating and switching cost O(n d) rather than O(n^2); a loop is one
 entry and adds two to its vertex's degree.  Dense matrices are built only
 on demand: the full adjacency matrix by dense_adjacency, and the upper
 triangle that an eigenvalue-only LAPACK call reads by
-MultiGraph.upper_triangle.
+MultiGraph.upper_triangle, in an anonymous mapping from mapped_matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ __all__ = [
     "sample_uniform",
     "uniform_method",
     "dense_adjacency",
+    "check_ram",
+    "mapped_matrix",
     "enumerate_simple_regular",
     "to_edgelist",
     "from_edgelist",
@@ -83,30 +85,53 @@ def _simple(codes: np.ndarray, n: int) -> np.ndarray:
             & (codes[..., 1:] != codes[..., :-1]).all(axis=-1))
 
 
-def _check_ram(n: int, dtype, copies: int = 1) -> None:
-    """Raise InvalidParametersError when `copies` dense n x n `dtype`
-    arrays would not fit in physical RAM; called before allocating them."""
-    need = copies * np.dtype(dtype).itemsize * n * n
+def check_ram(need: int, what: str) -> None:
+    """Raise InvalidParametersError when `need` bytes, described by `what`,
+    would not fit in physical RAM; called before allocating them."""
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
         raise InvalidParametersError(
-            f"{copies} dense {n}x{n} {np.dtype(dtype).name} matrices need "
-            f"{need / 1e9:.3g} GB, more than the {ram / 1e9:.3g} GB of RAM")
+            f"{what}: {need / 1e9:.3g} GB, more than the "
+            f"{ram / 1e9:.3g} GB of RAM")
 
 
-def dense_adjacency(n: int, u, v, dtype=np.int64, copies: int = 1) -> np.ndarray:
+def dense_adjacency(n: int, u, v, dtype=np.int64) -> np.ndarray:
     """The symmetric n x n matrix with one added at (u[k], v[k]) and at
     (v[k], u[k]) for every k, so a loop adds two to its diagonal entry.
 
-    Built directly in `dtype`.  `copies` is how many n x n arrays of this
-    size the caller's computation holds at once; when they would not fit in
-    physical RAM, raises InvalidParametersError before allocating.
+    Built directly in `dtype`, on the heap; raises InvalidParametersError
+    before allocating when it would not fit in physical RAM.
     """
-    _check_ram(n, dtype, copies)
+    dtype = np.dtype(dtype)
+    check_ram(dtype.itemsize * n * n, f"a dense {n}x{n} {dtype.name} matrix")
     a = np.zeros((n, n), dtype=dtype)
     np.add.at(a, (u, v), 1)
     np.add.at(a, (v, u), 1)
     return a
+
+
+def mapped_matrix(n: int, copies: int = 1,
+                  huge_pages: bool = True) -> np.ndarray:
+    """A zeroed, writable, C-contiguous n x n float64 array in its own
+    anonymous mapping.
+
+    Its pages go back to the kernel as soon as the array is freed: a heap
+    array of this size may stay resident after it is freed, once glibc's
+    dynamic mmap threshold has risen above it.  With `huge_pages` the
+    mapping asks for transparent huge pages, which a caller that writes
+    every entry faults in about twice as fast; without, they are turned
+    off, so that only the 4 KiB pages a write touches become resident.
+    `copies` is how many n x n float64 arrays the caller's computation holds
+    at once; when they would not fit in physical RAM, raises
+    InvalidParametersError before mapping.
+    """
+    check_ram(8 * copies * n * n, f"{copies} dense {n}x{n} float64 matrices")
+    buf = mmap.mmap(-1, max(1, 8 * n * n),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # a kernel without THP
+        buf.madvise(mmap.MADV_HUGEPAGE if huge_pages
+                    else mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,32 +202,24 @@ class MultiGraph:
         return MultiGraph(self.n, self.deg, np.concatenate(
             [np.delete(self.codes, drop), np.array(add, dtype=np.int64)]))
 
-    def dense(self, dtype=np.int64, copies: int = 1) -> np.ndarray:
-        """Adjacency matrix in `dtype`; see dense_adjacency for `copies`."""
-        return dense_adjacency(self.n, *self.endpoints(), dtype=dtype,
-                               copies=copies)
+    def dense(self, dtype=np.int64) -> np.ndarray:
+        """Adjacency matrix in `dtype`, built by dense_adjacency."""
+        return dense_adjacency(self.n, *self.endpoints(), dtype=dtype)
 
     def upper_triangle(self, divisor: float) -> np.ndarray:
         """The upper triangle of the adjacency matrix over `divisor`, as a
-        writable, C-contiguous n x n float64 array whose strictly lower
-        triangle is left unwritten and reads zero.
+        mapped_matrix whose strictly lower triangle is left unwritten and
+        reads zero.
 
         Entry (i, j), i <= j, holds the same bits as dense(np.float64)
         divided by `divisor`: mult / divisor for an edge, 2 loops / divisor
-        on the diagonal.  The array lives in its own anonymous mapping with
-        transparent huge pages turned off, so only the 4 KiB pages a write
-        touches are faulted in; an eigenvalue-only LAPACK call that reads
-        and writes this triangle (eigvalsh_inplace) never brings in the
-        other half.  Raises InvalidParametersError before mapping if one
-        n x n float64 matrix would not fit in physical RAM.
+        on the diagonal.  Huge pages are off, so only the 4 KiB pages a
+        write touches are faulted in, and an eigenvalue-only LAPACK call
+        that reads and writes this triangle (eigvalsh_inplace) never brings
+        in the other half.  Raises InvalidParametersError before mapping if
+        one n x n float64 matrix would not fit in physical RAM.
         """
-        n = self.n
-        _check_ram(n, np.float64)
-        buf = mmap.mmap(-1, 8 * n * n,
-                        flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        with contextlib.suppress(OSError):  # a kernel without THP
-            buf.madvise(mmap.MADV_NOHUGEPAGE)
-        a = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+        a = mapped_matrix(self.n, huge_pages=False)
         i, j, mult = self.edge_arrays()
         a[i, j] = np.where(i == j, 2 * mult, mult) / divisor
         return a

@@ -13,11 +13,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParametersError
-from .graphs import sample_model
+from .graphs import check_ram, sample_model
 from .rng import stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, dsyevd_2stage,
-                       eigvalsh_inplace, f_envelope, m_semicircle,
-                       phi_envelope, psi_envelope)
+from .spectral import (EnvelopeParams, ResolventView, build_H, dgemm, dsyevd,
+                       dsyevd_2stage, eigvalsh_inplace, f_envelope,
+                       grid_bytes, m_semicircle, phi_envelope, psi_envelope)
 
 __all__ = [
     "LawRecord",
@@ -137,9 +137,11 @@ def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
     """[stat(seed, trial, spectrum) for (seed, trial) in keys] on graphs from
     stream(seed, trial): ResolventView(build_H(g)) with pair_seed = seed or,
     without `vectors`, the ascending eigenvalues of A / sqrt(d-1).  Each is
-    dropped before the next trial's matrix is built; stat must not hold it."""
-    if not vectors:
-        dsyevd_2stage()  # a LAPACK without it fails here, before any matrix
+    dropped before the next trial's matrix is built; stat must not hold it.
+    The LAPACK and BLAS routines are resolved first, so a library without
+    one fails before any graph is sampled."""
+    for routine in (dsyevd, dgemm) if vectors else (dsyevd_2stage,):
+        routine()
     out = []
     for seed, trial in keys:
         g = sample_model(model, n, d, stream(seed, trial))
@@ -154,7 +156,12 @@ def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
 def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
               seed: int) -> list[LawRecord]:
     """Sample `plan.samples` graphs and evaluate the full grid on each.
-    Deterministic given the seed; trial streams are independent."""
+    Deterministic given the seed; trial streams are independent.  Raises
+    InvalidParametersError before sampling when one sample's grid arrays
+    would not fit in physical RAM."""
+    nz = len(plan.e_grid) * len(plan.eta_grid)
+    check_ram(grid_bytes(n, nz, plan.offdiag_pairs),
+              f"the z-grid arrays of {nz} points at N = {n}")
     params = EnvelopeParams.for_model(n, d, model, xi=plan.xi)
     per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
                     lambda s, t, view: records_for_view(

@@ -4,25 +4,35 @@ H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
-Both LAPACK paths overwrite the one dense matrix they are given:
-eigvalsh_inplace calls LAPACK's two-stage dsyevd_2stage, which reads and
-writes only the matrix's upper triangle (MultiGraph.upper_triangle builds
-just that half) with O(N kd) workspace for a band of kd columns, and
-ResolventView leaves scipy's dsyevd's eigenvectors in H's memory with
-2 N^2 of workspace.  grid works in real arithmetic on scipy's dgemm and in
-blocks of PAIR_BLOCK pairs: beyond the eigenvectors, its outputs and its
-weights it holds at most N^2 + 2 PAIR_BLOCK N reals, within the
-EIGH_COPIES N^2 of the decomposition.
 
-scipy is imported inside the functions that call LAPACK or BLAS, so a
-process loads scipy.linalg only when it decomposes a matrix (lawsweep,
-eigen); sample, invariance, stability and report run on numpy alone.
+LAPACK and BLAS are called through one ctypes binding: dsyevd,
+dsyevd_2stage and dgemm are resolved, once per process, in the LAPACK
+extension that scipy ships (linalg/_flapack, whose handle also reaches the
+OpenBLAS it links against).  The extension is located on disk and opened as
+a plain shared library, so no command imports scipy.linalg.  Every array
+argument has an ndpointer type: a strided, read-only or wrongly typed
+array raises ctypes.ArgumentError before LAPACK sees it.
+
+Both decompositions overwrite the one dense matrix they are given:
+eigvalsh_inplace calls dsyevd_2stage, which reads and writes only the
+matrix's upper triangle (MultiGraph.upper_triangle builds just that half)
+with O(N kd) workspace for a band of kd columns, and ResolventView leaves
+dsyevd's eigenvectors in H's memory with 2 N^2 of workspace.  H, the
+C-ordered copy of the eigenvectors and their squares are mapped_matrix
+arrays, whose pages go back to the kernel when they are freed.  grid works
+in real arithmetic on dgemm and in blocks of PAIR_BLOCK pairs: beyond the
+eigenvectors, its outputs and its weights it holds at most
+N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 of the
+decomposition.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -31,14 +41,17 @@ import numpy as np
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning, ReggError)
-from .graphs import ModelKind, MultiGraph
+from .graphs import ModelKind, MultiGraph, mapped_matrix
 
 __all__ = [
     "ResolventView",
     "EnvelopeParams",
     "build_H",
     "eigvalsh_inplace",
+    "dsyevd",
     "dsyevd_2stage",
+    "dgemm",
+    "grid_bytes",
     "resolvent_solve",
     "m_semicircle",
     "semicircle_density",
@@ -62,10 +75,14 @@ PAIR_BLOCK = 1024
 
 def build_H(g: MultiGraph) -> np.ndarray:
     """H = (d-1)^{-1/2} (A - (d/n) J) as a writable, C-contiguous float64
-    array, ready to be consumed by ResolventView.  Requires d >= 2."""
+    mapped_matrix, ready to be consumed by ResolventView.  Requires d >= 2;
+    raises InvalidParametersError before mapping when the EIGH_COPIES
+    N x N arrays of the decomposition would not fit in physical RAM."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    h = g.dense(np.float64, copies=EIGH_COPIES)
+    h = mapped_matrix(g.n, copies=EIGH_COPIES)
+    i, j, mult = g.edge_arrays()
+    h[i, j] = h[j, i] = np.where(i == j, 2 * mult, mult)
     h -= g.deg / g.n
     h /= math.sqrt(g.deg - 1)
     _check_centred(h)
@@ -93,38 +110,125 @@ def _check_inplace(a: np.ndarray, who: str) -> None:
             f"{who} needs a writable, C-contiguous, square float64 array")
 
 
-#: the symbol of LAPACK's dsyevd_2stage in scipy-openblas builds, then in
-#: plain LAPACK builds
+# ---------------------------------------------------------------------------
+# The LAPACK and BLAS binding
+
+#: each routine's symbol in scipy-openblas builds, then in plain LAPACK builds
+_DSYEVD = ("scipy_dsyevd_", "dsyevd_")
 _DSYEVD_2STAGE = ("scipy_dsyevd_2stage_", "dsyevd_2stage_")
+_DGEMM = ("scipy_dgemm_", "dgemm_")
+
+
+def _pointer(dtype, ndim: int, *flags: str):
+    return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=flags)
+
+
+#: LP64 argument types.  Scalars are one-element arrays passed by reference;
+#: arrays a routine writes must be writable, matrices Fortran-contiguous
+_CHAR, _LENGTH = ctypes.c_char_p, ctypes.c_size_t
+_INT, _REAL = _pointer(np.intc, 1), _pointer(np.float64, 1)
+_INTS = _pointer(np.intc, 1, "C_CONTIGUOUS", "WRITEABLE")
+_REALS = _pointer(np.float64, 1, "C_CONTIGUOUS", "WRITEABLE")
+_MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS")
+_OUT_MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS", "WRITEABLE")
+
+#: jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
+#: hidden lengths of jobz and uplo
+_SYEVD_ARGS = [_CHAR, _CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _INT,
+               _INTS, _INT, _INTS, _LENGTH, _LENGTH]
+#: transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, then the
+#: hidden lengths of transa and transb
+_GEMM_ARGS = [_CHAR, _CHAR, _INT, _INT, _INT, _REAL, _MATRIX, _INT, _MATRIX,
+              _INT, _REAL, _OUT_MATRIX, _INT, _LENGTH, _LENGTH]
+
+
+@cache
+def _lapack() -> ctypes.CDLL:
+    """scipy's LAPACK extension linalg/_flapack, found from scipy's package
+    directory without importing scipy.linalg and opened with ctypes; dlsym
+    on its handle also searches the OpenBLAS it links against."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.exists(path):
+                return ctypes.CDLL(path)
+    raise ReggError("scipy's LAPACK extension linalg/_flapack was not found")
+
+
+def _resolve(routine: str, names: tuple[str, ...], argtypes: list):
+    """The first of `names` that the LAPACK extension exports, typed with
+    `argtypes`; raises ReggError naming `routine` when none is."""
+    lib = _lapack()
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, None
+            return fn
+    raise ReggError(
+        f"LAPACK's {routine} is not exported by {lib._name} or its "
+        f"libraries (looked for {', '.join(names)})")
+
+
+@cache
+def dsyevd():
+    """LAPACK's dsyevd (divide and conquer), resolved once per process."""
+    return _resolve("dsyevd", _DSYEVD, _SYEVD_ARGS)
 
 
 @cache
 def dsyevd_2stage():
-    """LAPACK's dsyevd_2stage, resolved once through the handle of the LAPACK
-    extension scipy loads (dlsym there also searches the libraries it links
-    against); raises ReggError when neither symbol of _DSYEVD_2STAGE exists.
+    """LAPACK's dsyevd_2stage (two-stage reduction to tridiagonal form),
+    resolved once per process; it takes dsyevd's arguments."""
+    return _resolve("dsyevd_2stage", _DSYEVD_2STAGE, _SYEVD_ARGS)
 
-    The routine is LP64: jobz, uplo, n, a, lda, w, work, lwork, iwork,
-    liwork, info, then the two hidden lengths of jobz and uplo.  Every
-    pointer argument is passed as a numpy array."""
-    from scipy.linalg import _flapack
 
-    lib = ctypes.CDLL(_flapack.__file__)
-    for name in _DSYEVD_2STAGE:
-        routine = getattr(lib, name, None)
-        if routine is not None:
-            break
-    else:
-        raise ReggError(
-            f"LAPACK's dsyevd_2stage is not exported by {_flapack.__file__} "
-            f"or its libraries (looked for {', '.join(_DSYEVD_2STAGE)})")
-    ints = np.ctypeslib.ndpointer(np.intc)
-    reals = np.ctypeslib.ndpointer(np.float64)
-    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ints, reals, ints,
-                        reals, reals, ints, ints, ints, ints,
-                        ctypes.c_size_t, ctypes.c_size_t]
-    routine.restype = None
-    return routine
+@cache
+def dgemm():
+    """BLAS dgemm, resolved once per process."""
+    return _resolve("dgemm", _DGEMM, _GEMM_ARGS)
+
+
+def _intc(value: int) -> np.ndarray:
+    """A LAPACK integer argument: one C int, passed by reference."""
+    return np.array([value], np.intc)
+
+
+def _syevd(routine, name: str, jobz: bytes, a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose lower triangle
+    is that of the Fortran-ordered `a` (uplo 'L'), by `routine`, a dsyevd
+    with the name `name`; with jobz b"V" the eigenvectors overwrite a's
+    columns.  The workspace sizes come from LAPACK's own query, and a
+    nonzero info raises NumericalDegeneracyError."""
+    n = a.shape[0]
+    w = np.empty(n)
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
+             liwork: int) -> None:
+        info = np.zeros(1, np.intc)
+        routine(jobz, b"L", _intc(n), a, _intc(max(1, n)), w, work,
+                _intc(lwork), iwork, _intc(liwork), info, 1, 1)
+        if info[0]:
+            raise NumericalDegeneracyError(
+                f"{name} failed with info = {info[0]}")
+
+    work, iwork = np.empty(1), np.empty(1, np.intc)
+    call(work, iwork, -1, -1)  # the query: sizes land in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, np.intc), lwork, liwork)
+    return w
+
+
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w by dgemm, for a C-contiguous x and a Fortran-ordered w, as a
+    new Fortran-ordered array.  x.T is Fortran-ordered, so dgemm reads it
+    with transa 'T' and copies no operand."""
+    m, k = x.shape
+    out = np.empty((m, w.shape[1]), order="F")
+    dgemm()(b"T", b"N", _intc(m), _intc(w.shape[1]), _intc(k), np.ones(1),
+            x.T, _intc(max(1, k)), w, _intc(max(1, k)), np.zeros(1), out,
+            _intc(max(1, m)), 1, 1)
+    return out
 
 
 def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
@@ -139,29 +243,16 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     workspace is O(N kd), about 3.3 MB at N = 4000.  `a` must pass
     _check_inplace; a nonzero LAPACK info raises NumericalDegeneracyError."""
     _check_inplace(a, "eigvalsh_inplace")
-    routine = dsyevd_2stage()
-    n = a.shape[0]
-    w = np.empty(n)
-
-    def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
-             liwork: int) -> None:
-        info = np.zeros(1, np.intc)
-        routine(b"N", b"L", _intc(n), a.T, _intc(max(1, n)), w, work,
-                _intc(lwork), iwork, _intc(liwork), info, 1, 1)
-        if info[0]:
-            raise NumericalDegeneracyError(
-                f"dsyevd_2stage failed with info = {info[0]}")
-
-    work, iwork = np.empty(1), np.empty(1, np.intc)
-    call(work, iwork, -1, -1)  # the query: sizes land in work[0], iwork[0]
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), np.empty(liwork, np.intc), lwork, liwork)
-    return w
+    return _syevd(dsyevd_2stage(), "dsyevd_2stage", b"N", a.T)
 
 
-def _intc(value: int) -> np.ndarray:
-    """A LAPACK integer argument: one C int, passed by reference."""
-    return np.array([value], np.intc)
+def grid_bytes(n: int, nz: int, offdiag_pairs: int) -> int:
+    """Bytes that ResolventView.grid allocates for nz points at size n
+    beyond the view's own matrices: the complex N x nz and P x nz outputs,
+    four real N x nz weight arrays and one real dgemm product as large."""
+    pairs = (n * (n - 1) // 2 if n <= ResolventView.EXHAUSTIVE_N
+             else offdiag_pairs)
+    return 16 * (n + pairs) * nz + 5 * 8 * n * nz
 
 
 class ResolventView:
@@ -176,14 +267,14 @@ class ResolventView:
 
     def __init__(self, h: np.ndarray, offdiag_pairs: int = 10000,
                  pair_seed: int = 0):
-        import scipy.linalg
-
         _check_inplace(h, "ResolventView")
         self.n = h.shape[0]
-        self.eigenvalues, vec = scipy.linalg.eigh(
-            h.T, overwrite_a=True, check_finite=False, driver="evd")
+        # dsyevd (jobz 'V', uplo 'L') on h.T leaves the eigenvectors as the
+        # columns of h.T
+        self.eigenvalues = _syevd(dsyevd(), "dsyevd", b"V", h.T)
         # C order once, so that grid gathers pair rows, not strided columns
-        self.eigenvectors = np.ascontiguousarray(vec)
+        self.eigenvectors = mapped_matrix(self.n)
+        self.eigenvectors[...] = h.T
         self.offdiag_pairs = offdiag_pairs
         self.pair_seed = pair_seed
 
@@ -212,20 +303,17 @@ class ResolventView:
         at most N^2 + 2 PAIR_BLOCK N reals (v*v, then one block of gathered
         pair rows), within the EIGH_COPIES N^2 budget of the decomposition.
         """
-        from scipy.linalg.blas import dgemm
-
         zs = np.asarray(zs, dtype=complex)
         vec = self.eigenvectors
-        # Fortran-ordered (N, nz) weights: dgemm(1, x.T, w, trans_a=1) is
-        # x @ w on scipy's BLAS with no operand copied
+        # Fortran-ordered (N, nz) weights, which dgemm reads as they are
         gap = (self.eigenvalues - zs.real[:, None]).T
         scale = 1.0 / (gap * gap + zs.imag * zs.imag)
         w_re, w_im = gap * scale, zs.imag * scale
 
         diag = np.empty((self.n, zs.size), dtype=complex)
-        sq = vec * vec
-        diag.real = dgemm(1.0, sq.T, w_re, trans_a=1)
-        diag.imag = dgemm(1.0, sq.T, w_im, trans_a=1)
+        sq = np.multiply(vec, vec, out=mapped_matrix(self.n))
+        diag.real = _product(sq, w_re)
+        diag.imag = _product(sq, w_im)
         del sq
         # drawn after the diagonal product: drawing the pair sample first
         # raised lawsweep's peak RSS by about 4 MB at N = 2000
@@ -235,8 +323,8 @@ class ResolventView:
             rows = slice(start, start + PAIR_BLOCK)
             prod = vec[i[rows]]
             prod *= vec[j[rows]]
-            off.real[rows] = dgemm(1.0, prod.T, w_re, trans_a=1)
-            off.imag[rows] = dgemm(1.0, prod.T, w_im, trans_a=1)
+            off.real[rows] = _product(prod, w_re)
+            off.imag[rows] = _product(prod, w_im)
         return diag, off
 
 

@@ -8,11 +8,13 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from regg import graphs, spectral
+from regg import law as law_mod
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       main, rerun_manifest)
 from regg.errors import InvalidParametersError
@@ -94,6 +96,18 @@ class TestUsage:
                      "--mc", "--samples", "-2"]):
             assert run(bad) == EXIT_PRECONDITION
             assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["lawsweep"], ["eigen", "--mode", "deloc"], ["eigen", "--mode", "que"],
+        ["eigen", "--mode", "intervals"]])
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_nonpositive_size_exits_2(self, tmp_path, capsys, command, n):
+        # lawsweep's eta and xi defaults divide by n and take log(n), and so
+        # do the eigen modes' bounds
+        assert run([*command, "--model", "permutation", "--n", n, "--d", "4",
+                    "--out", str(tmp_path / "out.csv")]) == EXIT_PRECONDITION
+        assert "need n > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestSample:
@@ -206,6 +220,28 @@ class TestLawsweep:
         assert man.params["eta_grid"] == [1.0, 0.5]
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("argv, reason", [
+        # 2 * 10^12 energies: refused before the tuple is built.  argparse
+        # reads "-1e9" after a space as an option, hence the "="
+        (["--n", "100", "--e-min=-1e9", "--e-max", "1e9", "--e-step", "1e-3"],
+         "more than 100000"),
+        # 48 001 energies and 5 etas: the grid arrays of one sample take
+        # 65 GB
+        (["--n", "2000", "--e-step", "1e-4"], "GB of RAM"),
+    ])
+    def test_oversized_grid_fails_fast(self, tmp_path, capsys, monkeypatch,
+                                       argv, reason):
+        sampled = []
+        monkeypatch.setattr(law_mod, "sample_model",
+                            lambda *args, **kwargs: sampled.append(args))
+        start = time.monotonic()
+        assert run(["lawsweep", "--model", "permutation", "--d", "4", *argv,
+                    "--out", str(tmp_path / "law.csv")]) == EXIT_PRECONDITION
+        assert time.monotonic() - start < 1.0
+        assert reason in capsys.readouterr().err
+        assert sampled == []
+        assert not (tmp_path / "law.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--eta-min", "0"),      # the halving reaches 0.0 and stays there
         ("--eta-min", "-1"),
@@ -300,8 +336,24 @@ class TestEigen:
             "010556992d65134f6dcb54b9cde6b03f1716ef5cb61bbfc2e7b452a6ccd9eca4")
 
     @pytest.mark.parametrize("mode", ["deloc", "que", "lawsweep"])
-    def test_trials_do_not_accumulate_memory(self, tmp_path, mode):
-        # the previous trial's view must be gone before the next eigh
+    def test_trials_do_not_accumulate_memory(self, tmp_path, monkeypatch,
+                                             mode):
+        # the previous trial's view must be gone before the next eigh.  Its
+        # eigenvectors are mapped, which tracemalloc does not see, so the
+        # views are also tracked by weak reference
+        views = []
+
+        def view(*args, **kwargs):
+            made = spectral.ResolventView(*args, **kwargs)
+            views.append(weakref.ref(made))
+            return made
+
+        def build(g):
+            assert all(ref() is None for ref in views), "a view outlived its trial"
+            return spectral.build_H(g)
+
+        monkeypatch.setattr(law_mod, "ResolventView", view)
+        monkeypatch.setattr(law_mod, "build_H", build)
         model = ["--model", "permutation", "--n", "800", "--d", "10",
                  "--seed", "5"]
         if mode == "lawsweep":
@@ -313,9 +365,6 @@ class TestEigen:
                     "--config", str(cfg)]
         else:
             argv = ["eigen", "--mode", mode, *model]
-        # loaded before tracing starts, so that its import does not count
-        # towards the first run's peak only
-        import scipy.linalg  # noqa: F401
         peaks = []
         for samples in ("1", "2"):
             tracemalloc.start()
@@ -326,6 +375,7 @@ class TestEigen:
             finally:
                 tracemalloc.stop()
             assert code == EXIT_OK
+        assert len(views) == 3
         assert peaks[1] < 1.1 * peaks[0]
 
     def test_intervals_checks_memory_before_dense_matrix(self, tmp_path, capsys):
@@ -382,6 +432,34 @@ class TestEigen:
         assert "dsyevd_2stage" in err and "regg_missing_" in err
         assert mapped == []
         assert not (tmp_path / "int.csv").exists()
+
+    @pytest.mark.parametrize("argv, names, routine", [
+        (["lawsweep"], "_DSYEVD", "dsyevd"),
+        (["lawsweep"], "_DGEMM", "dgemm"),
+        (["eigen", "--mode", "deloc"], "_DSYEVD", "dsyevd"),
+        (["eigen", "--mode", "deloc"], "_DGEMM", "dgemm"),
+    ])
+    def test_fail_fast_without_a_routine(self, tmp_path, capsys, monkeypatch,
+                                         argv, names, routine):
+        # the eigenvector commands resolve dsyevd and dgemm before any
+        # graph's matrix is mapped
+        resolve = getattr(spectral, routine)
+        monkeypatch.setattr(spectral, names, ("regg_missing_",))
+        resolve.cache_clear()
+        mapped = []
+        monkeypatch.setattr(graphs.mmap, "mmap",
+                            lambda *args, **kwargs: mapped.append(args))
+        try:
+            code = run([*argv, "--model", "permutation", "--n", "300",
+                        "--d", "4", "--seed", "0",
+                        "--out", str(tmp_path / "out.csv")])
+        finally:
+            resolve.cache_clear()
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert f"LAPACK's {routine} " in err and "regg_missing_" in err
+        assert mapped == []
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestStability:
@@ -547,8 +625,9 @@ class TestManifest:
 class TestScipyLoading:
     def test_scipy_loads_only_for_linear_algebra(self, tmp_path):
         # commands that do no linear algebra start on numpy alone; eigen
-        # --mode intervals then loads LAPACK, and its reference masses are
-        # closed forms that need no quadrature
+        # --mode intervals and lawsweep reach LAPACK and BLAS through the
+        # ctypes binding, and the intervals' reference masses are closed
+        # forms that need no quadrature
         script = textwrap.dedent("""
             import sys
             import regg
@@ -561,16 +640,15 @@ class TestScipyLoading:
                     ["invariance", "--model", "uniform", "--n", "6", "--d", "3",
                      "--out", out + "/inv.json"],
                     ["stability", "--check", "sweep", "--points", "100",
-                     "--out", out + "/stab.json"]):
+                     "--out", out + "/stab.json"],
+                    ["eigen", "--mode", "intervals", "--model", "matching",
+                     "--n", "100", "--d", "3", "--out", out + "/km.csv"],
+                    ["lawsweep", "--model", "permutation", "--n", "100",
+                     "--d", "4", "--e-step", "1.2", "--eta-min", "0.5",
+                     "--out", out + "/law.csv"]):
                 assert regg.cli.main(argv) == 0, argv
-            loaded = [m for m in heavy if m in sys.modules]
-            assert not loaded, loaded
-            assert regg.cli.main(
-                ["eigen", "--mode", "intervals", "--model", "matching",
-                 "--n", "100", "--d", "3", "--out", out + "/km.csv"]) == 0
-            assert "scipy.linalg" in sys.modules
-            loaded = [m for m in heavy[1:] if m in sys.modules]
-            assert not loaded, loaded
+                loaded = [m for m in heavy if m in sys.modules]
+                assert not loaded, (argv, loaded)
         """)
         path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                              os.environ.get("PYTHONPATH")]))

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +37,29 @@ TRIANGLE_GRAPHS = [
     (sample_permutation_model, 500, 6, True),
     (sample_configuration_model, 500, 6, True),
 ]
+
+
+#: prepended to every _run_fresh script: a /proc/self/status field in kB
+_STATUS_KB = textwrap.dedent("""
+    def status_kb(key):
+        with open("/proc/self/status") as status:
+            (kb,) = [int(line.split()[1]) for line in status
+                     if line.startswith(key)]
+        return kb
+""")
+
+
+def _run_fresh(script, *args):
+    """Standard output of `script` run in a fresh interpreter on ./src, with
+    status_kb defined."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _STATUS_KB + script, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def complete_graph(n):
@@ -198,17 +223,108 @@ class TestResolventView:
         assert np.array_equal(h.T, vec)
 
     def test_decomposition_holds_three_matrices(self):
-        n = 1000
-        g = sample_permutation_model(n, 10, stream(44, 0))
-        tracemalloc.start()
+        # growth of the peak RSS over the resident set before the build, in
+        # a fresh process, in N x N float64 matrices: H plus LAPACK's 2 N^2
+        # workspace read about 3.3 at N = 1000, and a fourth N x N array
+        # alive beside them would add 1.  H and the eigenvectors are
+        # mapped, which tracemalloc does not see, so the peak is VmHWM
+        script = textwrap.dedent("""
+            from regg.graphs import sample_permutation_model
+            from regg.rng import stream
+            from regg.spectral import ResolventView, build_H
+
+            n = 1000
+            g = sample_permutation_model(n, 10, stream(44, 0))
+            # load LAPACK and its buffers
+            ResolventView(build_H(sample_permutation_model(300, 10,
+                                                           stream(44, 1))))
+            before = status_kb("VmRSS:")
+            view = ResolventView(build_H(g))
+            print((status_kb("VmHWM:") - before) * 1024 / (8 * n * n))
+        """)
+        growth = float(_run_fresh(script))
+        assert growth < 3.5, growth
+
+
+class TestBinding:
+    """dsyevd, dsyevd_2stage and dgemm, resolved with ctypes in the LAPACK
+    that scipy's wrappers call: scipy.linalg is the oracle here only."""
+
+    def test_dsyevd_matches_scipy_bitwise(self):
+        h = build_H(sample_permutation_model(400, 6, stream(46, 0)))
+        vals, vecs = scipy.linalg.eigh(h.T.copy(order="F"),
+                                       check_finite=False, driver="evd")
+        v = ResolventView(h)
+        assert np.array_equal(v.eigenvalues, vals)
+        assert np.array_equal(v.eigenvectors, vecs)
+
+    @pytest.mark.parametrize("m, k, nz", [(300, 300, 7), (40, 300, 1),
+                                          (1, 1, 3)])
+    def test_dgemm_matches_scipy_bitwise(self, m, k, nz):
+        rng = np.random.default_rng(m + k + nz)
+        x = rng.standard_normal((m, k))
+        w = np.asfortranarray(rng.standard_normal((k, nz)))
+        got = spectral._product(x, w)
+        assert got.flags.f_contiguous and got.shape == (m, nz)
+        assert np.array_equal(
+            got, scipy.linalg.blas.dgemm(1.0, x.T, w, trans_a=1))
+
+    def test_rejects_arrays_before_the_call(self):
+        # ndpointer checks dtype, rank, layout and writability: a bad array
+        # raises ctypes.ArgumentError, and the routine never runs
+        n, intc = 6, spectral._intc
+        a = np.eye(n, order="F")
+        frozen = np.eye(n, order="F")
+        frozen.flags.writeable = False
+        good = dict(a=a, w=np.empty(n), work=np.empty(100),
+                    iwork=np.empty(50, np.intc))
+        bad = [dict(a=np.eye(2 * n, order="F")[::2, ::2]),
+               dict(a=np.eye(n)[:, :n - 1]),
+               dict(a=frozen),
+               dict(a=a.astype(np.float32)),
+               dict(a=np.ones(n * n)),
+               dict(w=np.empty(2 * n)[::2]),
+               dict(work=np.empty(100, np.float32)),
+               dict(iwork=np.empty(50, np.int64))]
+        for routine in (spectral.dsyevd(), spectral.dsyevd_2stage()):
+            for change in bad:
+                args = {**good, **change}
+                with pytest.raises(ctypes.ArgumentError):
+                    routine(b"V", b"L", intc(n), args["a"], intc(n),
+                            args["w"], args["work"], intc(100),
+                            args["iwork"], intc(50), np.zeros(1, np.intc),
+                            1, 1)
+        assert np.array_equal(a, np.eye(n))
+
+        x = np.ones((3, 3), order="F")
+        out = np.empty((3, 3), order="F")
+        frozen_out = np.empty((3, 3), order="F")
+        frozen_out.flags.writeable = False
+        for operand, product in ((np.ones((6, 3), order="F")[::2], out),
+                                 (x.astype(np.float32), out),
+                                 (x, np.empty((3, 6), order="F")[:, ::2]),
+                                 (x, frozen_out)):
+            with pytest.raises(ctypes.ArgumentError):
+                spectral.dgemm()(b"N", b"N", intc(3), intc(3), intc(3),
+                                 np.ones(1), operand, intc(3), x, intc(3),
+                                 np.zeros(1), product, intc(3), 1, 1)
+
+    def test_symbols_resolve_in_scipys_lapack(self):
+        # the binding opens the extension file without importing it
+        assert os.path.basename(spectral._lapack()._name).startswith(
+            "_flapack")
+        for fn in (spectral.dsyevd, spectral.dsyevd_2stage, spectral.dgemm):
+            assert fn() is fn()
+
+    def test_tries_each_name_in_turn(self, monkeypatch):
+        routine = spectral.dgemm()
+        monkeypatch.setattr(spectral, "_DGEMM",
+                            ("regg_missing_", *spectral._DGEMM))
+        spectral.dgemm.cache_clear()
         try:
-            ResolventView(build_H(g))
-            peak = tracemalloc.get_traced_memory()[1]
+            assert spectral.dgemm() is routine
         finally:
-            tracemalloc.stop()
-        # H plus LAPACK's 2 N^2 workspace; a fourth N x N float64 array
-        # would add 8 N^2 bytes
-        assert peak < 3.5 * 8 * n * n
+            spectral.dgemm.cache_clear()
 
 
 class TestEigvalshInplace:
@@ -317,12 +433,6 @@ class TestUpperTriangle:
             from regg.rng import stream
             from regg.spectral import eigvalsh_inplace
 
-            def status_kb(key):
-                with open("/proc/self/status") as status:
-                    (kb,) = [int(line.split()[1]) for line in status
-                             if line.startswith(key)]
-                return kb
-
             n = 3000
             g = sample_matching_model(n, 3, stream(0, 0))
             eigvalsh_inplace(np.eye(300))  # load LAPACK and its buffers
@@ -335,16 +445,8 @@ class TestUpperTriangle:
             eigvalsh_inplace(a)
             print((status_kb("VmHWM:") - before) * 1024 / (8 * n * n))
         """)
-        root = pathlib.Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        growth = {}
-        for side in ("triangle", "full"):
-            proc = subprocess.run([sys.executable, "-c", script, side],
-                                  env={**os.environ, "PYTHONPATH": path},
-                                  capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            growth[side] = float(proc.stdout)
+        growth = {side: float(_run_fresh(script, side))
+                  for side in ("triangle", "full")}
         assert growth["triangle"] < 0.8 < growth["full"], growth
 
 
