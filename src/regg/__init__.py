@@ -16,8 +16,7 @@ from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                        m_semicircle, phi_envelope, psi_envelope,
                        semicircle_density)
 from .switchings import (DirectedEdgeSpec, ResampleOutcome, TripleSelection,
-                         delta, double_switch, mm_resample, mm_switch,
-                         pm_switch, um_resample,
-                         um_simultaneous_switch, um_switchable)
+                         double_switch, mm_resample, mm_switch, pm_switch,
+                         um_resample, um_simultaneous_switch, um_switchable)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import InvalidParametersError, ReggError
 from .graphs import ModelKind, sample_model, to_edgelist, uniform_method
 from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
                          um_exact_invariance)
-from .manifest import ExperimentConfig, RunManifest
+from .manifest import RunManifest
 from .observables import (_kappa, counting_bounds, deloc_bound,
                           delocalization_stats, density_mass, interval_counts,
                           que_bound, que_statistics)
@@ -38,18 +39,18 @@ EXIT_ACCEPTANCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1e9 and -2.5E-3 for options
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
 
 class _UsageError(Exception):
     pass
-
-
-def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        return ExperimentConfig.from_file(args.config)
-    return ExperimentConfig()
 
 
 def _write_manifest(command: str, argv: list[str], params: dict,
@@ -155,7 +156,6 @@ def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
 
 
 def _cmd_lawsweep(args, argv) -> int:
-    cfg = _load_config(args)
     seed = resolve_seed(args.seed)
     n = args.n
     ModelKind(args.model).check_parity(n, args.d)  # n > 0 for the defaults
@@ -165,12 +165,11 @@ def _cmd_lawsweep(args, argv) -> int:
                                              eta_max=args.eta_max)
     plan = law_mod.SweepPlan(
         e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
-        eta_grid=eta_grid, samples=args.samples, xi=xi,
-        offdiag_pairs=cfg.get("spectral_core", "offdiag_pairs"))
+        eta_grid=eta_grid, samples=args.samples, xi=xi)
     records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
     law_mod.write_law_csv(records, args.out)
 
-    accept = cfg.get("law_harness", "acceptance_constant")
+    accept = law_mod.ACCEPTANCE_CONSTANT
     constants = law_mod.fit_envelope_constant(records, xi)
     results = {
         "constants": constants,
@@ -289,7 +288,6 @@ def _cmd_eigen(args, argv) -> int:
 # stability
 
 def _cmd_stability(args, argv) -> int:
-    cfg = _load_config(args)
     seed = resolve_seed(args.seed)
     checks = []
     names = ([args.check] if args.check != "all"
@@ -308,12 +306,11 @@ def _cmd_stability(args, argv) -> int:
                 spec, runs=args.runs, seed=seed,
                 xi_grid=(5.0, 10.0, 20.0, 30.0, 40.0, 50.0)))
         elif name == "moments":
-            C = cfg.get("stability_concentration", "moment_constant")
             ens = stab_mod.ExchangeableEnsemble(
                 coefficients=(0.5, -0.5, 0.25, -0.25, 0.0, 0.0),
                 base_vector=(3.0, 1.0, -2.0, 0.5, 0.0, -1.0))
             for p in (2, 4, 6):
-                checks.append(stab_mod.exchangeable_moment_bound_check(ens, p, C))
+                checks.append(stab_mod.exchangeable_moment_bound_check(ens, p))
         else:
             raise ReggError(f"unknown stability check {name!r}")
     payload = {"seed": seed, "checks": checks,
@@ -405,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lawsweep", help="resolvent error sweep")
     add_common(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--e-min", type=float, default=-2.4)
     p.add_argument("--e-max", type=float, default=2.4)
@@ -428,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="deterministic inequality checks")
     add_common(p, model=False)
-    p.add_argument("--config", default=None)
     p.add_argument("--check", default="all",
                    choices=["all", "sweep", "ladder", "arcsinh", "moments"])
     p.add_argument("--points", type=int, default=10000)
@@ -461,3 +456,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

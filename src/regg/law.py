@@ -15,9 +15,10 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import check_ram, sample_model
 from .rng import stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, dgemm, dsyevd,
-                       dsyevd_2stage, eigvalsh_inplace, f_envelope,
-                       grid_bytes, m_semicircle, phi_envelope, psi_envelope)
+from .spectral import (OFFDIAG_PAIRS, EnvelopeParams, ResolventView, build_H,
+                       dgemm, dsyevd, dsyevd_2stage, eigvalsh_inplace,
+                       f_envelope, grid_bytes, m_semicircle, phi_envelope,
+                       psi_envelope)
 
 __all__ = [
     "LawRecord",
@@ -59,6 +60,10 @@ class LawRecord:
 _CSV_COLUMNS = [f.name for f in fields(LawRecord)]
 
 
+#: largest fitted ratio of each error statistic to its envelope, diagonal
+#: and off-diagonal, at which a sweep passes
+ACCEPTANCE_CONSTANT = 10.0
+
 #: smallest eta a sweep grid may contain
 ETA_FLOOR = 1e-8
 
@@ -71,7 +76,7 @@ class SweepPlan:
     eta_grid: tuple[float, ...]
     samples: int
     xi: float | None = None
-    offdiag_pairs: int = 10000
+    offdiag_pairs: int = OFFDIAG_PAIRS
 
     def __post_init__(self) -> None:
         if not self.e_grid or not self.eta_grid:
@@ -133,7 +138,7 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
 
 
 def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
-              offdiag_pairs: int = 10000) -> list:
+              offdiag_pairs: int = OFFDIAG_PAIRS) -> list:
     """[stat(seed, trial, spectrum) for (seed, trial) in keys] on graphs from
     stream(seed, trial): ResolventView(build_H(g)) with pair_seed = seed or,
     without `vectors`, the ascending eigenvalues of A / sqrt(d-1).  Each is

@@ -1,4 +1,4 @@
-"""Run manifests and experiment configuration.
+"""Run manifests.
 
 Every file-producing command writes a JSON manifest next to its outputs
 holding the fully resolved parameters (including the seed and every default
@@ -11,13 +11,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InvalidParametersError
 
-__all__ = ["RunManifest", "ExperimentConfig", "CONFIG_SCHEMA"]
+__all__ = ["RunManifest"]
 
 MANIFEST_VERSION = 1
 
@@ -89,66 +88,3 @@ class RunManifest:
             tool_version=payload.get("tool_version", "unknown"),
             timestamp=payload.get("timestamp", ""),
         )
-
-
-# Every tuning knob a command reads, by module section.
-# Values are (type, default).
-CONFIG_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "spectral_core": {
-        "offdiag_pairs": (int, 10000),
-    },
-    "law_harness": {
-        "acceptance_constant": (float, 10.0),
-    },
-    "stability_concentration": {
-        "moment_constant": (float, 16.0),
-    },
-}
-
-
-class ExperimentConfig:
-    """Flat key = value configuration with one section per module.
-
-    Unknown sections or keys are rejected; command-line flags override file
-    values via `override`.
-    """
-
-    def __init__(self, values: dict[str, dict[str, object]] | None = None):
-        self.values = {s: {k: d for k, (_, d) in keys.items()}
-                       for s, keys in CONFIG_SCHEMA.items()}
-        for section, keys in (values or {}).items():
-            for key, val in keys.items():
-                self.override(section, key, val)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        parser = ConfigParser()
-        cfg = cls()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-            for section in parser.sections():
-                if section not in CONFIG_SCHEMA:
-                    raise InvalidParametersError(
-                        f"unknown config section [{section}]")
-                for key, raw in parser.items(section):
-                    cfg.override(section, key, raw)
-        except (OSError, UnicodeDecodeError, ConfigError) as exc:
-            raise InvalidParametersError(
-                f"cannot read config {path}: {exc}") from exc
-        return cfg
-
-    def override(self, section: str, key: str, value) -> None:
-        if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
-            raise InvalidParametersError(f"unknown config key {section}.{key}")
-        typ, _ = CONFIG_SCHEMA[section][key]
-        try:
-            self.values[section][key] = typ(value)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParametersError(
-                f"bad value for {section}.{key}: {value!r}") from exc
-
-    def get(self, section: str, key: str):
-        if section not in self.values or key not in self.values[section]:
-            raise InvalidParametersError(f"unknown config key {section}.{key}")
-        return self.values[section][key]

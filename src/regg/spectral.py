@@ -68,6 +68,9 @@ __all__ = [
 #: overwrites with the eigenvectors, and its 2 N^2 workspace
 EIGH_COPIES = 3
 
+#: off-diagonal pairs ResolventView.grid samples above EXHAUSTIVE_N
+OFFDIAG_PAIRS = 10000
+
 #: off-diagonal pairs per block in ResolventView.grid; a block holds
 #: 2 PAIR_BLOCK x N reals
 PAIR_BLOCK = 1024
@@ -265,7 +268,7 @@ class ResolventView:
     #: below this size the off-diagonal maximum is exhaustive
     EXHAUSTIVE_N = 300
 
-    def __init__(self, h: np.ndarray, offdiag_pairs: int = 10000,
+    def __init__(self, h: np.ndarray, offdiag_pairs: int = OFFDIAG_PAIRS,
                  pair_seed: int = 0):
         _check_inplace(h, "ResolventView")
         self.n = h.shape[0]

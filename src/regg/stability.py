@@ -303,12 +303,16 @@ def exchangeable_moment_mc(ens: ExchangeableEnsemble, p: int, samples: int,
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
+#: the constant C of both exchangeable moment inequalities
+MOMENT_CONSTANT = 16.0
+
+
 def _p_factor(p: int) -> float:
     return p * p / math.log(p)
 
 
 def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int,
-                                    C: float = 16.0) -> dict:
+                                    C: float = MOMENT_CONSTANT) -> dict:
     """Vector-case moment inequality: the L^p norm of sum a_i Y_i is at most
     C (p^2/log p) times the L^p norm of a single entry."""
     if ens.base_vector is None:
@@ -326,7 +330,7 @@ def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int,
 
 
 def exchangeable_matrix_bound_check(ens: ExchangeableEnsemble, p: int,
-                                    C: float = 16.0) -> dict:
+                                    C: float = MOMENT_CONSTANT) -> dict:
     """Matrix-case inequality: the bilinear form's L^p norm is at most the
     diagonal entry norm plus C (p^2/log p)^2 times the off-diagonal entry
     norm."""

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMoveError, InvalidParametersError
-from .graphs import Matching, MultiGraph, Permutation, dense_adjacency
+from .graphs import Matching, MultiGraph, Permutation
 
 __all__ = [
     "DirectedEdgeSpec",
     "TripleSelection",
     "ResampleOutcome",
-    "delta",
     "double_switch",
     "mm_switch",
     "mm_resample",
@@ -91,14 +90,6 @@ class ResampleOutcome:
     alpha: tuple[int, ...]
     switched: tuple[bool, ...]
     selection: TripleSelection | None = None
-
-
-def delta(i: int, j: int, n: int) -> np.ndarray:
-    """Adjacency matrix of the single edge {i, j}; a loop (i == j) has
-    diagonal entry 2."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidParametersError(f"vertices ({i}, {j}) out of range [0, {n})")
-    return dense_adjacency(n, [i], [j])
 
 
 def _require_edges(g: MultiGraph, edges) -> None:

@@ -15,8 +15,8 @@ import pytest
 from regg.graphs import sample_model
 from regg.invariance import (mm_exact_invariance, pm_exact_uniformity,
                              um_exact_invariance)
-from regg.law import (SweepPlan, fit_envelope_constant, per_trial,
-                      records_for_view)
+from regg.law import (ACCEPTANCE_CONSTANT, SweepPlan, fit_envelope_constant,
+                      per_trial, records_for_view)
 from regg.manifest import RunManifest
 from regg.observables import (deloc_bound, delocalization_stats,
                               density_mass, interval_counts, que_bound,
@@ -24,7 +24,8 @@ from regg.observables import (deloc_bound, delocalization_stats,
 from regg.rng import stream
 from regg.spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                            m_semicircle, resolvent_solve)
-from regg.stability import (ExchangeableEnsemble, MartingaleSpec,
+from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
+                            MartingaleSpec,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
                             exchangeable_moment_exact, exchangeable_moment_mc,
@@ -175,10 +176,11 @@ def test_criterion_5_local_law_envelope(sweep_2000):
     for key in ("C_diag", "C_offdiag"):
         vals = [scale[n][key] for n in (500, 1000, 2000)]
         stable = stable and max(vals) <= 2.0 * min(vals)
-    ok = (c2000["C_diag"] <= 10 and c2000["C_offdiag"] <= 10 and stable
-          and elapsed < 1800)
-    detail = (f"N=2000: C_diag={c2000['C_diag']:.3f} <= 10, "
-              f"C_offdiag={c2000['C_offdiag']:.3f} <= 10; "
+    accept = ACCEPTANCE_CONSTANT
+    ok = (c2000["C_diag"] <= accept and c2000["C_offdiag"] <= accept
+          and stable and elapsed < 1800)
+    detail = (f"N=2000: C_diag={c2000['C_diag']:.3f} <= {accept:g}, "
+              f"C_offdiag={c2000['C_offdiag']:.3f} <= {accept:g}; "
               f"2x-stable across N in (500,1000,2000): {stable}")
     report(5, "local-law-envelope", ok, detail)
 
@@ -248,14 +250,15 @@ def test_criterion_10_exchangeable_moments():
         exact = float(exchangeable_moment_exact(ens, p))
         mean, se = exchangeable_moment_mc(ens, p, samples=200000, seed=p)
         mc_ok = mc_ok and abs(mean - exact) <= 4 * se
-    bound_ok = all(exchangeable_moment_bound_check(vec, p, C=16.0)["pass"]
-                   for p in (2, 4, 6))
+    bound_ok = all(
+        exchangeable_moment_bound_check(vec, p, C=MOMENT_CONSTANT)["pass"]
+        for p in (2, 4, 6))
     bound_ok = bound_ok and all(
-        exchangeable_matrix_bound_check(mat, p, C=16.0)["pass"]
+        exchangeable_matrix_bound_check(mat, p, C=MOMENT_CONSTANT)["pass"]
         for p in (2, 4, 6))
     ok = mc_ok and bound_ok
     detail = (f"exact-vs-MC within 4 SE: {mc_ok}; "
-              f"vector+matrix bounds at C=16: {bound_ok}")
+              f"vector+matrix bounds at C={MOMENT_CONSTANT:g}: {bound_ok}")
     report(10, "exchangeable-moment-bounds", ok, detail)
 
 

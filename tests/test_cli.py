@@ -16,11 +16,11 @@ import pytest
 from regg import graphs, spectral
 from regg import law as law_mod
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
-                      main, rerun_manifest)
+                      build_parser, main, rerun_manifest)
 from regg.errors import InvalidParametersError
 from regg.graphs import from_edgelist
 from regg.law import read_table
-from regg.manifest import CONFIG_SCHEMA, ExperimentConfig, RunManifest
+from regg.manifest import RunManifest
 from regg.rng import stream
 from regg.spectral import build_H
 
@@ -42,15 +42,42 @@ class TestUsage:
                  "--out", str(tmp_path / "law.csv")]
         assert run([*sweep, "--workers", "2"]) == EXIT_USAGE
         assert run([*sweep, "--envelope", "psi"]) == EXIT_USAGE
-        # only lawsweep and stability read --config
+        # no command reads a config file
         model = ["--model", "matching", "--n", "10", "--d", "3"]
         for argv in (["sample", *model, "--out", str(tmp_path / "g.edges")],
                      ["invariance", *model],
+                     [*sweep],
                      ["eigen", "--mode", "deloc", *model,
-                      "--out", str(tmp_path / "deloc.csv")]):
-            assert run([*argv, "--config", str(tmp_path / "nonexistent.cfg")]) \
+                      "--out", str(tmp_path / "deloc.csv")],
+                     ["stability", "--check", "sweep", "--points", "10"],
+                     ["report", "--dir", str(tmp_path)]):
+            assert run([*argv, "--config", str(tmp_path / "exp.cfg")]) \
                 == EXIT_USAGE
             assert "--config" in capsys.readouterr().err
+
+    def test_negative_exponent_is_a_number(self):
+        args = build_parser().parse_args(
+            ["lawsweep", "--model", "matching", "--n", "10", "--d", "3",
+             "--e-min", "-2.5E-3", "--e-max", "-1e9", "--xi", "-.5",
+             "--out", "law.csv"])
+        assert (args.e_min, args.e_max, args.xi) == (-2.5e-3, -1e9, -0.5)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sample", "--model", "matching", "--n", "10", "--d", "3",
+          "--seed", "2", "--out", "g.edges"], EXIT_OK),
+        ([], EXIT_USAGE),
+    ])
+    @pytest.mark.parametrize("module", ["regg", "regg.cli"])
+    def test_python_m(self, tmp_path, module, argv, code):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if argv:
+            g, _ = from_edgelist((tmp_path / "g.edges").read_text())
+            assert g.n == 10
 
     def test_precondition_error_exit(self, tmp_path, capsys):
         # odd n for the matching model violates a model precondition
@@ -221,13 +248,15 @@ class TestLawsweep:
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("argv, reason", [
-        # 2 * 10^12 energies: refused before the tuple is built.  argparse
-        # reads "-1e9" after a space as an option, hence the "="
+        # 2 * 10^12 energies: refused before the tuple is built
         (["--n", "100", "--e-min=-1e9", "--e-max", "1e9", "--e-step", "1e-3"],
          "more than 100000"),
         # 48 001 energies and 5 etas: the grid arrays of one sample take
         # 65 GB
         (["--n", "2000", "--e-step", "1e-4"], "GB of RAM"),
+        # "-1e9" after a space is a number too, not an option
+        (["--n", "100", "--e-min", "-1e9", "--e-max", "1e9", "--e-step", "1e-3"],
+         "more than 100000"),
     ])
     def test_oversized_grid_fails_fast(self, tmp_path, capsys, monkeypatch,
                                        argv, reason):
@@ -343,8 +372,11 @@ class TestEigen:
         # views are also tracked by weak reference
         views = []
 
-        def view(*args, **kwargs):
-            made = spectral.ResolventView(*args, **kwargs)
+        def view(h, offdiag_pairs, **kwargs):
+            # 100 pairs keep grid's pair blocks below the decomposition, so
+            # both lawsweep runs peak in the eigh that a held view would sit
+            # beside; the eigen modes draw no pairs
+            made = spectral.ResolventView(h, 100, **kwargs)
             views.append(weakref.ref(made))
             return made
 
@@ -357,12 +389,7 @@ class TestEigen:
         model = ["--model", "permutation", "--n", "800", "--d", "10",
                  "--seed", "5"]
         if mode == "lawsweep":
-            # 100 pairs keep grid's pair blocks below the decomposition, so
-            # both runs peak in the eigh that a held view would sit beside
-            cfg = tmp_path / "pairs.cfg"
-            cfg.write_text("[spectral_core]\noffdiag_pairs = 100\n")
-            argv = ["lawsweep", *model, "--e-step", "4.8", "--eta-min", "1",
-                    "--config", str(cfg)]
+            argv = ["lawsweep", *model, "--e-step", "4.8", "--eta-min", "1"]
         else:
             argv = ["eigen", "--mode", mode, *model]
         peaks = []
@@ -532,68 +559,6 @@ class TestRerun:
         man = RunManifest.load(str(redo) + ".manifest.json")
         assert man.outputs[str(redo)] == \
             RunManifest.load(str(out) + ".manifest.json").outputs[str(out)]
-
-
-class TestConfig:
-    def test_defaults_match_schema(self):
-        cfg = ExperimentConfig()
-        for section, keys in CONFIG_SCHEMA.items():
-            for key, (_, default) in keys.items():
-                assert cfg.get(section, key) == default
-
-    def test_file_and_override(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        path.write_text("[law_harness]\nacceptance_constant = 5.5\n")
-        cfg = ExperimentConfig.from_file(str(path))
-        assert cfg.get("law_harness", "acceptance_constant") == 5.5
-        cfg.override("stability_concentration", "moment_constant", "8")
-        assert cfg.get("stability_concentration", "moment_constant") == 8.0
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        path.write_text("[law_harness]\nmystery = 1\n")
-        with pytest.raises(InvalidParametersError):
-            ExperimentConfig.from_file(str(path))
-        path.write_text("[nosuch]\na = 1\n")
-        with pytest.raises(InvalidParametersError):
-            ExperimentConfig.from_file(str(path))
-        # knobs that no command reads are not accepted either
-        for text in ("[cli_runner]\nworkers = 2\n",
-                     "[graph_models]\nrejection_budget = 5\n"):
-            path.write_text(text)
-            with pytest.raises(InvalidParametersError):
-                ExperimentConfig.from_file(str(path))
-
-    def test_missing_file_rejected(self, tmp_path, capsys):
-        path = str(tmp_path / "nosuch.cfg")
-        with pytest.raises(InvalidParametersError):
-            ExperimentConfig.from_file(path)
-        for argv in (["lawsweep", "--model", "permutation", "--n", "100",
-                      "--d", "10", "--out", str(tmp_path / "law.csv")],
-                     ["stability", "--check", "sweep", "--points", "10"]):
-            assert run([*argv, "--config", path]) == EXIT_PRECONDITION
-            assert "error: " in capsys.readouterr().err
-
-    def test_unparsable_file_rejected(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        for data in (b"offdiag_pairs = 5\n",  # no section header
-                     b"[spectral_core]\noffdiag_pairs = 5%\n",  # bad interpolation
-                     b"\xff\xfe[spectral_core]\n"):  # not UTF-8
-            path.write_bytes(data)
-            with pytest.raises(InvalidParametersError):
-                ExperimentConfig.from_file(str(path))
-
-    def test_config_feeds_cli(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        path.write_text("[spectral_core]\noffdiag_pairs = 17\n")
-        out = tmp_path / "law.csv"
-        assert run(["lawsweep", "--model", "permutation", "--n", "350",
-                    "--d", "10", "--seed", "1", "--samples", "1",
-                    "--e-min", "0", "--e-max", "0", "--e-step", "1",
-                    "--eta-min", "0.9", "--config", str(path),
-                    "--out", str(out)]) == EXIT_OK
-        man = RunManifest.load(str(out) + ".manifest.json")
-        assert man.params["offdiag_pairs"] == 17
 
 
 class TestManifest:

@@ -19,8 +19,6 @@ MODULES = sorted((ROOT / "src" / "regg").glob("*.py"))
 ALLOWED = {
     # criterion 12 re-executes a manifest's argv through it
     "rerun_manifest",
-    # the console script pyproject.toml installs
-    "entrypoint",
     # the benchmark reads edge lists back and checks adjacency and the
     # alpha match rate through these
     "from_edgelist",
@@ -45,9 +43,6 @@ ALLOWED = {
     # many triples per _switchable call, and the tests check those flags
     # against this one
     "um_switchable",
-    # the paper's one-edge adjacency matrix Delta_ij, kept as the reference
-    # notation; no command builds a dense single-edge matrix
-    "delta",
 }
 
 
@@ -139,7 +134,7 @@ def test_every_module_is_walked():
     assert {"cli", "graphs", "invariance", "law", "manifest", "observables",
             "spectral", "stability", "switchings"} <= names
     classes = {cls.name for path in MODULES for cls in _public_classes(TREES[path])}
-    assert {"MultiGraph", "ResolventView", "ExperimentConfig",
+    assert {"MultiGraph", "ResolventView", "RunManifest",
             "DirectedEdgeSpec"} <= classes
     assert "_Parser" not in classes
 

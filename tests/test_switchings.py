@@ -13,9 +13,8 @@ from regg.graphs import (Matching, MultiGraph, Permutation, dense_adjacency,
                          enumerate_simple_regular, random_matching,
                          random_permutation, sample_uniform)
 from regg.rng import stream
-from regg.switchings import (DirectedEdgeSpec, TripleSelection, delta,
-                             double_switch, mm_resample, mm_switch,
-                             pivot_edges, pm_switch,
+from regg.switchings import (DirectedEdgeSpec, TripleSelection, double_switch,
+                             mm_resample, mm_switch, pivot_edges, pm_switch,
                              switch_pair_table, triple_space,
                              triple_space_flags, um_resample,
                              um_simultaneous_switch, um_switchable,
@@ -26,20 +25,6 @@ from regg.spectral import build_H, resolvent_solve
 def cycle_graph(n):
     return MultiGraph(n, 2, [min(i, (i + 1) % n) * n + max(i, (i + 1) % n)
                              for i in range(n)])
-
-
-class TestDelta:
-    def test_edge(self):
-        a = delta(0, 2, 3)
-        assert a[0, 2] == a[2, 0] == 1 and a.sum() == 2
-
-    def test_loop_counts_two(self):
-        a = delta(1, 1, 3)
-        assert a[1, 1] == 2 and a.sum() == 2
-
-    def test_range_check(self):
-        with pytest.raises(InvalidParametersError):
-            delta(0, 3, 3)
 
 
 class TestDoubleSwitch:
