@@ -15,8 +15,8 @@ from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
                        effective_D, f_envelope, kesten_mckay_density,
                        m_semicircle, phi_envelope, psi_envelope,
                        semicircle_density)
-from .switchings import (DirectedEdgeSpec, ResampleOutcome, TripleSelection,
-                         double_switch, mm_resample, mm_switch, pm_switch,
-                         um_resample, um_simultaneous_switch, um_switchable)
+from .switchings import (ResampleOutcome, TripleSelection, mm_resample,
+                         mm_switch, pm_switch, um_resample,
+                         um_simultaneous_switch, um_switchable)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

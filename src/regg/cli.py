@@ -135,7 +135,8 @@ def _approximate(model: str, n: int, d: int) -> bool:
     return model == "uniform" and uniform_method(n, d) == "switching-chain"
 
 
-#: most energies a lawsweep grid may hold; finer grids exit 2
+#: most points an energy grid may hold, a lawsweep's energies or the bins
+#: of eigen --mode intervals; finer grids exit 2
 E_GRID_MAX = 100_000
 
 
@@ -159,13 +160,13 @@ def _cmd_lawsweep(args, argv) -> int:
     seed = resolve_seed(args.seed)
     n = args.n
     ModelKind(args.model).check_parity(n, args.d)  # n > 0 for the defaults
-    xi = args.xi if args.xi is not None else default_xi(n)
+    xi = default_xi(n)
     eta_min = args.eta_min if args.eta_min is not None else 64.0 / n
     eta_grid = law_mod.SweepPlan.dyadic_etas(eta_min=eta_min,
                                              eta_max=args.eta_max)
     plan = law_mod.SweepPlan(
         e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
-        eta_grid=eta_grid, samples=args.samples, xi=xi)
+        eta_grid=eta_grid, samples=args.samples)
     records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
     law_mod.write_law_csv(records, args.out)
 
@@ -249,7 +250,12 @@ def _cmd_eigen(args, argv) -> int:
         columns = ["seed", "trial", "a", "b", "nu", "rho", "kappa",
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width
-        nbins = int(round((hi - lo) / width))
+        span = (hi - lo) / width  # inf for a subnormal width
+        if span > E_GRID_MAX:
+            raise InvalidParametersError(
+                f"--bin-width {width} gives {span:.3g} bins on [{lo}, {hi}], "
+                f"more than {E_GRID_MAX}")
+        nbins = int(round(span))
         if nbins < 1:
             raise InvalidParametersError(
                 f"--bin-width {width} gives no bin on [{lo}, {hi}]")
@@ -408,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-step", type=float, default=0.2)
     p.add_argument("--eta-max", type=float, default=1.0)
     p.add_argument("--eta-min", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lawsweep)

@@ -75,7 +75,6 @@ class SweepPlan:
     e_grid: tuple[float, ...]
     eta_grid: tuple[float, ...]
     samples: int
-    xi: float | None = None
     offdiag_pairs: int = OFFDIAG_PAIRS
 
     def __post_init__(self) -> None:
@@ -167,7 +166,7 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     nz = len(plan.e_grid) * len(plan.eta_grid)
     check_ram(grid_bytes(n, nz, plan.offdiag_pairs),
               f"the z-grid arrays of {nz} points at N = {n}")
-    params = EnvelopeParams.for_model(n, d, model, xi=plan.xi)
+    params = EnvelopeParams.for_model(n, d, model)
     per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
                     lambda s, t, view: records_for_view(
                         view, model, n, d, s, t, plan, params),
@@ -175,15 +174,13 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     return [r for records in per for r in records]
 
 
-def fit_envelope_constant(records: list[LawRecord], xi: float,
-                          exclude_flags: tuple[str, ...] = ("D<1",)) -> dict:
+def fit_envelope_constant(records: list[LawRecord], xi: float) -> dict:
     """99th-percentile ratio of each error statistic to its envelope.
 
-    Records carrying any of exclude_flags are dropped; the xiPhi>1 flag is
-    informational (its envelope saturates at F = 1) and kept by default.
+    Records flagged D<1 are dropped; the xiPhi>1 flag is informational
+    (its envelope saturates at F = 1) and kept.
     """
-    usable = [r for r in records
-              if not any(f in r.flag.split(";") for f in exclude_flags if f)]
+    usable = [r for r in records if "D<1" not in r.flag.split(";")]
     if not usable:
         raise InsufficientDataError("no usable records after flag filtering")
     diag = np.array([r.max_diag_err / r.f_xi_phi for r in usable])

@@ -412,10 +412,9 @@ class EnvelopeParams:
     xi: float
 
     @classmethod
-    def for_model(cls, n: int, d: int, model: str | ModelKind,
-                  xi: float | None = None) -> "EnvelopeParams":
-        return cls(n=n, d=d, D=effective_D(n, d, model),
-                   xi=default_xi(n) if xi is None else xi)
+    def for_model(cls, n: int, d: int,
+                  model: str | ModelKind) -> "EnvelopeParams":
+        return cls(n=n, d=d, D=effective_D(n, d, model), xi=default_xi(n))
 
 
 def phi_envelope(z: complex, params: EnvelopeParams) -> float:

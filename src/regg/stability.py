@@ -94,22 +94,21 @@ def stability_sweep(npoints: int = 10000, seed: int = 0) -> dict:
             "worst_ratio": worst, "pass": failures == 0, "seed": seed}
 
 
-def ladder_check(E: float, r: float, phase: float, eta_top: float = 3.0,
-                 eta_bottom: float = 1e-4, constant: float = 10.0) -> dict:
+def ladder_check(E: float, r: float, phase: float) -> dict:
     """Track the perturbed root continuously down an eta-ladder.
 
-    Starting at eta_top with the root nearest the upper branch, descend a
-    dyadic ladder picking at each rung the root nearest the previous one;
-    the tracked root must stay within constant * F_z(r) of the upper branch
-    at every rung.
+    Starting at eta = 3 with the root nearest the upper branch, descend a
+    dyadic ladder down to eta = 1e-4, picking at each rung the root nearest
+    the previous one; the tracked root must stay within 10 F_z(r) of the
+    upper branch at every rung.
     """
     if not 0 <= r <= 1:
         raise InvalidParametersError(f"r must lie in [0, 1], got {r}")
-    eta = float(eta_top)
+    eta = 3.0
     s_prev = None
     worst = 0.0
     ok = True
-    while eta >= eta_bottom:
+    while eta >= 1e-4:
         z = complex(E, eta)
         R = (1 + abs(z)) * r * complex(math.cos(phase), math.sin(phase))
         roots = solve_two_roots(z, R)
@@ -120,7 +119,7 @@ def ladder_check(E: float, r: float, phase: float, eta_top: float = 3.0,
             s = min(roots, key=lambda c: abs(c - s_prev))
         s_prev = s
         err = abs(s - m_semicircle(z))
-        bound = constant * f_envelope(z, r)
+        bound = 10.0 * f_envelope(z, r)
         if bound > 0:
             worst = max(worst, err / bound)
         if err > bound + 1e-12:

@@ -1,11 +1,11 @@
 """Switching operators and local resampling around the pivot vertex 0.
 
-Four families of degree-preserving local moves:
+Three families of degree-preserving local moves:
 
-* the elementary double switching, editing three edge codes,
 * the matching-model resampling that redraws the pivot's partner,
-* the simple-graph simultaneous switching driven by per-edge triples, which
-  applies one double switching per active triple,
+* the simple-graph simultaneous switching driven by per-edge triples: each
+  active triple is one double switching, and all of them are applied as
+  one edge replacement,
 * the permutation-model conjugation move.
 
 All operators are pure and collapse to the identity whenever the required
@@ -23,10 +23,8 @@ from .errors import InvalidMoveError, InvalidParametersError
 from .graphs import Matching, MultiGraph, Permutation
 
 __all__ = [
-    "DirectedEdgeSpec",
     "TripleSelection",
     "ResampleOutcome",
-    "double_switch",
     "mm_switch",
     "mm_resample",
     "pivot_edges",
@@ -40,23 +38,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class DirectedEdgeSpec:
-    """Directed edges (r, rbar), (a, abar), (b, bbar) naming a double
-    switch.  Each named pair must be an edge of the graph the spec is
-    applied to."""
-
-    r: int
-    rbar: int
-    a: int
-    abar: int
-    b: int
-    bbar: int
-
-    def vertices(self) -> tuple[int, ...]:
-        return (self.r, self.rbar, self.a, self.abar, self.b, self.bbar)
 
 
 @dataclass(frozen=True)
@@ -99,18 +80,6 @@ def _require_edges(g: MultiGraph, edges) -> None:
     for x, y in edges:
         if g.multiplicity(x, y) < 1:
             raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
-
-
-def double_switch(g: MultiGraph, spec: DirectedEdgeSpec) -> MultiGraph:
-    """Replace edges {r, rbar}, {a, abar}, {b, bbar} by {rbar, a}, {abar, b},
-    {bbar, r}.  Identity unless the six vertices are distinct."""
-    _require_edges(g, [(spec.r, spec.rbar), (spec.a, spec.abar),
-                       (spec.b, spec.bbar)])
-    if len(set(spec.vertices())) < 6:
-        return g
-    return g.replace_edges(
-        [(spec.r, spec.rbar), (spec.a, spec.abar), (spec.b, spec.bbar)],
-        [(spec.rbar, spec.a), (spec.abar, spec.b), (spec.bbar, spec.r)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +264,12 @@ def _active_triples(triples, switchable) -> list[bool]:
 def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> ResampleOutcome:
     """Apply the active triple switches (see _active_triples) at once.
 
-    Triple mu = {(0, r), (a, abar), (b, bbar)} with switch index s switches
-    as the double switch (r, 0, a, abar, b, bbar), where (a, abar), (b, bbar)
-    is entry s of switch_pair_table: the pivot's neighbour r becomes a.
+    Triple mu = {(0, r), (a, abar), (b, bbar)} with switch index s, where
+    (a, abar), (b, bbar) is entry s of switch_pair_table, switches by
+    replacing its three edges with {0, a}, {abar, b}, {bbar, r}: the
+    pivot's neighbour r becomes a.  Active triples share only the pivot,
+    so their removed edges are distinct and their added edges absent, and
+    one replace_edges call applies them all.
     """
     pe = pivot_edges(g)  # raises InvalidParametersError unless g is simple
     d = len(pe)
@@ -319,16 +291,18 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     _require_edges(g, [e for t in norm_triples for e in t])
     switchable = _switchable(g.codes[np.newaxis], g.n, [norm_triples])[0]
     active = _active_triples(norm_triples, switchable.tolist())
-    out = g
+    removed: list[Edge] = []
+    added: list[Edge] = []
     a_list: list[int] = []
     alpha: list[int] = []
     for (_, r), triple, s, act in zip(pe, norm_triples, selection.s, active):
         (a, abar), (b, bbar) = switch_pair_table(triple)[s - 1]
         if act:
-            # removes {r, 0}, {a, abar}, {b, bbar}; adds {0, a}, {abar, b}, {bbar, r}
-            out = double_switch(out, DirectedEdgeSpec(r, 0, a, abar, b, bbar))
+            removed += [(0, r), (a, abar), (b, bbar)]
+            added += [(0, a), (abar, b), (bbar, r)]
         a_list.append(a)
         alpha.append(a if act else r)
+    out = g.replace_edges(removed, added) if removed else g
     return ResampleOutcome(out, tuple(a_list), tuple(alpha), tuple(active),
                            selection)
 

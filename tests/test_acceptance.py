@@ -50,7 +50,7 @@ def _sweep(n: int, d: int, seeds) -> dict:
                      eta_grid=SweepPlan.dyadic_etas(64 / n),
                      samples=1, offdiag_pairs=10000)
     xi = default_xi(n)
-    params = EnvelopeParams.for_model(n, d, "permutation", xi=xi)
+    params = EnvelopeParams.for_model(n, d, "permutation")
     zs = np.array([complex(E, eta) for E in plan.e_grid
                    for eta in plan.eta_grid])
 

@@ -42,6 +42,8 @@ class TestUsage:
                  "--out", str(tmp_path / "law.csv")]
         assert run([*sweep, "--workers", "2"]) == EXIT_USAGE
         assert run([*sweep, "--envelope", "psi"]) == EXIT_USAGE
+        # xi is always default_xi(n)
+        assert run([*sweep, "--xi", "0"]) == EXIT_USAGE
         # no command reads a config file
         model = ["--model", "matching", "--n", "10", "--d", "3"]
         for argv in (["sample", *model, "--out", str(tmp_path / "g.edges")],
@@ -58,9 +60,9 @@ class TestUsage:
     def test_negative_exponent_is_a_number(self):
         args = build_parser().parse_args(
             ["lawsweep", "--model", "matching", "--n", "10", "--d", "3",
-             "--e-min", "-2.5E-3", "--e-max", "-1e9", "--xi", "-.5",
+             "--e-min", "-2.5E-3", "--e-max", "-1e9", "--eta-max", "-.5",
              "--out", "law.csv"])
-        assert (args.e_min, args.e_max, args.xi) == (-2.5e-3, -1e9, -0.5)
+        assert (args.e_min, args.e_max, args.eta_max) == (-2.5e-3, -1e9, -0.5)
 
     @pytest.mark.parametrize("argv, code", [
         (["sample", "--model", "matching", "--n", "10", "--d", "3",
@@ -290,6 +292,22 @@ class TestLawsweep:
 
 
 class TestEigen:
+    @pytest.mark.parametrize("width", ["1e-6", "5e-324"])
+    def test_oversized_bin_grid_fails_fast(self, tmp_path, capsys, monkeypatch,
+                                           width):
+        # 4.4 / 1e-6 bins; 4.4 / 5e-324 overflows to inf
+        sampled = []
+        monkeypatch.setattr(law_mod, "sample_model",
+                            lambda *args, **kwargs: sampled.append(args))
+        start = time.monotonic()
+        assert run(["eigen", "--mode", "intervals", "--model", "matching",
+                    "--n", "10", "--d", "3", "--bin-width", width,
+                    "--out", str(tmp_path / "iv.csv")]) == EXIT_PRECONDITION
+        assert time.monotonic() - start < 1.0
+        assert "more than 100000" in capsys.readouterr().err
+        assert sampled == []
+        assert not (tmp_path / "iv.csv").exists()
+
     def test_deloc(self, tmp_path):
         out = tmp_path / "deloc.csv"
         code = run(["eigen", "--mode", "deloc", "--model", "permutation",

@@ -13,10 +13,9 @@ from regg.graphs import (Matching, MultiGraph, Permutation, dense_adjacency,
                          enumerate_simple_regular, random_matching,
                          random_permutation, sample_uniform)
 from regg.rng import stream
-from regg.switchings import (DirectedEdgeSpec, TripleSelection, double_switch,
-                             mm_resample, mm_switch, pivot_edges, pm_switch,
-                             switch_pair_table, triple_space,
-                             triple_space_flags, um_resample,
+from regg.switchings import (TripleSelection, mm_resample, mm_switch,
+                             pivot_edges, pm_switch, switch_pair_table,
+                             triple_space, triple_space_flags, um_resample,
                              um_simultaneous_switch, um_switchable,
                              _unrank_pair)
 from regg.spectral import build_H, resolvent_solve
@@ -25,33 +24,6 @@ from regg.spectral import build_H, resolvent_solve
 def cycle_graph(n):
     return MultiGraph(n, 2, [min(i, (i + 1) % n) * n + max(i, (i + 1) % n)
                              for i in range(n)])
-
-
-class TestDoubleSwitch:
-    def test_replaces_three_edges(self):
-        g = cycle_graph(8)
-        out = double_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4, b=6, bbar=7))
-        for x, y in ((0, 1), (3, 4), (6, 7)):
-            assert out.multiplicity(x, y) == 0
-        # new edges {rbar, a}, {abar, b}, {bbar, r}; the cycle already has {7, 0}
-        assert out.multiplicity(1, 3) == out.multiplicity(4, 6) == 1
-        assert out.multiplicity(7, 0) == 2
-        assert out.codes.size == 8 and np.all(out.adj.sum(axis=1) == 2)
-
-    def test_identity_when_not_distinct(self):
-        g = cycle_graph(8)
-        out = double_switch(g, DirectedEdgeSpec(r=0, rbar=1, a=3, abar=4, b=4, bbar=5))
-        assert out is g
-
-    def test_single_spec_rejected(self):
-        # a switch names three directed edges; there is no single switch
-        with pytest.raises(TypeError):
-            DirectedEdgeSpec(0, 1, 2, 3)
-
-    def test_missing_edge_rejected(self):
-        g = cycle_graph(8)
-        with pytest.raises(InvalidMoveError):
-            double_switch(g, DirectedEdgeSpec(r=0, rbar=3, a=4, abar=5, b=6, bbar=7))
 
 
 class TestMatchingSwitch:
@@ -167,19 +139,70 @@ class TestTripleMachinery:
         assert um_switchable(g, ((0, 1), (3, 4), (6, 7)))
 
 
+def switch_oracle(g, selection):
+    """The simultaneous switch done by hand on the dense adjacency: which
+    triples are active, and the adjacency after editing a copy of g.adj
+    once per active triple.  A triple is active when its six vertices are
+    distinct, induce only its three edges, and meet every other triple's
+    vertices in the pivot alone."""
+    adj = g.adj.copy()
+    vsets = [{v for e in t for v in e} for t in selection.triples]
+    active = []
+    for mu, (t, s) in enumerate(zip(selection.triples, selection.s)):
+        verts = sorted(vsets[mu])
+        act = (len(verts) == 6 and g.adj[np.ix_(verts, verts)].sum() == 6
+               and all(vsets[mu] & vsets[nu] <= {0}
+                       for nu in range(len(vsets)) if nu != mu))
+        active.append(act)
+        if act:
+            (r,) = [max(e) for e in t if min(e) == 0]
+            (a, abar), (b, bbar) = switch_pair_table(t)[s - 1]
+            for x, y, delta in ((0, r, -1), (a, abar, -1), (b, bbar, -1),
+                                (0, a, 1), (abar, b, 1), (bbar, r, 1)):
+                adj[x, y] += delta
+                adj[y, x] += delta
+    return tuple(active), adj
+
+
+@pytest.fixture
+def replace_calls(monkeypatch):
+    """Count MultiGraph.replace_edges calls."""
+    calls = []
+    replace = MultiGraph.replace_edges
+
+    def counted(self, removed, added):
+        calls.append(len(removed))
+        return replace(self, removed, added)
+    monkeypatch.setattr(MultiGraph, "replace_edges", counted)
+    return calls
+
+
 class TestSimultaneousSwitch:
-    def test_preserves_simple_regularity(self):
+    # an active triple needs 5d + 1 vertices; at (60, 4) two or more
+    # triples are often active in one step
+    def test_preserves_simple_regularity(self, replace_calls):
         rng = stream(22, 0)
-        g = sample_uniform(12, 3, rng)
+        g = sample_uniform(60, 4, rng)
+        most = steps_switched = 0
         for _ in range(50):
             out = um_resample(g, rng)
+            active, adj = switch_oracle(g, out.selection)
+            assert out.switched == active
+            assert np.array_equal(out.graph.adj, adj)
+            assert (out.graph is g) == (not any(active))
             g = out.graph
             assert g.simple
-            assert np.all(g.adj.sum(axis=1) == 3)
+            assert np.all(g.adj.sum(axis=1) == 4)
+            most = max(most, sum(active))
+            steps_switched += any(active)
+        assert most >= 2
+        # one edge replacement per step that switches, none otherwise
+        assert len(replace_calls) == steps_switched
 
-    def test_alpha_describes_new_pivot_row(self):
+    def test_alpha_describes_new_pivot_row(self, replace_calls):
         rng = stream(23, 0)
-        g = sample_uniform(14, 4, rng)
+        g = sample_uniform(60, 4, rng)
+        most = 0
         for _ in range(50):
             out = um_resample(g, rng)
             row = np.zeros(g.n, dtype=np.int64)
@@ -189,7 +212,12 @@ class TestSimultaneousSwitch:
             for a_mu, alpha_mu, sw in zip(out.a, out.alpha, out.switched):
                 if sw:
                     assert alpha_mu == a_mu
+            assert replace_calls == ([3 * sum(out.switched)]
+                                     if any(out.switched) else [])
+            replace_calls.clear()
+            most = max(most, sum(out.switched))
             g = out.graph
+        assert most >= 2
 
     def test_unranked_selection_matches_triple_space(self):
         for m in range(2, 30):
@@ -232,8 +260,6 @@ class TestSimultaneousSwitch:
         bad = (((0, 1), (2, 99), (4, 5)), space[1][0], space[2][0])
         with pytest.raises(InvalidParametersError, match="out of range"):
             um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
-        with pytest.raises(InvalidParametersError, match="out of range"):
-            double_switch(g, DirectedEdgeSpec(1, 0, 2, 99, 4, 5))
 
     def test_switch_index_range_enforced(self):
         g = enumerate_simple_regular(6, 3)[0]
@@ -321,11 +347,15 @@ class TestResolventSwitchDelta:
 @given(seed=st.integers(0, 2**32), steps=st.integers(1, 10))
 def test_um_resample_preserves_invariants_property(seed, steps):
     rng = stream(seed, 7)
-    g = sample_uniform(10, 3, rng)
+    g = sample_uniform(60, 4, rng)
     for _ in range(steps):
-        g = um_resample(g, rng).graph
+        out = um_resample(g, rng)
+        active, adj = switch_oracle(g, out.selection)
+        assert out.switched == active
+        assert np.array_equal(out.graph.adj, adj)
+        g = out.graph
     assert g.simple
-    assert np.all(g.adj.sum(axis=1) == 3)
+    assert np.all(g.adj.sum(axis=1) == 4)
 
 
 @settings(max_examples=30, deadline=None)
