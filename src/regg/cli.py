@@ -184,14 +184,14 @@ def _cmd_lawsweep(args, argv) -> int:
               "approximate": _approximate(args.model, n, args.d)}
     outputs = [args.out]
     if args.svg:
-        _sweep_svg(records, xi, args.svg)
+        _sweep_svg(records, args.svg)
         outputs.append(args.svg)
     _write_manifest("lawsweep", argv, params, outputs, results,
                     args.out + ".manifest.json")
     return EXIT_OK
 
 
-def _sweep_svg(records, xi: float, path: str) -> None:
+def _sweep_svg(records, path: str) -> None:
     """Error and envelope versus eta, worst case over E and trials."""
     etas = sorted({r.eta for r in records})
     err, env = [], []
@@ -251,10 +251,10 @@ def _cmd_eigen(args, argv) -> int:
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width
         span = (hi - lo) / width  # inf for a subnormal width
-        if span > E_GRID_MAX:
+        if span >= E_GRID_MAX + 0.5:
             raise InvalidParametersError(
-                f"--bin-width {width} gives {span:.3g} bins on [{lo}, {hi}], "
-                f"more than {E_GRID_MAX}")
+                f"--bin-width {width} gives more than {E_GRID_MAX} bins on "
+                f"[{lo}, {hi}]")
         nbins = int(round(span))
         if nbins < 1:
             raise InvalidParametersError(
