@@ -40,7 +40,7 @@ def main():
         records = []
         for seed in range(args.seeds):
             records.extend(law_sweep(plan, "permutation", n, args.d, seed))
-        c = fit_envelope_constant(records, xi)
+        c = fit_envelope_constant(records)
         rows.append([n, args.d, args.seeds, xi, c["C_diag"], c["C_offdiag"],
                      c["C_s"], c["records_used"]])
         print(f"N={n:5d}: C_diag={c['C_diag']:.3f} "

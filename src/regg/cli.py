@@ -171,7 +171,7 @@ def _cmd_lawsweep(args, argv) -> int:
     law_mod.write_law_csv(records, args.out)
 
     accept = law_mod.ACCEPTANCE_CONSTANT
-    constants = law_mod.fit_envelope_constant(records, xi)
+    constants = law_mod.fit_envelope_constant(records)
     results = {
         "constants": constants,
         "acceptance_constant": accept,

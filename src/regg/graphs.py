@@ -110,10 +110,10 @@ def dense_adjacency(n: int, u, v, dtype=np.int64) -> np.ndarray:
     return a
 
 
-def mapped_matrix(n: int, copies: int = 1,
+def mapped_matrix(shape: tuple[int, ...], dtype=np.float64, copies: int = 1,
                   huge_pages: bool = True) -> np.ndarray:
-    """A zeroed, writable, C-contiguous n x n float64 array in its own
-    anonymous mapping.
+    """A zeroed, writable, C-contiguous array of `shape` and `dtype` in its
+    own anonymous mapping.
 
     Its pages go back to the kernel as soon as the array is freed: a heap
     array of this size may stay resident after it is freed, once glibc's
@@ -121,17 +121,21 @@ def mapped_matrix(n: int, copies: int = 1,
     mapping asks for transparent huge pages, which a caller that writes
     every entry faults in about twice as fast; without, they are turned
     off, so that only the 4 KiB pages a write touches become resident.
-    `copies` is how many n x n float64 arrays the caller's computation holds
+    `copies` is how many arrays of this size the caller's computation holds
     at once; when they would not fit in physical RAM, raises
     InvalidParametersError before mapping.
     """
-    check_ram(8 * copies * n * n, f"{copies} dense {n}x{n} float64 matrices")
-    buf = mmap.mmap(-1, max(1, 8 * n * n),
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    check_ram(copies * dtype.itemsize * size,
+              f"{copies} mapped {'x'.join(map(str, shape))} {dtype.name} "
+              f"arrays")
+    buf = mmap.mmap(-1, max(1, dtype.itemsize * size),
                     flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     with contextlib.suppress(OSError):  # a kernel without THP
         buf.madvise(mmap.MADV_HUGEPAGE if huge_pages
                     else mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64, count=n * n).reshape(n, n)
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +223,7 @@ class MultiGraph:
         in the other half.  Raises InvalidParametersError before mapping if
         one n x n float64 matrix would not fit in physical RAM.
         """
-        a = mapped_matrix(self.n, huge_pages=False)
+        a = mapped_matrix((self.n, self.n), huge_pages=False)
         i, j, mult = self.edge_arrays()
         a[i, j] = np.where(i == j, 2 * mult, mult) / divisor
         return a

@@ -16,9 +16,9 @@ from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import check_ram, sample_model
 from .rng import stream
 from .spectral import (OFFDIAG_PAIRS, EnvelopeParams, ResolventView, build_H,
-                       dgemm, dsyevd, dsyevd_2stage, eigvalsh_inplace,
-                       f_envelope, grid_bytes, m_semicircle, phi_envelope,
-                       psi_envelope)
+                       default_xi, dgemm, dormtr, dstedc, dsyevd_2stage,
+                       dsytrd, eigvalsh_inplace, f_envelope, grid_bytes,
+                       m_semicircle, phi_envelope, psi_envelope)
 
 __all__ = [
     "LawRecord",
@@ -144,7 +144,8 @@ def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
     dropped before the next trial's matrix is built; stat must not hold it.
     The LAPACK and BLAS routines are resolved first, so a library without
     one fails before any graph is sampled."""
-    for routine in (dsyevd, dgemm) if vectors else (dsyevd_2stage,):
+    for routine in ((dsytrd, dstedc, dormtr, dgemm) if vectors
+                    else (dsyevd_2stage,)):
         routine()
     out = []
     for seed, trial in keys:
@@ -174,17 +175,20 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     return [r for records in per for r in records]
 
 
-def fit_envelope_constant(records: list[LawRecord], xi: float) -> dict:
+def fit_envelope_constant(records: list[LawRecord]) -> dict:
     """99th-percentile ratio of each error statistic to its envelope.
 
-    Records flagged D<1 are dropped; the xiPhi>1 flag is informational
-    (its envelope saturates at F = 1) and kept.
+    The off-diagonal envelope is xi Phi with xi = default_xi(N) of each
+    record's N, the xi its f_xi_phi was built with.  Records flagged D<1
+    are dropped; the xiPhi>1 flag is informational (its envelope saturates
+    at F = 1) and kept.
     """
     usable = [r for r in records if "D<1" not in r.flag.split(";")]
     if not usable:
         raise InsufficientDataError("no usable records after flag filtering")
     diag = np.array([r.max_diag_err / r.f_xi_phi for r in usable])
-    off = np.array([r.max_offdiag / (xi * r.phi) for r in usable])
+    off = np.array([r.max_offdiag / (default_xi(r.N) * r.phi)
+                    for r in usable])
     s = np.array([r.s_minus_m / r.f_xi_phi for r in usable])
     return {
         "C_diag": float(np.percentile(diag, 99)),

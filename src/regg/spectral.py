@@ -5,25 +5,28 @@ Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
 
-LAPACK and BLAS are called through one ctypes binding: dsyevd,
-dsyevd_2stage and dgemm are resolved, once per process, in the LAPACK
-extension that scipy ships (linalg/_flapack, whose handle also reaches the
-OpenBLAS it links against).  The extension is located on disk and opened as
-a plain shared library, so no command imports scipy.linalg.  Every array
-argument has an ndpointer type: a strided, read-only or wrongly typed
-array raises ctypes.ArgumentError before LAPACK sees it.
+LAPACK and BLAS are called through one ctypes binding: dsytrd, dstedc,
+dormtr, dsyevd_2stage and dgemm are resolved, once per process, in the
+LAPACK extension that scipy ships (linalg/_flapack, whose handle also
+reaches the OpenBLAS it links against).  The extension is located on disk
+and opened as a plain shared library, so no command imports scipy.linalg.
+Every array argument has an ndpointer type: a strided, read-only or wrongly
+typed array raises ctypes.ArgumentError before LAPACK sees it.
 
-Both decompositions overwrite the one dense matrix they are given:
-eigvalsh_inplace calls dsyevd_2stage, which reads and writes only the
-matrix's upper triangle (MultiGraph.upper_triangle builds just that half)
-with O(N kd) workspace for a band of kd columns, and ResolventView leaves
-dsyevd's eigenvectors in H's memory with 2 N^2 of workspace.  H, the
-C-ordered copy of the eigenvectors and their squares are mapped_matrix
-arrays, whose pages go back to the kernel when they are freed.  grid works
-in real arithmetic on dgemm and in blocks of PAIR_BLOCK pairs: beyond the
+Both decompositions read only the upper triangle of the matrix they are
+given, and overwrite it.  eigvalsh_inplace calls dsyevd_2stage, with
+O(N kd) workspace for a band of kd columns.  ResolventView runs the three
+steps of dsyevd itself (dsytrd in place, dstedc into a new matrix Z, dormtr
+on Z), so that H, which build_H writes as a triangle only, is never faulted
+in whole: dsyevd would end by copying Z over all of H.  At its peak the
+decomposition holds the resident half of H, Z and dstedc's N^2 workspace.
+Every array of a trial with N rows or columns, or of N^2 entries, is a
+mapped_matrix, whose pages go back to the kernel when it is freed; only
+vectors of N reals or fewer live on the heap.  grid works in real
+arithmetic on dgemm and in blocks of PAIR_BLOCK pairs: beyond the
 eigenvectors, its outputs and its weights it holds at most
-N^2 + 2 PAIR_BLOCK N reals, within the EIGH_COPIES N^2 of the
-decomposition.
+N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals, within the EIGH_COPIES N^2 of
+the decomposition.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -48,7 +51,9 @@ __all__ = [
     "EnvelopeParams",
     "build_H",
     "eigvalsh_inplace",
-    "dsyevd",
+    "dsytrd",
+    "dstedc",
+    "dormtr",
     "dsyevd_2stage",
     "dgemm",
     "grid_bytes",
@@ -64,39 +69,61 @@ __all__ = [
 ]
 
 
-#: N x N float64 arrays alive at once on the eigh path: H, which LAPACK
-#: overwrites with the eigenvectors, and its 2 N^2 workspace
+#: N x N float64 mappings alive at once on the eigenvector path: H, Z and
+#: dstedc's workspace (N^2 + 4N + 1 reals).  H is counted whole, though
+#: only its upper triangle is ever written
 EIGH_COPIES = 3
 
 #: off-diagonal pairs ResolventView.grid samples above EXHAUSTIVE_N
 OFFDIAG_PAIRS = 10000
 
-#: off-diagonal pairs per block in ResolventView.grid; a block holds
-#: 2 PAIR_BLOCK x N reals
+#: off-diagonal pairs per dgemm block in ResolventView.grid.  Fixed, since
+#: the block size sets dgemm's summation order: 256 pairs changed the bits
+#: of grid's off-diagonal output at N = 2000
 PAIR_BLOCK = 1024
+
+#: eigenvector rows gathered at once into a mapped buffer, to multiply a
+#: block's first factors by its second ones
+GATHER_ROWS = 128
+
+#: reals of dormqr's T block (LDT x NBMAX = 65 x 64), which the workspace
+#: size that dormtr's query returns leaves out: with the queried size alone
+#: dormqr shrinks its block, and the eigenvectors differed from dsyevd's
+#: by up to 2.6e-16 at N = 2000; with this margin they are bitwise equal
+T_BLOCK = 65 * 64
 
 
 def build_H(g: MultiGraph) -> np.ndarray:
-    """H = (d-1)^{-1/2} (A - (d/n) J) as a writable, C-contiguous float64
-    mapped_matrix, ready to be consumed by ResolventView.  Requires d >= 2;
-    raises InvalidParametersError before mapping when the EIGH_COPIES
-    N x N arrays of the decomposition would not fit in physical RAM."""
+    """The upper triangle (diagonal included) of
+    H = (d-1)^{-1/2} (A - (d/n) J), in a writable, C-contiguous float64
+    mapped_matrix whose strictly lower triangle is left unwritten and reads
+    zero, ready to be consumed by ResolventView.  Each entry holds the bits
+    of the full matrix's; huge pages are off, so only the pages of the
+    triangle become resident.  Requires d >= 2; raises
+    InvalidParametersError before mapping when the EIGH_COPIES N x N
+    arrays of the decomposition would not fit in physical RAM."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    h = mapped_matrix(g.n, copies=EIGH_COPIES)
+    n, scale = g.n, math.sqrt(g.deg - 1)
+    h = mapped_matrix((n, n), copies=EIGH_COPIES, huge_pages=False)
+    # a non-edge is (0 - d/n) / sqrt(d-1), an edge (mult - d/n) / sqrt(d-1)
+    empty = -(g.deg / n) / scale
+    for row in range(n):
+        h[row, row:] = empty
     i, j, mult = g.edge_arrays()
-    h[i, j] = h[j, i] = np.where(i == j, 2 * mult, mult)
-    h -= g.deg / g.n
-    h /= math.sqrt(g.deg - 1)
+    h[i, j] = (np.where(i == j, 2 * mult, mult) - g.deg / n) / scale
     _check_centred(h)
     return h
 
 
 def _check_centred(h: np.ndarray) -> None:
-    """Raise unless |H e| <= 1e-12 sqrt(N), e the normalized all-ones vector;
-    H e is the row sums over sqrt(N), which need no BLAS work."""
+    """Raise unless |H e| <= 1e-12 sqrt(N), e the normalized all-ones vector,
+    for the symmetric H whose upper triangle is h's (the strictly lower one
+    must read zero); H e is the row sums over sqrt(N), which need no BLAS
+    work: row i of the triangle plus column i, less the diagonal entry."""
     n = h.shape[0]
-    residual = np.abs(h.sum(axis=1)).max() / math.sqrt(n)
+    sums = h.sum(axis=1) + h.sum(axis=0) - h.diagonal()
+    residual = np.abs(sums).max() / math.sqrt(n)
     if residual > 1e-12 * math.sqrt(n):
         raise InvalidParametersError(
             f"centering violated: |H e| = {residual:.3e}")
@@ -117,7 +144,9 @@ def _check_inplace(a: np.ndarray, who: str) -> None:
 # The LAPACK and BLAS binding
 
 #: each routine's symbol in scipy-openblas builds, then in plain LAPACK builds
-_DSYEVD = ("scipy_dsyevd_", "dsyevd_")
+_DSYTRD = ("scipy_dsytrd_", "dsytrd_")
+_DSTEDC = ("scipy_dstedc_", "dstedc_")
+_DORMTR = ("scipy_dormtr_", "dormtr_")
 _DSYEVD_2STAGE = ("scipy_dsyevd_2stage_", "dsyevd_2stage_")
 _DGEMM = ("scipy_dgemm_", "dgemm_")
 
@@ -135,6 +164,20 @@ _REALS = _pointer(np.float64, 1, "C_CONTIGUOUS", "WRITEABLE")
 _MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS")
 _OUT_MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS", "WRITEABLE")
 
+#: uplo, n, a, lda, d, e, tau, work, lwork, info, then the hidden length of
+#: uplo
+_SYTRD_ARGS = [_CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _REALS,
+               _REALS, _INT, _INTS, _LENGTH]
+#: compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, then the
+#: hidden length of compz
+_STEDC_ARGS = [_CHAR, _INT, _REALS, _REALS, _OUT_MATRIX, _INT, _REALS, _INT,
+               _INTS, _INT, _INTS, _LENGTH]
+#: side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info, then the
+#: hidden lengths of side, uplo and trans.  dormqr and dormql write a
+#: diagonal entry of a and restore it, so a must be writable
+_ORMTR_ARGS = [_CHAR, _CHAR, _CHAR, _INT, _INT, _OUT_MATRIX, _INT, _REALS,
+               _OUT_MATRIX, _INT, _REALS, _INT, _INTS, _LENGTH, _LENGTH,
+               _LENGTH]
 #: jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
 #: hidden lengths of jobz and uplo
 _SYEVD_ARGS = [_CHAR, _CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _INT,
@@ -174,15 +217,30 @@ def _resolve(routine: str, names: tuple[str, ...], argtypes: list):
 
 
 @cache
-def dsyevd():
-    """LAPACK's dsyevd (divide and conquer), resolved once per process."""
-    return _resolve("dsyevd", _DSYEVD, _SYEVD_ARGS)
+def dsytrd():
+    """LAPACK's dsytrd (reduction to tridiagonal form), resolved once per
+    process."""
+    return _resolve("dsytrd", _DSYTRD, _SYTRD_ARGS)
+
+
+@cache
+def dstedc():
+    """LAPACK's dstedc (divide and conquer on a tridiagonal matrix),
+    resolved once per process."""
+    return _resolve("dstedc", _DSTEDC, _STEDC_ARGS)
+
+
+@cache
+def dormtr():
+    """LAPACK's dormtr (applies dsytrd's reflectors), resolved once per
+    process."""
+    return _resolve("dormtr", _DORMTR, _ORMTR_ARGS)
 
 
 @cache
 def dsyevd_2stage():
     """LAPACK's dsyevd_2stage (two-stage reduction to tridiagonal form),
-    resolved once per process; it takes dsyevd's arguments."""
+    resolved once per process."""
     return _resolve("dsyevd_2stage", _DSYEVD_2STAGE, _SYEVD_ARGS)
 
 
@@ -197,37 +255,66 @@ def _intc(value: int) -> np.ndarray:
     return np.array([value], np.intc)
 
 
-def _syevd(routine, name: str, jobz: bytes, a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix whose lower triangle
-    is that of the Fortran-ordered `a` (uplo 'L'), by `routine`, a dsyevd
-    with the name `name`; with jobz b"V" the eigenvectors overwrite a's
-    columns.  The workspace sizes come from LAPACK's own query, and a
-    nonzero info raises NumericalDegeneracyError."""
+def _call(routine, name: str, *args) -> None:
+    """routine(*args, info), followed by a hidden length of 1 for each
+    character argument; a nonzero info raises NumericalDegeneracyError
+    naming `name`."""
+    info = np.zeros(1, np.intc)
+    routine(*args, info, *(1 for a in args if isinstance(a, bytes)))
+    if info[0]:
+        raise NumericalDegeneracyError(f"{name} failed with info = {info[0]}")
+
+
+def _workspace(size: int) -> np.ndarray:
+    """A mapped LAPACK workspace of `size` reals."""
+    return mapped_matrix((max(1, size),))
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and the Fortran-ordered eigenvectors (columns)
+    of the symmetric matrix whose lower triangle is that of the
+    Fortran-ordered `a`, by the three steps dsyevd (jobz 'V', uplo 'L')
+    takes, bitwise equal to it.  a's lower triangle is overwritten by the
+    reflectors and its strictly upper triangle is neither read nor written.
+    Workspace sizes come from LAPACK's own queries, and a nonzero info
+    raises NumericalDegeneracyError.  dsyevd's scaling of a matrix whose
+    largest entry lies outside about [1e-146, 1e146] is left out."""
     n = a.shape[0]
-    w = np.empty(n)
+    size, lead = _intc(n), _intc(max(1, n))
+    w, e, tau = np.empty(n), np.empty(max(1, n)), np.empty(max(1, n))
+    query, iquery, ask = np.empty(1), np.empty(1, np.intc), _intc(-1)
+    # dsytrd: a = Q T Q^T, T's diagonal into w and its off-diagonal into e
+    reduce_ = partial(_call, dsytrd(), "dsytrd", b"L", size, a, lead, w, e,
+                      tau)
+    reduce_(query, ask)
+    reduce_work = int(query[0])
+    reduce_(_workspace(reduce_work), _intc(reduce_work))
+    # dstedc('I'): T's eigenvalues into w, its eigenvectors into z
+    z = mapped_matrix((n, n)).T
+    solve = partial(_call, dstedc(), "dstedc", b"I", size, w, e, z, lead)
+    solve(query, ask, iquery, ask)
+    lwork, liwork = int(query[0]), int(iquery[0])
+    solve(_workspace(lwork), _intc(lwork), np.empty(liwork, np.intc),
+          _intc(liwork))
+    # dormtr: z = Q z.  dsyevd hands it what its own queried workspace,
+    # max(1 + 6N + 2N^2, 2N + dsytrd's query), leaves after e, tau and Z.
+    # Below N = 80 that is less than dormtr's query plus the T block, and
+    # dormqr shrinks its block there too: with the T block alone, the
+    # eigenvectors differed from dsyevd's by up to 4.7e-16 for N = 34..79
+    apply = partial(_call, dormtr(), "dormtr", b"L", b"L", b"N", size, size,
+                    a, lead, tau, z, lead)
+    apply(query, ask)
+    lwork = min(int(query[0]) + T_BLOCK,
+                max(1 + 4 * n + n * n, reduce_work - n * n))
+    apply(_workspace(lwork), _intc(lwork))
+    return w, z
 
-    def call(work: np.ndarray, iwork: np.ndarray, lwork: int,
-             liwork: int) -> None:
-        info = np.zeros(1, np.intc)
-        routine(jobz, b"L", _intc(n), a, _intc(max(1, n)), w, work,
-                _intc(lwork), iwork, _intc(liwork), info, 1, 1)
-        if info[0]:
-            raise NumericalDegeneracyError(
-                f"{name} failed with info = {info[0]}")
 
-    work, iwork = np.empty(1), np.empty(1, np.intc)
-    call(work, iwork, -1, -1)  # the query: sizes land in work[0], iwork[0]
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), np.empty(liwork, np.intc), lwork, liwork)
-    return w
-
-
-def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w by dgemm, for a C-contiguous x and a Fortran-ordered w, as a
-    new Fortran-ordered array.  x.T is Fortran-ordered, so dgemm reads it
-    with transa 'T' and copies no operand."""
+def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ w by dgemm, for a C-contiguous x and a Fortran-ordered w, into
+    the Fortran-ordered `out`, which it returns.  x.T is Fortran-ordered,
+    so dgemm reads it with transa 'T' and copies no operand."""
     m, k = x.shape
-    out = np.empty((m, w.shape[1]), order="F")
     dgemm()(b"T", b"N", _intc(m), _intc(w.shape[1]), _intc(k), np.ones(1),
             x.T, _intc(max(1, k)), w, _intc(max(1, k)), np.zeros(1), out,
             _intc(max(1, m)), 1, 1)
@@ -246,23 +333,38 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     workspace is O(N kd), about 3.3 MB at N = 4000.  `a` must pass
     _check_inplace; a nonzero LAPACK info raises NumericalDegeneracyError."""
     _check_inplace(a, "eigvalsh_inplace")
-    return _syevd(dsyevd_2stage(), "dsyevd_2stage", b"N", a.T)
+    n = a.shape[0]
+    w = np.empty(n)
+    run = partial(_call, dsyevd_2stage(), "dsyevd_2stage", b"N", b"L",
+                  _intc(n), a.T, _intc(max(1, n)), w)
+    work, iwork = np.empty(1), np.empty(1, np.intc)
+    run(work, _intc(-1), iwork, _intc(-1))  # sizes land in work, iwork
+    lwork, liwork = int(work[0]), int(iwork[0])
+    run(np.empty(lwork), _intc(lwork), np.empty(liwork, np.intc),
+        _intc(liwork))
+    return w
 
 
 def grid_bytes(n: int, nz: int, offdiag_pairs: int) -> int:
-    """Bytes that ResolventView.grid allocates for nz points at size n
-    beyond the view's own matrices: the complex N x nz and P x nz outputs,
-    four real N x nz weight arrays and one real dgemm product as large."""
+    """Bytes that ResolventView.grid maps for nz points at size n beyond
+    the view's own matrices: the complex N x nz and P x nz outputs, the two
+    real N x nz weights, the dgemm product buffer (nz times N or a pair
+    block, whichever is larger), the pair block and its gathered rows."""
     pairs = (n * (n - 1) // 2 if n <= ResolventView.EXHAUSTIVE_N
              else offdiag_pairs)
-    return 16 * (n + pairs) * nz + 5 * 8 * n * nz
+    block = min(PAIR_BLOCK, pairs)
+    return 8 * ((2 * (n + pairs) + 2 * n + max(n, block)) * nz
+                + (block + min(GATHER_ROWS, block)) * n)
 
 
 class ResolventView:
     """One eigendecomposition of H, evaluated on a z-grid by grid().
 
-    The view consumes H, which must pass _check_inplace: LAPACK's dsyevd
-    writes the eigenvectors into H's memory (pass h.copy() to keep H).
+    The view reads H's upper triangle (diagonal included) only, and
+    consumes it: H must pass _check_inplace, and dsytrd writes its
+    reflectors over that triangle (pass h.copy() to keep H).  Z, the
+    eigenvectors dstedc and dormtr build, is copied once into C order and
+    dropped before the constructor returns.
     """
 
     #: below this size the off-diagonal maximum is exhaustive
@@ -272,12 +374,11 @@ class ResolventView:
                  pair_seed: int = 0):
         _check_inplace(h, "ResolventView")
         self.n = h.shape[0]
-        # dsyevd (jobz 'V', uplo 'L') on h.T leaves the eigenvectors as the
-        # columns of h.T
-        self.eigenvalues = _syevd(dsyevd(), "dsyevd", b"V", h.T)
+        # h.T's lower triangle is h's upper one
+        self.eigenvalues, z = _eigh(h.T)
         # C order once, so that grid gathers pair rows, not strided columns
-        self.eigenvectors = mapped_matrix(self.n)
-        self.eigenvectors[...] = h.T
+        self.eigenvectors = mapped_matrix((self.n, self.n))
+        self.eigenvectors[...] = z
         self.offdiag_pairs = offdiag_pairs
         self.pair_seed = pair_seed
 
@@ -298,50 +399,79 @@ class ResolventView:
 
     def grid(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G_ii(z) for every i and G_ij(z) over the seeded pair sample, for
-        a whole grid of z at once: (diag (N x nz), off (P x nz)), complex.
+        a whole grid of z at once: (diag (N x nz), off (P x nz)), complex
+        and mapped.
 
         G_ij(z) = sum_a v_ia v_ja / (lambda_a - z), taken as two real
         matrix products with the real and imaginary parts of the weights.
-        Beyond the eigenvectors, the outputs and the N x nz weights it holds
-        at most N^2 + 2 PAIR_BLOCK N reals (v*v, then one block of gathered
-        pair rows), within the EIGH_COPIES N^2 budget of the decomposition.
+        Every array of N rows or columns is a mapped_matrix; grid_bytes
+        counts them.  Beyond the eigenvectors, the outputs and the N x nz
+        weights it holds at most N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals
+        (v*v, then one block of pair products and one chunk of gathered
+        rows), within the EIGH_COPIES N^2 budget of the decomposition.
         """
         zs = np.asarray(zs, dtype=complex)
+        n, nz = self.n, zs.size
         vec = self.eigenvectors
-        # Fortran-ordered (N, nz) weights, which dgemm reads as they are
-        gap = (self.eigenvalues - zs.real[:, None]).T
-        scale = 1.0 / (gap * gap + zs.imag * zs.imag)
-        w_re, w_im = gap * scale, zs.imag * scale
+        # w_re = gap / (gap^2 + eta^2) and w_im = eta / (gap^2 + eta^2),
+        # gap = lambda - E, written in place as (nz, N) rows: their
+        # transposes are Fortran-ordered (N, nz), which dgemm reads as is
+        weights = mapped_matrix((2, nz, n))
+        gap, scale = weights
+        np.subtract(self.eigenvalues, zs.real[:, None], out=gap)
+        np.multiply(gap, gap, out=scale)
+        scale += (zs.imag * zs.imag)[:, None]
+        np.divide(1.0, scale, out=scale)
+        gap *= scale
+        scale *= zs.imag[:, None]
+        w_re, w_im = gap.T, scale.T
 
-        diag = np.empty((self.n, zs.size), dtype=complex)
-        sq = np.multiply(vec, vec, out=mapped_matrix(self.n))
-        diag.real = _product(sq, w_re)
-        diag.imag = _product(sq, w_im)
-        del sq
-        # drawn after the diagonal product: drawing the pair sample first
-        # raised lawsweep's peak RSS by about 4 MB at N = 2000
         i, j = self._pair_sample
-        off = np.empty((i.size, zs.size), dtype=complex)
+        block = mapped_matrix((min(PAIR_BLOCK, i.size), n))
+        # one dgemm product buffer, for the diagonal and every pair block
+        products = mapped_matrix((max(n, block.shape[0]) * nz,))
+
+        def product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+            return _product(x, w, products[:x.shape[0] * nz]
+                            .reshape(nz, x.shape[0]).T)
+
+        diag = mapped_matrix((n, nz), complex)
+        sq = np.multiply(vec, vec, out=mapped_matrix((n, n)))
+        diag.real = product(sq, w_re)
+        diag.imag = product(sq, w_im)
+        del sq
+        off = mapped_matrix((i.size, nz), complex)
+        rows = mapped_matrix((min(GATHER_ROWS, block.shape[0]), n))
         for start in range(0, i.size, PAIR_BLOCK):
-            rows = slice(start, start + PAIR_BLOCK)
-            prod = vec[i[rows]]
-            prod *= vec[j[rows]]
-            off.real[rows] = _product(prod, w_re)
-            off.imag[rows] = _product(prod, w_im)
+            stop = min(start + PAIR_BLOCK, i.size)
+            pairs = block[:stop - start]
+            # take writes straight into `out` unless its mode is "raise",
+            # which gathers into a temporary first; the indices lie in
+            # [0, N) by construction
+            np.take(vec, i[start:stop], axis=0, out=pairs, mode="clip")
+            for first in range(start, stop, GATHER_ROWS):
+                last = min(first + GATHER_ROWS, stop)
+                gathered = rows[:last - first]
+                np.take(vec, j[first:last], axis=0, out=gathered, mode="clip")
+                pairs[first - start:last - start] *= gathered
+            off.real[start:stop] = product(pairs, w_re)
+            off.imag[start:stop] = product(pairs, w_im)
         return diag, off
 
 
 def resolvent_solve(h: np.ndarray, z: complex) -> np.ndarray:
-    """Direct dense solve (H - z)^{-1}; the independent oracle for the
-    eigendecomposition route.  Raises NumericalDegeneracyError for real z
-    and for a singular solve."""
+    """Direct dense solve (H - z)^{-1} for the symmetric H whose upper
+    triangle (diagonal included) is h's, as build_H writes it; the
+    independent oracle for the eigendecomposition route.  Raises
+    NumericalDegeneracyError for real z and for a singular solve."""
     z = complex(z)
     if z.imag == 0:
         raise NumericalDegeneracyError("resolvent needs Im z != 0")
     n = h.shape[0]
+    upper = np.triu(np.asarray(h, float))
+    full = upper + np.triu(upper, 1).T
     try:
-        return np.linalg.solve(np.asarray(h, float) - z * np.eye(n),
-                               np.eye(n, dtype=complex))
+        return np.linalg.solve(full - z * np.eye(n), np.eye(n, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"singular solve at z={z}") from exc
 

@@ -68,7 +68,7 @@ def _sweep(n: int, d: int, seeds) -> dict:
                          stat, offdiag_pairs=plan.offdiag_pairs)
     records = [r for recs, _ in per_seed for r in recs]
     gammas = [g for _, gams in per_seed for g in gams]
-    constants = fit_envelope_constant(records, xi)
+    constants = fit_envelope_constant(records)
     return {"plan": plan, "xi": xi, "records": records, "gammas": gammas,
             "constants": constants}
 

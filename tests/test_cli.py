@@ -386,9 +386,22 @@ class TestEigen:
     def test_trials_do_not_accumulate_memory(self, tmp_path, monkeypatch,
                                              mode):
         # the previous trial's view must be gone before the next eigh.  Its
-        # eigenvectors are mapped, which tracemalloc does not see, so the
-        # views are also tracked by weak reference
+        # arrays are mapped, which tracemalloc does not see, so the views
+        # are also tracked by weak reference, and the bytes mapped at once
+        # are added to the traced heap peak
         views = []
+        mapped = [0, 0]  # bytes mapped now, the most mapped at once
+        mmap = graphs.mmap.mmap
+
+        def unmapped(length):
+            mapped[0] -= length
+
+        def tracked(fileno, length, **kwargs):
+            buf = mmap(fileno, length, **kwargs)
+            mapped[0] += length
+            mapped[1] = max(mapped)
+            weakref.finalize(buf, unmapped, length)
+            return buf
 
         def view(h, offdiag_pairs, **kwargs):
             # 100 pairs keep grid's pair blocks below the decomposition, so
@@ -404,6 +417,7 @@ class TestEigen:
 
         monkeypatch.setattr(law_mod, "ResolventView", view)
         monkeypatch.setattr(law_mod, "build_H", build)
+        monkeypatch.setattr(graphs.mmap, "mmap", tracked)
         model = ["--model", "permutation", "--n", "800", "--d", "10",
                  "--seed", "5"]
         if mode == "lawsweep":
@@ -412,11 +426,12 @@ class TestEigen:
             argv = ["eigen", "--mode", mode, *model]
         peaks = []
         for samples in ("1", "2"):
+            mapped[1] = mapped[0]
             tracemalloc.start()
             try:
                 code = run([*argv, "--samples", samples,
                             "--out", str(tmp_path / f"{mode}{samples}.csv")])
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append(tracemalloc.get_traced_memory()[1] + mapped[1])
             finally:
                 tracemalloc.stop()
             assert code == EXIT_OK
@@ -479,15 +494,19 @@ class TestEigen:
         assert not (tmp_path / "int.csv").exists()
 
     @pytest.mark.parametrize("argv, names, routine", [
-        (["lawsweep"], "_DSYEVD", "dsyevd"),
+        (["lawsweep"], "_DSYTRD", "dsytrd"),
         (["lawsweep"], "_DGEMM", "dgemm"),
-        (["eigen", "--mode", "deloc"], "_DSYEVD", "dsyevd"),
+        (["eigen", "--mode", "deloc"], "_DSYTRD", "dsytrd"),
         (["eigen", "--mode", "deloc"], "_DGEMM", "dgemm"),
+        (["lawsweep"], "_DSTEDC", "dstedc"),
+        (["lawsweep"], "_DORMTR", "dormtr"),
+        (["eigen", "--mode", "deloc"], "_DSTEDC", "dstedc"),
+        (["eigen", "--mode", "deloc"], "_DORMTR", "dormtr"),
     ])
     def test_fail_fast_without_a_routine(self, tmp_path, capsys, monkeypatch,
                                          argv, names, routine):
-        # the eigenvector commands resolve dsyevd and dgemm before any
-        # graph's matrix is mapped
+        # the eigenvector commands resolve dsytrd, dstedc, dormtr and dgemm
+        # before any graph's matrix is mapped
         resolve = getattr(spectral, routine)
         monkeypatch.setattr(spectral, names, ("regg_missing_",))
         resolve.cache_clear()

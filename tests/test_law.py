@@ -142,18 +142,29 @@ class TestDyadicScan:
 class TestFitConstant:
     def test_basic_fit(self, small_sweep):
         plan, records = small_sweep
-        xi = default_xi(100)
-        out = fit_envelope_constant(records, xi)
+        out = fit_envelope_constant(records)
         assert out["records_used"] == len(records)
         assert 0 < out["C_diag"] < 10
         assert 0 < out["C_offdiag"] < 10
         assert 0 < out["C_s"] < 10
 
+    def test_offdiag_against_each_records_xi(self, small_sweep):
+        # a record is fitted against default_xi of its own N: records
+        # relabelled N = 400, with max_offdiag scaled by the ratio of the
+        # two xi, fit the same C_offdiag
+        _, records = small_sweep
+        ratio = default_xi(400) / default_xi(100)
+        moved = [LawRecord(**{**r.__dict__, "N": 400,
+                              "max_offdiag": r.max_offdiag * ratio})
+                 for r in records]
+        assert fit_envelope_constant(moved)["C_offdiag"] == pytest.approx(
+            fit_envelope_constant(records)["C_offdiag"], rel=1e-12)
+
     def test_excludes_flagged(self, small_sweep):
         _, records = small_sweep
         flagged = [LawRecord(**{**r.__dict__, "flag": "D<1"}) for r in records]
         with pytest.raises(InsufficientDataError):
-            fit_envelope_constant(flagged, default_xi(100))
+            fit_envelope_constant(flagged)
 
 
 def read_records(path):

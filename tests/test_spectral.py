@@ -62,6 +62,12 @@ def _run_fresh(script, *args):
     return proc.stdout
 
 
+def symmetric(h):
+    """The full symmetric matrix whose upper triangle is h's, as build_H
+    writes only that triangle."""
+    return np.triu(h) + np.triu(h, 1).T
+
+
 def complete_graph(n):
     return MultiGraph(n, n - 1, [i * n + j for i, j in
                                  itertools.combinations(range(n), 2)])
@@ -70,12 +76,12 @@ def complete_graph(n):
 class TestBuildH:
     def test_k3_eigenvalues(self):
         h = build_H(complete_graph(3))
-        vals = np.sort(np.linalg.eigvalsh(h))
+        vals = np.sort(np.linalg.eigvalsh(symmetric(h)))
         assert np.allclose(vals, [-1.0, -1.0, 0.0], atol=1e-12)
 
     def test_k4_eigenvalues(self):
         h = build_H(complete_graph(4))
-        vals = np.sort(np.linalg.eigvalsh(h))
+        vals = np.sort(np.linalg.eigvalsh(symmetric(h)))
         r = -1 / math.sqrt(2)
         assert np.allclose(vals, [r, r, r, 0.0], atol=1e-12)
 
@@ -83,7 +89,19 @@ class TestBuildH:
         g = sample_uniform(20, 3, stream(40, 0))
         h = build_H(g)
         e = np.full(20, 20 ** -0.5)
-        assert np.abs(h @ e).max() < 1e-12
+        assert np.abs(symmetric(h) @ e).max() < 1e-12
+
+    @pytest.mark.parametrize("sampler, n, d, loops", TRIANGLE_GRAPHS)
+    def test_upper_triangle_bitwise_equal_to_full_matrix(self, sampler, n,
+                                                         d, loops):
+        # each entry holds the bits of the full matrix built in two passes,
+        # (A - d/n) / sqrt(d-1); the strictly lower triangle reads zero
+        g = sampler(n, d, stream(13, 0))
+        full = g.dense(np.float64)
+        full -= d / n
+        full /= math.sqrt(d - 1)
+        h = build_H(g)
+        assert np.array_equal(h, np.triu(full))
 
     def test_degree_one_rejected(self):
         g = MultiGraph(2, 1, [1])
@@ -93,6 +111,10 @@ class TestBuildH:
     def test_centering_validated(self):
         with pytest.raises(InvalidParametersError):
             _check_centred(np.eye(2))
+        # the row sums of the symmetric matrix, not of the triangle
+        _check_centred(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidParametersError):
+            _check_centred(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 class TestResolventView:
@@ -177,6 +199,36 @@ class TestResolventView:
             assert np.abs(diag[:, k] - np.diag(oracle)).max() < 1e-10
             assert np.abs(off[:, k] - oracle[i, j]).max() < 1e-10
 
+    def test_grid_matches_unchunked_pair_products(self):
+        # the pair rows are gathered GATHER_ROWS at a time into one reused
+        # block; the products must be those of the whole-block evaluation,
+        # vec[i] * vec[j] per PAIR_BLOCK pairs, bit for bit
+        n = 320
+        v = ResolventView(build_H(sample_permutation_model(n, 6,
+                                                           stream(43, 1))),
+                          offdiag_pairs=2500, pair_seed=6)
+        i, j = v._pair_sample
+        assert i.size > 2 * PAIR_BLOCK and i.size % PAIR_BLOCK
+        zs = np.array([0.4 + 1j / n, -1.7 + 0.03j, 2.5 + 1j])
+        diag, off = v.grid(zs)
+        vec = v.eigenvectors
+        gap = (v.eigenvalues - zs.real[:, None]).T
+        scale = 1.0 / (gap * gap + zs.imag * zs.imag)
+        w_re, w_im = gap * scale, zs.imag * scale
+
+        def product(x, w):
+            return spectral._product(x, w, np.empty((x.shape[0], zs.size),
+                                                    order="F"))
+
+        sq = vec * vec
+        assert np.array_equal(diag.real, product(sq, w_re))
+        assert np.array_equal(diag.imag, product(sq, w_im))
+        for start in range(0, i.size, PAIR_BLOCK):
+            rows = slice(start, start + PAIR_BLOCK)
+            prod = vec[i[rows]] * vec[j[rows]]
+            assert np.array_equal(off.real[rows], product(prod, w_re))
+            assert np.array_equal(off.imag[rows], product(prod, w_im))
+
     def test_grid_empty_pair_sample(self):
         v = ResolventView(np.array([[0.5]]))
         diag, off = v.grid(np.array([1j, 0.5 + 0.1j]))
@@ -211,29 +263,30 @@ class TestResolventView:
 
     def test_eigenpairs_match_numpy_and_consume_h(self):
         h = build_H(sample_permutation_model(200, 6, stream(45, 1)))
-        ref_vals = np.linalg.eigh(h)[0]
-        oracle = h.copy()
+        oracle = symmetric(h)
+        ref_vals = np.linalg.eigh(oracle)[0]
         v = ResolventView(h)
         assert np.abs(v.eigenvalues - ref_vals).max() < 1e-12
         vec = v.eigenvectors
         assert vec.flags.c_contiguous
         assert np.abs((vec * v.eigenvalues) @ vec.T - oracle).max() < 1e-12
         assert np.abs(vec.T @ vec - np.eye(200)).max() < 1e-12
-        # LAPACK wrote the eigenvectors into H's own memory
-        assert np.array_equal(h.T, vec)
+        # dsytrd wrote its reflectors over H's upper triangle
+        assert not np.array_equal(np.triu(h), np.triu(oracle))
 
-    def test_decomposition_holds_three_matrices(self):
+    def test_decomposition_peak_below_three_matrices(self):
         # growth of the peak RSS over the resident set before the build, in
-        # a fresh process, in N x N float64 matrices: H plus LAPACK's 2 N^2
-        # workspace read about 3.3 at N = 1000, and a fourth N x N array
-        # alive beside them would add 1.  H and the eigenvectors are
-        # mapped, which tracemalloc does not see, so the peak is VmHWM
+        # a fresh process, in N x N float64 matrices.  dsyevd held H whole
+        # plus its 2 N^2 workspace and read 3.17 at N = 2000; the three
+        # steps hold the triangle of H, Z and dstedc's N^2 workspace, and
+        # read 2.91.  H and the eigenvectors are mapped, which tracemalloc
+        # does not see, so the peak is VmHWM
         script = textwrap.dedent("""
             from regg.graphs import sample_permutation_model
             from regg.rng import stream
             from regg.spectral import ResolventView, build_H
 
-            n = 1000
+            n = 2000
             g = sample_permutation_model(n, 10, stream(44, 0))
             # load LAPACK and its buffers
             ResolventView(build_H(sample_permutation_model(300, 10,
@@ -243,20 +296,59 @@ class TestResolventView:
             print((status_kb("VmHWM:") - before) * 1024 / (8 * n * n))
         """)
         growth = float(_run_fresh(script))
-        assert growth < 3.5, growth
+        assert growth < 3.05, growth
+
+    def test_peak_flat_across_trials(self):
+        # VmHWM after each lawsweep trial at permutation (2000, 40) on the
+        # default grid, in a fresh process.  With the grid's outputs and
+        # pair rows on the heap, glibc kept about 5 MB of them from the
+        # first trial and the peak climbed 137.7 -> 142.7 MB at the second;
+        # mapped, it reads 129.0 -> 130.7 MB
+        script = textwrap.dedent("""
+            from regg.law import SweepPlan, per_trial, records_for_view
+            from regg.spectral import EnvelopeParams
+
+            n, d = 2000, 40
+            plan = SweepPlan(
+                e_grid=tuple(round(-2.4 + 0.2 * k, 12) for k in range(25)),
+                eta_grid=SweepPlan.dyadic_etas(64 / n), samples=3)
+            params = EnvelopeParams.for_model(n, d, "permutation")
+
+            def stat(seed, trial, view):
+                records_for_view(view, "permutation", n, d, seed, trial,
+                                 plan, params)
+                return status_kb("VmHWM:")
+
+            print(*per_trial("permutation", n, d,
+                             [(1, t) for t in range(plan.samples)], stat))
+        """)
+        peaks = [int(kb) / 1024 for kb in _run_fresh(script).split()]
+        assert peaks[-1] - peaks[0] < 3.0, peaks
 
 
 class TestBinding:
-    """dsyevd, dsyevd_2stage and dgemm, resolved with ctypes in the LAPACK
-    that scipy's wrappers call: scipy.linalg is the oracle here only."""
+    """dsytrd, dstedc, dormtr, dsyevd_2stage and dgemm, resolved with ctypes
+    in the LAPACK that scipy's wrappers call: scipy.linalg is the oracle
+    here only."""
 
     def test_dsyevd_matches_scipy_bitwise(self):
-        h = build_H(sample_permutation_model(400, 6, stream(46, 0)))
-        vals, vecs = scipy.linalg.eigh(h.T.copy(order="F"),
-                                       check_finite=False, driver="evd")
-        v = ResolventView(h)
-        assert np.array_equal(v.eigenvalues, vals)
-        assert np.array_equal(v.eigenvectors, vecs)
+        # ResolventView runs dsyevd's three steps itself; its eigenpairs
+        # are dsyevd's, bit for bit.  dormqr's block size depends on the
+        # workspace it gets, and dsyevd gives it less than its optimum for
+        # N from 34 to 79.  NaN in the strictly lower triangle would
+        # spread into the eigenpairs if LAPACK read it, and would be
+        # overwritten if LAPACK wrote it
+        for n in (400, 1, 2, 26, 40, 79, 80):
+            h = (build_H(sample_permutation_model(n, 6, stream(46, n)))
+                 if n > 1 else np.array([[0.25]]))
+            vals, vecs = scipy.linalg.eigh(symmetric(h), check_finite=False,
+                                           driver="evd")
+            lower = np.tril_indices(n, -1)
+            h[lower] = np.nan
+            v = ResolventView(h)
+            assert np.array_equal(v.eigenvalues, vals), n
+            assert np.array_equal(v.eigenvectors, vecs), n
+            assert np.isnan(h[lower]).all()
 
     @pytest.mark.parametrize("m, k, nz", [(300, 300, 7), (40, 300, 1),
                                           (1, 1, 3)])
@@ -264,7 +356,7 @@ class TestBinding:
         rng = np.random.default_rng(m + k + nz)
         x = rng.standard_normal((m, k))
         w = np.asfortranarray(rng.standard_normal((k, nz)))
-        got = spectral._product(x, w)
+        got = spectral._product(x, w, np.empty((m, nz), order="F"))
         assert got.flags.f_contiguous and got.shape == (m, nz)
         assert np.array_equal(
             got, scipy.linalg.blas.dgemm(1.0, x.T, w, trans_a=1))
@@ -286,14 +378,28 @@ class TestBinding:
                dict(w=np.empty(2 * n)[::2]),
                dict(work=np.empty(100, np.float32)),
                dict(iwork=np.empty(50, np.int64))]
-        for routine in (spectral.dsyevd(), spectral.dsyevd_2stage()):
+        info = np.zeros(1, np.intc)
+        calls = [  # the routine, whether it takes iwork, its arguments
+            (spectral.dsyevd_2stage(), True, lambda a, w, work, iwork: (
+                b"V", b"L", intc(n), a, intc(n), w, work, intc(100), iwork,
+                intc(50), info, 1, 1)),
+            (spectral.dsytrd(), False, lambda a, w, work, iwork: (
+                b"L", intc(n), a, intc(n), w, w.copy(), w.copy(), work,
+                intc(100), info, 1)),
+            (spectral.dstedc(), True, lambda a, w, work, iwork: (
+                b"I", intc(n), w, w.copy(), a, intc(n), work, intc(100),
+                iwork, intc(50), info, 1)),
+            (spectral.dormtr(), False, lambda a, w, work, iwork: (
+                b"L", b"L", b"N", intc(n), intc(n), a, intc(n), w,
+                np.eye(n, order="F"), intc(n), work, intc(100), info,
+                1, 1, 1)),
+        ]
+        for routine, takes_iwork, arguments in calls:
             for change in bad:
-                args = {**good, **change}
+                if "iwork" in change and not takes_iwork:
+                    continue
                 with pytest.raises(ctypes.ArgumentError):
-                    routine(b"V", b"L", intc(n), args["a"], intc(n),
-                            args["w"], args["work"], intc(100),
-                            args["iwork"], intc(50), np.zeros(1, np.intc),
-                            1, 1)
+                    routine(*arguments(**{**good, **change}))
         assert np.array_equal(a, np.eye(n))
 
         x = np.ones((3, 3), order="F")
@@ -313,7 +419,8 @@ class TestBinding:
         # the binding opens the extension file without importing it
         assert os.path.basename(spectral._lapack()._name).startswith(
             "_flapack")
-        for fn in (spectral.dsyevd, spectral.dsyevd_2stage, spectral.dgemm):
+        for fn in (spectral.dsytrd, spectral.dstedc, spectral.dormtr,
+                   spectral.dsyevd_2stage, spectral.dgemm):
             assert fn() is fn()
 
     def test_tries_each_name_in_turn(self, monkeypatch):
