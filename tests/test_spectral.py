@@ -279,7 +279,7 @@ class TestResolventView:
         # a fresh process, in N x N float64 matrices.  dsyevd held H whole
         # plus its 2 N^2 workspace and read 3.17 at N = 2000; the three
         # steps hold the triangle of H, Z and dstedc's N^2 workspace, and
-        # read 2.91.  H and the eigenvectors are mapped, which tracemalloc
+        # read 2.89.  H and the eigenvectors are mapped, which tracemalloc
         # does not see, so the peak is VmHWM
         script = textwrap.dedent("""
             from regg.graphs import sample_permutation_model
@@ -302,8 +302,8 @@ class TestResolventView:
         # VmHWM after each lawsweep trial at permutation (2000, 40) on the
         # default grid, in a fresh process.  With the grid's outputs and
         # pair rows on the heap, glibc kept about 5 MB of them from the
-        # first trial and the peak climbed 137.7 -> 142.7 MB at the second;
-        # mapped, it reads 129.0 -> 130.7 MB
+        # first trial and the peak climbed 137.5 -> 142.7 MB at the second;
+        # mapped, it reads 128.6 -> 129.4 -> 129.8 MB
         script = textwrap.dedent("""
             from regg.law import SweepPlan, per_trial, records_for_view
             from regg.spectral import EnvelopeParams
