@@ -7,8 +7,11 @@ edge codes i*n + j (i <= j), one entry per edge copy, so storing,
 validating and switching cost O(n d) rather than O(n^2); a loop is one
 entry and adds two to its vertex's degree.  Dense matrices are built only
 on demand: the full adjacency matrix by dense_adjacency, and the upper
-triangle that an eigenvalue-only LAPACK call reads by
-MultiGraph.upper_triangle, in an anonymous mapping from mapped_matrix.
+triangle that the in-place LAPACK calls read, of A / sqrt(d-1) or of the
+centred H, by MultiGraph.upper_triangle alone.  It writes the triangle
+into an anonymous mapping from mapped_matrix whose rows are padded so
+that each row's triangle starts a page, block by block of
+triangle_blocks.
 """
 
 from __future__ import annotations
@@ -41,10 +44,17 @@ __all__ = [
     "dense_adjacency",
     "check_ram",
     "mapped_matrix",
+    "triangle_blocks",
     "enumerate_simple_regular",
     "to_edgelist",
     "from_edgelist",
 ]
+
+#: float64 entries per memory page
+PAGE_REALS = mmap.PAGESIZE // 8
+
+#: rows per block of triangle_blocks
+TRIANGLE_ROWS = 64
 
 
 class ModelKind(str, Enum):
@@ -138,6 +148,19 @@ def mapped_matrix(shape: tuple[int, ...], dtype=np.float64, copies: int = 1,
     return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 
+def triangle_blocks(n: int):
+    """Yield (start, stop, (rows, cols)) for each block of TRIANGLE_ROWS
+    rows [start, stop) of an n x n matrix, with the indices, within the
+    square [start, stop)^2, of that square's upper triangle, diagonal
+    included.  With the rectangles [start, stop) x [stop, n), they cover
+    the matrix's upper triangle once and touch no other entry."""
+    rows, cols = np.triu_indices(TRIANGLE_ROWS)
+    for start in range(0, n, TRIANGLE_ROWS):
+        stop = min(start + TRIANGLE_ROWS, n)
+        keep = cols < stop - start
+        yield start, stop, (rows[keep], cols[keep])
+
+
 @dataclass(frozen=True, eq=False)
 class MultiGraph:
     """A d-regular multigraph on n vertices, stored as its edges.
@@ -210,22 +233,38 @@ class MultiGraph:
         """Adjacency matrix in `dtype`, built by dense_adjacency."""
         return dense_adjacency(self.n, *self.endpoints(), dtype=dtype)
 
-    def upper_triangle(self, divisor: float) -> np.ndarray:
-        """The upper triangle of the adjacency matrix over `divisor`, as a
-        mapped_matrix whose strictly lower triangle is left unwritten and
-        reads zero.
+    def upper_triangle(self, divisor: float, shift: float = 0.0,
+                       copies: int = 1) -> np.ndarray:
+        """The upper triangle (diagonal included) of (A - shift J) / divisor,
+        J the all-ones matrix, as the n x n view buf[:, :n] of a mapping buf
+        of n rows of L >= n reals; the strictly lower triangle and the
+        padding columns are left unwritten and read zero.
 
-        Entry (i, j), i <= j, holds the same bits as dense(np.float64)
-        divided by `divisor`: mult / divisor for an edge, 2 loops / divisor
-        on the diagonal.  Huge pages are off, so only the 4 KiB pages a
-        write touches are faulted in, and an eigenvalue-only LAPACK call
-        that reads and writes this triangle (eigvalsh_inplace) never brings
-        in the other half.  Raises InvalidParametersError before mapping if
-        one n x n float64 matrix would not fit in physical RAM.
+        Entry (i, j), i <= j, holds (m - shift) / divisor with m the entry
+        of dense(np.float64): mult for an edge, 2 loops on the diagonal and
+        0 off the edges, which with shift 0 are not written at all.  L is n
+        below n = PAGE_REALS - 1 and otherwise the smallest L >= n with
+        L + 1 a multiple of PAGE_REALS, so that every row's first upper
+        entry (i, i), at byte 8 i (L + 1), starts a page.  Huge pages are
+        off, so only the pages a write touches are faulted in: the
+        triangle's sum over k = 1..n of ceil(8 k / page) pages, and no page
+        holds entries of two rows.  An in-place LAPACK call that reads and
+        writes this triangle with LDA = L never brings in the rest.
+        `copies` is how many mappings of this size the caller's computation
+        holds at once; raises InvalidParametersError before mapping when
+        they would not fit in physical RAM.
         """
-        a = mapped_matrix((self.n, self.n), huge_pages=False)
+        n = self.n
+        pages = -(-(n + 1) // PAGE_REALS)
+        width = n if pages == 1 else pages * PAGE_REALS - 1
+        a = mapped_matrix((n, width), copies=copies, huge_pages=False)[:, :n]
+        if shift:
+            empty = (0.0 - shift) / divisor
+            for start, stop, tri in triangle_blocks(n):
+                a[start:stop, stop:] = empty
+                a[start:stop, start:stop][tri] = empty
         i, j, mult = self.edge_arrays()
-        a[i, j] = np.where(i == j, 2 * mult, mult) / divisor
+        a[i, j] = (np.where(i == j, 2 * mult, mult) - shift) / divisor
         return a
 
     @cached_property

@@ -14,23 +14,28 @@ Every array argument has an ndpointer type: a strided, read-only or wrongly
 typed array raises ctypes.ArgumentError before LAPACK sees it.
 
 Both decompositions read only the upper triangle of the matrix they are
-given, and overwrite it.  eigvalsh_inplace calls dsyevd_2stage, with
-O(N kd) workspace for a band of kd columns.  ResolventView runs the three
-steps of dsyevd itself (dsytrd in place, dstedc into a new matrix Z, dormtr
-on Z), so that H, which build_H writes as a triangle only, is never faulted
-in whole: dsyevd would end by copying Z over all of H.  At its peak the
-decomposition holds the resident half of H, Z and dstedc's N^2 workspace.
+given, and overwrite it.  The matrix is C-contiguous, or the view that
+MultiGraph.upper_triangle maps, whose rows lie L >= N reals apart so that
+each row's triangle starts a page; LAPACK reads its transpose with
+LDA = L, and only the triangle's pages are ever faulted in.
+eigvalsh_inplace calls dsyevd_2stage, with O(N kd) workspace for a band of
+kd columns.  ResolventView runs the three steps of dsyevd itself (dsytrd
+in place, dstedc into a new N x N matrix Z, dormtr on Z), so that H, which
+build_H writes as a triangle only, is never faulted in whole: dsyevd would
+end by copying Z over all of H.  At its peak the decomposition holds the
+resident half of H, Z and dstedc's N^2 workspace.
 Every array of a trial with N rows or columns, or of N^2 entries, is a
 mapped_matrix, whose pages go back to the kernel when it is freed; only
 vectors of N reals or fewer live on the heap.  grid works in real
 arithmetic on dgemm and in blocks of PAIR_BLOCK pairs: beyond the
 eigenvectors, its outputs and its weights it holds at most
-N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals, within the EIGH_COPIES N^2 of
-the decomposition.
+N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals, within the EIGH_COPIES N L
+reals that build_H checks RAM for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -44,7 +49,7 @@ import numpy as np
 
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning, ReggError)
-from .graphs import ModelKind, MultiGraph, mapped_matrix
+from .graphs import ModelKind, MultiGraph, mapped_matrix, triangle_blocks
 
 __all__ = [
     "ResolventView",
@@ -70,8 +75,9 @@ __all__ = [
 
 
 #: N x N float64 mappings alive at once on the eigenvector path: H, Z and
-#: dstedc's workspace (N^2 + 4N + 1 reals).  H is counted whole, though
-#: only its upper triangle is ever written
+#: dstedc's workspace (N^2 + 4N + 1 reals).  Each is counted as H's whole
+#: mapping of N rows of L >= N reals, though only H's upper triangle is
+#: ever written
 EIGH_COPIES = 3
 
 #: off-diagonal pairs ResolventView.grid samples above EXHAUSTIVE_N
@@ -95,49 +101,69 @@ T_BLOCK = 65 * 64
 
 def build_H(g: MultiGraph) -> np.ndarray:
     """The upper triangle (diagonal included) of
-    H = (d-1)^{-1/2} (A - (d/n) J), in a writable, C-contiguous float64
-    mapped_matrix whose strictly lower triangle is left unwritten and reads
-    zero, ready to be consumed by ResolventView.  Each entry holds the bits
-    of the full matrix's; huge pages are off, so only the pages of the
-    triangle become resident.  Requires d >= 2; raises
-    InvalidParametersError before mapping when the EIGH_COPIES N x N
-    arrays of the decomposition would not fit in physical RAM."""
+    H = (d-1)^{-1/2} (A - (d/n) J), as MultiGraph.upper_triangle maps it:
+    the n x n view of rows padded so that each row's triangle starts a
+    page, whose strictly lower triangle and padding are left unwritten,
+    ready to be consumed by ResolventView.  Each entry holds the bits of
+    the full matrix's, and only the pages of the triangle become resident.
+    Requires d >= 2; raises InvalidParametersError before mapping when the
+    EIGH_COPIES mappings of the decomposition would not fit in physical
+    RAM."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    n, scale = g.n, math.sqrt(g.deg - 1)
-    h = mapped_matrix((n, n), copies=EIGH_COPIES, huge_pages=False)
-    # a non-edge is (0 - d/n) / sqrt(d-1), an edge (mult - d/n) / sqrt(d-1)
-    empty = -(g.deg / n) / scale
-    for row in range(n):
-        h[row, row:] = empty
-    i, j, mult = g.edge_arrays()
-    h[i, j] = (np.where(i == j, 2 * mult, mult) - g.deg / n) / scale
+    h = g.upper_triangle(math.sqrt(g.deg - 1), shift=g.deg / g.n,
+                         copies=EIGH_COPIES)
     _check_centred(h)
     return h
 
 
 def _check_centred(h: np.ndarray) -> None:
     """Raise unless |H e| <= 1e-12 sqrt(N), e the normalized all-ones vector,
-    for the symmetric H whose upper triangle is h's (the strictly lower one
-    must read zero); H e is the row sums over sqrt(N), which need no BLAS
-    work: row i of the triangle plus column i, less the diagonal entry."""
+    for the symmetric H whose upper triangle is h's; H e is the row sums
+    over sqrt(N): row i of the triangle plus column i, less the diagonal
+    entry.  They are summed block by block of triangle_blocks, so the
+    strictly lower triangle is never read and its pages never faulted in."""
     n = h.shape[0]
-    sums = h.sum(axis=1) + h.sum(axis=0) - h.diagonal()
+    sums = -h.diagonal()
+    for start, stop, (rows, cols) in triangle_blocks(n):
+        rect = h[start:stop, stop:]
+        square = h[start:stop, start:stop][rows, cols]
+        sums[start:stop] += (rect.sum(axis=1)
+                             + np.bincount(rows, square, stop - start)
+                             + np.bincount(cols, square, stop - start))
+        sums[stop:] += rect.sum(axis=0)
     residual = np.abs(sums).max() / math.sqrt(n)
     if residual > 1e-12 * math.sqrt(n):
         raise InvalidParametersError(
             f"centering violated: |H e| = {residual:.3e}")
 
 
-def _check_inplace(a: np.ndarray, who: str) -> None:
-    """The input rule of both in-place LAPACK paths: only a writable,
-    C-contiguous, square float64 array has a transpose that LAPACK can
-    overwrite without an N x N copy, so anything else raises."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and a.ndim == 2 and a.shape[0] == a.shape[1]
-            and a.flags.c_contiguous and a.flags.writeable):
-        raise InvalidParametersError(
-            f"{who} needs a writable, C-contiguous, square float64 array")
+def _check_inplace(a: np.ndarray, who: str) -> np.ndarray:
+    """The input rule of both in-place LAPACK paths, and the operand they
+    hand LAPACK: the Fortran-ordered (L, N) array whose leading N x N
+    block is a.T, so that a's upper triangle is its lower one, read with
+    LDA = L.  `a` must be a writable, square float64 array that LAPACK can
+    overwrite without an N x N copy: C-contiguous (L = N), or a view with
+    unit column stride and a row stride of L >= N reals whose rows of L
+    reals lie inside its buffer, as MultiGraph.upper_triangle returns.
+    The operand is built on that buffer by np.ndarray, which checks the
+    bounds; anything else raises."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+            and a.shape[0] == a.shape[1] and a.flags.writeable):
+        if a.flags.c_contiguous:
+            return a.T
+        owner = a
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        row, column = a.strides
+        if column == 8 and row % 8 == 0 and row >= 8 * a.shape[0]:
+            with contextlib.suppress(ValueError, TypeError, BufferError):
+                return np.ndarray((row // 8, a.shape[0]), np.float64, owner,
+                                  a.ctypes.data - owner.ctypes.data,
+                                  (8, row))
+    raise InvalidParametersError(
+        f"{who} needs a writable, square float64 array, C-contiguous or "
+        f"with unit column stride and its rows inside its buffer")
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +297,21 @@ def _workspace(size: int) -> np.ndarray:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the Fortran-ordered eigenvectors (columns)
-    of the symmetric matrix whose lower triangle is that of the
-    Fortran-ordered `a`, by the three steps dsyevd (jobz 'V', uplo 'L')
-    takes, bitwise equal to it.  a's lower triangle is overwritten by the
-    reflectors and its strictly upper triangle is neither read nor written.
-    Workspace sizes come from LAPACK's own queries, and a nonzero info
-    raises NumericalDegeneracyError.  dsyevd's scaling of a matrix whose
-    largest entry lies outside about [1e-146, 1e146] is left out."""
-    n = a.shape[0]
-    size, lead = _intc(n), _intc(max(1, n))
+    """Ascending eigenvalues and the Fortran-ordered N x N eigenvectors
+    (columns) of the symmetric matrix whose lower triangle is that of the
+    leading N x N block of the Fortran-ordered (LDA, N) `a`, by the three
+    steps dsyevd (jobz 'V', uplo 'L') takes, bitwise equal to it.  That
+    lower triangle is overwritten by the reflectors; the rest of `a` is
+    neither read nor written.  Workspace sizes come from LAPACK's own
+    queries, and a nonzero info raises NumericalDegeneracyError.  dsyevd's
+    scaling of a matrix whose largest entry lies outside about
+    [1e-146, 1e146] is left out."""
+    n = a.shape[1]
+    size, lda, lead = _intc(n), _intc(max(1, a.shape[0])), _intc(max(1, n))
     w, e, tau = np.empty(n), np.empty(max(1, n)), np.empty(max(1, n))
     query, iquery, ask = np.empty(1), np.empty(1, np.intc), _intc(-1)
     # dsytrd: a = Q T Q^T, T's diagonal into w and its off-diagonal into e
-    reduce_ = partial(_call, dsytrd(), "dsytrd", b"L", size, a, lead, w, e,
+    reduce_ = partial(_call, dsytrd(), "dsytrd", b"L", size, a, lda, w, e,
                       tau)
     reduce_(query, ask)
     reduce_work = int(query[0])
@@ -302,7 +329,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # dormqr shrinks its block there too: with the T block alone, the
     # eigenvectors differed from dsyevd's by up to 4.7e-16 for N = 34..79
     apply = partial(_call, dormtr(), "dormtr", b"L", b"L", b"N", size, size,
-                    a, lead, tau, z, lead)
+                    a, lda, tau, z, lead)
     apply(query, ask)
     lwork = min(int(query[0]) + T_BLOCK,
                 max(1 + 4 * n + n * n, reduce_work - n * n))
@@ -325,18 +352,21 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose upper triangle
     (diagonal included) is that of `a`; the triangle is destroyed.
 
-    a.T is Fortran-contiguous, and its lower triangle is a's upper one, so
-    LAPACK's dsyevd_2stage (jobz 'N', uplo 'L' on a.T) reads and overwrites
-    only a's upper triangle, in a's own memory: the strictly lower triangle
-    is neither read nor written.  It reduces to a band of kd columns with
-    level-3 BLAS, then chases the band down to a tridiagonal matrix, so its
-    workspace is O(N kd), about 3.3 MB at N = 4000.  `a` must pass
-    _check_inplace; a nonzero LAPACK info raises NumericalDegeneracyError."""
-    _check_inplace(a, "eigvalsh_inplace")
-    n = a.shape[0]
+    `a` must pass _check_inplace: C-contiguous, or a view of rows of
+    L >= N reals such as MultiGraph.upper_triangle returns.  Its operand,
+    a.T with LDA = L, is Fortran-ordered, and its lower triangle is a's
+    upper one, so LAPACK's dsyevd_2stage (jobz 'N', uplo 'L') reads and
+    overwrites only a's upper triangle, in a's own memory: the strictly
+    lower triangle and any padding are neither read nor written.  It
+    reduces to a band of kd columns with level-3 BLAS, then chases the band
+    down to a tridiagonal matrix, so its workspace is O(N kd), about
+    3.3 MB at N = 4000.  A nonzero LAPACK info raises
+    NumericalDegeneracyError."""
+    operand = _check_inplace(a, "eigvalsh_inplace")
+    lda, n = operand.shape
     w = np.empty(n)
     run = partial(_call, dsyevd_2stage(), "dsyevd_2stage", b"N", b"L",
-                  _intc(n), a.T, _intc(max(1, n)), w)
+                  _intc(n), operand, _intc(max(1, lda)), w)
     work, iwork = np.empty(1), np.empty(1, np.intc)
     run(work, _intc(-1), iwork, _intc(-1))  # sizes land in work, iwork
     lwork, liwork = int(work[0]), int(iwork[0])
@@ -361,10 +391,11 @@ class ResolventView:
     """One eigendecomposition of H, evaluated on a z-grid by grid().
 
     The view reads H's upper triangle (diagonal included) only, and
-    consumes it: H must pass _check_inplace, and dsytrd writes its
-    reflectors over that triangle (pass h.copy() to keep H).  Z, the
-    eigenvectors dstedc and dormtr build, is copied once into C order and
-    dropped before the constructor returns.
+    consumes it: H must pass _check_inplace (C-contiguous, or padded rows
+    as build_H returns them, which LAPACK reads with LDA = L), and dsytrd
+    writes its reflectors over that triangle (pass h.copy() to keep H).
+    Z, the N x N eigenvectors dstedc and dormtr build, is copied once into
+    C order and dropped before the constructor returns.
     """
 
     #: below this size the off-diagonal maximum is exhaustive
@@ -372,10 +403,10 @@ class ResolventView:
 
     def __init__(self, h: np.ndarray, offdiag_pairs: int = OFFDIAG_PAIRS,
                  pair_seed: int = 0):
-        _check_inplace(h, "ResolventView")
-        self.n = h.shape[0]
-        # h.T's lower triangle is h's upper one
-        self.eigenvalues, z = _eigh(h.T)
+        # the operand's lower triangle is h's upper one
+        operand = _check_inplace(h, "ResolventView")
+        self.n = operand.shape[1]
+        self.eigenvalues, z = _eigh(operand)
         # C order once, so that grid gathers pair rows, not strided columns
         self.eigenvectors = mapped_matrix((self.n, self.n))
         self.eigenvectors[...] = z

@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import math
+import mmap
 import os
 import pathlib
 import subprocess
@@ -62,6 +63,49 @@ def _run_fresh(script, *args):
     return proc.stdout
 
 
+_LIBC = ctypes.CDLL(None, use_errno=True)
+_LIBC.mincore.argtypes = [ctypes.c_void_p, ctypes.c_size_t,
+                          ctypes.POINTER(ctypes.c_ubyte)]
+
+
+def resident_pages(a):
+    """Resident pages of the anonymous mapping under the view `a`, by
+    mincore; a page that was only read, and maps the shared zero page,
+    counts too."""
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    assert owner.ctypes.data % mmap.PAGESIZE == 0
+    vec = (ctypes.c_ubyte * -(-owner.nbytes // mmap.PAGESIZE))()
+    if _LIBC.mincore(owner.ctypes.data, owner.nbytes, vec):
+        raise OSError(ctypes.get_errno(), "mincore failed")
+    return int((np.frombuffer(vec, np.uint8) & 1).sum())
+
+
+def layout_pages(n, lead):
+    """Pages that hold the upper triangle of an n x n float64 matrix whose
+    rows lie `lead` reals apart from the start of a page: row i's entries
+    i..n-1 span bytes [8 (i lead + i), 8 (i lead + n))."""
+    i = np.arange(n)
+    first = 8 * i * (lead + 1) // mmap.PAGESIZE
+    last = (8 * (i * lead + n) - 1) // mmap.PAGESIZE
+    seen = np.concatenate([[-1], np.maximum.accumulate(last)[:-1]])
+    return int(np.maximum(last - np.maximum(first, seen + 1) + 1, 0).sum())
+
+
+def page_aligned_pages(n):
+    """sum over k = 1..n of ceil(8 k / page): the triangle's pages when
+    every row's first entry starts a page."""
+    return int(sum(-(-8 * k // mmap.PAGESIZE) for k in range(1, n + 1)))
+
+
+def row_length(n):
+    """MultiGraph.upper_triangle's reals per row: n below a page's reals
+    less one, then the smallest L >= n with L + 1 a multiple of them."""
+    page = mmap.PAGESIZE // 8
+    return n if n < page - 1 else -(-(n + 1) // page) * page - 1
+
+
 def symmetric(h):
     """The full symmetric matrix whose upper triangle is h's, as build_H
     writes only that triangle."""
@@ -113,8 +157,21 @@ class TestBuildH:
             _check_centred(np.eye(2))
         # the row sums of the symmetric matrix, not of the triangle
         _check_centred(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        # the strictly lower triangle is never read: NaN there goes unseen,
+        # and a lower triangle that would centre the rows does not
+        _check_centred(np.array([[1.0, -1.0], [np.nan, 1.0]]))
         with pytest.raises(InvalidParametersError):
-            _check_centred(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+            _check_centred(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+    def test_faults_in_only_the_triangle(self):
+        # build_H writes every upper entry and the centring check reads
+        # them.  Each row's triangle starts a page, so the resident pages
+        # are the triangle's own, with no page of the strictly lower
+        # triangle or of the padding, read or written
+        n = 2000
+        h = build_H(sample_permutation_model(n, 40, stream(44, 0)))
+        assert resident_pages(h) == page_aligned_pages(n)
 
 
 class TestResolventView:
@@ -279,8 +336,9 @@ class TestResolventView:
         # a fresh process, in N x N float64 matrices.  dsyevd held H whole
         # plus its 2 N^2 workspace and read 3.17 at N = 2000; the three
         # steps hold the triangle of H, Z and dstedc's N^2 workspace, and
-        # read 2.89.  H and the eigenvectors are mapped, which tracemalloc
-        # does not see, so the peak is VmHWM
+        # read 2.90 with rows of N reals, 2.81 with each row's triangle
+        # starting a page.  H and the eigenvectors are mapped, which
+        # tracemalloc does not see, so the peak is VmHWM
         script = textwrap.dedent("""
             from regg.graphs import sample_permutation_model
             from regg.rng import stream
@@ -454,6 +512,18 @@ class TestEigvalshInplace:
             with pytest.raises(InvalidParametersError):
                 eigvalsh_inplace(bad)
 
+    def test_rejects_rows_outside_a_writable_buffer(self):
+        # the last row's 16 reals run one past the buffer's end; a padded
+        # view of a read-only buffer cannot be overwritten
+        past_end = np.zeros((8, 16))[1:, 1:8]
+        read_only = np.frombuffer(bytes(8 * 8 * 16)).reshape(8, 16)[:, :8]
+        for bad in (past_end, read_only):
+            for consumer in (eigvalsh_inplace, ResolventView):
+                with pytest.raises(InvalidParametersError):
+                    consumer(bad)
+        # the same rows one real earlier lie inside the buffer
+        assert eigvalsh_inplace(np.zeros((8, 16))[1:, :7]).tolist() == [0] * 7
+
     def test_no_hidden_matrix_copy(self):
         n = 1000
         a = sample_matching_model(n, 3, stream(12, 2)).dense(np.float64)
@@ -526,11 +596,54 @@ class TestUpperTriangle:
         # LAPACK neither wrote nor needed the strictly lower triangle
         assert not np.tril(tri, -1).any()
 
+    @pytest.mark.parametrize("n", [300, 1000, 3000])
+    def test_eigvalsh_faults_in_only_the_triangle(self, n):
+        # after LAPACK has read and written the whole triangle, the
+        # resident pages are those of the triangle in the builder's layout,
+        # never more than with rows of n reals
+        a = sample_matching_model(n, 3, stream(0, 0)).upper_triangle(
+            math.sqrt(2))
+        eigvalsh_inplace(a)
+        pages = layout_pages(n, row_length(n))
+        assert resident_pages(a) == pages <= layout_pages(n, n)
+        if row_length(n) > n:
+            assert pages == page_aligned_pages(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 79, 80, 510, 511, 512, 1023,
+                                   1500])
+    def test_padded_rows_bitwise_equal_to_contiguous_copy(self, n):
+        # LAPACK reads the builder's view with LDA = L, and a C-contiguous
+        # copy with LDA = N; both give the same bits.  NaN in the padding
+        # columns and the strictly lower triangle would spread into the
+        # results if LAPACK read them, and would be overwritten if it
+        # wrote them
+        g = sample_permutation_model(n, 2 if n < 40 else 6, stream(47, n))
+        lower = np.tril_indices(n, -1)
+
+        def poisoned():
+            h = build_H(g)
+            assert h.strides == (8 * row_length(n), 8)
+            h.base.reshape(n, -1)[:, n:] = np.nan
+            h[lower] = np.nan
+            return h
+
+        views = [poisoned(), poisoned()]
+        copies = [np.triu(h) for h in views]
+        assert np.array_equal(eigvalsh_inplace(views[0]),
+                              eigvalsh_inplace(copies[0]))
+        got, want = ResolventView(views[1]), ResolventView(copies[1])
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        for h in views:
+            assert np.isnan(h.base.reshape(n, -1)[:, n:]).all()
+            assert np.isnan(h[lower]).all()
+
     def test_holds_about_half_a_matrix(self):
         # growth of the peak RSS over the resident set before the build, in
         # a fresh process, as a fraction of one N x N float64 matrix: the
-        # triangle's 4 KiB pages, with the pages that straddle a row
-        # boundary, read about 0.67 at N = 3000, the full matrix about 1.0.
+        # triangle's pages read about 0.64 at N = 3000 with each row's
+        # triangle starting a page (0.71 with rows of N reals, whose pages
+        # straddle row boundaries), the full matrix about 1.0.
         # The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at
         # the resident size of the process that started it.
         script = textwrap.dedent("""
