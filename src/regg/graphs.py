@@ -246,9 +246,9 @@ class MultiGraph:
         below n = PAGE_REALS - 1 and otherwise the smallest L >= n with
         L + 1 a multiple of PAGE_REALS, so that every row's first upper
         entry (i, i), at byte 8 i (L + 1), starts a page.  Huge pages are
-        off, so only the pages a write touches are faulted in: the
-        triangle's sum over k = 1..n of ceil(8 k / page) pages, and no page
-        holds entries of two rows.  An in-place LAPACK call that reads and
+        off, so only the pages a write touches are faulted in; with padded
+        rows that is the sum over k = 1..n of ceil(8 k / page) pages, none
+        of them shared by two rows.  An in-place LAPACK call that reads and
         writes this triangle with LDA = L never brings in the rest.
         `copies` is how many mappings of this size the caller's computation
         holds at once; raises InvalidParametersError before mapping when
