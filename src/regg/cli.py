@@ -27,7 +27,7 @@ from .observables import (_kappa, counting_bounds, deloc_bound,
                           delocalization_stats, density_mass, interval_counts,
                           que_bound, que_statistics)
 from .rng import resolve_seed, stream
-from .spectral import EnvelopeParams, default_xi
+from .spectral import OFFDIAG_PAIRS, EnvelopeParams, default_xi
 from .svg import line_plot
 
 __all__ = ["main", "entrypoint", "rerun_manifest"]
@@ -180,7 +180,7 @@ def _cmd_lawsweep(args, argv) -> int:
     params = {"model": args.model, "n": n, "d": args.d, "seed": seed,
               "samples": plan.samples, "e_grid": list(plan.e_grid),
               "eta_grid": list(plan.eta_grid), "xi": xi,
-              "offdiag_pairs": plan.offdiag_pairs,
+              "offdiag_pairs": OFFDIAG_PAIRS,
               "approximate": _approximate(args.model, n, args.d)}
     outputs = [args.out]
     if args.svg:

@@ -6,12 +6,12 @@ by the invariance tests.  A graph is stored as the sorted array of its
 edge codes i*n + j (i <= j), one entry per edge copy, so storing,
 validating and switching cost O(n d) rather than O(n^2); a loop is one
 entry and adds two to its vertex's degree.  Dense matrices are built only
-on demand: the full adjacency matrix by dense_adjacency, and the upper
-triangle that the in-place LAPACK calls read, of A / sqrt(d-1) or of the
-centred H, by MultiGraph.upper_triangle alone.  It writes the triangle
-into an anonymous mapping from mapped_matrix whose rows are padded so
-that each row's triangle starts a page, block by block of
-triangle_blocks.
+on demand: the full int64 adjacency matrix on the heap by MultiGraph.adj,
+and the upper triangle that the in-place LAPACK calls read, of
+A / sqrt(d-1) or of the centred H, by MultiGraph.upper_triangle alone.  It
+writes the triangle into an anonymous mapping from mapped_matrix whose
+rows are padded so that each row's triangle starts a page, block by block
+of triangle_blocks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "sample_configuration_model",
     "sample_uniform",
     "uniform_method",
-    "dense_adjacency",
     "check_ram",
     "mapped_matrix",
     "triangle_blocks",
@@ -55,6 +54,9 @@ PAGE_REALS = mmap.PAGESIZE // 8
 
 #: rows per block of triangle_blocks
 TRIANGLE_ROWS = 64
+
+#: configuration pairings the rejection sampler draws before it gives up
+REJECTION_TRIES = 100_000
 
 
 class ModelKind(str, Enum):
@@ -103,21 +105,6 @@ def check_ram(need: int, what: str) -> None:
         raise InvalidParametersError(
             f"{what}: {need / 1e9:.3g} GB, more than the "
             f"{ram / 1e9:.3g} GB of RAM")
-
-
-def dense_adjacency(n: int, u, v, dtype=np.int64) -> np.ndarray:
-    """The symmetric n x n matrix with one added at (u[k], v[k]) and at
-    (v[k], u[k]) for every k, so a loop adds two to its diagonal entry.
-
-    Built directly in `dtype`, on the heap; raises InvalidParametersError
-    before allocating when it would not fit in physical RAM.
-    """
-    dtype = np.dtype(dtype)
-    check_ram(dtype.itemsize * n * n, f"a dense {n}x{n} {dtype.name} matrix")
-    a = np.zeros((n, n), dtype=dtype)
-    np.add.at(a, (u, v), 1)
-    np.add.at(a, (v, u), 1)
-    return a
 
 
 def mapped_matrix(shape: tuple[int, ...], dtype=np.float64, copies: int = 1,
@@ -215,7 +202,7 @@ class MultiGraph:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise InvalidParametersError(
                 f"vertices ({i}, {j}) out of range [0, {self.n})")
-        code = min(i, j) * self.n + max(i, j)
+        code = _codes(self.n, i, j)
         return int(self.codes.searchsorted(code, "right")
                    - self.codes.searchsorted(code, "left"))
 
@@ -223,15 +210,11 @@ class MultiGraph:
         """This graph with one copy of each edge in `removed` deleted and
         each edge in `added` inserted.  The removed edges must be present
         and distinct; vertex pairs may come in either order."""
-        drop = [self.codes.searchsorted(min(x, y) * self.n + max(x, y))
-                for x, y in removed]
-        add = [min(x, y) * self.n + max(x, y) for x, y in added]
+        pairs = np.asarray([*removed, *added], dtype=np.int64).reshape(-1, 2)
+        codes = _codes(self.n, *pairs.T)
+        drop = self.codes.searchsorted(codes[:len(removed)])
         return MultiGraph(self.n, self.deg, np.concatenate(
-            [np.delete(self.codes, drop), np.array(add, dtype=np.int64)]))
-
-    def dense(self, dtype=np.int64) -> np.ndarray:
-        """Adjacency matrix in `dtype`, built by dense_adjacency."""
-        return dense_adjacency(self.n, *self.endpoints(), dtype=dtype)
+            [np.delete(self.codes, drop), codes[len(removed):]]))
 
     def upper_triangle(self, divisor: float, shift: float = 0.0,
                        copies: int = 1) -> np.ndarray:
@@ -241,7 +224,7 @@ class MultiGraph:
         padding columns are left unwritten and read zero.
 
         Entry (i, j), i <= j, holds (m - shift) / divisor with m the entry
-        of dense(np.float64): mult for an edge, 2 loops on the diagonal and
+        of adj as a float: mult for an edge, 2 loops on the diagonal and
         0 off the edges, which with shift 0 are not written at all.  L is n
         below n = PAGE_REALS - 1 and otherwise the smallest L >= n with
         L + 1 a multiple of PAGE_REALS, so that every row's first upper
@@ -269,9 +252,16 @@ class MultiGraph:
 
     @cached_property
     def adj(self) -> np.ndarray:
-        """Read-only int64 adjacency matrix, built on first use: symmetric,
-        adj[i][i] twice the loop count at i, every row summing to deg."""
-        a = self.dense()
+        """Read-only int64 adjacency matrix, built on first use, on the
+        heap: symmetric, adj[i][i] twice the loop count at i, every row
+        summing to deg.  Raises InvalidParametersError before allocating
+        when it would not fit in physical RAM."""
+        n = self.n
+        check_ram(8 * n * n, f"a dense {n}x{n} int64 matrix")
+        a = np.zeros((n, n), dtype=np.int64)
+        i, j = self.endpoints()
+        np.add.at(a, (i, j), 1)
+        np.add.at(a, (j, i), 1)
         a.flags.writeable = False
         return a
 
@@ -503,23 +493,22 @@ def _expected_tries(d: int) -> float:
 _REJECTION_STUBS = 1 << 14
 
 
-def _rejection_codes(n: int, d: int, rng: np.random.Generator,
-                     max_tries: int) -> np.ndarray:
+def _rejection_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted edge codes of the first simple configuration pairing, drawn
-    in blocks; raises BudgetExceededError after max_tries pairings.
+    in blocks; raises BudgetExceededError after REJECTION_TRIES pairings.
 
     A block is B rows of _configuration_codes, each a uniform pairing
     independent of all rows before it, so the first simple row is exactly
     uniform over simple graphs.  Rows after it are discarded.  B is twice
     the expected tries, so most blocks hold a simple row, but at most
     _REJECTION_STUBS // (n*d) and at least 1, and never more than the
-    tries left: every examined row counts against max_tries.
+    tries left: every examined row counts against REJECTION_TRIES.
     """
     rows = max(1, min(math.ceil(2 * _expected_tries(d)),
                       _REJECTION_STUBS // max(n * d, 1)))
     tries = 0
-    while tries < max_tries:
-        block = min(rows, max_tries - tries)
+    while tries < REJECTION_TRIES:
+        block = min(rows, REJECTION_TRIES - tries)
         codes = np.sort(_configuration_codes(n, d, rng, block), axis=1)
         simple = _simple(codes, n)
         first = simple.argmax()
@@ -527,50 +516,52 @@ def _rejection_codes(n: int, d: int, rng: np.random.Generator,
             return codes[first]
         tries += block
     raise BudgetExceededError(
-        f"rejection sampler: no simple graph in {max_tries} tries "
+        f"rejection sampler: no simple graph in {REJECTION_TRIES} tries "
         f"(n={n}, d={d}); try method='switching-chain'")
 
 
-def uniform_method(n: int, d: int, method: str = "auto",
-                   max_tries: int = 100000) -> str:
+def uniform_method(n: int, d: int, method: str = "auto") -> str:
     """The method sample_uniform uses for these arguments.
 
     Rejection needs _expected_tries(d), about exp((d^2 - 1)/4),
     configuration pairings in expectation.  "auto" resolves to "rejection"
-    when d <= 2 ln n and the expected tries are at most max_tries / 10,
+    when d <= 2 ln n and the expected tries are at most REJECTION_TRIES / 10,
     and to "switching-chain" otherwise.  A forced "rejection" whose
-    expected tries exceed max_tries raises BudgetExceededError at once.
+    expected tries exceed REJECTION_TRIES raises BudgetExceededError at
+    once.
     """
     expected_tries = _expected_tries(d)
     if method == "auto":
-        fits = d <= 2 * math.log(n) and expected_tries <= max_tries / 10
+        fits = d <= 2 * math.log(n) and expected_tries <= REJECTION_TRIES / 10
         return "rejection" if fits else "switching-chain"
-    if method == "rejection" and expected_tries > max_tries:
+    if method == "rejection" and expected_tries > REJECTION_TRIES:
         raise BudgetExceededError(
             f"rejection sampler: about {expected_tries:.3g} tries expected "
-            f"for d={d}, budget {max_tries}; use method='switching-chain'")
+            f"for d={d}, budget {REJECTION_TRIES}; "
+            f"use method='switching-chain'")
     if method not in ("rejection", "switching-chain"):
         raise InvalidParametersError(f"unknown method {method!r}")
     return method
 
 
 def sample_uniform(n: int, d: int, rng: np.random.Generator,
-                   method: str = "auto", max_tries: int = 100000) -> MultiGraph:
+                   method: str = "auto") -> MultiGraph:
     """Sample a simple d-regular graph.
 
     method="rejection" draws configuration pairings, in blocks, until one
     is simple (exactly uniform; see _rejection_codes) and raises
-    BudgetExceededError after max_tries of them.  method="switching-chain"
-    makes 10*n*d double-switching proposals from a deterministic circulant
-    start and is only approximately uniform; a proposal that repeats an
-    edge is redrawn and not counted, and the chain needs at least 3 edges.
+    BudgetExceededError after REJECTION_TRIES of them.
+    method="switching-chain" makes 10*n*d double-switching proposals from a
+    deterministic circulant start and is only approximately uniform; a
+    proposal that repeats an edge is redrawn and not counted, and the chain
+    needs at least 3 edges.
     method="auto" chooses by uniform_method.
     """
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
         raise InvalidParametersError("simple graph needs d < n")
-    if uniform_method(n, d, method, max_tries) == "rejection":
-        return MultiGraph(n, d, _rejection_codes(n, d, rng, max_tries))
+    if uniform_method(n, d, method) == "rejection":
+        return MultiGraph(n, d, _rejection_codes(n, d, rng))
     codes = _chain_burn_in(_circulant_simple(n, d), n, rng, moves=10 * n * d)
     return MultiGraph(n, d, codes)
 

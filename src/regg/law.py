@@ -15,10 +15,10 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import check_ram, sample_model
 from .rng import stream
-from .spectral import (OFFDIAG_PAIRS, EnvelopeParams, ResolventView, build_H,
-                       default_xi, dgemm, dormtr, dstedc, dsyevd_2stage,
-                       dsytrd, eigvalsh_inplace, f_envelope, grid_bytes,
-                       m_semicircle, phi_envelope, psi_envelope)
+from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
+                       dgemm, dormtr, dstedc, dsyevd_2stage, dsytrd,
+                       eigvalsh_inplace, f_envelope, grid_bytes, m_semicircle,
+                       phi_envelope, psi_envelope)
 
 __all__ = [
     "LawRecord",
@@ -75,7 +75,6 @@ class SweepPlan:
     e_grid: tuple[float, ...]
     eta_grid: tuple[float, ...]
     samples: int
-    offdiag_pairs: int = OFFDIAG_PAIRS
 
     def __post_init__(self) -> None:
         if not self.e_grid or not self.eta_grid:
@@ -136,8 +135,8 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
     return records
 
 
-def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
-              offdiag_pairs: int = OFFDIAG_PAIRS) -> list:
+def per_trial(model: str, n: int, d: int, keys, stat,
+              vectors: bool = True) -> list:
     """[stat(seed, trial, spectrum) for (seed, trial) in keys] on graphs from
     stream(seed, trial): ResolventView(build_H(g)) with pair_seed = seed or,
     without `vectors`, the ascending eigenvalues of A / sqrt(d-1).  Each is
@@ -150,7 +149,7 @@ def per_trial(model: str, n: int, d: int, keys, stat, vectors: bool = True,
     out = []
     for seed, trial in keys:
         g = sample_model(model, n, d, stream(seed, trial))
-        spectrum = (ResolventView(build_H(g), offdiag_pairs, pair_seed=seed)
+        spectrum = (ResolventView(build_H(g), pair_seed=seed)
                     if vectors else
                     eigvalsh_inplace(g.upper_triangle(math.sqrt(d - 1))))
         out.append(stat(seed, trial, spectrum))
@@ -165,13 +164,12 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     InvalidParametersError before sampling when one sample's grid arrays
     would not fit in physical RAM."""
     nz = len(plan.e_grid) * len(plan.eta_grid)
-    check_ram(grid_bytes(n, nz, plan.offdiag_pairs),
+    check_ram(grid_bytes(n, nz),
               f"the z-grid arrays of {nz} points at N = {n}")
     params = EnvelopeParams.for_model(n, d, model)
     per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
                     lambda s, t, view: records_for_view(
-                        view, model, n, d, s, t, plan, params),
-                    offdiag_pairs=plan.offdiag_pairs)
+                        view, model, n, d, s, t, plan, params))
     return [r for records in per for r in records]
 
 

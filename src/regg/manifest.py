@@ -79,9 +79,15 @@ class RunManifest:
         if missing:
             raise InvalidParametersError(
                 f"{path}: manifest lacks {', '.join(missing)}")
+        argv = payload["argv"]
+        if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+            raise InvalidParametersError(f"{path}: argv is not a list of strings")
+        for key in ("params", "outputs", "results"):
+            if not isinstance(payload.get(key, {}), dict):
+                raise InvalidParametersError(f"{path}: {key} is not an object")
         return cls(
             command=payload["command"],
-            argv=list(payload["argv"]),
+            argv=argv,
             params=payload["params"],
             outputs=payload.get("outputs", {}),
             results=payload.get("results", {}),

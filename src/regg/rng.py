@@ -34,9 +34,9 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def resolve_seed(seed: int | None, default: int = 0) -> int:
+def resolve_seed(seed: int | None) -> int:
     """Pick the effective seed: explicit value, else the environment
-    variable, else the default."""
+    variable, else 0."""
     if seed is not None:
         return int(seed)
     env = os.environ.get(SEED_ENV_VAR)
@@ -47,4 +47,4 @@ def resolve_seed(seed: int | None, default: int = 0) -> int:
             raise InvalidParametersError(
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
-    return default
+    return 0

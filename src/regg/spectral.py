@@ -375,13 +375,13 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     return w
 
 
-def grid_bytes(n: int, nz: int, offdiag_pairs: int) -> int:
+def grid_bytes(n: int, nz: int) -> int:
     """Bytes that ResolventView.grid maps for nz points at size n beyond
     the view's own matrices: the complex N x nz and P x nz outputs, the two
     real N x nz weights, the dgemm product buffer (nz times N or a pair
     block, whichever is larger), the pair block and its gathered rows."""
     pairs = (n * (n - 1) // 2 if n <= ResolventView.EXHAUSTIVE_N
-             else offdiag_pairs)
+             else OFFDIAG_PAIRS)
     block = min(PAIR_BLOCK, pairs)
     return 8 * ((2 * (n + pairs) + 2 * n + max(n, block)) * nz
                 + (block + min(GATHER_ROWS, block)) * n)
@@ -401,8 +401,7 @@ class ResolventView:
     #: below this size the off-diagonal maximum is exhaustive
     EXHAUSTIVE_N = 300
 
-    def __init__(self, h: np.ndarray, offdiag_pairs: int = OFFDIAG_PAIRS,
-                 pair_seed: int = 0):
+    def __init__(self, h: np.ndarray, pair_seed: int = 0):
         # the operand's lower triangle is h's upper one
         operand = _check_inplace(h, "ResolventView")
         self.n = operand.shape[1]
@@ -410,7 +409,6 @@ class ResolventView:
         # C order once, so that grid gathers pair rows, not strided columns
         self.eigenvectors = mapped_matrix((self.n, self.n))
         self.eigenvectors[...] = z
-        self.offdiag_pairs = offdiag_pairs
         self.pair_seed = pair_seed
 
     @cached_property
@@ -423,8 +421,8 @@ class ResolventView:
             return i, j
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=self.pair_seed, spawn_key=(0xF,))))
-        i = rng.integers(0, n, size=self.offdiag_pairs)
-        j = rng.integers(0, n, size=self.offdiag_pairs)
+        i = rng.integers(0, n, size=OFFDIAG_PAIRS)
+        j = rng.integers(0, n, size=OFFDIAG_PAIRS)
         keep = i != j
         return i[keep], j[keep]
 

@@ -16,6 +16,7 @@ from numbers import Rational
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParametersError
+from .graphs import check_ram
 from .rng import stream
 from .spectral import f_envelope, m_semicircle
 
@@ -192,6 +193,7 @@ def simulate_martingale_tails(spec: MartingaleSpec, runs: int, seed: int,
             "the simulator realizes +-M steps, so variances must equal M^2")
     if runs < 1:
         raise InvalidParametersError(f"the tails need at least 1 run, got {runs}")
+    check_ram(runs * spec.steps, f"{runs} runs of {spec.steps} int8 steps")
     rng = stream(seed, 2)
     steps = rng.integers(0, 2, size=(runs, spec.steps), dtype=np.int8)
     walk = np.abs((2 * steps.sum(axis=1, dtype=np.int64) - spec.steps)
@@ -310,10 +312,9 @@ def _p_factor(p: int) -> float:
     return p * p / math.log(p)
 
 
-def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int,
-                                    C: float = MOMENT_CONSTANT) -> dict:
+def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int) -> dict:
     """Vector-case moment inequality: the L^p norm of sum a_i Y_i is at most
-    C (p^2/log p) times the L^p norm of a single entry."""
+    C (p^2/log p) times the L^p norm of a single entry, C = MOMENT_CONSTANT."""
     if ens.base_vector is None:
         raise InvalidParametersError("vector-case check needs a base vector")
     if p < 2 or p % 2:
@@ -322,17 +323,16 @@ def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int,
     lhs = float(moment) ** (1.0 / p)
     y = np.asarray(ens.base_vector, dtype=float)
     norm_y1 = float(np.mean(np.abs(y) ** p)) ** (1.0 / p)
-    rhs = C * _p_factor(p) * norm_y1
-    return {"check": "exchangeable_vector_bound", "p": p, "C": C,
-            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
+    rhs = MOMENT_CONSTANT * _p_factor(p) * norm_y1
+    return {"check": "exchangeable_vector_bound", "p": p,
+            "C": MOMENT_CONSTANT, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
             "pass": lhs <= rhs + 1e-12}
 
 
-def exchangeable_matrix_bound_check(ens: ExchangeableEnsemble, p: int,
-                                    C: float = MOMENT_CONSTANT) -> dict:
+def exchangeable_matrix_bound_check(ens: ExchangeableEnsemble, p: int) -> dict:
     """Matrix-case inequality: the bilinear form's L^p norm is at most the
     diagonal entry norm plus C (p^2/log p)^2 times the off-diagonal entry
-    norm."""
+    norm, C = MOMENT_CONSTANT."""
     if ens.base_matrix is None:
         raise InvalidParametersError("matrix-case check needs a base matrix")
     if p < 2 or p % 2:
@@ -345,7 +345,7 @@ def exchangeable_matrix_bound_check(ens: ExchangeableEnsemble, p: int,
     off = np.abs(ymat[~np.eye(n, dtype=bool)]) ** p
     norm_diag = float(diag.mean()) ** (1.0 / p)
     norm_off = float(off.mean()) ** (1.0 / p) if off.size else 0.0
-    rhs = norm_diag + C * _p_factor(p) ** 2 * norm_off
-    return {"check": "exchangeable_matrix_bound", "p": p, "C": C,
-            "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
+    rhs = norm_diag + MOMENT_CONSTANT * _p_factor(p) ** 2 * norm_off
+    return {"check": "exchangeable_matrix_bound", "p": p,
+            "C": MOMENT_CONSTANT, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
             "pass": lhs <= rhs + 1e-12}

@@ -48,7 +48,7 @@ def _sweep(n: int, d: int, seeds) -> dict:
     permutation-model sweep protocol."""
     plan = SweepPlan(e_grid=E_GRID,
                      eta_grid=SweepPlan.dyadic_etas(64 / n),
-                     samples=1, offdiag_pairs=10000)
+                     samples=1)
     xi = default_xi(n)
     params = EnvelopeParams.for_model(n, d, "permutation")
     zs = np.array([complex(E, eta) for E in plan.e_grid
@@ -65,7 +65,7 @@ def _sweep(n: int, d: int, seeds) -> dict:
                          for z, gv in zip(zs, gam)]
 
     per_seed = per_trial("permutation", n, d, [(seed, 0) for seed in seeds],
-                         stat, offdiag_pairs=plan.offdiag_pairs)
+                         stat)
     records = [r for recs, _ in per_seed for r in recs]
     gammas = [g for _, gams in per_seed for g in gams]
     constants = fit_envelope_constant(records)
@@ -251,10 +251,10 @@ def test_criterion_10_exchangeable_moments():
         mean, se = exchangeable_moment_mc(ens, p, samples=200000, seed=p)
         mc_ok = mc_ok and abs(mean - exact) <= 4 * se
     bound_ok = all(
-        exchangeable_moment_bound_check(vec, p, C=MOMENT_CONSTANT)["pass"]
+        exchangeable_moment_bound_check(vec, p)["pass"]
         for p in (2, 4, 6))
     bound_ok = bound_ok and all(
-        exchangeable_matrix_bound_check(mat, p, C=MOMENT_CONSTANT)["pass"]
+        exchangeable_matrix_bound_check(mat, p)["pass"]
         for p in (2, 4, 6))
     ok = mc_ok and bound_ok
     detail = (f"exact-vs-MC within 4 SE: {mc_ok}; "

@@ -15,6 +15,7 @@ import pytest
 
 from regg import graphs, spectral
 from regg import law as law_mod
+from regg import stability as stab_mod
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       build_parser, main, rerun_manifest)
 from regg.errors import InvalidParametersError
@@ -403,11 +404,8 @@ class TestEigen:
             weakref.finalize(buf, unmapped, length)
             return buf
 
-        def view(h, offdiag_pairs, **kwargs):
-            # 100 pairs keep grid's pair blocks below the decomposition, so
-            # both lawsweep runs peak in the eigh that a held view would sit
-            # beside; the eigen modes draw no pairs
-            made = spectral.ResolventView(h, 100, **kwargs)
+        def view(h, **kwargs):
+            made = spectral.ResolventView(h, **kwargs)
             views.append(weakref.ref(made))
             return made
 
@@ -415,6 +413,10 @@ class TestEigen:
             assert all(ref() is None for ref in views), "a view outlived its trial"
             return spectral.build_H(g)
 
+        # 100 pairs keep grid's pair blocks below the decomposition, so
+        # both lawsweep runs peak in the eigh that a held view would sit
+        # beside; the eigen modes draw no pairs
+        monkeypatch.setattr(spectral, "OFFDIAG_PAIRS", 100)
         monkeypatch.setattr(law_mod, "ResolventView", view)
         monkeypatch.setattr(law_mod, "build_H", build)
         monkeypatch.setattr(graphs.mmap, "mmap", tracked)
@@ -545,6 +547,17 @@ class TestStability:
             (check,) = json.loads(capsys.readouterr().out)["checks"]
             assert check["tracks"] == tracks
 
+    def test_arcsinh_runs_beyond_ram_exit_2_before_drawing(self, monkeypatch,
+                                                           capsys):
+        # one int8 per step of each run: 100 steps per run
+        def draw(*args):
+            raise AssertionError("the steps were drawn before the RAM check")
+        monkeypatch.setattr(stab_mod, "stream", draw)
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert run(["stability", "--check", "arcsinh", "--runs",
+                    str(ram // 100 + 1)]) == EXIT_PRECONDITION
+        assert "RAM" in capsys.readouterr().err
+
 
 class TestReport:
     def test_aggregates_and_strict(self, tmp_path, capsys):
@@ -569,7 +582,13 @@ class TestReport:
         b"[1, 2]",
         json.dumps({"manifest_version": 1, "argv": [], "params": {}}).encode(),
         json.dumps({"manifest_version": 1, "command": "x"}).encode(),
-    ], ids=["not-json", "not-utf8", "not-object", "no-command", "no-argv"])
+        *(json.dumps({"manifest_version": 1, "command": "x", "argv": [],
+                      "params": {}, **field}).encode()
+          for field in ({"argv": "lawsweep"}, {"argv": ["lawsweep", 3]},
+                        {"params": []}, {"outputs": "x"}, {"results": []})),
+    ], ids=["not-json", "not-utf8", "not-object", "no-command", "no-argv",
+            "argv-not-list", "argv-not-str", "params-not-object",
+            "outputs-not-object", "results-not-object"])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.manifest.json"
         path.write_bytes(content)

@@ -10,11 +10,11 @@ from scipy.stats import chisquare
 from regg import graphs
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import (Matching, ModelKind, MultiGraph, Permutation,
-                         dense_adjacency, enumerate_simple_regular,
-                         from_edgelist, random_matching,
-                         sample_configuration_model, sample_matching_model,
-                         sample_model, sample_permutation_model,
-                         sample_uniform, to_edgelist, uniform_method)
+                         enumerate_simple_regular, from_edgelist,
+                         random_matching, sample_configuration_model,
+                         sample_matching_model, sample_model,
+                         sample_permutation_model, sample_uniform,
+                         to_edgelist, uniform_method)
 from regg.rng import stream
 
 
@@ -103,12 +103,12 @@ class TestMatchingModel:
 class TestPermutationModel:
     def test_identity_permutation_gives_loops(self):
         sigma = Permutation(np.arange(3))
-        a = dense_adjacency(3, np.arange(3), sigma.mapping)
+        a = MultiGraph(3, 2, graphs._codes(3, np.arange(3), sigma.mapping)).adj
         assert np.array_equal(a, 2 * np.eye(3, dtype=np.int64))
 
     def test_five_cycle_gives_c5(self):
         sigma = Permutation(np.array([1, 2, 3, 4, 0]))
-        a = dense_adjacency(5, np.arange(5), sigma.mapping)
+        a = MultiGraph(5, 2, graphs._codes(5, np.arange(5), sigma.mapping)).adj
         expect = np.zeros((5, 5), dtype=np.int64)
         for i in range(5):
             expect[i, (i + 1) % 5] = expect[(i + 1) % 5, i] = 1
@@ -159,12 +159,14 @@ class TestUniformModel:
         _, p = chisquare(list(oracle.values()))
         assert p > 0.001
 
-    def test_rejection_budget_counts_every_pairing(self):
+    def test_rejection_budget_counts_every_pairing(self, monkeypatch):
         # Seed 2 draws no simple pairing among its first 8 at (6, 3).  A
         # block holds 15 rows there, so a budget counted in blocks would
         # go on to about a hundred pairings and almost surely find one.
-        with pytest.raises(BudgetExceededError, match="in 8 tries"):
-            sample_uniform(6, 3, stream(2, 0), method="rejection", max_tries=8)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "REJECTION_TRIES", 8)
+            with pytest.raises(BudgetExceededError, match="in 8 tries"):
+                sample_uniform(6, 3, stream(2, 0), method="rejection")
         assert sample_uniform(6, 3, stream(2, 0), method="rejection").simple
 
     def test_switching_chain_output_simple(self):

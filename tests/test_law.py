@@ -15,8 +15,7 @@ from regg.spectral import (ResolventView, build_H, default_xi, m_semicircle,
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    plan = SweepPlan(e_grid=(0.0, 1.0), eta_grid=(1.0, 0.5), samples=2,
-                     offdiag_pairs=200)
+    plan = SweepPlan(e_grid=(0.0, 1.0), eta_grid=(1.0, 0.5), samples=2)
     return plan, law_sweep(plan, "permutation", 100, 10, seed=3)
 
 

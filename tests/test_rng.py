@@ -31,7 +31,7 @@ def test_resolve_seed_precedence(monkeypatch):
     assert resolve_seed(5) == 5
     assert resolve_seed(None) == 99
     monkeypatch.delenv(SEED_ENV_VAR)
-    assert resolve_seed(None, default=7) == 7
+    assert resolve_seed(None) == 0
 
 
 def test_resolve_seed_rejects_garbage_env(monkeypatch):

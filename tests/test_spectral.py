@@ -24,7 +24,8 @@ from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_matching_model, sample_permutation_model,
                          sample_uniform)
 from regg.rng import stream
-from regg.spectral import (PAIR_BLOCK, EnvelopeParams, ResolventView,
+from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, EnvelopeParams,
+                           ResolventView,
                            _check_centred, build_H, default_xi, effective_D,
                            eigvalsh_inplace, f_envelope, kesten_mckay_density,
                            m_semicircle, phi_envelope, psi_envelope,
@@ -141,7 +142,7 @@ class TestBuildH:
         # each entry holds the bits of the full matrix built in two passes,
         # (A - d/n) / sqrt(d-1); the strictly lower triangle reads zero
         g = sampler(n, d, stream(13, 0))
-        full = g.dense(np.float64)
+        full = g.adj.astype(np.float64)
         full -= d / n
         full /= math.sqrt(d - 1)
         h = build_H(g)
@@ -228,24 +229,23 @@ class TestResolventView:
     def test_offdiag_sample_deterministic(self):
         g = sample_permutation_model(400, 4, stream(42, 0))
         h = build_H(g)
-        v1 = ResolventView(h.copy(), offdiag_pairs=500, pair_seed=7)
-        v2 = ResolventView(h, offdiag_pairs=500, pair_seed=7)
+        v1 = ResolventView(h.copy(), pair_seed=7)
+        v2 = ResolventView(h, pair_seed=7)
         zs = np.array([0.3 + 0.1j, -1.0 + 0.5j])
         _, off1 = v1.grid(zs)
         _, off2 = v2.grid(zs)
         assert np.array_equal(off1, off2)
-        assert 0 < off1.shape[0] <= 500
+        assert 0 < off1.shape[0] <= OFFDIAG_PAIRS
         # a diagonal H has G_ij = 0 exactly for i != j, so any sampled
         # diagonal pair (i, i) would show up as a nonzero entry
-        diag_view = ResolventView(np.diag(np.arange(400.0)),
-                                  offdiag_pairs=500, pair_seed=7)
+        diag_view = ResolventView(np.diag(np.arange(400.0)), pair_seed=7)
         _, off = diag_view.grid(zs)
         assert off.shape[0] > 0 and not off.any()
 
     def test_grid_matches_solve_across_pair_blocks(self):
         n = 320  # above EXHAUSTIVE_N: the seeded pair sample
         h = build_H(sample_permutation_model(n, 6, stream(43, 0)))
-        v = ResolventView(h.copy(), offdiag_pairs=2500, pair_seed=5)
+        v = ResolventView(h.copy(), pair_seed=5)
         i, j = v._pair_sample
         assert i.size > 2 * PAIR_BLOCK and i.size % PAIR_BLOCK
         zs = np.array([0.4 + 1j / n, -1.7 + 0.03j, 2.5 + 1j])
@@ -263,7 +263,7 @@ class TestResolventView:
         n = 320
         v = ResolventView(build_H(sample_permutation_model(n, 6,
                                                            stream(43, 1))),
-                          offdiag_pairs=2500, pair_seed=6)
+                          pair_seed=6)
         i, j = v._pair_sample
         assert i.size > 2 * PAIR_BLOCK and i.size % PAIR_BLOCK
         zs = np.array([0.4 + 1j / n, -1.7 + 0.03j, 2.5 + 1j])
@@ -293,9 +293,8 @@ class TestResolventView:
         assert np.allclose(diag[0], [1 / (0.5 - 1j), 1 / -0.1j])
 
     def test_grid_memory_bounded(self):
-        n, pairs = 1000, 10000
-        v = ResolventView(build_H(sample_permutation_model(n, 10, stream(44, 0))),
-                          offdiag_pairs=pairs)
+        n, pairs = 1000, OFFDIAG_PAIRS
+        v = ResolventView(build_H(sample_permutation_model(n, 10, stream(44, 0))))
         zs = np.array([complex(E, eta) for E in np.linspace(-2.4, 2.4, 25)
                        for eta in (1.0, 0.5, 0.25, 0.125, 0.0625)])
         tracemalloc.start()
@@ -495,7 +494,7 @@ class TestBinding:
 class TestEigvalshInplace:
     def test_matches_numpy(self):
         g = sample_matching_model(300, 3, stream(12, 0))
-        a = g.dense(np.float64)
+        a = g.adj.astype(np.float64)
         ref = np.linalg.eigvalsh(a)
         lam = eigvalsh_inplace(a)
         assert lam.shape == (300,) and np.all(np.diff(lam) >= 0)
@@ -503,7 +502,7 @@ class TestEigvalshInplace:
 
     def test_rejects_inputs_it_would_copy(self):
         g = sample_matching_model(20, 3, stream(12, 1))
-        a = g.dense(np.float64)
+        a = g.adj.astype(np.float64)
         frozen = a.copy()
         frozen.flags.writeable = False
         for bad in (g.adj, frozen, a.astype(np.float32), a[::2, ::2],
@@ -526,7 +525,7 @@ class TestEigvalshInplace:
 
     def test_no_hidden_matrix_copy(self):
         n = 1000
-        a = sample_matching_model(n, 3, stream(12, 2)).dense(np.float64)
+        a = sample_matching_model(n, 3, stream(12, 2)).adj.astype(np.float64)
         tracemalloc.start()
         try:
             eigvalsh_inplace(a)
@@ -543,7 +542,7 @@ class TestEigvalshInplace:
         # strictly lower triangle would spread into the eigenvalues if
         # LAPACK read it, and would be overwritten if LAPACK wrote it
         g = sampler(n, d, stream(13, 0))
-        full = g.dense(np.float64)
+        full = g.adj.astype(np.float64)
         full /= math.sqrt(d - 1)
         ref = scipy.linalg.eigvalsh(full, driver="evd")
         a = g.upper_triangle(math.sqrt(d - 1))
@@ -588,7 +587,7 @@ class TestUpperTriangle:
         g = sampler(n, d, stream(13, 0))
         i, j, mult = g.edge_arrays()
         assert (i == j).any() == loops and (mult > 1).any()
-        full = g.dense(np.float64)
+        full = g.adj.astype(np.float64)
         full /= math.sqrt(d - 1)
         tri = g.upper_triangle(math.sqrt(d - 1))
         assert np.array_equal(tri, np.triu(full))
@@ -658,7 +657,10 @@ class TestUpperTriangle:
             eigvalsh_inplace(np.eye(300))  # load LAPACK and its buffers
             before = status_kb("VmRSS:")
             if sys.argv[1] == "full":
-                a = g.dense(np.float64)
+                a = np.zeros((n, n))
+                i, j = g.endpoints()
+                np.add.at(a, (i, j), 1.0)
+                np.add.at(a, (j, i), 1.0)
                 a /= math.sqrt(2)
             else:
                 a = g.upper_triangle(math.sqrt(2))

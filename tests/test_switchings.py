@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regg import switchings
+from regg import graphs, switchings
 from regg.errors import (InvalidMoveError, InvalidParametersError,
                          NumericalDegeneracyError)
-from regg.graphs import (Matching, MultiGraph, Permutation, dense_adjacency,
+from regg.graphs import (Matching, MultiGraph, Permutation,
                          enumerate_simple_regular, random_matching,
                          random_permutation, sample_uniform)
 from regg.rng import stream
@@ -307,7 +307,8 @@ class TestPermutationSwitch:
         rng = stream(25, 0)
         pi = Permutation(np.array([1, 0, 3, 2, 5, 4]))
         out = pm_switch(pi, 3, 4, 2, 5)
-        a = dense_adjacency(out.n, np.arange(out.n), out.mapping)
+        a = MultiGraph(out.n, 2, graphs._codes(out.n, np.arange(out.n),
+                                               out.mapping)).adj
         assert np.all(a.sum(axis=1) == 2)
 
 
