@@ -30,7 +30,7 @@ from .rng import resolve_seed, stream
 from .spectral import OFFDIAG_PAIRS, EnvelopeParams, default_xi
 from .svg import line_plot
 
-__all__ = ["main", "entrypoint", "rerun_manifest"]
+__all__ = ["main", "entrypoint", "rerun_manifest", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -40,6 +40,7 @@ __all__ = [
     "sample_permutation_model",
     "sample_configuration_model",
     "sample_uniform",
+    "sample_model",
     "uniform_method",
     "check_ram",
     "mapped_matrix",
@@ -662,6 +663,3 @@ def sample_model(model: str | ModelKind, n: int, d: int,
     if kind is ModelKind.CONFIGURATION:
         return sample_configuration_model(n, d, rng)
     return sample_uniform(n, d, rng, **kwargs)
-
-
-__all__.append("sample_model")

@@ -31,9 +31,10 @@ from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import (Matching, ModelKind, Permutation, enumerate_simple_regular,
                      random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _active_triples, mm_resample,
-                         mm_switch, pm_switch, triple_space, triple_space_flags,
-                         um_resample, um_simultaneous_switch)
+from .switchings import (TripleSelection, _active_triples, _require_triples,
+                         mm_resample, mm_switch, pm_switch, triple_space,
+                         triple_space_flags, um_resample,
+                         um_simultaneous_switch)
 
 __all__ = [
     "InvarianceReport",
@@ -167,15 +168,11 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     must be identical across all graphs, and the transition count from E1
     to E2 must equal the one from E2 to E1.
     """
-    if d < 1:
-        raise InvalidParametersError(f"the simultaneous switching needs d >= 1, got {d}")
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
         raise InvalidParametersError(f"no simple {d}-regular graphs on {n} vertices")
+    _require_triples(n, d)
     choices = math.comb(n * d // 2 - d, 2) ** d
-    if choices == 0:
-        raise InvalidParametersError(
-            f"no admissible triple at the pivot for n={n}, d={d}")
     _check_budget("uniform", "vertices", n, UM_EXACT_MAX_N)
     _check_budget("uniform", "triple choices per graph", choices,
                   UM_TRIPLE_CHOICE_LIMIT)
@@ -281,6 +278,7 @@ def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     if samples < 1:
         raise InvalidParametersError(
             f"the TV report needs at least 1 sample, got {samples}")
+    ModelKind(model).check_parity(n, d)
     hits = np.zeros(n, dtype=np.int64)
     for t in range(samples):
         rng = stream(seed, t)
@@ -302,6 +300,9 @@ def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
 def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
     """Fraction of (trial, mu) pairs where the realized neighbour equals the
     targeted one, i.e. the triple actually switched."""
+    if trials < 1:
+        raise InvalidParametersError(
+            f"the match rate needs at least 1 trial, got {trials}")
     hit = 0
     tot = 0
     for t in range(trials):

@@ -16,9 +16,8 @@ from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import check_ram, sample_model
 from .rng import stream
 from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       dgemm, dormtr, dstedc, dsyevd_2stage, dsytrd,
                        eigvalsh_inplace, f_envelope, grid_bytes, m_semicircle,
-                       phi_envelope, psi_envelope)
+                       phi_envelope, psi_envelope, routine)
 
 __all__ = [
     "LawRecord",
@@ -143,9 +142,9 @@ def per_trial(model: str, n: int, d: int, keys, stat,
     dropped before the next trial's matrix is built; stat must not hold it.
     The LAPACK and BLAS routines are resolved first, so a library without
     one fails before any graph is sampled."""
-    for routine in ((dsytrd, dstedc, dormtr, dgemm) if vectors
-                    else (dsyevd_2stage,)):
-        routine()
+    for name in (("dsytrd", "dstedc", "dormtr", "dgemm") if vectors
+                 else ("dsyevd_2stage",)):
+        routine(name)
     out = []
     for seed, trial in keys:
         g = sample_model(model, n, d, stream(seed, trial))

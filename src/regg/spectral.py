@@ -5,13 +5,14 @@ Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
 is served from one eigendecomposition per graph; per-z evaluations are
 O(N^2) for the full diagonal and O(P N) for P off-diagonal entries.
 
-LAPACK and BLAS are called through one ctypes binding: dsytrd, dstedc,
-dormtr, dsyevd_2stage and dgemm are resolved, once per process, in the
-LAPACK extension that scipy ships (linalg/_flapack, whose handle also
-reaches the OpenBLAS it links against).  The extension is located on disk
-and opened as a plain shared library, so no command imports scipy.linalg.
-Every array argument has an ndpointer type: a strided, read-only or wrongly
-typed array raises ctypes.ArgumentError before LAPACK sees it.
+LAPACK and BLAS are called through one ctypes binding: routine(name)
+resolves dsytrd, dstedc, dormtr, dsyevd_2stage or dgemm, once per process,
+as the first of scipy_<name>_ and <name>_ that the LAPACK extension scipy
+ships exports (linalg/_flapack, whose handle also reaches the OpenBLAS it
+links against).  The extension is located on disk and opened as a plain
+shared library, so no command imports scipy.linalg.  Every array argument
+has an ndpointer type: a strided, read-only or wrongly typed array raises
+ctypes.ArgumentError before LAPACK sees it.
 
 Both decompositions read only the upper triangle of the matrix they are
 given, and overwrite it.  The matrix is C-contiguous, or the view that
@@ -56,11 +57,7 @@ __all__ = [
     "EnvelopeParams",
     "build_H",
     "eigvalsh_inplace",
-    "dsytrd",
-    "dstedc",
-    "dormtr",
-    "dsyevd_2stage",
-    "dgemm",
+    "routine",
     "grid_bytes",
     "resolvent_solve",
     "m_semicircle",
@@ -169,14 +166,6 @@ def _check_inplace(a: np.ndarray, who: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The LAPACK and BLAS binding
 
-#: each routine's symbol in scipy-openblas builds, then in plain LAPACK builds
-_DSYTRD = ("scipy_dsytrd_", "dsytrd_")
-_DSTEDC = ("scipy_dstedc_", "dstedc_")
-_DORMTR = ("scipy_dormtr_", "dormtr_")
-_DSYEVD_2STAGE = ("scipy_dsyevd_2stage_", "dsyevd_2stage_")
-_DGEMM = ("scipy_dgemm_", "dgemm_")
-
-
 def _pointer(dtype, ndim: int, *flags: str):
     return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags=flags)
 
@@ -190,28 +179,31 @@ _REALS = _pointer(np.float64, 1, "C_CONTIGUOUS", "WRITEABLE")
 _MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS")
 _OUT_MATRIX = _pointer(np.float64, 2, "F_CONTIGUOUS", "WRITEABLE")
 
-#: uplo, n, a, lda, d, e, tau, work, lwork, info, then the hidden length of
-#: uplo
-_SYTRD_ARGS = [_CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _REALS,
-               _REALS, _INT, _INTS, _LENGTH]
-#: compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, then the
-#: hidden length of compz
-_STEDC_ARGS = [_CHAR, _INT, _REALS, _REALS, _OUT_MATRIX, _INT, _REALS, _INT,
-               _INTS, _INT, _INTS, _LENGTH]
-#: side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info, then the
-#: hidden lengths of side, uplo and trans.  dormqr and dormql write a
-#: diagonal entry of a and restore it, so a must be writable
-_ORMTR_ARGS = [_CHAR, _CHAR, _CHAR, _INT, _INT, _OUT_MATRIX, _INT, _REALS,
+#: each routine's LP64 argument types, by name
+_ARGTYPES = {
+    #: uplo, n, a, lda, d, e, tau, work, lwork, info, then the hidden
+    #: length of uplo
+    "dsytrd": [_CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _REALS,
+               _REALS, _INT, _INTS, _LENGTH],
+    #: compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, then the
+    #: hidden length of compz
+    "dstedc": [_CHAR, _INT, _REALS, _REALS, _OUT_MATRIX, _INT, _REALS, _INT,
+               _INTS, _INT, _INTS, _LENGTH],
+    #: side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info, then
+    #: the hidden lengths of side, uplo and trans.  dormqr and dormql write
+    #: a diagonal entry of a and restore it, so a must be writable
+    "dormtr": [_CHAR, _CHAR, _CHAR, _INT, _INT, _OUT_MATRIX, _INT, _REALS,
                _OUT_MATRIX, _INT, _REALS, _INT, _INTS, _LENGTH, _LENGTH,
-               _LENGTH]
-#: jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
-#: hidden lengths of jobz and uplo
-_SYEVD_ARGS = [_CHAR, _CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS, _INT,
-               _INTS, _INT, _INTS, _LENGTH, _LENGTH]
-#: transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, then the
-#: hidden lengths of transa and transb
-_GEMM_ARGS = [_CHAR, _CHAR, _INT, _INT, _INT, _REAL, _MATRIX, _INT, _MATRIX,
-              _INT, _REAL, _OUT_MATRIX, _INT, _LENGTH, _LENGTH]
+               _LENGTH],
+    #: jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
+    #: hidden lengths of jobz and uplo
+    "dsyevd_2stage": [_CHAR, _CHAR, _INT, _OUT_MATRIX, _INT, _REALS, _REALS,
+                      _INT, _INTS, _INT, _INTS, _LENGTH, _LENGTH],
+    #: transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, then
+    #: the hidden lengths of transa and transb
+    "dgemm": [_CHAR, _CHAR, _INT, _INT, _INT, _REAL, _MATRIX, _INT, _MATRIX,
+              _INT, _REAL, _OUT_MATRIX, _INT, _LENGTH, _LENGTH],
+}
 
 
 @cache
@@ -228,52 +220,22 @@ def _lapack() -> ctypes.CDLL:
     raise ReggError("scipy's LAPACK extension linalg/_flapack was not found")
 
 
-def _resolve(routine: str, names: tuple[str, ...], argtypes: list):
-    """The first of `names` that the LAPACK extension exports, typed with
-    `argtypes`; raises ReggError naming `routine` when none is."""
+@cache
+def routine(name: str):
+    """LAPACK's or BLAS's `name`, one of _ARGTYPES, resolved once per
+    process: the first of scipy_<name>_ (scipy-openblas builds) and <name>_
+    (plain LAPACK builds) that the LAPACK extension exports, typed with
+    _ARGTYPES[name]; raises ReggError naming it when neither is."""
     lib = _lapack()
-    for name in names:
-        fn = getattr(lib, name, None)
+    symbols = (f"scipy_{name}_", f"{name}_")
+    for symbol in symbols:
+        fn = getattr(lib, symbol, None)
         if fn is not None:
-            fn.argtypes, fn.restype = argtypes, None
+            fn.argtypes, fn.restype = _ARGTYPES[name], None
             return fn
     raise ReggError(
-        f"LAPACK's {routine} is not exported by {lib._name} or its "
-        f"libraries (looked for {', '.join(names)})")
-
-
-@cache
-def dsytrd():
-    """LAPACK's dsytrd (reduction to tridiagonal form), resolved once per
-    process."""
-    return _resolve("dsytrd", _DSYTRD, _SYTRD_ARGS)
-
-
-@cache
-def dstedc():
-    """LAPACK's dstedc (divide and conquer on a tridiagonal matrix),
-    resolved once per process."""
-    return _resolve("dstedc", _DSTEDC, _STEDC_ARGS)
-
-
-@cache
-def dormtr():
-    """LAPACK's dormtr (applies dsytrd's reflectors), resolved once per
-    process."""
-    return _resolve("dormtr", _DORMTR, _ORMTR_ARGS)
-
-
-@cache
-def dsyevd_2stage():
-    """LAPACK's dsyevd_2stage (two-stage reduction to tridiagonal form),
-    resolved once per process."""
-    return _resolve("dsyevd_2stage", _DSYEVD_2STAGE, _SYEVD_ARGS)
-
-
-@cache
-def dgemm():
-    """BLAS dgemm, resolved once per process."""
-    return _resolve("dgemm", _DGEMM, _GEMM_ARGS)
+        f"LAPACK's {name} is not exported by {lib._name} or its "
+        f"libraries (looked for {', '.join(symbols)})")
 
 
 def _intc(value: int) -> np.ndarray:
@@ -281,12 +243,12 @@ def _intc(value: int) -> np.ndarray:
     return np.array([value], np.intc)
 
 
-def _call(routine, name: str, *args) -> None:
-    """routine(*args, info), followed by a hidden length of 1 for each
-    character argument; a nonzero info raises NumericalDegeneracyError
-    naming `name`."""
+def _call(name: str, *args) -> None:
+    """routine(name)(*args, info), followed by a hidden length of 1 for
+    each character argument; a nonzero info raises
+    NumericalDegeneracyError naming `name`."""
     info = np.zeros(1, np.intc)
-    routine(*args, info, *(1 for a in args if isinstance(a, bytes)))
+    routine(name)(*args, info, *(1 for a in args if isinstance(a, bytes)))
     if info[0]:
         raise NumericalDegeneracyError(f"{name} failed with info = {info[0]}")
 
@@ -311,14 +273,13 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, e, tau = np.empty(n), np.empty(max(1, n)), np.empty(max(1, n))
     query, iquery, ask = np.empty(1), np.empty(1, np.intc), _intc(-1)
     # dsytrd: a = Q T Q^T, T's diagonal into w and its off-diagonal into e
-    reduce_ = partial(_call, dsytrd(), "dsytrd", b"L", size, a, lda, w, e,
-                      tau)
+    reduce_ = partial(_call, "dsytrd", b"L", size, a, lda, w, e, tau)
     reduce_(query, ask)
     reduce_work = int(query[0])
     reduce_(_workspace(reduce_work), _intc(reduce_work))
     # dstedc('I'): T's eigenvalues into w, its eigenvectors into z
     z = mapped_matrix((n, n)).T
-    solve = partial(_call, dstedc(), "dstedc", b"I", size, w, e, z, lead)
+    solve = partial(_call, "dstedc", b"I", size, w, e, z, lead)
     solve(query, ask, iquery, ask)
     lwork, liwork = int(query[0]), int(iquery[0])
     solve(_workspace(lwork), _intc(lwork), np.empty(liwork, np.intc),
@@ -328,8 +289,8 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Below N = 80 that is less than dormtr's query plus the T block, and
     # dormqr shrinks its block there too: with the T block alone, the
     # eigenvectors differed from dsyevd's by up to 4.7e-16 for N = 34..79
-    apply = partial(_call, dormtr(), "dormtr", b"L", b"L", b"N", size, size,
-                    a, lda, tau, z, lead)
+    apply = partial(_call, "dormtr", b"L", b"L", b"N", size, size, a, lda,
+                    tau, z, lead)
     apply(query, ask)
     lwork = min(int(query[0]) + T_BLOCK,
                 max(1 + 4 * n + n * n, reduce_work - n * n))
@@ -342,9 +303,9 @@ def _product(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     the Fortran-ordered `out`, which it returns.  x.T is Fortran-ordered,
     so dgemm reads it with transa 'T' and copies no operand."""
     m, k = x.shape
-    dgemm()(b"T", b"N", _intc(m), _intc(w.shape[1]), _intc(k), np.ones(1),
-            x.T, _intc(max(1, k)), w, _intc(max(1, k)), np.zeros(1), out,
-            _intc(max(1, m)), 1, 1)
+    routine("dgemm")(b"T", b"N", _intc(m), _intc(w.shape[1]), _intc(k),
+                     np.ones(1), x.T, _intc(max(1, k)), w, _intc(max(1, k)),
+                     np.zeros(1), out, _intc(max(1, m)), 1, 1)
     return out
 
 
@@ -365,8 +326,8 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     operand = _check_inplace(a, "eigvalsh_inplace")
     lda, n = operand.shape
     w = np.empty(n)
-    run = partial(_call, dsyevd_2stage(), "dsyevd_2stage", b"N", b"L",
-                  _intc(n), operand, _intc(max(1, lda)), w)
+    run = partial(_call, "dsyevd_2stage", b"N", b"L", _intc(n), operand,
+                  _intc(max(1, lda)), w)
     work, iwork = np.empty(1), np.empty(1, np.intc)
     run(work, _intc(-1), iwork, _intc(-1))  # sizes land in work, iwork
     lwork, liwork = int(work[0]), int(iwork[0])

@@ -21,6 +21,7 @@ from .rng import stream
 from .spectral import f_envelope, m_semicircle
 
 __all__ = [
+    "StabilityResult",
     "MartingaleSpec",
     "ExchangeableEnsemble",
     "solve_two_roots",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMoveError, InvalidParametersError
-from .graphs import Matching, MultiGraph, Permutation
+from .graphs import Matching, MultiGraph, Permutation, _codes
 
 __all__ = [
     "TripleSelection",
@@ -74,12 +74,22 @@ class ResampleOutcome:
 
 
 def _require_edges(g: MultiGraph, edges) -> None:
-    """Raise InvalidMoveError at the first vertex pair of `edges` that is
-    not an edge of g; multiplicity raises InvalidParametersError first
-    for a vertex outside the graph."""
-    for x, y in edges:
-        if g.multiplicity(x, y) < 1:
-            raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
+    """Raise at the first vertex pair of `edges` that is not an edge of g:
+    InvalidParametersError when a vertex lies outside the graph,
+    InvalidMoveError otherwise.  One searchsorted pair over g's codes
+    looks up every pair at once."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    codes = _codes(g.n, *pairs.T)
+    outside = ((pairs < 0) | (pairs >= g.n)).any(axis=1)
+    bad = outside | (g.codes.searchsorted(codes, "right")
+                     == g.codes.searchsorted(codes, "left"))
+    if bad.any():
+        k = int(bad.argmax())
+        x, y = pairs[k].tolist()
+        if outside[k]:
+            raise InvalidParametersError(
+                f"vertices ({x}, {y}) out of range [0, {g.n})")
+        raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +326,30 @@ def _unrank_pair(k: int, m: int) -> tuple[int, int]:
     return a, a + 1 + k - total + t * (t + 1) // 2
 
 
+def _require_triples(n: int, d: int) -> None:
+    """Raise InvalidParametersError unless every pivot edge of a simple
+    d-regular graph on n vertices has an admissible triple: d >= 1, and
+    at least two of its nd/2 edges lie off the pivot."""
+    if d < 1:
+        raise InvalidParametersError(
+            f"the simultaneous switching needs d >= 1, got {d}")
+    if n * d // 2 - d < 2:
+        raise InvalidParametersError(
+            f"no admissible triple at the pivot for n={n}, d={d}")
+
+
 def um_resample(g: MultiGraph, rng: np.random.Generator) -> ResampleOutcome:
     """Draw a uniform TripleSelection and apply the simultaneous switch.
-    Preserves the uniform distribution on simple d-regular graphs.
+    Preserves the uniform distribution on simple d-regular graphs.  Raises
+    InvalidParametersError before drawing when a pivot edge has no
+    admissible triple (see _require_triples).
 
     Each pivot edge's triple is drawn as a uniform index into its
     triple_space list and unranked to that list's pair of non-pivot edges,
     so no d * C(m, 2) list of triples is built.
     """
     pivots = pivot_edges(g)
+    _require_triples(g.n, g.deg)
     others = _nonpivot_edges(g)
     m = len(others)
     pairs = [_unrank_pair(int(rng.integers(m * (m - 1) // 2)), m) for _ in pivots]

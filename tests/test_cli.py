@@ -233,6 +233,23 @@ class TestInvariance:
         assert time.monotonic() - start < 1.0
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, n, d, message", [
+        ("uniform", 3, 2, "no admissible triple at the pivot for n=3, d=2"),
+        ("uniform", 2, 1, "no admissible triple at the pivot for n=2, d=1"),
+        ("uniform", 4, 0, "the simultaneous switching needs d >= 1, got 0"),
+        ("uniform", -2, 1, "need n > 0 and d >= 0, got n=-2 d=1"),
+        ("matching", 0, 1, "need n > 0 and d >= 0, got n=0 d=1"),
+    ])
+    def test_mc_degenerate_size_exits_2(self, model, n, d, message, tmp_path,
+                                        capsys):
+        out = tmp_path / "inv.json"
+        assert run(["invariance", "--mc", "--model", model, "--n", str(n),
+                    "--d", str(d), "--samples", "5", "--seed", "0",
+                    "--out", str(out)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestLawsweep:
     def test_sweep_outputs(self, tmp_path):
@@ -475,55 +492,55 @@ class TestEigen:
             build_H(g)
 
     def test_intervals_fail_fast_without_dsyevd_2stage(self, tmp_path, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       lapack_exports):
         # a LAPACK that exports neither symbol: exit 2 naming the routine,
         # before any graph's matrix is mapped
-        monkeypatch.setattr(spectral, "_DSYEVD_2STAGE", ("regg_missing_",))
-        spectral.dsyevd_2stage.cache_clear()
+        lapack_exports({"scipy_dsyevd_2stage_": None, "dsyevd_2stage_": None})
         mapped = []
         monkeypatch.setattr(graphs.mmap, "mmap",
                             lambda *args, **kwargs: mapped.append(args))
-        try:
-            code = run(["eigen", "--mode", "intervals", "--model", "matching",
-                        "--n", "300", "--d", "3", "--seed", "0",
-                        "--out", str(tmp_path / "int.csv")])
-        finally:
-            spectral.dsyevd_2stage.cache_clear()
+        code = run(["eigen", "--mode", "intervals", "--model", "matching",
+                    "--n", "300", "--d", "3", "--seed", "0",
+                    "--out", str(tmp_path / "int.csv")])
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert "dsyevd_2stage" in err and "regg_missing_" in err
+        assert "LAPACK's dsyevd_2stage " in err
+        assert "looked for scipy_dsyevd_2stage_, dsyevd_2stage_" in err
         assert mapped == []
         assert not (tmp_path / "int.csv").exists()
 
-    @pytest.mark.parametrize("argv, names, routine", [
-        (["lawsweep"], "_DSYTRD", "dsytrd"),
-        (["lawsweep"], "_DGEMM", "dgemm"),
-        (["eigen", "--mode", "deloc"], "_DSYTRD", "dsytrd"),
-        (["eigen", "--mode", "deloc"], "_DGEMM", "dgemm"),
-        (["lawsweep"], "_DSTEDC", "dstedc"),
-        (["lawsweep"], "_DORMTR", "dormtr"),
-        (["eigen", "--mode", "deloc"], "_DSTEDC", "dstedc"),
-        (["eigen", "--mode", "deloc"], "_DORMTR", "dormtr"),
-    ])
+    #: the cases' ids read argv<k>-_<ROUTINE>-<routine>, the form in which
+    #: recorded runs of the suite name them
+    ROUTINE_CASES = [
+        (["lawsweep"], "dsytrd"),
+        (["lawsweep"], "dgemm"),
+        (["eigen", "--mode", "deloc"], "dsytrd"),
+        (["eigen", "--mode", "deloc"], "dgemm"),
+        (["lawsweep"], "dstedc"),
+        (["lawsweep"], "dormtr"),
+        (["eigen", "--mode", "deloc"], "dstedc"),
+        (["eigen", "--mode", "deloc"], "dormtr"),
+    ]
+
+    @pytest.mark.parametrize("argv, routine", ROUTINE_CASES, ids=[
+        f"argv{k}-_{routine.upper()}-{routine}"
+        for k, (_, routine) in enumerate(ROUTINE_CASES)])
     def test_fail_fast_without_a_routine(self, tmp_path, capsys, monkeypatch,
-                                         argv, names, routine):
+                                         lapack_exports, argv, routine):
         # the eigenvector commands resolve dsytrd, dstedc, dormtr and dgemm
         # before any graph's matrix is mapped
-        resolve = getattr(spectral, routine)
-        monkeypatch.setattr(spectral, names, ("regg_missing_",))
-        resolve.cache_clear()
+        lapack_exports({f"scipy_{routine}_": None, f"{routine}_": None})
         mapped = []
         monkeypatch.setattr(graphs.mmap, "mmap",
                             lambda *args, **kwargs: mapped.append(args))
-        try:
-            code = run([*argv, "--model", "permutation", "--n", "300",
-                        "--d", "4", "--seed", "0",
-                        "--out", str(tmp_path / "out.csv")])
-        finally:
-            resolve.cache_clear()
+        code = run([*argv, "--model", "permutation", "--n", "300",
+                    "--d", "4", "--seed", "0",
+                    "--out", str(tmp_path / "out.csv")])
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert f"LAPACK's {routine} " in err and "regg_missing_" in err
+        assert f"LAPACK's {routine} " in err
+        assert f"looked for scipy_{routine}_, {routine}_" in err
         assert mapped == []
         assert not (tmp_path / "out.csv").exists()
 

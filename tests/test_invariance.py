@@ -161,3 +161,7 @@ class TestMonteCarloReports:
         # (prob ~ 25/n per pair), so C ~ 17 empirically
         rate = um_alpha_match_rate(200, 8, seed=5, trials=60)
         assert rate >= 1 - 20 * 8 / 200
+
+    def test_alpha_match_rate_needs_a_trial(self):
+        with pytest.raises(InvalidParametersError, match="at least 1 trial"):
+            um_alpha_match_rate(200, 8, seed=5, trials=0)

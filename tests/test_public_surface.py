@@ -1,7 +1,8 @@
 """Every public name of every module of src/regg, and every public member of
 its public classes, is used by the program: src/ or scripts/ reference it
 outside its own definition.  A name only tests call is a second
-implementation that the commands never run.
+implementation that the commands never run.  Each module's __all__ lists
+exactly its public functions and classes, and may add its constants.
 
 Dataclass fields are out of scope: some are read only through column-name
 strings, as LawRecord's are by the CSV writer."""
@@ -44,6 +45,9 @@ ALLOWED = {
     # many triples per _switchable call, and the tests check those flags
     # against this one
     "um_switchable",
+    # one edge's copy count; the program looks up many edges per
+    # searchsorted pair, and the tests read single edges through this
+    "multiplicity",
 }
 
 
@@ -165,6 +169,37 @@ def test_dataclass_fields_out_of_scope():
               if isinstance(node, ast.ClassDef) and node.name == "ResolventView"]
     assert {"grid", "eigenvalues", "eigenvectors", "n", "EXHAUSTIVE_N"} <= {
         name for name, _ in _class_members(cls)}
+
+
+def _listed(tree):
+    """The literal list a module assigns to __all__, or [] without one;
+    anything appended later is not in it."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    wrong = {}
+    for path in MODULES:
+        if path.stem == "__init__":  # re-exports, and computes its list
+            continue
+        tree = TREES[path]
+        listed = _listed(tree)
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")}
+        constants = {name for name, _ in _module_names(tree)
+                     if not name.startswith("_")} - defined
+        missing = sorted(defined - set(listed))
+        extra = sorted(set(listed) - defined - constants)
+        if missing or extra or len(set(listed)) != len(listed):
+            wrong[path.stem] = {"missing": missing, "extra": extra,
+                                "listed": listed}
+    assert wrong == {}
 
 
 def test_allowlist_names_only_unused_names():

@@ -384,9 +384,9 @@ class TestResolventView:
 
 
 class TestBinding:
-    """dsytrd, dstedc, dormtr, dsyevd_2stage and dgemm, resolved with ctypes
-    in the LAPACK that scipy's wrappers call: scipy.linalg is the oracle
-    here only."""
+    """dsytrd, dstedc, dormtr, dsyevd_2stage and dgemm, resolved by
+    spectral.routine with ctypes in the LAPACK that scipy's wrappers call:
+    scipy.linalg is the oracle here only."""
 
     def test_dsyevd_matches_scipy_bitwise(self):
         # ResolventView runs dsyevd's three steps itself; its eigenpairs
@@ -437,16 +437,16 @@ class TestBinding:
                dict(iwork=np.empty(50, np.int64))]
         info = np.zeros(1, np.intc)
         calls = [  # the routine, whether it takes iwork, its arguments
-            (spectral.dsyevd_2stage(), True, lambda a, w, work, iwork: (
+            (spectral.routine("dsyevd_2stage"), True, lambda a, w, work, iwork: (
                 b"V", b"L", intc(n), a, intc(n), w, work, intc(100), iwork,
                 intc(50), info, 1, 1)),
-            (spectral.dsytrd(), False, lambda a, w, work, iwork: (
+            (spectral.routine("dsytrd"), False, lambda a, w, work, iwork: (
                 b"L", intc(n), a, intc(n), w, w.copy(), w.copy(), work,
                 intc(100), info, 1)),
-            (spectral.dstedc(), True, lambda a, w, work, iwork: (
+            (spectral.routine("dstedc"), True, lambda a, w, work, iwork: (
                 b"I", intc(n), w, w.copy(), a, intc(n), work, intc(100),
                 iwork, intc(50), info, 1)),
-            (spectral.dormtr(), False, lambda a, w, work, iwork: (
+            (spectral.routine("dormtr"), False, lambda a, w, work, iwork: (
                 b"L", b"L", b"N", intc(n), intc(n), a, intc(n), w,
                 np.eye(n, order="F"), intc(n), work, intc(100), info,
                 1, 1, 1)),
@@ -468,27 +468,24 @@ class TestBinding:
                                  (x, np.empty((3, 6), order="F")[:, ::2]),
                                  (x, frozen_out)):
             with pytest.raises(ctypes.ArgumentError):
-                spectral.dgemm()(b"N", b"N", intc(3), intc(3), intc(3),
-                                 np.ones(1), operand, intc(3), x, intc(3),
-                                 np.zeros(1), product, intc(3), 1, 1)
+                spectral.routine("dgemm")(
+                    b"N", b"N", intc(3), intc(3), intc(3), np.ones(1),
+                    operand, intc(3), x, intc(3), np.zeros(1), product,
+                    intc(3), 1, 1)
 
     def test_symbols_resolve_in_scipys_lapack(self):
         # the binding opens the extension file without importing it
         assert os.path.basename(spectral._lapack()._name).startswith(
             "_flapack")
-        for fn in (spectral.dsytrd, spectral.dstedc, spectral.dormtr,
-                   spectral.dsyevd_2stage, spectral.dgemm):
-            assert fn() is fn()
+        for name in ("dsytrd", "dstedc", "dormtr", "dsyevd_2stage",
+                     "dgemm"):
+            assert spectral.routine(name) is spectral.routine(name)
 
-    def test_tries_each_name_in_turn(self, monkeypatch):
-        routine = spectral.dgemm()
-        monkeypatch.setattr(spectral, "_DGEMM",
-                            ("regg_missing_", *spectral._DGEMM))
-        spectral.dgemm.cache_clear()
-        try:
-            assert spectral.dgemm() is routine
-        finally:
-            spectral.dgemm.cache_clear()
+    def test_tries_each_name_in_turn(self, lapack_exports):
+        # a plain LAPACK build: no scipy_dgemm_, and dgemm_ is the routine
+        routine = spectral.routine("dgemm")
+        lapack_exports({"scipy_dgemm_": None, "dgemm_": "scipy_dgemm_"})
+        assert spectral.routine("dgemm") is routine
 
 
 class TestEigvalshInplace:
@@ -564,7 +561,7 @@ class TestEigvalshInplace:
     def test_nonzero_info_raises(self, monkeypatch):
         # the cached lookup is the seam: this fake answers the workspace
         # query, then reports that the tridiagonal QR did not converge
-        calls = []
+        calls, names = [], []
 
         def fake(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info,
                  *lengths):
@@ -574,10 +571,12 @@ class TestEigvalshInplace:
             else:
                 info[0] = 1
 
-        monkeypatch.setattr(spectral, "dsyevd_2stage", lambda: fake)
+        monkeypatch.setattr(spectral, "routine",
+                            lambda name: names.append(name) or fake)
         with pytest.raises(NumericalDegeneracyError, match="info = 1"):
             eigvalsh_inplace(np.eye(3))
         assert calls == [-1, 1]
+        assert names == ["dsyevd_2stage", "dsyevd_2stage"]
 
 
 class TestUpperTriangle:

@@ -232,6 +232,18 @@ class TestSimultaneousSwitch:
             s = tuple(int(rng.integers(1, 9)) for _ in space)
             assert out.selection == TripleSelection(triples, s)
 
+    @pytest.mark.parametrize("g, message", [
+        (cycle_graph(3), "no admissible triple at the pivot for n=3, d=2"),
+        (MultiGraph(2, 1, [1]), "no admissible triple at the pivot for n=2, d=1"),
+        (MultiGraph(4, 0, []), "the simultaneous switching needs d >= 1, got 0"),
+    ])
+    def test_resample_without_a_triple_rejected(self, g, message):
+        # rejected before anything is drawn
+        rng = stream(33, 0)
+        with pytest.raises(InvalidParametersError, match=message):
+            um_resample(g, rng)
+        assert rng.integers(2**62) == stream(33, 0).integers(2**62)
+
     def test_wrong_triple_count_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
         space = triple_space(g)
@@ -260,6 +272,19 @@ class TestSimultaneousSwitch:
         bad = (((0, 1), (2, 99), (4, 5)), space[1][0], space[2][0])
         with pytest.raises(InvalidParametersError, match="out of range"):
             um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
+
+    def test_first_offending_pair_raises(self):
+        g = enumerate_simple_regular(6, 3)[0]
+        assert g.multiplicity(1, 3) == 0 and g.multiplicity(1, 2) == 1
+        with pytest.raises(InvalidMoveError, match=r"\(1, 3\)"):
+            switchings._require_edges(g, [(4, 5), (1, 3), (2, 99)])
+        with pytest.raises(InvalidParametersError, match=r"\(2, 99\)"):
+            switchings._require_edges(g, [(4, 5), (2, 99), (1, 3)])
+        # (0, 8) has the code of the edge (1, 2), and (-1, 2) a negative one
+        for pair in ((0, 8), (-1, 2)):
+            with pytest.raises(InvalidParametersError, match="out of range"):
+                switchings._require_edges(g, [(4, 5), pair])
+        switchings._require_edges(g, [])
 
     def test_switch_index_range_enforced(self):
         g = enumerate_simple_regular(6, 3)[0]
