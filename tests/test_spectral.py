@@ -437,7 +437,8 @@ class TestBinding:
                dict(iwork=np.empty(50, np.int64))]
         info = np.zeros(1, np.intc)
         calls = [  # the routine, whether it takes iwork, its arguments
-            (spectral.routine("dsyevd_2stage"), True, lambda a, w, work, iwork: (
+            (spectral.routine("dsyevd_2stage"), True,
+             lambda a, w, work, iwork: (
                 b"V", b"L", intc(n), a, intc(n), w, work, intc(100), iwork,
                 intc(50), info, 1, 1)),
             (spectral.routine("dsytrd"), False, lambda a, w, work, iwork: (

@@ -234,8 +234,10 @@ class TestSimultaneousSwitch:
 
     @pytest.mark.parametrize("g, message", [
         (cycle_graph(3), "no admissible triple at the pivot for n=3, d=2"),
-        (MultiGraph(2, 1, [1]), "no admissible triple at the pivot for n=2, d=1"),
-        (MultiGraph(4, 0, []), "the simultaneous switching needs d >= 1, got 0"),
+        (MultiGraph(2, 1, [1]),
+         "no admissible triple at the pivot for n=2, d=1"),
+        (MultiGraph(4, 0, []),
+         "the simultaneous switching needs d >= 1, got 0"),
     ])
     def test_resample_without_a_triple_rejected(self, g, message):
         # rejected before anything is drawn
