@@ -12,11 +12,10 @@ from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      sample_permutation_model, sample_uniform)
 from .rng import resolve_seed, stream
 from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       effective_D, f_envelope, kesten_mckay_density,
-                       m_semicircle, phi_envelope, psi_envelope,
-                       semicircle_density)
+                       effective_D, f_envelope, m_semicircle, phi_envelope,
+                       psi_envelope)
 from .switchings import (ResampleOutcome, TripleSelection, mm_resample,
                          mm_switch, pm_switch, um_resample,
-                         um_simultaneous_switch, um_switchable)
+                         um_simultaneous_switch)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

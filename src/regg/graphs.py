@@ -198,15 +198,6 @@ class MultiGraph:
         codes, mult = np.unique(self.codes, return_counts=True)
         return (*np.divmod(codes, self.n), mult)
 
-    def multiplicity(self, i: int, j: int) -> int:
-        """Copies of the edge {i, j}; for i == j, the loop count."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InvalidParametersError(
-                f"vertices ({i}, {j}) out of range [0, {self.n})")
-        code = _codes(self.n, i, j)
-        return int(self.codes.searchsorted(code, "right")
-                   - self.codes.searchsorted(code, "left"))
-
     def replace_edges(self, removed, added) -> "MultiGraph":
         """This graph with one copy of each edge in `removed` deleted and
         each edge in `added` inserted.  The removed edges must be present

@@ -43,7 +43,6 @@ __all__ = [
     "um_exact_invariance",
     "pm_exact_uniformity",
     "mc_pivot_tv",
-    "um_alpha_match_rate",
 ]
 
 #: most (state, randomness) inputs the matching and permutation checks
@@ -296,19 +295,3 @@ def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     probs = hits[1:] / samples
     return float(np.abs(probs - 1.0 / (n - 1)).sum() / 2)
 
-
-def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
-    """Fraction of (trial, mu) pairs where the realized neighbour equals the
-    targeted one, i.e. the triple actually switched."""
-    if trials < 1:
-        raise InvalidParametersError(
-            f"the match rate needs at least 1 trial, got {trials}")
-    hit = 0
-    tot = 0
-    for t in range(trials):
-        rng = stream(seed, t)
-        g = sample_uniform(n, d, rng, method="switching-chain")
-        out = um_resample(g, rng)
-        hit += sum(1 for a, al in zip(out.a, out.alpha) if a == al)
-        tot += len(out.a)
-    return hit / tot

@@ -89,12 +89,16 @@ class SweepPlan:
     @staticmethod
     def dyadic_etas(eta_min: float, eta_max: float = 1.0) -> tuple[float, ...]:
         """{eta_max * 2^-k} down to the last value >= eta_min.  Both bounds
-        must be finite and eta_min positive: otherwise the halving never
-        falls below eta_min."""
+        must be finite and eta_min positive, or the halving never falls
+        below eta_min, and eta_min at most eta_max, or the grid is empty."""
         if not (0 < eta_min < math.inf and math.isfinite(eta_max)):
             raise InvalidParametersError(
                 f"eta bounds must be finite with eta_min > 0, got "
                 f"eta_min = {eta_min}, eta_max = {eta_max}")
+        if eta_min > eta_max:
+            raise InvalidParametersError(
+                f"the eta grid is empty: eta_min = {eta_min} exceeds "
+                f"eta_max = {eta_max}")
         out = []
         eta = float(eta_max)
         while eta >= eta_min:

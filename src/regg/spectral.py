@@ -1,4 +1,5 @@
-"""Centered matrix H, the resolvent z-grid, reference densities and envelopes.
+"""Centered matrix H, the resolvent z-grid, the semicircle law's Stieltjes
+transform and the error envelopes.
 
 H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
@@ -51,6 +52,7 @@ import numpy as np
 from .errors import (InvalidParametersError, NumericalDegeneracyError,
                      OutOfRegimeWarning, ReggError)
 from .graphs import ModelKind, MultiGraph, mapped_matrix, triangle_blocks
+from .rng import stream
 
 __all__ = [
     "ResolventView",
@@ -59,10 +61,7 @@ __all__ = [
     "eigvalsh_inplace",
     "routine",
     "grid_bytes",
-    "resolvent_solve",
     "m_semicircle",
-    "semicircle_density",
-    "kesten_mckay_density",
     "effective_D",
     "default_xi",
     "phi_envelope",
@@ -79,6 +78,11 @@ EIGH_COPIES = 3
 
 #: off-diagonal pairs ResolventView.grid samples above EXHAUSTIVE_N
 OFFDIAG_PAIRS = 10000
+
+#: the stream path of ResolventView's off-diagonal pair sample, drawn from
+#: stream(pair_seed, *PAIR_PATH).  Two entries, so that no trial's graph
+#: stream(seed, trial) can share it
+PAIR_PATH = (0xF, 0)
 
 #: off-diagonal pairs per dgemm block in ResolventView.grid.  Fixed, since
 #: the block size sets dgemm's summation order: 256 pairs changed the bits
@@ -380,8 +384,7 @@ class ResolventView:
         if n <= self.EXHAUSTIVE_N:
             i, j = np.triu_indices(n, k=1)
             return i, j
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=self.pair_seed, spawn_key=(0xF,))))
+        rng = stream(self.pair_seed, *PAIR_PATH)
         i = rng.integers(0, n, size=OFFDIAG_PAIRS)
         j = rng.integers(0, n, size=OFFDIAG_PAIRS)
         keep = i != j
@@ -449,25 +452,8 @@ class ResolventView:
         return diag, off
 
 
-def resolvent_solve(h: np.ndarray, z: complex) -> np.ndarray:
-    """Direct dense solve (H - z)^{-1} for the symmetric H whose upper
-    triangle (diagonal included) is h's, as build_H writes it; the
-    independent oracle for the eigendecomposition route.  Raises
-    NumericalDegeneracyError for real z and for a singular solve."""
-    z = complex(z)
-    if z.imag == 0:
-        raise NumericalDegeneracyError("resolvent needs Im z != 0")
-    n = h.shape[0]
-    upper = np.triu(np.asarray(h, float))
-    full = upper + np.triu(upper, 1).T
-    try:
-        return np.linalg.solve(full - z * np.eye(n), np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"singular solve at z={z}") from exc
-
-
 # ---------------------------------------------------------------------------
-# Reference transforms and densities
+# The semicircle law's Stieltjes transform
 
 def m_semicircle(z: complex) -> complex:
     """Stieltjes transform of the semicircle law: the root of
@@ -484,24 +470,6 @@ def m_semicircle(z: complex) -> complex:
     if s.imag < 0:
         s = -s
     return (-z + s) / 2
-
-
-def semicircle_density(x) -> np.ndarray | float:
-    """rho(x) = sqrt((4 - x^2)_+) / (2 pi)."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2 * math.pi)
-    return out if out.shape else float(out)
-
-
-def kesten_mckay_density(x, d: int) -> np.ndarray | float:
-    """Spectral density of the infinite d-regular tree, rescaled to the
-    support [-2, 2]: the semicircle divided by 1 + 1/(d-1) - x^2/d."""
-    if d < 2:
-        raise InvalidParametersError("Kesten-McKay density needs d >= 2")
-    x = np.asarray(x, dtype=float)
-    out = semicircle_density(x) / (1.0 + 1.0 / (d - 1) - x * x / d)
-    out = np.asarray(out)
-    return out if out.shape else float(out)
 
 
 # ---------------------------------------------------------------------------

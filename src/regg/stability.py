@@ -22,7 +22,6 @@ from .spectral import f_envelope, m_semicircle
 
 __all__ = [
     "StabilityResult",
-    "MartingaleSpec",
     "ExchangeableEnsemble",
     "solve_two_roots",
     "stability_check",
@@ -32,7 +31,6 @@ __all__ = [
     "arcsinh_tail_bound",
     "simulate_martingale_tails",
     "exchangeable_moment_exact",
-    "exchangeable_moment_mc",
     "exchangeable_moment_bound_check",
     "exchangeable_matrix_bound_check",
 ]
@@ -153,27 +151,13 @@ def ladder_sweep(ntracks: int = 200, seed: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # Martingale tail bound
 
-@dataclass(frozen=True)
-class MartingaleSpec:
-    """Bounded-increment martingale data: |X_{k+1} - X_k| <= step_bound and
-    per-step conditional variances."""
+#: the walk simulate_martingale_tails draws: MARTINGALE_STEPS steps of
+#: +-MARTINGALE_STEP, so that each conditional variance is MARTINGALE_STEP^2
+MARTINGALE_STEPS = 100
+MARTINGALE_STEP = 1.0
 
-    step_bound: float
-    variances: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.step_bound > 0:
-            raise InvalidParametersError("step bound must be positive")
-        if any(v < 0 for v in self.variances):
-            raise InvalidParametersError("variances must be nonnegative")
-
-    @property
-    def total_variance(self) -> float:
-        return float(sum(self.variances))
-
-    @property
-    def steps(self) -> int:
-        return len(self.variances)
+#: the tail thresholds xi simulate_martingale_tails checks
+TAIL_XI = (5.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 
 
 def arcsinh_tail_bound(xi: float, M: float, S: float) -> float:
@@ -185,25 +169,25 @@ def arcsinh_tail_bound(xi: float, M: float, S: float) -> float:
     return 4.0 * math.exp(-(xi / (c * M)) * math.asinh(M * xi / (c * S)))
 
 
-def simulate_martingale_tails(spec: MartingaleSpec, runs: int, seed: int,
-                              xi_grid: tuple[float, ...]) -> dict:
-    """Empirical tails of the +-step_bound random walk (a martingale whose
-    conditional variance meets the spec exactly) against the bound."""
-    if any(abs(v - spec.step_bound ** 2) > 1e-12 for v in spec.variances):
-        raise InvalidParametersError(
-            "the simulator realizes +-M steps, so variances must equal M^2")
+def simulate_martingale_tails(runs: int, seed: int) -> dict:
+    """Empirical tails P(|X| >= xi), xi in TAIL_XI, of `runs` walks of
+    MARTINGALE_STEPS steps of +-MARTINGALE_STEP (a martingale with
+    |increment| <= M = MARTINGALE_STEP and total conditional variance
+    S = MARTINGALE_STEPS M^2) against arcsinh_tail_bound(xi, M, S)."""
     if runs < 1:
         raise InvalidParametersError(f"the tails need at least 1 run, got {runs}")
-    check_ram(runs * spec.steps, f"{runs} runs of {spec.steps} int8 steps")
+    check_ram(runs * MARTINGALE_STEPS,
+              f"{runs} runs of {MARTINGALE_STEPS} int8 steps")
     rng = stream(seed, 2)
-    steps = rng.integers(0, 2, size=(runs, spec.steps), dtype=np.int8)
-    walk = np.abs((2 * steps.sum(axis=1, dtype=np.int64) - spec.steps)
-                  * spec.step_bound)
+    steps = rng.integers(0, 2, size=(runs, MARTINGALE_STEPS), dtype=np.int8)
+    walk = np.abs((2 * steps.sum(axis=1, dtype=np.int64) - MARTINGALE_STEPS)
+                  * MARTINGALE_STEP)
+    total_variance = MARTINGALE_STEPS * MARTINGALE_STEP ** 2
     rows = []
     ok = True
-    for xi in xi_grid:
+    for xi in TAIL_XI:
         emp = float(np.mean(walk >= xi))
-        bound = arcsinh_tail_bound(xi, spec.step_bound, spec.total_variance)
+        bound = arcsinh_tail_bound(xi, MARTINGALE_STEP, total_variance)
         rows.append({"xi": xi, "empirical": emp, "bound": bound,
                      "pass": emp <= bound})
         ok = ok and emp <= bound
@@ -285,24 +269,6 @@ def exchangeable_moment_exact(ens: ExchangeableEnsemble, p: int):
     if exact:
         return Fraction(sum(terms), math.factorial(n))
     return math.fsum(terms) / math.factorial(n)
-
-
-def exchangeable_moment_mc(ens: ExchangeableEnsemble, p: int, samples: int,
-                           seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the same moment."""
-    rng = stream(seed, 3)
-    n = ens.n
-    a = np.asarray(ens.coefficients, dtype=float)
-    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
-    if ens.base_vector is not None:
-        y = np.asarray(ens.base_vector, dtype=float)
-        vals = (y[perms] @ a) ** p
-    else:
-        ymat = np.asarray(ens.base_matrix, dtype=float)
-        b = np.zeros((samples, n))
-        np.put_along_axis(b, perms, a[None, :].repeat(samples, axis=0), axis=1)
-        vals = np.einsum("ki,ij,kj->k", b, ymat, b) ** p
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 #: the constant C of both exchangeable moment inequalities

@@ -30,7 +30,6 @@ __all__ = [
     "pivot_edges",
     "triple_space",
     "triple_space_flags",
-    "um_switchable",
     "switch_pair_table",
     "um_simultaneous_switch",
     "um_resample",
@@ -223,18 +222,6 @@ def triple_space_flags(graphs):
         yield from _switchable(codes, n, triples)
 
 
-def um_switchable(g: MultiGraph, S) -> bool:
-    """True iff the three edges of S span six distinct vertices and the
-    induced subgraph of the graph on those vertices contains no further
-    edge.  Raises InvalidMoveError unless S is three distinct edges of g,
-    and InvalidParametersError for a vertex outside the graph."""
-    edges = sorted({_norm_edge(e) for e in S})
-    if len(edges) != 3:
-        raise InvalidMoveError("S must consist of three distinct edges")
-    _require_edges(g, edges)
-    return bool(_switchable(g.codes[np.newaxis], g.n, [[edges]])[0, 0])
-
-
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The eight ((a, abar), (b, bbar)) choices for a pivot triple.
 
@@ -297,7 +284,6 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
                     f"triple {mu}: extra edge ({x}, {y}) touches the pivot")
         norm_triples.append(edges)
 
-    # um_switchable's checks of each triple, in the same order
     _require_edges(g, [e for t in norm_triples for e in t])
     switchable = _switchable(g.codes[np.newaxis], g.n, [norm_triples])[0]
     active = _active_triples(norm_triples, switchable.tolist())

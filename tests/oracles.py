@@ -1,0 +1,95 @@
+"""Reference implementations the tests check the package against.
+
+Each is the direct, slow form of a quantity the package computes another
+way, or a Monte-Carlo estimate of one it enumerates exactly; no command
+runs them.
+"""
+
+import math
+
+import numpy as np
+
+from regg.errors import InvalidParametersError, NumericalDegeneracyError
+from regg.graphs import sample_uniform
+from regg.rng import stream
+from regg.switchings import um_resample
+
+
+def resolvent_solve(h: np.ndarray, z: complex) -> np.ndarray:
+    """Direct dense solve (H - z)^{-1} for the symmetric H whose upper
+    triangle (diagonal included) is h's, as build_H writes it; the
+    independent oracle for the eigendecomposition route.  Raises
+    NumericalDegeneracyError for real z and for a singular solve."""
+    z = complex(z)
+    if z.imag == 0:
+        raise NumericalDegeneracyError("resolvent needs Im z != 0")
+    n = h.shape[0]
+    upper = np.triu(np.asarray(h, float))
+    full = upper + np.triu(upper, 1).T
+    try:
+        return np.linalg.solve(full - z * np.eye(n), np.eye(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(f"singular solve at z={z}") from exc
+
+
+def semicircle_density(x) -> np.ndarray | float:
+    """rho(x) = sqrt((4 - x^2)_+) / (2 pi)."""
+    x = np.asarray(x, dtype=float)
+    out = np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2 * math.pi)
+    return out if out.shape else float(out)
+
+
+def kesten_mckay_density(x, d: int) -> np.ndarray | float:
+    """Spectral density of the infinite d-regular tree, rescaled to the
+    support [-2, 2]: the semicircle divided by 1 + 1/(d-1) - x^2/d."""
+    if d < 2:
+        raise InvalidParametersError("Kesten-McKay density needs d >= 2")
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(semicircle_density(x) / (1.0 + 1.0 / (d - 1) - x * x / d))
+    return out if out.shape else float(out)
+
+
+def switchable(g, triple) -> bool:
+    """The definition of a switchable triple, read off the dense adjacency:
+    its edges span six distinct vertices, and the subgraph they induce
+    holds its three edges and no further one."""
+    verts = sorted({v for e in triple for v in e})
+    return len(verts) == 6 and int(g.adj[np.ix_(verts, verts)].sum()) == 6
+
+
+def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
+    """Fraction of (trial, mu) pairs where the realized neighbour equals the
+    targeted one, i.e. the triple actually switched, over one um_resample
+    step from a switching-chain sample per trial."""
+    if trials < 1:
+        raise InvalidParametersError(
+            f"the match rate needs at least 1 trial, got {trials}")
+    hit = 0
+    tot = 0
+    for t in range(trials):
+        rng = stream(seed, t)
+        g = sample_uniform(n, d, rng, method="switching-chain")
+        out = um_resample(g, rng)
+        hit += sum(1 for a, al in zip(out.a, out.alpha) if a == al)
+        tot += len(out.a)
+    return hit / tot
+
+
+def exchangeable_moment_mc(ens, p: int, samples: int,
+                           seed: int) -> tuple[float, float]:
+    """Monte-Carlo estimate (mean, standard error) of the moment that
+    stability.exchangeable_moment_exact enumerates, over `samples` uniform
+    relabelings."""
+    rng = stream(seed, 3)
+    n = ens.n
+    a = np.asarray(ens.coefficients, dtype=float)
+    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
+    if ens.base_vector is not None:
+        y = np.asarray(ens.base_vector, dtype=float)
+        vals = (y[perms] @ a) ** p
+    else:
+        ymat = np.asarray(ens.base_matrix, dtype=float)
+        b = np.zeros((samples, n))
+        np.put_along_axis(b, perms, a[None, :].repeat(samples, axis=0), axis=1)
+        vals = np.einsum("ki,ij,kj->k", b, ymat, b) ** p
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -23,14 +23,14 @@ from regg.observables import (deloc_bound, delocalization_stats,
                               que_statistics)
 from regg.rng import stream
 from regg.spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                           m_semicircle, resolvent_solve)
+                           m_semicircle)
 from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
-                            MartingaleSpec,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
-                            exchangeable_moment_exact, exchangeable_moment_mc,
-                            ladder_sweep, simulate_martingale_tails,
-                            stability_sweep)
+                            exchangeable_moment_exact, ladder_sweep,
+                            simulate_martingale_tails, stability_sweep)
+
+from oracles import exchangeable_moment_mc, resolvent_solve
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -226,9 +226,7 @@ def test_criterion_8_quadratic_stability():
 
 
 def test_criterion_9_arcsinh_tail_bound():
-    spec = MartingaleSpec(step_bound=1.0, variances=(1.0,) * 100)
-    out = simulate_martingale_tails(spec, runs=1000000, seed=0,
-                                    xi_grid=(5.0, 10.0, 20.0, 30.0, 40.0, 50.0))
+    out = simulate_martingale_tails(runs=1000000, seed=0)
     worst = max((row["empirical"] / row["bound"] for row in out["rows"]
                  if row["bound"] > 0), default=0.0)
     detail = (f"10^6 runs, 100 steps: empirical <= bound at all xi "

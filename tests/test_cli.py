@@ -308,6 +308,26 @@ class TestLawsweep:
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "law.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # the default --eta-min is 64/N, above --eta-max 1 for N < 64
+        (["--n", "1"],
+         "the eta grid is empty: eta_min = 64.0 exceeds eta_max = 1.0"),
+        (["--n", "100", "--eta-min", "2"],
+         "the eta grid is empty: eta_min = 2.0 exceeds eta_max = 1.0"),
+        (["--n", "100", "--e-min", "1", "--e-max", "0"],
+         "the energy grid is empty: --e-max 0.0 lies below --e-min 1.0"),
+    ])
+    def test_empty_grid_names_its_bounds(self, tmp_path, capsys, monkeypatch,
+                                         argv, message):
+        sampled = []
+        monkeypatch.setattr(law_mod, "sample_model",
+                            lambda *args, **kwargs: sampled.append(args))
+        assert run(["lawsweep", "--model", "permutation", "--d", "4", *argv,
+                    "--out", str(tmp_path / "law.csv")]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sampled == []
+        assert not (tmp_path / "law.csv").exists()
+
 
 class TestEigen:
     @pytest.mark.parametrize("width", ["1e-6", "5e-324"])

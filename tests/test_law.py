@@ -9,8 +9,9 @@ from regg.graphs import sample_permutation_model
 from regg.law import (LawRecord, SweepPlan, fit_envelope_constant, law_sweep,
                       read_table, write_law_csv, write_table)
 from regg.rng import stream
-from regg.spectral import (ResolventView, build_H, default_xi, m_semicircle,
-                           resolvent_solve)
+from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
+
+from oracles import resolvent_solve
 
 
 @pytest.fixture(scope="module")

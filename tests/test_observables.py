@@ -13,9 +13,9 @@ from regg.observables import (_kappa, counting_bounds, default_zeta,
                               isotropic_error, que_bound, que_statistics,
                               random_unit_perp_e)
 from regg.rng import stream
-from regg.spectral import (EnvelopeParams, ResolventView, build_H,
-                           kesten_mckay_density, resolvent_solve,
-                           m_semicircle, semicircle_density)
+from regg.spectral import EnvelopeParams, ResolventView, build_H, m_semicircle
+
+from oracles import kesten_mckay_density, resolvent_solve, semicircle_density
 
 
 #: masses of the 44 bins [-2.2 + 0.1 k, -2.1 + 0.1 k) of `eigen --mode

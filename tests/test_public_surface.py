@@ -16,38 +16,24 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")])
 MODULES = sorted((ROOT / "src" / "regg").glob("*.py"))
 
-#: public names with no caller in src/ or scripts/, each kept on purpose
+#: public names with no caller in src/ or scripts/, each kept on purpose;
+#: the tests' own reference implementations live in tests/oracles.py
 ALLOWED = {
     # criterion 12 re-executes a manifest's argv through it
     "rerun_manifest",
     # the benchmark reads edge lists back and checks adjacency through these
     "from_edgelist",
     "adj",
-    # test_alpha_match_rate_high is its caller; the benchmark names it only
-    # in a docstring
-    "um_alpha_match_rate",
-    # criterion 10 checks the paper's moment inequalities with these
-    "exchangeable_moment_mc",
+    # criterion 10 checks the paper's matrix moment inequality with it
     "exchangeable_matrix_bound_check",
     # the tests read versioned CSVs back with it
     "read_table",
-    # the density the closed-form masses of density_mass are tested against
-    "kesten_mckay_density",
-    # the direct-solve oracle the tests check ResolventView.grid against
-    "resolvent_solve",
     # the only check of the abstract's isotropic delocalization claim; a
     # command that runs it would add an eigen mode
     "isotropic_error",
     "isotropic_envelope",
     "random_unit_perp_e",
     "default_zeta",
-    # the validated one-triple switchability predicate; the program decides
-    # many triples per _switchable call, and the tests check those flags
-    # against this one
-    "um_switchable",
-    # one edge's copy count; the program looks up many edges per
-    # searchsorted pair, and the tests read single edges through this
-    "multiplicity",
 }
 
 

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,34 @@ def test_resolve_seed_rejects_garbage_env(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
     with pytest.raises(InvalidParametersError):
         resolve_seed(None)
+
+
+#: names that build a generator or its state, besides a call of Generator
+_BUILDERS = {"SeedSequence", "Philox", "default_rng"}
+
+
+def _builds_generators(tree) -> bool:
+    """Whether a module names SeedSequence, Philox or default_rng, or calls
+    Generator; annotating an argument as np.random.Generator does not
+    count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "Generator":
+                return True
+        if (getattr(node, "attr", None) in _BUILDERS
+                or getattr(node, "id", None) in _BUILDERS
+                or any(alias.name in _BUILDERS
+                       for alias in getattr(node, "names", ()))):
+            return True
+    return False
+
+
+def test_only_rng_builds_generators():
+    # every stream the package draws from comes from rng.stream, so that
+    # the independence of distinct (seed, path) holds for all of them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    builders = sorted(path.relative_to(src).as_posix()
+                      for path in src.rglob("*.py")
+                      if _builds_generators(ast.parse(path.read_text("utf-8"))))
+    assert builders == ["regg/rng.py"]

@@ -24,12 +24,14 @@ from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_matching_model, sample_permutation_model,
                          sample_uniform)
 from regg.rng import stream
-from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, EnvelopeParams,
+from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, PAIR_PATH,
+                           EnvelopeParams,
                            ResolventView,
                            _check_centred, build_H, default_xi, effective_D,
-                           eigvalsh_inplace, f_envelope, kesten_mckay_density,
-                           m_semicircle, phi_envelope, psi_envelope,
-                           resolvent_solve, semicircle_density)
+                           eigvalsh_inplace, f_envelope, m_semicircle,
+                           phi_envelope, psi_envelope)
+
+from oracles import kesten_mckay_density, resolvent_solve, semicircle_density
 
 
 #: matching 1000/3 is simple; permutation and configuration 500/6 carry
@@ -241,6 +243,23 @@ class TestResolventView:
         diag_view = ResolventView(np.diag(np.arange(400.0)), pair_seed=7)
         _, off = diag_view.grid(zs)
         assert off.shape[0] > 0 and not off.any()
+
+    def test_pair_sample_shares_no_trial_stream(self):
+        # law.per_trial draws trial t's graph from stream(seed, t) and
+        # decomposes it with pair_seed = seed, so the pairs come from a
+        # path no trial index gives
+        n = 400
+        for seed in (0, 1):
+            i, j = ResolventView(np.diag(np.arange(float(n))),
+                                 pair_seed=seed)._pair_sample
+            for path in (PAIR_PATH, *((t,) for t in range(64))):
+                rng = stream(seed, *path)
+                first = rng.integers(0, n, size=OFFDIAG_PAIRS)
+                second = rng.integers(0, n, size=OFFDIAG_PAIRS)
+                keep = first != second
+                drawn = (np.array_equal(i, first[keep])
+                         and np.array_equal(j, second[keep]))
+                assert drawn == (path == PAIR_PATH), path
 
     def test_grid_matches_solve_across_pair_blocks(self):
         n = 320  # above EXHAUSTIVE_N: the seeded pair sample

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.spectral import m_semicircle
-from regg.stability import (ExchangeableEnsemble, MartingaleSpec,
-                            arcsinh_tail_bound,
+from regg import stability
+from regg.stability import (ExchangeableEnsemble, arcsinh_tail_bound,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
-                            exchangeable_moment_exact, exchangeable_moment_mc,
-                            ladder_check, ladder_sweep, simulate_martingale_tails,
+                            exchangeable_moment_exact, ladder_check,
+                            ladder_sweep, simulate_martingale_tails,
                             solve_two_roots, stability_check, stability_sweep)
+
+from oracles import exchangeable_moment_mc
 
 
 class TestRoots:
@@ -83,31 +85,14 @@ class TestArcsinhBound:
         with pytest.raises(InvalidParametersError):
             arcsinh_tail_bound(1.0, 0.0, 1.0)
 
-    def test_simulated_walk_within_bound(self):
-        spec = MartingaleSpec(1.0, (1.0,) * 64)
-        out = simulate_martingale_tails(spec, runs=20000, seed=4,
-                                        xi_grid=(2.0, 6.0, 12.0, 24.0))
+    def test_simulated_walk_within_bound(self, monkeypatch):
+        monkeypatch.setattr(stability, "MARTINGALE_STEPS", 64)
+        monkeypatch.setattr(stability, "TAIL_XI", (2.0, 6.0, 12.0, 24.0))
+        out = simulate_martingale_tails(runs=20000, seed=4)
         assert out["pass"]
+        assert [row["xi"] for row in out["rows"]] == [2.0, 6.0, 12.0, 24.0]
         for row in out["rows"]:
             assert row["empirical"] <= row["bound"]
-
-    def test_variance_consistency_required(self):
-        spec = MartingaleSpec(1.0, (0.5,) * 10)
-        with pytest.raises(InvalidParametersError):
-            simulate_martingale_tails(spec, runs=10, seed=0, xi_grid=(1.0,))
-
-
-class TestMartingaleSpec:
-    def test_totals(self):
-        spec = MartingaleSpec(2.0, (4.0, 4.0, 4.0))
-        assert spec.total_variance == 12.0
-        assert spec.steps == 3
-
-    def test_validation(self):
-        with pytest.raises(InvalidParametersError):
-            MartingaleSpec(0.0, (1.0,))
-        with pytest.raises(InvalidParametersError):
-            MartingaleSpec(1.0, (-1.0,))
 
 
 class TestExchangeableEnsemble:

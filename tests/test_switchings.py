@@ -16,9 +16,10 @@ from regg.rng import stream
 from regg.switchings import (TripleSelection, mm_resample, mm_switch,
                              pivot_edges, pm_switch, switch_pair_table,
                              triple_space, triple_space_flags, um_resample,
-                             um_simultaneous_switch, um_switchable,
-                             _unrank_pair)
-from regg.spectral import build_H, resolvent_solve
+                             um_simultaneous_switch, _unrank_pair)
+from regg.spectral import build_H
+
+from oracles import resolvent_solve, switchable
 
 
 def cycle_graph(n):
@@ -76,27 +77,19 @@ class TestTripleMachinery:
         # uses all vertices, so the whole 9-edge graph is induced and no
         # triple is switchable.
         for g in enumerate_simple_regular(6, 3)[:5]:
-            for space in triple_space(g):
-                assert not any(um_switchable(g, S) for S in space)
+            flags = np.concatenate(list(triple_space_flags([g])))
+            assert flags.size == 45 and not flags.any()
         # On larger graphs both outcomes occur.
         g = sample_uniform(12, 3, stream(31, 0))
-        seen = set()
-        for space in triple_space(g):
-            for S in space:
-                ok = um_switchable(g, S)
-                seen.add(ok)
-                verts = sorted({v for e in S for v in e})
-                if len(verts) < 6:
-                    assert not ok
-                if ok:
-                    assert g.adj[np.ix_(verts, verts)].sum() == 6
-        assert seen == {True, False}
+        triples = [S for space in triple_space(g) for S in space]
+        (flags,) = triple_space_flags([g])
+        assert flags.tolist() == [switchable(g, S) for S in triples]
+        assert set(flags.tolist()) == {True, False}
 
     def test_switchable_per_graph_matches_one_triple(self, monkeypatch):
         # triple_space_flags decides the triples of several graphs in one
-        # _switchable call; each flag must agree with the validated
-        # one-triple um_switchable, and with the definition read off the
-        # dense adjacency, on every triple of every (8, 2) graph (none
+        # _switchable call; each flag must agree with the definition read
+        # off the dense adjacency on every triple of every (8, 2) graph (none
         # switchable: d = 2 needs n >= 9) and of (16, 3) samples that have
         # switchable triples.  A cap of 120 triples puts 4 of the 30-triple
         # (8, 2) graphs in a call, so calls end inside the list and the
@@ -109,11 +102,7 @@ class TestTripleMachinery:
             rows = triple_space_flags(graphs)
             for g, flags in zip(graphs, rows, strict=True):
                 triples = [t for space in triple_space(g) for t in space]
-                assert flags.tolist() == [um_switchable(g, t) for t in triples]
-                for t, ok in zip(triples, flags):
-                    verts = sorted({v for e in t for v in e})
-                    assert ok == (len(verts) == 6
-                                  and g.adj[np.ix_(verts, verts)].sum() == 6)
+                assert flags.tolist() == [switchable(g, t) for t in triples]
                 seen.add((g.n, bool(flags.any())))
         assert seen == {(8, False), (16, True)}
 
@@ -125,18 +114,13 @@ class TestTripleMachinery:
                  (2, 8), (3, 8), (3, 9), (4, 6), (4, 9), (5, 6), (5, 9),
                  (6, 7)]
         g = MultiGraph(10, 3, [x * 10 + y for x, y in edges])
-        assert not um_switchable(g, ((0, 1), (2, 3), (4, 5)))
-
-    def test_switchable_rejects_non_edges(self):
-        g = enumerate_simple_regular(6, 3)[0]
-        with pytest.raises(InvalidMoveError):
-            um_switchable(g, (((0, 1), (0, 1), (2, 3))))
-        # three distinct pairs, one of them not an edge of g
+        assert not switchings._switchable(g.codes[np.newaxis], g.n,
+                                          [[((0, 1), (2, 3), (4, 5))]])[0, 0]
+        # while on the 9-cycle three edges apart the same call finds a
+        # switchable triple
         g = cycle_graph(9)
-        for S in (((0, 1), (2, 3), (4, 6)), ((0, 4), (2, 3), (5, 6))):
-            with pytest.raises(InvalidMoveError):
-                um_switchable(g, S)
-        assert um_switchable(g, ((0, 1), (3, 4), (6, 7)))
+        assert switchings._switchable(g.codes[np.newaxis], g.n,
+                                      [[((0, 1), (3, 4), (6, 7))]])[0, 0]
 
 
 def switch_oracle(g, selection):
@@ -149,8 +133,7 @@ def switch_oracle(g, selection):
     vsets = [{v for e in t for v in e} for t in selection.triples]
     active = []
     for mu, (t, s) in enumerate(zip(selection.triples, selection.s)):
-        verts = sorted(vsets[mu])
-        act = (len(verts) == 6 and g.adj[np.ix_(verts, verts)].sum() == 6
+        act = (switchable(g, t)
                and all(vsets[mu] & vsets[nu] <= {0}
                        for nu in range(len(vsets)) if nu != mu))
         active.append(act)
@@ -256,14 +239,20 @@ class TestSimultaneousSwitch:
     def test_triple_missing_pivot_edge_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
         space = triple_space(g)
-        bad = (space[1][0], space[1][0], space[2][0])
-        with pytest.raises(InvalidMoveError):
-            um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
+        assert pivot_edges(g)[0] == (0, 1) and g.adj[2, 5] == 1
+        # triple 0 without the pivot edge (0, 1), or holding it twice, so
+        # that it has two distinct edges; the repeat is rejected before
+        # the third pair is looked up: (2, 3) is not an edge of g, (2, 5) is
+        for first in (space[1][0], ((0, 1), (0, 1), (2, 3)),
+                      ((0, 1), (0, 1), (2, 5))):
+            bad = (first, space[1][0], space[2][0])
+            with pytest.raises(InvalidMoveError, match="triple 0"):
+                um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
 
     def test_triple_with_non_edge_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
         space = triple_space(g)
-        assert g.multiplicity(1, 3) == 0 and g.multiplicity(4, 5) == 1
+        assert g.adj[1, 3] == 0 and g.adj[4, 5] == 1
         bad = (((0, 1), (1, 3), (4, 5)), space[1][0], space[2][0])
         with pytest.raises(InvalidMoveError, match="not an edge"):
             um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
@@ -277,7 +266,7 @@ class TestSimultaneousSwitch:
 
     def test_first_offending_pair_raises(self):
         g = enumerate_simple_regular(6, 3)[0]
-        assert g.multiplicity(1, 3) == 0 and g.multiplicity(1, 2) == 1
+        assert g.adj[1, 3] == 0 and g.adj[1, 2] == 1
         with pytest.raises(InvalidMoveError, match=r"\(1, 3\)"):
             switchings._require_edges(g, [(4, 5), (1, 3), (2, 99)])
         with pytest.raises(InvalidParametersError, match=r"\(2, 99\)"):
