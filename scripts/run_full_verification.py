@@ -44,6 +44,8 @@ def main():
          "--seed", seed, "--out", str(out / "invariance-uniform.json")])
     run(["invariance", "--model", "uniform", "--n", "8", "--d", "1",
          "--seed", seed, "--out", str(out / "invariance-uniform-switching.json")])
+    run(["invariance", "--model", "uniform", "--n", "8", "--d", "2",
+         "--seed", seed, "--out", str(out / "invariance-uniform-8-2.json")])
     run(["invariance", "--model", "permutation", "--n", "4", "--d", "2",
          "--seed", seed, "--out", str(out / "invariance-permutation.json")])
 

@@ -371,19 +371,10 @@ def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> Mult
 def _circulant_simple(n: int, d: int) -> np.ndarray:
     """Sorted edge codes of a deterministic simple d-regular start for the
     switching chain: offsets +-1..+-(d//2), plus the antipode when d is
-    odd."""
-    if d >= n:
-        raise InvalidParametersError("simple graph needs d < n")
-    half = d // 2
-    if d % 2 and n % 2:
-        raise InvalidParametersError("odd d needs n even")
-    if half >= (n + 1) // 2:
-        # offsets would collide with themselves; fall back to near-complete
-        if d == n - 1:
-            return _codes(n, *np.triu_indices(n, k=1))
-        raise InvalidParametersError(f"no circulant start for n={n}, d={d}")
+    odd.  Needs d < n and n*d even, as sample_uniform checks first; then
+    d//2 < n/2, so the offsets and the antipode give distinct edges."""
     idx = np.arange(n)
-    parts = [_codes(n, idx, (idx + k) % n) for k in range(1, half + 1)]
+    parts = [_codes(n, idx, (idx + k) % n) for k in range(1, d // 2 + 1)]
     if d % 2:
         parts.append(_codes(n, idx[: n // 2], idx[: n // 2] + n // 2))
     return np.sort(_join(parts))

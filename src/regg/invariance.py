@@ -110,28 +110,31 @@ def all_matchings(n: int) -> list[Matching]:
     return out
 
 
+def _uniform_report(model: str, n: int, d: int, states: int,
+                    outputs) -> InvarianceReport:
+    """Count the outputs, one per enumerated input, of a move whose law
+    must be exactly uniform on a space of `states` states: every state is
+    reached, and equally often."""
+    counts = Counter(outputs)
+    total = counts.total()
+    values = sorted(set(counts.values()))
+    return InvarianceReport(
+        model=model, n=n, d=d, total_inputs=total, states=states,
+        exact_equal=len(counts) == states and len(values) == 1,
+        counts={"per_state": values, "expected": total // states},
+    )
+
+
 def mm_exact_invariance(n: int) -> InvarianceReport:
     """Apply the pivot resampling to every (matching, a, b) input and count
     the resulting matchings: starting from the uniform distribution, one
     step must be exactly uniform again."""
     ModelKind.MATCHING.check_parity(n, 1)
-    _check_budget("matching", "inputs",
-                  math.prod(range(n - 1, 0, -2)) * (n - 1) ** 2, EXACT_INPUT_LIMIT)
-    matchings = all_matchings(n)
-    counts: dict[tuple, int] = {tuple(m.pairing): 0 for m in matchings}
-    total = 0
-    for m in matchings:
-        for a in range(1, n):
-            for b in range(1, n):
-                res = mm_switch(m, 0, a, b)
-                counts[tuple(res.pairing)] += 1
-                total += 1
-    values = set(counts.values())
-    return InvarianceReport(
-        model="matching", n=n, d=1, total_inputs=total, states=len(matchings),
-        exact_equal=(len(values) == 1 and total == len(matchings) * (n - 1) ** 2),
-        counts={"per_state": sorted(values), "expected": total // len(matchings)},
-    )
+    states = math.prod(range(n - 1, 0, -2))
+    _check_budget("matching", "inputs", states * (n - 1) ** 2, EXACT_INPUT_LIMIT)
+    return _uniform_report("matching", n, 1, states, (
+        tuple(mm_switch(m, 0, a, b).pairing)
+        for m in all_matchings(n) for a in range(1, n) for b in range(1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +163,12 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
 
     Every labeled simple d-regular graph meets every choice of one triple
     per pivot edge and eight switch indices per triple.  A choice with no
-    active triple leaves the graph unchanged for all 8^d indices (those
-    with no switchable triple are counted, not enumerated: see
-    _split_selections); otherwise each index choice of the active triples
-    A is applied once and counted 8^(d - |A|) times.  The aggregated counts
-    must be identical across all graphs, and the transition count from E1
-    to E2 must equal the one from E2 to E1.
+    switchable triple leaves the graph unchanged for all 8^d indices, so
+    it is counted, not enumerated (see _split_selections); for every other
+    choice each index choice of the active triples A is applied once and
+    counted 8^(d - |A|) times.  The aggregated counts must be identical
+    across all graphs, and the transition count from E1 to E2 must equal
+    the one from E2 to E1.
     """
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
@@ -192,9 +195,6 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
         for picked in selections:
             triples, switchable = zip(*picked)
             active = _active_triples(triples, switchable)
-            if not any(active):
-                transitions[src, src] += 8**d
-                continue
             weight = 8 ** (d - sum(active))
             for s_active in itertools.product(range(1, 9), repeat=sum(active)):
                 it = iter(s_active)
@@ -246,26 +246,10 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
         raise InvalidParametersError(f"the pivot 2-cycle needs n >= 2, got {n}")
     _check_budget("permutation", "inputs",
                   math.factorial(n - 2) * n * (n - 1) ** 3, EXACT_INPUT_LIMIT)
-    inputs = _embedded_pivot_permutations(n)
-    counts: dict[tuple, int] = {}
-    total = 0
-    for pi in inputs:
-        for a_plus in range(n):
-            for a_minus in range(1, n):
-                for b_plus in range(1, n):
-                    for b_minus in range(1, n):
-                        res = pm_switch(pi, a_plus, a_minus, b_plus, b_minus)
-                        key = tuple(res.mapping)
-                        counts[key] = counts.get(key, 0) + 1
-                        total += 1
-    values = set(counts.values())
-    exact = (len(counts) == math.factorial(n) and len(values) == 1)
-    return InvarianceReport(
-        model="permutation", n=n, d=2, total_inputs=total,
-        states=len(counts), exact_equal=exact,
-        counts={"per_state": sorted(values),
-                "expected": total // math.factorial(n)},
-    )
+    return _uniform_report("permutation", n, 2, math.factorial(n), (
+        tuple(pm_switch(pi, a_plus, *rest).mapping)
+        for pi in _embedded_pivot_permutations(n) for a_plus in range(n)
+        for rest in itertools.product(range(1, n), repeat=3)))
 
 
 # ---------------------------------------------------------------------------

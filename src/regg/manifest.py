@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .errors import InvalidParametersError
@@ -34,32 +34,17 @@ class RunManifest:
     manifest_version: int = MANIFEST_VERSION
     timestamp: str = ""
 
-    def stamp(self) -> None:
-        self.timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-
     def add_output(self, path: str) -> None:
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.outputs[path] = digest
 
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "argv": self.argv,
-            "params": self.params,
-            "outputs": self.outputs,
-            "results": self.results,
-            "tool_version": self.tool_version,
-            "manifest_version": self.manifest_version,
-            "timestamp": self.timestamp,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
     def save(self, path: str) -> None:
         if not self.timestamp:
-            self.stamp()
+            self.timestamp = datetime.datetime.now(
+                datetime.timezone.utc).isoformat()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":

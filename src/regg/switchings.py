@@ -4,9 +4,13 @@ Three families of degree-preserving local moves:
 
 * the matching-model resampling that redraws the pivot's partner,
 * the simple-graph simultaneous switching driven by per-edge triples: each
-  active triple is one double switching, and all of them are applied as
-  one edge replacement,
+  active triple is one double switching, chosen by the bits of its switch
+  index, and all of them are applied as one edge replacement,
 * the permutation-model conjugation move.
+
+A simple graph's sorted edge codes list the pivot's d edges (0, r), whose
+code is r, before every other edge; the triple enumeration, the batched
+switchability test and the resampling all read that split.
 
 All operators are pure and collapse to the identity whenever the required
 vertex-distinctness condition fails.
@@ -30,7 +34,6 @@ __all__ = [
     "pivot_edges",
     "triple_space",
     "triple_space_flags",
-    "switch_pair_table",
     "um_simultaneous_switch",
     "um_resample",
     "pm_switch",
@@ -131,33 +134,30 @@ def _norm_edge(e) -> Edge:
 
 
 def pivot_edges(g: MultiGraph) -> list[Edge]:
-    """The d edges at the pivot vertex 0, ordered by neighbour index."""
+    """The d edges at the pivot vertex 0, ordered by neighbour index: the
+    first d of a simple graph's sorted codes."""
     if not g.simple:
         raise InvalidParametersError("pivot edge enumeration needs a simple graph")
-    i, j = g.endpoints()
-    return [(0, r) for r in j[i == 0].tolist()]
+    return [(0, r) for r in g.codes[:g.deg].tolist()]
 
 
 def _nonpivot_edges(g: MultiGraph) -> list[Edge]:
-    """The edges of a simple graph not at the pivot, in row-major order."""
-    i, j = g.endpoints()
-    keep = i != 0
-    return list(zip(i[keep].tolist(), j[keep].tolist()))
+    """The edges of a simple graph not at the pivot, in row-major order:
+    the codes after the first d."""
+    i, j = np.divmod(g.codes[g.deg:], g.n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
     """For each pivot edge e, the admissible triples: e together with two
     distinct edges not incident to the pivot.  Triples are listed in
-    lexicographic order of the (p, q) edge pair."""
+    lexicographic order of the (p, q) edge pair, the np.triu_indices order
+    that triple_space_flags and _unrank_pair share."""
+    pivots = pivot_edges(g)
     others = _nonpivot_edges(g)
-    out = []
-    for e in pivot_edges(g):
-        triples = []
-        for a_idx in range(len(others)):
-            for b_idx in range(a_idx + 1, len(others)):
-                triples.append((e, others[a_idx], others[b_idx]))
-        out.append(triples)
-    return out
+    a, b = np.triu_indices(len(others), 1)
+    pairs = [(others[x], others[y]) for x, y in zip(a.tolist(), b.tolist())]
+    return [[(e, p, q) for p, q in pairs] for e in pivots]
 
 
 #: the 21 index pairs i <= j among a triple's six endpoints
@@ -222,36 +222,10 @@ def triple_space_flags(graphs):
         yield from _switchable(codes, n, triples)
 
 
-def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The eight ((a, abar), (b, bbar)) choices for a pivot triple.
-
-    The triple must contain exactly one pivot edge (0, r); the other two
-    edges p, q are ordered by smallest endpoint, their endpoints sorted, and
-    the table enumerates a over p then q with b in the opposite edge:
-    (p1,q1), (p1,q2), (p2,q1), (p2,q2), (q1,p1), (q1,p2), (q2,p1), (q2,p2).
-    """
-    edges = sorted(_norm_edge(e) for e in S)
-    pivot = [e for e in edges if e[0] == 0]
-    rest = [e for e in edges if e[0] != 0]
-    if len(pivot) != 1 or len(rest) != 2:
-        raise InvalidMoveError("triple must contain exactly one pivot edge")
-    (p1, p2), (q1, q2) = rest
-    table = []
-    for a, abar in ((p1, p2), (p2, p1)):
-        for b, bbar in ((q1, q2), (q2, q1)):
-            table.append(((a, abar), (b, bbar)))
-    for a, abar in ((q1, q2), (q2, q1)):
-        for b, bbar in ((p1, p2), (p2, p1)):
-            table.append(((a, abar), (b, bbar)))
-    return table
-
-
 def _active_triples(triples, switchable) -> list[bool]:
     """Which triples of a selection switch: those that are switchable and
     whose vertex set meets every other triple's in the pivot alone.  Active
     switches therefore edit disjoint edge sets and commute."""
-    if not any(switchable):
-        return [False] * len(triples)
     vsets = [{v for e in t for v in e} for t in triples]
     return [sw and all(vsets[mu] & vsets[nu] <= {0}
                        for nu in range(len(vsets)) if nu != mu)
@@ -261,8 +235,11 @@ def _active_triples(triples, switchable) -> list[bool]:
 def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> ResampleOutcome:
     """Apply the active triple switches (see _active_triples) at once.
 
-    Triple mu = {(0, r), (a, abar), (b, bbar)} with switch index s, where
-    (a, abar), (b, bbar) is entry s of switch_pair_table, switches by
+    Triple mu is normalised to ((0, r), p, q): its edges sorted, each with
+    its endpoints sorted.  Its switch index s picks the oriented edges
+    (a, abar) and (b, bbar) by the bits of s - 1 = 4*swap + 2*flip_a +
+    flip_b: a's edge is q when swap is set and p otherwise, b's edge is the
+    other one, and a flip bit reverses its edge.  The triple switches by
     replacing its three edges with {0, a}, {abar, b}, {bbar, r}: the
     pivot's neighbour r becomes a.  Active triples share only the pivot,
     so their removed edges are distinct and their added edges absent, and
@@ -291,8 +268,11 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     added: list[Edge] = []
     a_list: list[int] = []
     alpha: list[int] = []
-    for (_, r), triple, s, act in zip(pe, norm_triples, selection.s, active):
-        (a, abar), (b, bbar) = switch_pair_table(triple)[s - 1]
+    for (_, r), (_, p, q), s, act in zip(pe, norm_triples, selection.s, active):
+        k = s - 1
+        if k & 4:
+            p, q = q, p
+        (a, abar), (b, bbar) = p[::-1] if k & 2 else p, q[::-1] if k & 1 else q
         if act:
             removed += [(0, r), (a, abar), (b, bbar)]
             added += [(0, a), (abar, b), (bbar, r)]

@@ -57,6 +57,26 @@ def switchable(g, triple) -> bool:
     return len(verts) == 6 and int(g.adj[np.ix_(verts, verts)].sum()) == 6
 
 
+def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The eight ((a, abar), (b, bbar)) choices for a pivot triple, entry
+    s - 1 for switch index s.
+
+    The triple holds one pivot edge (0, r); the other two edges p, q are
+    ordered by smallest endpoint, their endpoints sorted, and the table
+    enumerates a over p then q with b in the opposite edge:
+    (p1,q1), (p1,q2), (p2,q1), (p2,q2), (q1,p1), (q1,p2), (q2,p1), (q2,p2).
+    """
+    (p1, p2), (q1, q2) = sorted(tuple(sorted(e)) for e in S if 0 not in e)
+    table = []
+    for a, abar in ((p1, p2), (p2, p1)):
+        for b, bbar in ((q1, q2), (q2, q1)):
+            table.append(((a, abar), (b, bbar)))
+    for a, abar in ((q1, q2), (q2, q1)):
+        for b, bbar in ((p1, p2), (p2, p1)):
+            table.append(((a, abar), (b, bbar)))
+    return table
+
+
 def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
     """Fraction of (trial, mu) pairs where the realized neighbour equals the
     targeted one, i.e. the triple actually switched, over one um_resample

@@ -174,6 +174,15 @@ class TestUniformModel:
         assert g.simple
         assert_model_invariants(g, loops_ok=False, multi_ok=False)
 
+    def test_circulant_start_simple_regular(self):
+        # the chain's start at every (n, d) sample_uniform admits: d < n
+        # and n*d even
+        for n in range(1, 64):
+            for d in range(0, n, 1 if n % 2 == 0 else 2):
+                codes = graphs._circulant_simple(n, d)
+                assert np.array_equal(codes, np.sort(codes))
+                assert MultiGraph(n, d, codes).simple
+
     def test_method_rule(self):
         # rejection needs about exp((d^2 - 1)/4) tries whatever n is
         assert uniform_method(6, 3) == uniform_method(1000, 6) == "rejection"

@@ -6,9 +6,9 @@ import pytest
 
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
-from regg.invariance import (_split_selections, all_matchings, mc_pivot_tv,
-                             mm_exact_invariance, pm_exact_uniformity,
-                             um_exact_invariance)
+from regg.invariance import (_split_selections, _uniform_report,
+                             all_matchings, mc_pivot_tv, mm_exact_invariance,
+                             pm_exact_uniformity, um_exact_invariance)
 from regg.switchings import (TripleSelection, triple_space, triple_space_flags,
                              um_simultaneous_switch)
 
@@ -137,6 +137,17 @@ def test_unswitchable_graph_counted_idle():
 def test_unenumerable_size_rejected(check, args):
     with pytest.raises(BudgetExceededError):
         check(*args)
+
+
+def test_uniform_report_needs_every_state_equally_often():
+    """The matching and permutation checks' tally fails on uneven counts
+    and on a state never reached."""
+    rep = _uniform_report("matching", 4, 1, 2, "abab")
+    assert rep.exact_equal and rep.total_inputs == 4
+    assert rep.counts == {"per_state": [2], "expected": 2}
+    rep = _uniform_report("matching", 4, 1, 2, "aab")
+    assert not rep.exact_equal and rep.counts["per_state"] == [1, 2]
+    assert not _uniform_report("matching", 4, 1, 3, "aabb").exact_equal
 
 
 class TestPermutationUniformity:

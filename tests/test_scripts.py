@@ -35,8 +35,10 @@ def test_run_full_verification_quick(tmp_path):
                       "--outdir", str(outdir), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("invariance-matching.json", "invariance-uniform.json",
-                 "invariance-uniform-switching.json", "invariance-permutation.json", "lawsweep.csv", "deloc.csv",
-                 "que.csv", "kesten-mckay.csv", "stability.json"):
+                 "invariance-uniform-switching.json",
+                 "invariance-uniform-8-2.json", "invariance-permutation.json",
+                 "lawsweep.csv", "deloc.csv", "que.csv", "kesten-mckay.csv",
+                 "stability.json"):
         assert (outdir / name).is_file(), name
         assert (outdir / (name + ".manifest.json")).is_file(), name
     assert (outdir / "lawsweep.svg").is_file()

@@ -14,12 +14,12 @@ from regg.graphs import (Matching, MultiGraph, Permutation,
                          random_permutation, sample_uniform)
 from regg.rng import stream
 from regg.switchings import (TripleSelection, mm_resample, mm_switch,
-                             pivot_edges, pm_switch, switch_pair_table,
-                             triple_space, triple_space_flags, um_resample,
+                             pivot_edges, pm_switch, triple_space,
+                             triple_space_flags, um_resample,
                              um_simultaneous_switch, _unrank_pair)
 from regg.spectral import build_H
 
-from oracles import resolvent_solve, switchable
+from oracles import resolvent_solve, switch_pair_table, switchable
 
 
 def cycle_graph(n):
@@ -65,11 +65,26 @@ class TestTripleMachinery:
 
     def test_switch_pair_table_order(self):
         S = ((0, 1), (2, 3), (4, 5))
-        table = switch_pair_table(S)
-        assert table == [
+        table = [
             ((2, 3), (4, 5)), ((2, 3), (5, 4)), ((3, 2), (4, 5)), ((3, 2), (5, 4)),
             ((4, 5), (2, 3)), ((4, 5), (3, 2)), ((5, 4), (2, 3)), ((5, 4), (3, 2)),
         ]
+        assert switch_pair_table(S) == table
+        # the switch reads entry s - 1 from the bits of s - 1: on the (8, 1)
+        # matching {01, 23, 45, 67} the triple S, given unsorted, switches
+        # for every s and removes S's edges for {0, a}, {abar, b}, {bbar, 1}
+        g = MultiGraph(8, 1, [1, 19, 37, 55])
+
+        def edges(h):
+            return set(zip(*(x.tolist() for x in h.endpoints())))
+
+        for s, ((a, abar), (b, bbar)) in enumerate(table, start=1):
+            out = um_simultaneous_switch(
+                g, TripleSelection((((5, 4), (1, 0), (3, 2)),), (s,)))
+            assert out.a == out.alpha == (a,) and out.switched == (True,)
+            assert edges(g) - edges(out.graph) == set(S)
+            assert edges(out.graph) - edges(g) == {
+                tuple(sorted(e)) for e in ((0, a), (abar, b), (bbar, 1))}
 
     def test_switchable_requires_induced_match(self):
         # A switchable triple spans six distinct vertices whose induced
