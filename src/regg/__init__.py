@@ -11,9 +11,8 @@ from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      sample_matching_model, sample_model,
                      sample_permutation_model, sample_uniform)
 from .rng import resolve_seed, stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                       effective_D, f_envelope, m_semicircle, phi_envelope,
-                       psi_envelope)
+from .spectral import (ResolventView, build_H, default_xi, effective_D,
+                       f_envelope, m_semicircle, phi_envelope, psi_envelope)
 from .switchings import (ResampleOutcome, TripleSelection, mm_resample,
                          mm_switch, pm_switch, um_resample,
                          um_simultaneous_switch)

@@ -27,7 +27,7 @@ from .observables import (_kappa, counting_bounds, deloc_bound,
                           delocalization_stats, density_mass, interval_counts,
                           que_bound, que_statistics)
 from .rng import resolve_seed, stream
-from .spectral import OFFDIAG_PAIRS, EnvelopeParams, default_xi
+from .spectral import OFFDIAG_PAIRS, default_xi, effective_D
 from .svg import line_plot
 
 __all__ = ["main", "entrypoint", "rerun_manifest", "build_parser"]
@@ -68,11 +68,14 @@ def _write_manifest(command: str, argv: list[str], params: dict,
 
 def _cmd_sample(args, argv) -> int:
     seed = resolve_seed(args.seed)
-    rng = stream(seed, 0)
     kwargs = {}
     if args.model == "uniform":
         kwargs["method"] = args.method
-    g = sample_model(args.model, args.n, args.d, rng, **kwargs)
+    elif args.method != "auto":
+        raise InvalidParametersError(
+            f"--method {args.method} applies to the uniform model only, "
+            f"not to {args.model}")
+    g = sample_model(args.model, args.n, args.d, stream(seed, 0), **kwargs)
     text = to_edgelist(g, args.model, seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -171,6 +174,14 @@ def _cmd_lawsweep(args, argv) -> int:
     plan = law_mod.SweepPlan(
         e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
         eta_grid=eta_grid, samples=args.samples)
+    if args.d < 2:
+        raise InvalidParametersError("lawsweep needs d >= 2")
+    D = effective_D(n, args.d, args.model)
+    if D < 1:
+        # every record would carry the D<1 flag that the fit drops
+        raise InvalidParametersError(
+            f"the {args.model} model's effective D = {D:.4g} < 1 at "
+            f"n = {n}, d = {args.d}: no record would be usable")
     records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
     law_mod.write_law_csv(records, args.out)
 
@@ -234,7 +245,8 @@ def _cmd_eigen(args, argv) -> int:
                    "pass": worst <= bound}
     elif args.mode == "que":
         columns = ["seed", "trial", "alpha", "stat", "bound"]
-        size = args.interval_size
+        size = (min(200, n - 1) if args.interval_size is None
+                else args.interval_size)
         if not 1 <= size <= n - 1:
             raise InvalidParametersError(
                 f"--interval-size must lie in 1..{n - 1}, got {size}")
@@ -264,9 +276,10 @@ def _cmd_eigen(args, argv) -> int:
             raise InvalidParametersError(
                 f"--bin-width {width} gives no bin on [{lo}, {hi}]")
         edges = [lo + k * width for k in range(nbins + 1)]
-        params = EnvelopeParams.for_model(n, d, args.model)
+        D = effective_D(n, d, args.model)
         kappas = [_kappa(a, b) for a, b in zip(edges, edges[1:])]
-        bins = [(a, b, density_mass(a, b, d), k, *counting_bounds(width, k, params))
+        bins = [(a, b, density_mass(a, b, d), k,
+                 *counting_bounds(width, k, n, D))
                 for a, b, k in zip(edges, edges[1:], kappas)]
 
         def stat(seed, trial, lam):
@@ -286,7 +299,7 @@ def _cmd_eigen(args, argv) -> int:
                   "seed": seed, "samples": args.samples,
                   "approximate": _approximate(args.model, n, d)}
     if args.mode == "que":
-        params_out["interval_size"] = args.interval_size
+        params_out["interval_size"] = size
     if args.mode == "intervals":
         params_out["bin_width"] = args.bin_width
     _write_manifest("eigen", argv, params_out, [args.out], results,
@@ -423,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", required=True, choices=["deloc", "que", "intervals"])
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--interval-size", type=int, default=200)
+    p.add_argument("--interval-size", type=int, default=None,
+                   help="defaults to min(200, n - 1)")
     p.add_argument("--bin-width", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eigen)

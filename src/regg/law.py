@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidParametersError
 from .graphs import check_ram, sample_model
 from .rng import stream
-from .spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
+from .spectral import (ResolventView, build_H, default_xi, effective_D,
                        eigvalsh_inplace, f_envelope, grid_bytes, m_semicircle,
                        phi_envelope, psi_envelope, routine)
 
@@ -108,19 +108,20 @@ class SweepPlan:
 
 
 def records_for_view(view: ResolventView, model: str, n: int, d: int,
-                     seed: int, trial: int, plan: SweepPlan,
-                     params: EnvelopeParams) -> list[LawRecord]:
-    """Evaluate all grid points against one decomposed sample."""
+                     seed: int, trial: int, plan: SweepPlan) -> list[LawRecord]:
+    """Evaluate all grid points against one decomposed sample, with the
+    envelopes' D = effective_D(n, d, model) and xi = default_xi(n)."""
     zs = np.array([complex(E, eta) for E in plan.e_grid for eta in plan.eta_grid])
     diag, off = view.grid(zs)
+    D, xi = effective_D(n, d, model), default_xi(n)
 
     records = []
     for k, z in enumerate(zs):
         m = m_semicircle(z)
-        phi = phi_envelope(z, params)
-        xi_phi = params.xi * phi
+        phi = phi_envelope(z, n, D)
+        xi_phi = xi * phi
         flags = []
-        if params.D < 1:
+        if D < 1:
             flags.append("D<1")
         if xi_phi > 1:
             flags.append("xiPhi>1")
@@ -132,7 +133,7 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
             s_minus_m=float(abs(diag[:, k].mean() - m)),
             phi=float(phi),
             f_xi_phi=float(f_envelope(z, min(1.0, xi_phi))),
-            psi=float(psi_envelope(z, params, m)),
+            psi=float(psi_envelope(z, n, D)),
             flag=";".join(flags),
         ))
     return records
@@ -169,10 +170,9 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
     nz = len(plan.e_grid) * len(plan.eta_grid)
     check_ram(grid_bytes(n, nz),
               f"the z-grid arrays of {nz} points at N = {n}")
-    params = EnvelopeParams.for_model(n, d, model)
     per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
                     lambda s, t, view: records_for_view(
-                        view, model, n, d, s, t, plan, params))
+                        view, model, n, d, s, t, plan))
     return [r for records in per for r in records]
 
 

@@ -1,7 +1,7 @@
 """Eigenvalue counting and eigenvector statistics.
 
 Interval counts against the semicircle / degree-d tree densities with both
-error envelopes, sup-norm delocalization statistics, the isotropic resolvent
+counting bounds, sup-norm delocalization statistics, the isotropic resolvent
 error, and the eigenvector flatness (QUE) statistics, with the bounds each
 is checked against.
 """
@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParametersError
-from .spectral import (EnvelopeParams, ResolventView, f_envelope,
-                       m_semicircle, phi_envelope)
+from .spectral import ResolventView, default_xi, m_semicircle
 
 __all__ = [
     "density_mass",
@@ -24,18 +23,9 @@ __all__ = [
     "interval_counts",
     "delocalization_stats",
     "isotropic_error",
-    "isotropic_envelope",
     "que_statistics",
     "random_unit_perp_e",
-    "default_zeta",
 ]
-
-
-def default_zeta(xi: float) -> float:
-    """Default secondary logarithmic parameter log(xi)."""
-    if xi <= 1:
-        raise InvalidParametersError("zeta default needs xi > 1")
-    return math.log(xi)
 
 
 def density_mass(a: float, b: float, d: int | None = None) -> float:
@@ -75,10 +65,10 @@ def _kappa(a: float, b: float) -> float:
     return min(abs(a + 2), abs(b + 2), abs(a - 2), abs(b - 2))
 
 
-def counting_bounds(size: float, kappa: float,
-                    params: EnvelopeParams) -> tuple[float, float]:
+def counting_bounds(size: float, kappa: float, n: int,
+                    D: float) -> tuple[float, float]:
     """(bulk, edge) counting bounds for an interval of length |I| = size at
-    edge distance kappa.
+    edge distance kappa, with xi = default_xi(n).
 
     bulk is the general small-scale expression
     xi |I| / sqrt(kappa + |I|) (1/sqrt D + 1/sqrt(N |I|)) + xi^2 / N;
@@ -86,7 +76,7 @@ def counting_bounds(size: float, kappa: float,
     sqrt(xi) |I| (D^{-1/4} + (N |I|)^{-1/4}) + xi^2 / N.
     Both reduce to xi^2 / N for an empty interval.
     """
-    n, D, xi = params.n, params.D, params.xi
+    xi = default_xi(n)
     if size <= 0:
         return xi ** 2 / n, xi ** 2 / n
     bulk = (xi * size / math.sqrt(kappa + size)
@@ -148,13 +138,6 @@ def isotropic_error(view: ResolventView, z: complex, a, b) -> complex:
     w = 1.0 / (view.eigenvalues - complex(z))
     gb = v @ (w * (v.T @ bv))
     return complex(av @ gb - m_semicircle(z) * (av @ bv))
-
-
-def isotropic_envelope(z: complex, params: EnvelopeParams, zeta: float) -> float:
-    """F_z(xi Phi) + xi zeta^4 Phi, the reference scale for the isotropic
-    error."""
-    phi = phi_envelope(z, params)
-    return f_envelope(z, min(1.0, params.xi * phi)) + params.xi * zeta ** 4 * phi
 
 
 def que_statistics(view: ResolventView, size: int) -> np.ndarray:

@@ -44,7 +44,6 @@ import importlib.util
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -56,12 +55,12 @@ from .rng import stream
 
 __all__ = [
     "ResolventView",
-    "EnvelopeParams",
     "build_H",
     "eigvalsh_inplace",
     "routine",
     "grid_bytes",
     "m_semicircle",
+    "solve_two_roots",
     "effective_D",
     "default_xi",
     "phi_envelope",
@@ -457,19 +456,27 @@ class ResolventView:
 
 def m_semicircle(z: complex) -> complex:
     """Stieltjes transform of the semicircle law: the root of
-    m^2 + z m + 1 = 0 with positive imaginary part.
-
-    The square root of z^2 - 4 is the principal root with an explicit sign
-    flip onto the upper half-plane, so platform branch-cut conventions never
-    matter.
-    """
-    z = complex(z)
-    if not z.imag > 0:
+    m^2 + z m + 1 = 0 with positive imaginary part, the first of
+    solve_two_roots(z, 0)."""
+    if not complex(z).imag > 0:
         raise InvalidParametersError("m is defined on the upper half-plane")
-    s = np.sqrt(z * z - 4.0 + 0j)
-    if s.imag < 0:
-        s = -s
-    return (-z + s) / 2
+    return solve_two_roots(z, 0.0)[0]
+
+
+def solve_two_roots(z: complex, R: complex) -> tuple[complex, complex]:
+    """The two roots of s^2 + z s + 1 = R, the first having the larger
+    imaginary part; with R = 0 they are the upper and lower half-plane
+    Stieltjes branches.
+
+    The square root of z^2 - 4 + 4R is the principal root with an explicit
+    sign flip onto the upper half-plane, so platform branch-cut conventions
+    never matter.
+    """
+    z, R = complex(z), complex(R)
+    disc = np.sqrt(z * z - 4.0 + 4.0 * R + 0j)
+    if disc.imag < 0:
+        disc = -disc
+    return (-z + disc) / 2, (-z - disc) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -486,35 +493,20 @@ def effective_D(n: int, d: int, model: str | ModelKind) -> float:
 
 
 def default_xi(n: int) -> float:
-    """Default logarithmic error parameter (log N)^2."""
+    """The logarithmic error parameter (log N)^2 of every envelope."""
     return math.log(n) ** 2
 
 
-@dataclass(frozen=True)
-class EnvelopeParams:
-    """Inputs shared by the error envelopes."""
-
-    n: int
-    d: int
-    D: float
-    xi: float
-
-    @classmethod
-    def for_model(cls, n: int, d: int,
-                  model: str | ModelKind) -> "EnvelopeParams":
-        return cls(n=n, d=d, D=effective_D(n, d, model), xi=default_xi(n))
-
-
-def phi_envelope(z: complex, params: EnvelopeParams) -> float:
+def phi_envelope(z: complex, n: int, D: float) -> float:
     """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D).  Warns when D < 1 (outside the
     regime where the bounds carry content)."""
     eta = complex(z).imag
     if not eta > 0:
         raise InvalidParametersError("phi_envelope needs eta > 0")
-    if params.D < 1:
-        warnings.warn(f"effective D = {params.D:.4g} < 1: out of regime",
+    if D < 1:
+        warnings.warn(f"effective D = {D:.4g} < 1: out of regime",
                       OutOfRegimeWarning, stacklevel=2)
-    return 1.0 / math.sqrt(params.n * eta) + 1.0 / math.sqrt(params.D)
+    return 1.0 / math.sqrt(n * eta) + 1.0 / math.sqrt(D)
 
 
 def f_envelope(z: complex, r: float) -> float:
@@ -530,16 +522,10 @@ def f_envelope(z: complex, r: float) -> float:
     return min((1.0 + 1.0 / math.sqrt(gap)) * r, math.sqrt(r))
 
 
-def psi_envelope(z: complex, params: EnvelopeParams,
-                 m: complex | None = None) -> float:
+def psi_envelope(z: complex, n: int, D: float) -> float:
     """Refined envelope xi sqrt(Im m / (N eta)) + xi / sqrt(D)
-    + (xi^2 / (N eta))^{2/3}."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise InvalidParametersError("psi_envelope needs eta > 0")
-    if m is None:
-        m = m_semicircle(z)
-    n_eta = params.n * z.imag
-    return (params.xi * math.sqrt(max(m.imag, 0.0) / n_eta)
-            + params.xi / math.sqrt(params.D)
-            + (params.xi ** 2 / n_eta) ** (2.0 / 3.0))
+    + (xi^2 / (N eta))^{2/3}, with xi = default_xi(n) and m = m(z)."""
+    m, xi = m_semicircle(z), default_xi(n)  # m_semicircle rejects eta <= 0
+    n_eta = n * complex(z).imag
+    return (xi * math.sqrt(max(m.imag, 0.0) / n_eta) + xi / math.sqrt(D)
+            + (xi ** 2 / n_eta) ** (2.0 / 3.0))

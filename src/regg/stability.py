@@ -18,12 +18,11 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import check_ram
 from .rng import stream
-from .spectral import f_envelope, m_semicircle
+from .spectral import f_envelope, m_semicircle, solve_two_roots
 
 __all__ = [
     "StabilityResult",
     "ExchangeableEnsemble",
-    "solve_two_roots",
     "stability_check",
     "stability_sweep",
     "ladder_check",
@@ -34,17 +33,6 @@ __all__ = [
     "exchangeable_moment_bound_check",
     "exchangeable_matrix_bound_check",
 ]
-
-
-def solve_two_roots(z: complex, R: complex) -> tuple[complex, complex]:
-    """The two roots of s^2 + z s + 1 = R, the first having the larger
-    imaginary part; with R = 0 they are the upper and lower half-plane
-    Stieltjes branches."""
-    z, R = complex(z), complex(R)
-    disc = np.sqrt(z * z - 4.0 + 4.0 * R + 0j)
-    if disc.imag < 0:
-        disc = -disc
-    return (-z + disc) / 2, (-z - disc) / 2
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from regg.observables import (deloc_bound, delocalization_stats,
                               density_mass, interval_counts, que_bound,
                               que_statistics)
 from regg.rng import stream
-from regg.spectral import (EnvelopeParams, ResolventView, build_H, default_xi,
-                           m_semicircle)
+from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
 from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
@@ -50,13 +49,12 @@ def _sweep(n: int, d: int, seeds) -> dict:
                      eta_grid=SweepPlan.dyadic_etas(64 / n),
                      samples=1)
     xi = default_xi(n)
-    params = EnvelopeParams.for_model(n, d, "permutation")
     zs = np.array([complex(E, eta) for E in plan.e_grid
                    for eta in plan.eta_grid])
 
     def stat(seed, trial, view):
         records = records_for_view(view, "permutation", n, d, seed, trial,
-                                   plan, params)
+                                   plan)
         diag, off = view.grid(zs)
         gam = np.maximum(1.0, np.maximum(np.abs(diag).max(axis=0),
                                          np.abs(off).max(axis=0)))

@@ -102,6 +102,7 @@ class TestUsage:
                     [*sweep, "--samples", "0"],
                     [*sweep, "--e-step", "0"],
                     [*sweep, "--e-step", "-0.2"],
+                    [*sweep, "--d", "1"],
                     [*que, "--interval-size", "-1"],
                     [*que, "--interval-size", "0"],
                     [*que, "--interval-size", "40"],
@@ -123,9 +124,15 @@ class TestUsage:
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
                      "--mc", "--samples", "0"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
-                     "--mc", "--samples", "-2"]):
+                     "--mc", "--samples", "-2"],
+                    # D = N^2/d^3 = 0.185: every record would be flagged D<1
+                    ["lawsweep", "--model", "uniform", "--n", "200", "--d", "60",
+                     "--out", str(tmp_path / "law.csv")]):
             assert run(bad) == EXIT_PRECONDITION
-            assert "error: " in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "error: " in err
+        assert "uniform model's effective D = 0.1852 < 1" in err
+        assert not (tmp_path / "law.csv").exists()
 
     @pytest.mark.parametrize("command", [
         ["lawsweep"], ["eigen", "--mode", "deloc"], ["eigen", "--mode", "que"],
@@ -187,6 +194,19 @@ class TestSample:
             assert code == EXIT_PRECONDITION
             assert time.monotonic() - start < 1.0
             assert "at least 3 edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["matching", "permutation",
+                                       "configuration"])
+    @pytest.mark.parametrize("method", ["rejection", "switching-chain"])
+    def test_method_needs_uniform_model(self, tmp_path, capsys, model, method):
+        out = tmp_path / "g.edges"
+        assert run(["sample", "--model", model, "--n", "10", "--d", "2",
+                    "--method", method, "--out", str(out)]) == EXIT_PRECONDITION
+        assert f"applies to the uniform model only, not to {model}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        assert run(["sample", "--model", model, "--n", "10", "--d", "2",
+                    "--method", "auto", "--out", str(out)]) == EXIT_OK
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
@@ -388,6 +408,15 @@ class TestEigen:
                                            abs=1e-12)
         assert man.results["worst_stat"] == pytest.approx(
             0.10628285826758478, rel=0, abs=1e-12)
+
+    def test_que_default_size_below_n(self, tmp_path):
+        # the default interval is min(200, N - 1) vertices: 199 at N = 200
+        out = tmp_path / "que.csv"
+        assert run(["eigen", "--mode", "que", "--model", "matching", "--n",
+                    "200", "--d", "5", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.params["interval_size"] == 199
+        assert man.results["interval_size"] == 199
 
     def test_intervals(self, tmp_path):
         out = tmp_path / "int.csv"

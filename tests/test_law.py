@@ -9,7 +9,8 @@ from regg.graphs import sample_permutation_model
 from regg.law import (LawRecord, SweepPlan, fit_envelope_constant, law_sweep,
                       read_table, write_law_csv, write_table)
 from regg.rng import stream
-from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
+from regg.spectral import (ResolventView, build_H, default_xi, f_envelope,
+                           m_semicircle, psi_envelope)
 
 from oracles import resolvent_solve
 
@@ -123,6 +124,27 @@ class TestRecordedValues:
             got = [r.max_diag_err, r.max_offdiag, r.s_minus_m, r.phi,
                    r.f_xi_phi, r.psi]
             assert got == pytest.approx(values, rel=1e-12, abs=0)
+
+
+class TestUniformEnvelopes:
+    def test_envelopes_use_the_uniform_D(self):
+        # uniform (100, 12): D = N^2/d^3 = 5.79 lies between 1 and d, and
+        # the sampler is the switching chain; the recorded table above
+        # covers only the permutation model, where D = d
+        n, d = 100, 12
+        D = n * n / d ** 3
+        assert 1 < D < d
+        plan = SweepPlan(e_grid=(-2.1, 0.0, 1.5), eta_grid=(1.0, 0.01),
+                         samples=1)
+        records = law_sweep(plan, "uniform", n, d, seed=7)
+        assert len(records) == 6
+        for r in records:
+            z = complex(r.E, r.eta)
+            phi = 1 / math.sqrt(n * r.eta) + 1 / math.sqrt(D)
+            assert r.phi == phi
+            assert r.f_xi_phi == f_envelope(z, min(1.0, default_xi(n) * phi))
+            assert r.psi == psi_envelope(z, n, D)
+            assert r.flag == "xiPhi>1"
 
 
 class TestDyadicScan:

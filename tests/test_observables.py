@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from regg.errors import InvalidParametersError
 from regg.graphs import sample_permutation_model, sample_uniform
-from regg.observables import (_kappa, counting_bounds, default_zeta,
-                              deloc_bound, delocalization_stats, density_mass,
-                              interval_counts, isotropic_envelope,
-                              isotropic_error, que_bound, que_statistics,
-                              random_unit_perp_e)
+from regg.observables import (_kappa, counting_bounds, deloc_bound,
+                              delocalization_stats, density_mass,
+                              interval_counts, isotropic_error, que_bound,
+                              que_statistics, random_unit_perp_e)
 from regg.rng import stream
-from regg.spectral import EnvelopeParams, ResolventView, build_H, m_semicircle
+from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
 
 from oracles import kesten_mckay_density, resolvent_solve, semicircle_density
 
@@ -175,24 +174,32 @@ class TestDensityMass:
 
 class TestIntervalCount:
     def test_counts_match_density(self, view):
-        params = EnvelopeParams.for_model(300, 20, "permutation")
         (count,) = interval_counts(view.eigenvalues, [-0.5, 0.5])
         nu = count / view.n
         assert 0 <= nu <= 1
         assert abs(nu - density_mass(-0.5, 0.5)) < 0.1
         assert _kappa(-0.5, 0.5) == 1.5
-        bulk, edge = counting_bounds(1.0, 1.5, params)
+        bulk, edge = counting_bounds(1.0, 1.5, 300, 20)
         assert bulk > 0 and edge > 0
+
+    def test_counting_bounds_example(self):
+        # |I| = 1, kappa = 3, N = 10^4, D = 16: sqrt(kappa + |I|) = 2,
+        # 1/sqrt(D) + 1/sqrt(N |I|) = 0.26 and D^-1/4 + (N |I|)^-1/4 = 0.6
+        xi = math.log(10**4) ** 2
+        bulk, edge = counting_bounds(1.0, 3.0, 10**4, 16)
+        assert bulk == pytest.approx(xi / 2 * 0.26 + xi ** 2 / 10**4,
+                                     rel=1e-14)
+        assert edge == pytest.approx(math.sqrt(xi) * 0.6 + xi ** 2 / 10**4,
+                                     rel=1e-14)
 
     def test_kappa_zero_across_edge(self):
         assert _kappa(1.9, 2.1) == 0.0
 
     def test_degenerate_interval(self, view):
-        params = EnvelopeParams.for_model(300, 20, "permutation")
         assert interval_counts(view.eigenvalues, [0.5, 0.5]).tolist() == [0]
         assert density_mass(0.5, 0.5) == 0.0
-        bulk, edge = counting_bounds(0.0, _kappa(0.5, 0.5), params)
-        assert bulk == edge == params.xi ** 2 / params.n
+        bulk, edge = counting_bounds(0.0, _kappa(0.5, 0.5), 300, 20)
+        assert bulk == edge == default_xi(300) ** 2 / 300
 
     def test_matches_half_open_loop(self, view):
         # edges placed on eigenvalues: each bin [a, b) counts a but not b
@@ -238,16 +245,6 @@ class TestIsotropic:
         with pytest.raises(InvalidParametersError):
             isotropic_error(view, 1j, np.full(n, n ** -0.5),
                             random_unit_perp_e(n, stream(0, 0)))
-
-    def test_envelope_positive(self):
-        params = EnvelopeParams.for_model(2000, 30, "uniform")
-        zeta = default_zeta(params.xi)
-        assert isotropic_envelope(0.5 + 0.1j, params, zeta) > 0
-
-    def test_default_zeta(self):
-        assert default_zeta(math.e) == 1.0
-        with pytest.raises(InvalidParametersError):
-            default_zeta(1.0)
 
 
 class TestQueStatistic:

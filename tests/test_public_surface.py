@@ -31,9 +31,7 @@ ALLOWED = {
     # the only check of the abstract's isotropic delocalization claim; a
     # command that runs it would add an eigen mode
     "isotropic_error",
-    "isotropic_envelope",
     "random_unit_perp_e",
-    "default_zeta",
 }
 
 

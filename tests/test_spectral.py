@@ -25,7 +25,6 @@ from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_uniform)
 from regg.rng import stream
 from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, PAIR_PATH,
-                           EnvelopeParams,
                            ResolventView,
                            _check_centred, build_H, default_xi, effective_D,
                            eigvalsh_inplace, f_envelope, m_semicircle,
@@ -382,17 +381,14 @@ class TestResolventView:
         # mapped, it reads 128.6 -> 129.4 -> 129.8 MB
         script = textwrap.dedent("""
             from regg.law import SweepPlan, per_trial, records_for_view
-            from regg.spectral import EnvelopeParams
 
             n, d = 2000, 40
             plan = SweepPlan(
                 e_grid=tuple(round(-2.4 + 0.2 * k, 12) for k in range(25)),
                 eta_grid=SweepPlan.dyadic_etas(64 / n), samples=3)
-            params = EnvelopeParams.for_model(n, d, "permutation")
 
             def stat(seed, trial, view):
-                records_for_view(view, "permutation", n, d, seed, trial,
-                                 plan, params)
+                records_for_view(view, "permutation", n, d, seed, trial, plan)
                 return status_kb("VmHWM:")
 
             print(*per_trial("permutation", n, d,
@@ -753,13 +749,12 @@ class TestEnvelopes:
         assert default_xi(2000) == math.log(2000) ** 2
 
     def test_phi_example(self):
-        params = EnvelopeParams(n=100, d=25, D=25, xi=1.0)
-        assert abs(phi_envelope(1j, params) - 0.3) < 1e-12
+        # 1/sqrt(100 * 1) + 1/sqrt(25)
+        assert abs(phi_envelope(1j, 100, 25) - 0.3) < 1e-12
 
     def test_phi_warns_out_of_regime(self):
-        params = EnvelopeParams(n=100, d=25, D=0.5, xi=1.0)
         with pytest.warns(OutOfRegimeWarning):
-            phi_envelope(1j, params)
+            phi_envelope(1j, 100, 0.5)
 
     def test_f_envelope_example(self):
         assert abs(f_envelope(10 + 0.1j, 0.01) - 0.011021) < 1e-5
@@ -775,18 +770,17 @@ class TestEnvelopes:
             f_envelope(1j, -0.1)
 
     def test_psi_example(self):
-        params = EnvelopeParams(n=10**4, d=100, D=100, xi=10.0)
-        m = m_semicircle(1j)
-        got = psi_envelope(0.01j, params, m=m)
-        expected = 10 * math.sqrt((math.sqrt(5) - 1) / 2 / 100) + 1 + 1
+        # xi = (log 10^4)^2, N eta = 100, and on the imaginary axis
+        # m(i eta) = i (sqrt(eta^2 + 4) - eta) / 2
+        xi = math.log(10**4) ** 2
+        im_m = (math.sqrt(0.01 ** 2 + 4) - 0.01) / 2
+        expected = (xi * math.sqrt(im_m / 100) + xi / math.sqrt(100)
+                    + (xi ** 2 / 100) ** (2 / 3))
+        got = psi_envelope(0.01j, 10**4, 100)
         assert abs(got - expected) < 1e-12
-        assert abs(got - 2.786) < 1e-3
-
-    def test_psi_defaults_m_at_z(self):
-        params = EnvelopeParams(n=10**6, d=100, D=100, xi=25.0)
-        a = psi_envelope(1j, params)
-        b = psi_envelope(1j, params, m=m_semicircle(1j))
-        assert a == b
+        assert abs(got - 34.246) < 1e-3
+        with pytest.raises(InvalidParametersError):
+            psi_envelope(1.0, 10**4, 100)
 
 
 @settings(max_examples=50, deadline=None)

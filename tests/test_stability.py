@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regg.errors import BudgetExceededError, InvalidParametersError
-from regg.spectral import m_semicircle
+from regg.spectral import m_semicircle, solve_two_roots
 from regg import stability
 from regg.stability import (ExchangeableEnsemble, arcsinh_tail_bound,
                             exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
                             exchangeable_moment_exact, ladder_check,
                             ladder_sweep, simulate_martingale_tails,
-                            solve_two_roots, stability_check, stability_sweep)
+                            stability_check, stability_sweep)
 
 from oracles import exchangeable_moment_mc
 
