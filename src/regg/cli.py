@@ -123,7 +123,9 @@ def _cmd_invariance(args, argv) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        results = {"pass": payload.get("exact_equal", True)}
+        # a Monte-Carlo TV distance has no gate, so it records no pass
+        results = ({"tv_distance": payload["tv_distance"]} if args.mc
+                   else {"pass": payload["exact_equal"]})
         _write_manifest("invariance", argv, payload, [args.out], results,
                         args.out + ".manifest.json")
     return EXIT_OK
@@ -223,6 +225,8 @@ def _sweep_svg(records, path: str) -> None:
 # eigen
 
 def _cmd_eigen(args, argv) -> int:
+    if args.d < 2:
+        raise InvalidParametersError(f"eigen needs --d >= 2, got {args.d}")
     if args.samples < 1:
         raise InvalidParametersError("--samples must be at least 1")
     if not args.bin_width > 0:
@@ -261,8 +265,6 @@ def _cmd_eigen(args, argv) -> int:
         results = {"worst_stat": worst, "bound": bound, "xi": default_xi(n),
                    "interval_size": size, "pass": worst <= bound}
     elif args.mode == "intervals":
-        if d < 2:
-            raise InvalidParametersError("--mode intervals needs d >= 2")
         columns = ["seed", "trial", "a", "b", "nu", "rho", "kappa",
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width

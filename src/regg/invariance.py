@@ -6,16 +6,17 @@ input space: every (state, randomness) pair is applied once and the counts
 of resulting states are compared, with no floating point and no sampling.
 
 The simple-graph check runs the program's own operator: every transition
-comes from switchings.um_simultaneous_switch, and only the active triples'
-switch indices are enumerated, each outcome weighted by the 8^(d - |A|)
-indices of the inactive ones.  Selections with no switchable triple are
-idle, so they are counted in closed form, as the product over the pivot
-edges of their unswitchable triples, and never enumerated.  Switchability
-is decided for the triples of a batch of graphs in one code lookup, and a
-graph with no switchable triple is counted whole, without building its
-triples.  Each check works out its input count from its parameters first
-and raises BudgetExceededError when the enumeration would not finish in
-seconds.
+comes from switchings.um_simultaneous_switch, which alone decides which
+triples are active, and only the active triples' switch indices are
+enumerated, each outcome weighted by the 8^(d - |A|) indices of the
+inactive ones.  A selection names each pivot edge's triple by its rank.
+Selections with no switchable triple are idle, so they are counted in
+closed form, as the product over the pivot edges of their unswitchable
+ranks, and never enumerated; a graph with no switchable triple is all
+idle.  Switchability is decided for the triples of a batch of graphs in
+one code lookup.  Each check works out its input count from its
+parameters first and raises BudgetExceededError when the enumeration
+would not finish in seconds.
 """
 
 from __future__ import annotations
@@ -28,17 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParametersError
-from .graphs import (Matching, ModelKind, Permutation, enumerate_simple_regular,
-                     random_matching, sample_uniform)
+from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
+                     enumerate_simple_regular, random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _active_triples, _require_triples,
-                         mm_resample, mm_switch, pm_switch, triple_space,
-                         triple_space_flags, um_resample,
+from .switchings import (TripleSelection, _require_triples, mm_resample,
+                         mm_switch, pm_switch, triple_space_flags, um_resample,
                          um_simultaneous_switch)
 
 __all__ = [
     "InvarianceReport",
-    "all_matchings",
     "mm_exact_invariance",
     "um_exact_invariance",
     "pm_exact_uniformity",
@@ -87,29 +86,6 @@ class InvarianceReport:
         }
 
 
-def all_matchings(n: int) -> list[Matching]:
-    """All perfect matchings on [0, n), enumerated recursively by always
-    pairing the smallest unmatched point first."""
-    if n % 2:
-        raise InvalidParametersError("perfect matchings need n even")
-    out: list[Matching] = []
-    pairing = np.full(n, -1, dtype=np.int64)
-
-    def rec() -> None:
-        free = [i for i in range(n) if pairing[i] < 0]
-        if not free:
-            out.append(Matching(pairing.copy()))
-            return
-        i = free[0]
-        for j in free[1:]:
-            pairing[i], pairing[j] = j, i
-            rec()
-            pairing[i] = pairing[j] = -1
-
-    rec()
-    return out
-
-
 def _uniform_report(model: str, n: int, d: int, states: int,
                     outputs) -> InvarianceReport:
     """Count the outputs, one per enumerated input, of a move whose law
@@ -125,6 +101,14 @@ def _uniform_report(model: str, n: int, d: int, states: int,
     )
 
 
+def _pairing(g: MultiGraph) -> Matching:
+    """The perfect matching whose pairs are the edges of the 1-regular g."""
+    i, j = g.endpoints()
+    p = np.empty(g.n, dtype=np.int64)
+    p[i], p[j] = j, i
+    return Matching(p)
+
+
 def mm_exact_invariance(n: int) -> InvarianceReport:
     """Apply the pivot resampling to every (matching, a, b) input and count
     the resulting matchings: starting from the uniform distribution, one
@@ -134,38 +118,24 @@ def mm_exact_invariance(n: int) -> InvarianceReport:
     _check_budget("matching", "inputs", states * (n - 1) ** 2, EXACT_INPUT_LIMIT)
     return _uniform_report("matching", n, 1, states, (
         tuple(mm_switch(m, 0, a, b).pairing)
-        for m in all_matchings(n) for a in range(1, n) for b in range(1, n)))
+        for m in map(_pairing, enumerate_simple_regular(n, 1))
+        for a in range(1, n) for b in range(1, n)))
 
 
 # ---------------------------------------------------------------------------
 # Simple-graph model
-
-def _split_selections(space):
-    """Split the selections of one (triple, switchable) pair per pivot edge.
-
-    Returns the number of selections with no switchable triple, which
-    _active_triples leaves idle, and an iterator over all the others.  The
-    others are grouped by the first pivot whose pick is switchable: earlier
-    picks are unswitchable, later ones arbitrary, so each selection comes
-    out exactly once.
-    """
-    unswitchable = [[p for p in picks if not p[1]] for picks in space]
-    active = itertools.chain.from_iterable(
-        itertools.product(*unswitchable[:mu], [p for p in picks if p[1]],
-                          *space[mu + 1:])
-        for mu, picks in enumerate(space))
-    return math.prod(len(u) for u in unswitchable), active
-
 
 def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     """Exhaustive invariance and detailed-balance check for the simultaneous
     switching at an enumerable size.
 
     Every labeled simple d-regular graph meets every choice of one triple
-    per pivot edge and eight switch indices per triple.  A choice with no
-    switchable triple leaves the graph unchanged for all 8^d indices, so
-    it is counted, not enumerated (see _split_selections); for every other
-    choice each index choice of the active triples A is applied once and
+    rank per pivot edge and eight switch indices per triple.  A choice with
+    no switchable triple leaves the graph unchanged for all 8^d indices, so
+    those choices are counted, as the product over the pivot edges of their
+    unswitchable ranks, not enumerated.  Every other choice is switched
+    with all indices 1, whose outcome names the active triples A; each
+    index choice of A is applied once, that first call included, and
     counted 8^(d - |A|) times.  The aggregated counts must be identical
     across all graphs, and the transition count from E1 to E2 must equal
     the one from E2 to E1.
@@ -182,25 +152,25 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
     index = {g: k for k, g in enumerate(graphs)}
     transitions: Counter[tuple[int, int]] = Counter()
     off_states = 0
+    ones = (1,) * d
     for src, (g, flags) in enumerate(zip(graphs, triple_space_flags(graphs))):
-        if not flags.any():
-            # every one of the choices selections is idle
-            transitions[src, src] += choices * 8**d
-            continue
-        flags = iter(flags.tolist())
-        space = [[(t, next(flags)) for t in triples]
-                 for triples in triple_space(g)]
-        idle, selections = _split_selections(space)
+        idle = math.prod((~flags).sum(axis=1).tolist())
         transitions[src, src] += idle * 8**d
-        for picked in selections:
-            triples, switchable = zip(*picked)
-            active = _active_triples(triples, switchable)
+        if idle == choices:
+            continue
+        rows = flags.tolist()
+        for ranks in itertools.product(range(flags.shape[1]), repeat=d):
+            if not any(row[k] for row, k in zip(rows, ranks)):
+                continue
+            first = um_simultaneous_switch(g, TripleSelection(ranks, ones))
+            active = first.switched
             weight = 8 ** (d - sum(active))
             for s_active in itertools.product(range(1, 9), repeat=sum(active)):
                 it = iter(s_active)
                 # an inactive triple's index leaves the outcome unchanged
                 s = tuple(next(it) if act else 1 for act in active)
-                out = um_simultaneous_switch(g, TripleSelection(triples, s))
+                out = (first if s == ones else
+                       um_simultaneous_switch(g, TripleSelection(ranks, s)))
                 dst = index.get(out.graph)
                 if dst is None:
                     off_states += weight

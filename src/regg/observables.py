@@ -1,9 +1,9 @@
 """Eigenvalue counting and eigenvector statistics.
 
-Interval counts against the semicircle / degree-d tree densities with both
-counting bounds, sup-norm delocalization statistics, the isotropic resolvent
-error, and the eigenvector flatness (QUE) statistics, with the bounds each
-is checked against.
+Interval counts against the Kesten-McKay density of the degree-d tree with
+both counting bounds, sup-norm delocalization statistics, the isotropic
+resolvent error, and the eigenvector flatness (QUE) statistics, with the
+bounds each is checked against.
 """
 
 from __future__ import annotations
@@ -28,25 +28,21 @@ __all__ = [
 ]
 
 
-def density_mass(a: float, b: float, d: int | None = None) -> float:
-    """Mass of the reference density on [a, b]: the semicircle for
-    d = None, else the Kesten-McKay density of the d-regular tree.
+def density_mass(a: float, b: float, d: int) -> float:
+    """Mass of the Kesten-McKay density of the d-regular tree on [a, b].
 
-    Both CDFs are elementary in theta = asin(x/2) on [-2, 2]: the semicircle
-    gives (theta + sin theta cos theta) / pi, and Kesten-McKay gives
+    Its CDF is elementary in theta = asin(x/2) on [-2, 2]:
     (theta + (d-2)/2 atan(sin(2 theta) / (d - 1 + cos(2 theta)))) / pi, which
     equals d/(2 pi) (theta - c atan(c tan theta)) with c = (d-2)/d but has no
     cancellation at large d.  At d = 2 it is the arcsine law theta / pi.
     """
     if b < a:
         raise InvalidParametersError("interval endpoints out of order")
-    if d is not None and d < 2:
+    if d < 2:
         raise InvalidParametersError("Kesten-McKay density needs d >= 2")
 
     def cdf(x: float) -> float:
         t = math.asin(x / 2.0)
-        if d is None:
-            return (t + math.sin(t) * math.cos(t)) / math.pi
         # the denominator is >= 0, so atan2 is the atan, also where it is 0
         return (t + (d - 2) / 2 * math.atan2(math.sin(2 * t),
                                              d - 1 + math.cos(2 * t))) / math.pi

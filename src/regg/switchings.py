@@ -9,8 +9,11 @@ Three families of degree-preserving local moves:
 * the permutation-model conjugation move.
 
 A simple graph's sorted edge codes list the pivot's d edges (0, r), whose
-code is r, before every other edge; the triple enumeration, the batched
-switchability test and the resampling all read that split.
+code is r, before its m other edges.  A triple is one pivot edge with a
+pair of those m edges, named by the pair's rank in lexicographic order; the
+batched switchability flags, the switch and the resampling all read that
+split and that order, so a triple built from a rank is admissible by
+construction.
 
 All operators are pure and collapse to the identity whenever the required
 vertex-distinctness condition fails.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMoveError, InvalidParametersError
-from .graphs import Matching, MultiGraph, Permutation, _codes
+from .graphs import Matching, MultiGraph, Permutation
 
 __all__ = [
     "TripleSelection",
@@ -32,7 +35,6 @@ __all__ = [
     "mm_switch",
     "mm_resample",
     "pivot_edges",
-    "triple_space",
     "triple_space_flags",
     "um_simultaneous_switch",
     "um_resample",
@@ -44,16 +46,19 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class TripleSelection:
-    """Per-pivot-edge selection for the simultaneous switch: for each of the
-    d edges at the pivot, an unordered triple of distinct edges containing it
-    (the other two not incident to the pivot) and a switch index in [1, 8]."""
+    """Per-pivot-edge selection for the simultaneous switch.  ranks[mu] is
+    the rank, in lexicographic (np.triu_indices) order, of a pair among the
+    graph's non-pivot edges, whose codes are g.codes[d:]; with pivot edge mu
+    that pair is mu's triple.  s[mu] is its switch index in [1, 8]."""
 
-    triples: tuple[tuple[Edge, Edge, Edge], ...]
+    ranks: tuple[int, ...]
     s: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.triples) != len(self.s):
+        if len(self.ranks) != len(self.s):
             raise InvalidParametersError("one switch index per triple required")
+        if any(k < 0 for k in self.ranks):
+            raise InvalidParametersError("triple ranks must be non-negative")
         if any(not 1 <= si <= 8 for si in self.s):
             raise InvalidParametersError("switch indices must lie in [1, 8]")
 
@@ -73,25 +78,6 @@ class ResampleOutcome:
     alpha: tuple[int, ...]
     switched: tuple[bool, ...]
     selection: TripleSelection | None = None
-
-
-def _require_edges(g: MultiGraph, edges) -> None:
-    """Raise at the first vertex pair of `edges` that is not an edge of g:
-    InvalidParametersError when a vertex lies outside the graph,
-    InvalidMoveError otherwise.  One searchsorted pair over g's codes
-    looks up every pair at once."""
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    codes = _codes(g.n, *pairs.T)
-    outside = ((pairs < 0) | (pairs >= g.n)).any(axis=1)
-    bad = outside | (g.codes.searchsorted(codes, "right")
-                     == g.codes.searchsorted(codes, "left"))
-    if bad.any():
-        k = int(bad.argmax())
-        x, y = pairs[k].tolist()
-        if outside[k]:
-            raise InvalidParametersError(
-                f"vertices ({x}, {y}) out of range [0, {g.n})")
-        raise InvalidMoveError(f"({x}, {y}) is not an edge of the graph")
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +112,12 @@ def mm_resample(m: Matching, rng: np.random.Generator) -> tuple[Matching, int, i
 # ---------------------------------------------------------------------------
 # Uniform (simple graph) model
 
-def _norm_edge(e) -> Edge:
-    x, y = int(e[0]), int(e[1])
-    if x == y:
-        raise InvalidMoveError(f"loop ({x}, {y}) is not a simple edge")
-    return (x, y) if x < y else (y, x)
-
-
 def pivot_edges(g: MultiGraph) -> list[Edge]:
     """The d edges at the pivot vertex 0, ordered by neighbour index: the
     first d of a simple graph's sorted codes."""
     if not g.simple:
         raise InvalidParametersError("pivot edge enumeration needs a simple graph")
     return [(0, r) for r in g.codes[:g.deg].tolist()]
-
-
-def _nonpivot_edges(g: MultiGraph) -> list[Edge]:
-    """The edges of a simple graph not at the pivot, in row-major order:
-    the codes after the first d."""
-    i, j = np.divmod(g.codes[g.deg:], g.n)
-    return list(zip(i.tolist(), j.tolist()))
-
-
-def triple_space(g: MultiGraph) -> list[list[tuple[Edge, Edge, Edge]]]:
-    """For each pivot edge e, the admissible triples: e together with two
-    distinct edges not incident to the pivot.  Triples are listed in
-    lexicographic order of the (p, q) edge pair, the np.triu_indices order
-    that triple_space_flags and _unrank_pair share."""
-    pivots = pivot_edges(g)
-    others = _nonpivot_edges(g)
-    a, b = np.triu_indices(len(others), 1)
-    pairs = [(others[x], others[y]) for x, y in zip(a.tolist(), b.tolist())]
-    return [[(e, p, q) for p, q in pairs] for e in pivots]
 
 
 #: the 21 index pairs i <= j among a triple's six endpoints
@@ -199,13 +159,14 @@ _SWITCHABLE_BATCH = 256
 
 def triple_space_flags(graphs):
     """Yield, for each of the simple d-regular graphs on n vertices, the
-    switchability flags of its triples in triple_space order.  One
-    _switchable call decides the triples of several graphs, at most
-    _SWITCHABLE_BATCH triples or one graph.
+    (d, C(m, 2)) switchability flags of its triples: entry [mu, k] for
+    pivot edge mu with the k-th pair of its m non-pivot edges, the rank a
+    TripleSelection carries.  One _switchable call decides the triples of
+    several graphs, at most _SWITCHABLE_BATCH triples or one graph.
 
     Sorted codes list the d pivot edges (0, r) first, whose code is r,
-    then the m non-pivot edges, whose pairs np.triu_indices lists in
-    triple_space's lexicographic order.
+    then the m non-pivot edges, whose pairs np.triu_indices lists in rank
+    order, the order _unrank_pair inverts.
     """
     if not graphs:
         return
@@ -219,7 +180,7 @@ def triple_space_flags(graphs):
         triples[..., 1] = codes[:, :d, np.newaxis]
         triples[..., 2], triples[..., 3] = i[..., a], j[..., a]
         triples[..., 4], triples[..., 5] = i[..., b], j[..., b]
-        yield from _switchable(codes, n, triples)
+        yield from _switchable(codes, n, triples).reshape(len(codes), d, -1)
 
 
 def _active_triples(triples, switchable) -> list[bool]:
@@ -232,43 +193,50 @@ def _active_triples(triples, switchable) -> list[bool]:
             for mu, sw in enumerate(switchable)]
 
 
+def _unrank_pair(k: int, m: int) -> tuple[int, int]:
+    """The k-th pair (a, b), a < b < m, in lexicographic order."""
+    total = m * (m - 1) // 2
+    # t = m - 1 - a is the largest t with C(t, 2) <= total - 1 - k
+    t = (math.isqrt(8 * (total - 1 - k) + 1) + 1) // 2
+    a = m - 1 - t
+    return a, a + 1 + k - total + t * (t + 1) // 2
+
+
 def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> ResampleOutcome:
     """Apply the active triple switches (see _active_triples) at once.
 
-    Triple mu is normalised to ((0, r), p, q): its edges sorted, each with
-    its endpoints sorted.  Its switch index s picks the oriented edges
-    (a, abar) and (b, bbar) by the bits of s - 1 = 4*swap + 2*flip_a +
-    flip_b: a's edge is q when swap is set and p otherwise, b's edge is the
-    other one, and a flip bit reverses its edge.  The triple switches by
-    replacing its three edges with {0, a}, {abar, b}, {bbar, r}: the
-    pivot's neighbour r becomes a.  Active triples share only the pivot,
-    so their removed edges are distinct and their added edges absent, and
-    one replace_edges call applies them all.
+    Triple mu is ((0, r), p, q): pivot edge mu and the non-pivot edges p < q
+    of its rank, each with its endpoints sorted, as their codes hold them.
+    Its switch index s picks the oriented edges (a, abar) and (b, bbar) by
+    the bits of s - 1 = 4*swap + 2*flip_a + flip_b: a's edge is q when swap
+    is set and p otherwise, b's edge is the other one, and a flip bit
+    reverses its edge.  The triple switches by replacing its three edges
+    with {0, a}, {abar, b}, {bbar, r}: the pivot's neighbour r becomes a.
+    Active triples share only the pivot, so their removed edges are
+    distinct and their added edges absent, and one replace_edges call
+    applies them all.
     """
     pe = pivot_edges(g)  # raises InvalidParametersError unless g is simple
-    d = len(pe)
-    if len(selection.triples) != d:
+    d, n, codes = len(pe), g.n, g.codes
+    m = codes.size - d
+    if len(selection.ranks) != d:
         raise InvalidMoveError(f"need one triple per pivot edge ({d}), "
-                               f"got {len(selection.triples)}")
-    norm_triples = []
-    for mu, (triple, e_mu) in enumerate(zip(selection.triples, pe)):
-        edges = sorted({_norm_edge(e) for e in triple})
-        if len(edges) != 3 or e_mu not in edges:
-            raise InvalidMoveError(f"triple {mu} must contain the pivot edge {e_mu}")
-        for (x, y) in edges:
-            if (x, y) != e_mu and x == 0:
-                raise InvalidMoveError(
-                    f"triple {mu}: extra edge ({x}, {y}) touches the pivot")
-        norm_triples.append(edges)
-
-    _require_edges(g, [e for t in norm_triples for e in t])
-    switchable = _switchable(g.codes[np.newaxis], g.n, [norm_triples])[0]
-    active = _active_triples(norm_triples, switchable.tolist())
+                               f"got {len(selection.ranks)}")
+    if any(k >= math.comb(m, 2) for k in selection.ranks):
+        raise InvalidMoveError(f"triple ranks must lie below C({m}, 2), "
+                               f"got {selection.ranks}")
+    triples = []
+    for e, k in zip(pe, selection.ranks):
+        x, y = _unrank_pair(k, m)
+        triples.append((e, divmod(int(codes[d + x]), n),
+                        divmod(int(codes[d + y]), n)))
+    switchable = _switchable(codes[np.newaxis], n, [triples])[0]
+    active = _active_triples(triples, switchable.tolist())
     removed: list[Edge] = []
     added: list[Edge] = []
     a_list: list[int] = []
     alpha: list[int] = []
-    for (_, r), (_, p, q), s, act in zip(pe, norm_triples, selection.s, active):
+    for ((_, r), p, q), s, act in zip(triples, selection.s, active):
         k = s - 1
         if k & 4:
             p, q = q, p
@@ -281,15 +249,6 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     out = g.replace_edges(removed, added) if removed else g
     return ResampleOutcome(out, tuple(a_list), tuple(alpha), tuple(active),
                            selection)
-
-
-def _unrank_pair(k: int, m: int) -> tuple[int, int]:
-    """The k-th pair (a, b), a < b < m, in lexicographic order."""
-    total = m * (m - 1) // 2
-    # t = m - 1 - a is the largest t with C(t, 2) <= total - 1 - k
-    t = (math.isqrt(8 * (total - 1 - k) + 1) + 1) // 2
-    a = m - 1 - t
-    return a, a + 1 + k - total + t * (t + 1) // 2
 
 
 def _require_triples(n: int, d: int) -> None:
@@ -310,18 +269,15 @@ def um_resample(g: MultiGraph, rng: np.random.Generator) -> ResampleOutcome:
     InvalidParametersError before drawing when a pivot edge has no
     admissible triple (see _require_triples).
 
-    Each pivot edge's triple is drawn as a uniform index into its
-    triple_space list and unranked to that list's pair of non-pivot edges,
-    so no d * C(m, 2) list of triples is built.
+    Each pivot edge draws its triple's rank uniformly among the C(m, 2)
+    pairs of the m non-pivot edges, then each draws its switch index.
     """
-    pivots = pivot_edges(g)
-    _require_triples(g.n, g.deg)
-    others = _nonpivot_edges(g)
-    m = len(others)
-    pairs = [_unrank_pair(int(rng.integers(m * (m - 1) // 2)), m) for _ in pivots]
-    triples = tuple((e, others[a], others[b]) for e, (a, b) in zip(pivots, pairs))
-    s = tuple(int(rng.integers(1, 9)) for _ in pivots)
-    return um_simultaneous_switch(g, TripleSelection(triples, s))
+    d = len(pivot_edges(g))
+    _require_triples(g.n, d)
+    m = g.codes.size - d
+    ranks = tuple(int(rng.integers(math.comb(m, 2))) for _ in range(d))
+    s = tuple(int(rng.integers(1, 9)) for _ in range(d))
+    return um_simultaneous_switch(g, TripleSelection(ranks, s))
 
 
 # ---------------------------------------------------------------------------

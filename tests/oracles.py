@@ -5,6 +5,7 @@ way, or a Monte-Carlo estimate of one it enumerates exactly; no command
 runs them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,17 @@ def switchable(g, triple) -> bool:
     holds its three edges and no further one."""
     verts = sorted({v for e in triple for v in e})
     return len(verts) == 6 and int(g.adj[np.ix_(verts, verts)].sum()) == 6
+
+
+def rank_triples(g) -> list[list[tuple[tuple[int, int], ...]]]:
+    """Each pivot edge's triples in rank order: the pivot edge (0, r) with
+    every pair p < q of the edges off the pivot, each edge (x, y) with
+    x < y, pairs in itertools.combinations order of the sorted edges."""
+    i, j = g.endpoints()
+    edges = sorted(zip(i.tolist(), j.tolist()))
+    others = [e for e in edges if e[0] != 0]
+    pairs = list(itertools.combinations(others, 2))
+    return [[(e, p, q) for p, q in pairs] for e in edges if e[0] == 0]
 
 
 def switch_pair_table(S) -> list[tuple[tuple[int, int], tuple[int, int]]]:

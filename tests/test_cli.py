@@ -133,6 +133,12 @@ class TestUsage:
             assert "error: " in err
         assert "uniform model's effective D = 0.1852 < 1" in err
         assert not (tmp_path / "law.csv").exists()
+        # every eigen mode checks --d before it samples a graph
+        for mode in ("deloc", "que", "intervals"):
+            assert run(["eigen", "--mode", mode, *model, "--d", "1",
+                        "--out", str(tmp_path / "x.csv")]) == EXIT_PRECONDITION
+            assert capsys.readouterr().err == \
+                "error: eigen needs --d >= 2, got 1\n"
 
     @pytest.mark.parametrize("command", [
         ["lawsweep"], ["eigen", "--mode", "deloc"], ["eigen", "--mode", "que"],
@@ -237,6 +243,25 @@ class TestInvariance:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "mc"
         assert 0 <= payload["tv_distance"] <= 1
+
+    def test_mc_manifest_records_no_pass(self, tmp_path, capsys):
+        # a Monte-Carlo TV distance has no gate: its manifest holds the
+        # distance and no pass, so report lists it as null, also under
+        # --strict, while an exact report keeps its pass
+        out = tmp_path / "mc.json"
+        assert run(["invariance", "--model", "uniform", "--n", "40", "--d",
+                    "3", "--samples", "5", "--seed", "1", "--mc",
+                    "--out", str(out)]) == EXIT_OK
+        tv = json.loads(capsys.readouterr().out)["tv_distance"]
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.results == {"tv_distance": tv}
+        assert run(["invariance", "--model", "matching", "--n", "4", "--d",
+                    "1", "--out", str(tmp_path / "exact.json")]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["report", "--dir", str(tmp_path), "--strict"]) == EXIT_OK
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert {e["manifest"]: e["pass"] for e in entries} == {
+            "exact.json.manifest.json": True, "mc.json.manifest.json": None}
 
     @pytest.mark.parametrize("model, n, d", [
         ("matching", 14, 1),     # 13!! * 13^2 = 2.3e7 inputs

@@ -2,29 +2,39 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from regg import invariance
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
-from regg.invariance import (_split_selections, _uniform_report,
-                             all_matchings, mc_pivot_tv, mm_exact_invariance,
+from regg.invariance import (_uniform_report, mc_pivot_tv, mm_exact_invariance,
                              pm_exact_uniformity, um_exact_invariance)
-from regg.switchings import (TripleSelection, triple_space, triple_space_flags,
+from regg.switchings import (ResampleOutcome, TripleSelection,
                              um_simultaneous_switch)
 
-from oracles import switchable, um_alpha_match_rate
+from oracles import rank_triples, switchable, um_alpha_match_rate
 
 
 class TestAllMatchings:
+    # the matching check enumerates its pairings as the 1-regular graphs
     def test_counts(self):
-        assert len(all_matchings(2)) == 1
-        assert len(all_matchings(4)) == 3
-        assert len(all_matchings(6)) == 15
-        assert len(all_matchings(8)) == 105
+        for n, count in ((2, 1), (4, 3), (6, 15), (8, 105), (10, 945)):
+            graphs = enumerate_simple_regular(n, 1)
+            assert len(graphs) == len(set(graphs)) == count
+            assert all(g.simple and g.codes.size == n // 2 for g in graphs)
+
+    def test_pairings_are_the_edges(self):
+        # the matching check's pairing of each 1-regular graph
+        for g in enumerate_simple_regular(8, 1):
+            p = invariance._pairing(g).pairing
+            i, j = g.endpoints()
+            assert (p[i] == j).all() and (p[j] == i).all()
 
     def test_odd_rejected(self):
+        assert enumerate_simple_regular(5, 1) == []
         with pytest.raises(InvalidParametersError):
-            all_matchings(5)
+            mm_exact_invariance(5)
 
 
 class TestMatchingInvariance:
@@ -59,17 +69,17 @@ class TestUniformInvariance:
         graphs = enumerate_simple_regular(6, 3)
         assert len(graphs) == 70
         assert not any(switchable(g, t) for g in graphs
-                       for triples in triple_space(g) for t in triples)
+                       for triples in rank_triples(g) for t in triples)
 
     def test_n8_d1_switches_every_selection(self):
         # A perfect matching induces no edge besides its own, so every
         # triple at d = 1 is switchable and every selection switches.
         for g in enumerate_simple_regular(8, 1):
-            (triples,) = triple_space(g)
-            for t in triples:
+            (triples,) = rank_triples(g)
+            for k, t in enumerate(triples):
                 assert switchable(g, t)
                 for s in range(1, 9):
-                    out = um_simultaneous_switch(g, TripleSelection((t,), (s,)))
+                    out = um_simultaneous_switch(g, TripleSelection((k,), (s,)))
                     assert out.switched == (True,) and out.graph != g
         rep = um_exact_invariance(8, 1)
         assert rep.exact_equal
@@ -89,43 +99,64 @@ class TestUniformInvariance:
         assert rep.counts["per_state"] == [14400, 14400]
         assert rep.counts["off_state_mass"] == 0
 
+    @pytest.mark.parametrize("n, d, states, per_state", [
+        (6, 1, 15, 8),
+        (6, 2, 70, 2304),
+        (7, 2, 465, 6400),
+    ])
+    def test_small_exact_reports(self, n, d, states, per_state):
+        # recorded when selections still held edge tuples; at (6, 1) every
+        # selection switches, at d = 2 none does
+        rep = um_exact_invariance(n, d)
+        assert rep.summary() == {
+            "model": "uniform", "n": n, "d": d, "method": "exact",
+            "total_inputs": states * per_state, "states": states,
+            "exact_equal": True, "detailed_balance": True}
+        assert rep.counts == {"per_state": [per_state, per_state],
+                              "expected": per_state, "off_state_mass": 0}
+
     @pytest.mark.parametrize("n, d", [(4, 1), (2, 1), (6, 0), (5, 3), (4, 4)])
     def test_no_admissible_triple_rejected(self, n, d):
         with pytest.raises(InvalidParametersError):
             um_exact_invariance(n, d)
 
 
-@pytest.mark.parametrize("flags", [
-    [[True, False, False], [False, True], [True, True, False, False]],
-    [[False, True, False], [False, False, False], [True]],
-    [[False, False], [False]],
-    [[True], [True, True]],
-    [[False, True, True, False, True]],
-    [[False, True], []],
-], ids=["mixed", "one-forced", "none-switchable", "all-switchable",
-        "one-pivot", "empty-pivot"])
-def test_split_selections(flags):
-    """Idle selections are counted, the others each enumerated once."""
-    space = [[(f"t{mu}{k}", sw) for k, sw in enumerate(row)]
-             for mu, row in enumerate(flags)]
-    idle, active = _split_selections(space)
-    active = Counter(active)
-    assert idle + sum(active.values()) == math.prod(len(row) for row in flags)
-    assert set(active.values()) <= {1}
-    assert set(active) == {sel for sel in itertools.product(*space)
-                           if any(sw for _, sw in sel)}
-
-
-def test_unswitchable_graph_counted_idle():
+def test_unswitchable_graph_counted_idle(monkeypatch):
     """A graph with no switchable triple is counted as all C(m, 2)^d of its
-    selections idle, the count _split_selections gives its flagged space."""
-    graphs = enumerate_simple_regular(8, 2)
-    (flags,) = triple_space_flags(graphs[:1])
-    assert not flags.any()
-    it = iter(flags.tolist())
-    space = [[(t, next(it)) for t in triples] for triples in triple_space(graphs[0])]
-    idle, active = _split_selections(space)
-    assert idle == math.comb(8 - 2, 2) ** 2 and not list(active)
+    selections idle, with no call to the switch: no (8, 2) graph has one."""
+    calls = []
+    monkeypatch.setattr(invariance, "um_simultaneous_switch",
+                        lambda *args: calls.append(args))
+    rep = um_exact_invariance(8, 2)
+    assert not calls
+    assert rep.counts["per_state"] == [math.comb(8 - 2, 2) ** 2 * 8**2] * 2
+    assert rep.exact_equal and rep.detailed_balance
+
+
+def test_mixed_flags_switch_each_selection_once(monkeypatch):
+    """With some picks switchable, the selections with none are counted
+    idle and every other one reaches the switch exactly once, with all
+    indices 1 when it activates no triple.  Every (6, 2) graph is given the
+    same flags, 2 and 1 switchable ranks of 6, so 5 * 4 = 20 of its 36
+    selections are idle."""
+    flags = np.zeros((2, 6), dtype=bool)
+    flags[0, [0, 3]] = flags[1, 5] = True
+    monkeypatch.setattr(invariance, "triple_space_flags",
+                        lambda graphs: (flags for _ in graphs))
+    calls = Counter()
+
+    def idle_switch(g, selection):
+        calls[g, selection.ranks, selection.s] += 1
+        return ResampleOutcome(g, (0, 0), (0, 0), (False, False), selection)
+    monkeypatch.setattr(invariance, "um_simultaneous_switch", idle_switch)
+    rep = um_exact_invariance(6, 2)
+    graphs = enumerate_simple_regular(6, 2)
+    assert set(calls) == {
+        (g, ranks, (1, 1)) for g in graphs
+        for ranks in itertools.product(range(6), repeat=2)
+        if flags[0, ranks[0]] or flags[1, ranks[1]]}
+    assert len(calls) == 70 * 16 and set(calls.values()) == {1}
+    assert rep.exact_equal and rep.counts["per_state"] == [36 * 64] * 2
 
 
 @pytest.mark.parametrize("check, args", [

@@ -14,31 +14,13 @@ from regg.observables import (_kappa, counting_bounds, deloc_bound,
 from regg.rng import stream
 from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
 
-from oracles import kesten_mckay_density, resolvent_solve, semicircle_density
+from oracles import kesten_mckay_density, resolvent_solve
 
 
 #: masses of the 44 bins [-2.2 + 0.1 k, -2.1 + 0.1 k) of `eigen --mode
 #: intervals`, recorded from the adaptive quadrature density_mass ran before
-#: its closed form (scipy quad after x = 2 sin theta, epsabs 1e-10); keyed
-#: by d, None for the semicircle
+#: its closed form (scipy quad after x = 2 sin theta, epsabs 1e-10), by d
 QUADRATURE_MASSES = {
-    None: [
-        0.0, 0.0, 0.006660005505070603,
-        0.01203303122917869, 0.015380683282097317, 0.0179702993145673,
-        0.020102787076279823, 0.021913395779899883, 0.02347720504377677,
-        0.024841082701776596, 0.026036574441819595, 0.027086045103418714,
-        0.028005950613655087, 0.02880872764280508, 0.029503953352009487,
-        0.030099091304181494, 0.030599988846609867, 0.031011217815184657,
-        0.03133631211677596, 0.03157793461566215, 0.03173799348681427,
-        0.03181772072841669, 0.03181772072841669, 0.03173799348681427,
-        0.03157793461566208, 0.03133631211677596, 0.03101121781518473,
-        0.030599988846609867, 0.030099091304181494, 0.029503953352009397,
-        0.028808727642805107, 0.028005950613655142, 0.027086045103418714,
-        0.026036574441819595, 0.02484108270177647, 0.02347720504377682,
-        0.02191339577989996, 0.020102787076279823, 0.0179702993145673,
-        0.015380683282097263, 0.012033031229178762, 0.006660005505070597,
-        0.0, 0.0,
-    ],
     2: [
         0.0, 0.0, 0.10108262410436009,
         0.042483669024446405, 0.03303554363269165, 0.028230927937735587,
@@ -135,27 +117,26 @@ def view():
 
 class TestDensityMass:
     def test_full_support_is_one(self):
-        assert abs(density_mass(-2, 2) - 1.0) < 1e-9
         assert abs(density_mass(-2, 2, d=3) - 1.0) < 1e-9
+        assert abs(density_mass(-2, 2, d=40) - 1.0) < 1e-9
 
     def test_symmetric_half(self):
-        assert abs(density_mass(-2, 0) - 0.5) < 1e-9
+        assert abs(density_mass(-2, 0, d=3) - 0.5) < 1e-9
         assert abs(density_mass(0, 2, d=4) - 0.5) < 1e-9
 
     def test_clipped_outside_support(self):
-        assert density_mass(2.5, 3.0) == 0.0
-        assert abs(density_mass(-10, 10) - 1.0) < 1e-9
+        assert density_mass(2.5, 3.0, d=3) == 0.0
+        assert abs(density_mass(-10, 10, d=3) - 1.0) < 1e-9
 
     def test_matches_midpoint_rule(self):
         x = np.linspace(0.3, 1.1, 200001)
-        ref = np.trapezoid(semicircle_density(x), x)
-        assert abs(density_mass(0.3, 1.1) - ref) < 1e-8
-        ref3 = np.trapezoid(kesten_mckay_density(x, 3), x)
-        assert abs(density_mass(0.3, 1.1, d=3) - ref3) < 1e-8
+        for d in (3, 40):
+            ref = np.trapezoid(kesten_mckay_density(x, d), x)
+            assert abs(density_mass(0.3, 1.1, d=d) - ref) < 1e-8
 
     def test_order_validated(self):
         with pytest.raises(InvalidParametersError):
-            density_mass(1.0, 0.0)
+            density_mass(1.0, 0.0, d=3)
 
     def test_degree_validated(self):
         for d in (1, 0):
@@ -177,7 +158,7 @@ class TestIntervalCount:
         (count,) = interval_counts(view.eigenvalues, [-0.5, 0.5])
         nu = count / view.n
         assert 0 <= nu <= 1
-        assert abs(nu - density_mass(-0.5, 0.5)) < 0.1
+        assert abs(nu - density_mass(-0.5, 0.5, d=20)) < 0.1
         assert _kappa(-0.5, 0.5) == 1.5
         bulk, edge = counting_bounds(1.0, 1.5, 300, 20)
         assert bulk > 0 and edge > 0
@@ -197,7 +178,7 @@ class TestIntervalCount:
 
     def test_degenerate_interval(self, view):
         assert interval_counts(view.eigenvalues, [0.5, 0.5]).tolist() == [0]
-        assert density_mass(0.5, 0.5) == 0.0
+        assert density_mass(0.5, 0.5, d=20) == 0.0
         bulk, edge = counting_bounds(0.0, _kappa(0.5, 0.5), 300, 20)
         assert bulk == edge == default_xi(300) ** 2 / 300
 

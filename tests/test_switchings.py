@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -14,12 +15,12 @@ from regg.graphs import (Matching, MultiGraph, Permutation,
                          random_permutation, sample_uniform)
 from regg.rng import stream
 from regg.switchings import (TripleSelection, mm_resample, mm_switch,
-                             pivot_edges, pm_switch, triple_space,
-                             triple_space_flags, um_resample,
-                             um_simultaneous_switch, _unrank_pair)
+                             pivot_edges, pm_switch, triple_space_flags,
+                             um_resample, um_simultaneous_switch, _unrank_pair)
 from regg.spectral import build_H
 
-from oracles import resolvent_solve, switch_pair_table, switchable
+from oracles import (rank_triples, resolvent_solve, switch_pair_table,
+                     switchable)
 
 
 def cycle_graph(n):
@@ -59,9 +60,9 @@ class TestTripleMachinery:
     def test_triple_space_size(self):
         # 3-regular on 6 vertices: 9 edges, 6 off-pivot, C(6,2)=15 per pivot edge
         g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
-        assert len(space) == 3
-        assert all(len(t) == 15 for t in space)
+        (flags,) = triple_space_flags([g])
+        assert flags.shape == (3, 15)
+        assert [len(t) for t in rank_triples(g)] == [15, 15, 15]
 
     def test_switch_pair_table_order(self):
         S = ((0, 1), (2, 3), (4, 5))
@@ -71,16 +72,17 @@ class TestTripleMachinery:
         ]
         assert switch_pair_table(S) == table
         # the switch reads entry s - 1 from the bits of s - 1: on the (8, 1)
-        # matching {01, 23, 45, 67} the triple S, given unsorted, switches
-        # for every s and removes S's edges for {0, a}, {abar, b}, {bbar, 1}
+        # matching {01, 23, 45, 67} the triple S, rank 0 of the non-pivot
+        # pairs, switches for every s and removes S's edges for {0, a},
+        # {abar, b}, {bbar, 1}
         g = MultiGraph(8, 1, [1, 19, 37, 55])
+        assert rank_triples(g)[0][0] == S
 
         def edges(h):
             return set(zip(*(x.tolist() for x in h.endpoints())))
 
         for s, ((a, abar), (b, bbar)) in enumerate(table, start=1):
-            out = um_simultaneous_switch(
-                g, TripleSelection((((5, 4), (1, 0), (3, 2)),), (s,)))
+            out = um_simultaneous_switch(g, TripleSelection((0,), (s,)))
             assert out.a == out.alpha == (a,) and out.switched == (True,)
             assert edges(g) - edges(out.graph) == set(S)
             assert edges(out.graph) - edges(g) == {
@@ -92,14 +94,14 @@ class TestTripleMachinery:
         # uses all vertices, so the whole 9-edge graph is induced and no
         # triple is switchable.
         for g in enumerate_simple_regular(6, 3)[:5]:
-            flags = np.concatenate(list(triple_space_flags([g])))
+            (flags,) = triple_space_flags([g])
             assert flags.size == 45 and not flags.any()
         # On larger graphs both outcomes occur.
         g = sample_uniform(12, 3, stream(31, 0))
-        triples = [S for space in triple_space(g) for S in space]
         (flags,) = triple_space_flags([g])
-        assert flags.tolist() == [switchable(g, S) for S in triples]
-        assert set(flags.tolist()) == {True, False}
+        assert flags.tolist() == [[switchable(g, S) for S in triples]
+                                  for triples in rank_triples(g)]
+        assert set(flags.ravel().tolist()) == {True, False}
 
     def test_switchable_per_graph_matches_one_triple(self, monkeypatch):
         # triple_space_flags decides the triples of several graphs in one
@@ -116,8 +118,8 @@ class TestTripleMachinery:
         for graphs in (enumerate_simple_regular(8, 2), samples):
             rows = triple_space_flags(graphs)
             for g, flags in zip(graphs, rows, strict=True):
-                triples = [t for space in triple_space(g) for t in space]
-                assert flags.tolist() == [switchable(g, t) for t in triples]
+                assert flags.tolist() == [[switchable(g, t) for t in triples]
+                                          for triples in rank_triples(g)]
                 seen.add((g.n, bool(flags.any())))
         assert seen == {(8, False), (16, True)}
 
@@ -145,9 +147,10 @@ def switch_oracle(g, selection):
     distinct, induce only its three edges, and meet every other triple's
     vertices in the pivot alone."""
     adj = g.adj.copy()
-    vsets = [{v for e in t for v in e} for t in selection.triples]
+    triples = [space[k] for space, k in zip(rank_triples(g), selection.ranks)]
+    vsets = [{v for e in t for v in e} for t in triples]
     active = []
-    for mu, (t, s) in enumerate(zip(selection.triples, selection.s)):
+    for mu, (t, s) in enumerate(zip(triples, selection.s)):
         act = (switchable(g, t)
                and all(vsets[mu] & vsets[nu] <= {0}
                        for nu in range(len(vsets)) if nu != mu))
@@ -225,10 +228,46 @@ class TestSimultaneousSwitch:
         for seed in range(3):
             out = um_resample(g, stream(seed, 5))
             rng = stream(seed, 5)
-            space = triple_space(g)
-            triples = tuple(t[int(rng.integers(len(t)))] for t in space)
-            s = tuple(int(rng.integers(1, 9)) for _ in space)
-            assert out.selection == TripleSelection(triples, s)
+            ranks = tuple(int(rng.integers(math.comb(56, 2))) for _ in range(4))
+            s = tuple(int(rng.integers(1, 9)) for _ in range(4))
+            assert out.selection == TripleSelection(ranks, s)
+
+    def test_flag_order_is_rank_order(self):
+        # on every rank k, entry [mu, k] of triple_space_flags, the oracle's
+        # k-th triple ((0, r), p, q) and the triple the switch unranks
+        # agree; the switch's target a is p[0], p[1], q[0], q[1] for
+        # s = 1, 3, 5, 7 (flip_a, then swap), so it names both edges.  The
+        # (12, 3) sample has switchable and unswitchable triples.
+        g = sample_uniform(12, 3, stream(31, 0))
+        (flags,) = triple_space_flags([g])
+        listing = rank_triples(g)
+        m = g.codes.size - 3
+        assert flags.shape == (3, math.comb(m, 2))
+        for k in range(math.comb(m, 2)):
+            targets = [um_simultaneous_switch(
+                g, TripleSelection((k,) * 3, (s,) * 3)).a for s in (1, 3, 5, 7)]
+            x, y = _unrank_pair(k, m)
+            p, q = (divmod(int(c), g.n) for c in g.codes[3 + np.array([x, y])])
+            for mu, e in enumerate(pivot_edges(g)):
+                assert listing[mu][k] == (e, p, q)
+                assert [a[mu] for a in targets] == [*p, *q]
+                assert flags[mu, k] == switchable(g, listing[mu][k])
+
+    def test_resample_replay_matches_recorded_hash(self):
+        # sha256 over the codes, a, alpha and switched of 100 steps from
+        # each of seeds 0-2 at (60, 4), recorded when selections still held
+        # edge tuples: pins which numbers um_resample draws, in which order
+        h = hashlib.sha256()
+        for seed in range(3):
+            rng = stream(seed, 0)
+            g = sample_uniform(60, 4, rng)
+            for _ in range(100):
+                out = um_resample(g, rng)
+                h.update(out.graph.codes.tobytes())
+                h.update(repr((out.a, out.alpha, out.switched)).encode())
+                g = out.graph
+        assert h.hexdigest() == ("d8703e18dc9ac2902cdcd99d2dd66691"
+                                 "a60612c729710a52e717723f70851ee8")
 
     @pytest.mark.parametrize("g, message", [
         (cycle_graph(3), "no admissible triple at the pivot for n=3, d=2"),
@@ -246,59 +285,28 @@ class TestSimultaneousSwitch:
 
     def test_wrong_triple_count_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
-        sel = TripleSelection((space[0][0],), (1,))
-        with pytest.raises(InvalidMoveError):
-            um_simultaneous_switch(g, sel)
+        with pytest.raises(InvalidMoveError, match="one triple per pivot edge"):
+            um_simultaneous_switch(g, TripleSelection((0,), (1,)))
+        with pytest.raises(InvalidParametersError, match="one switch index"):
+            TripleSelection((0, 0, 0), (1, 1))
 
-    def test_triple_missing_pivot_edge_rejected(self):
+    @pytest.mark.parametrize("ranks, error, message", [
+        ((0, 15, 0), InvalidMoveError, r"below C\(6, 2\)"),
+        ((15, 15, 15), InvalidMoveError, r"below C\(6, 2\)"),
+        ((0, -1, 0), InvalidParametersError, "non-negative"),
+    ], ids=["one-too-large", "all-too-large", "negative"])
+    def test_rank_range_enforced(self, ranks, error, message):
+        # (6, 3): six non-pivot edges, so ranks lie in [0, 15)
         g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
-        assert pivot_edges(g)[0] == (0, 1) and g.adj[2, 5] == 1
-        # triple 0 without the pivot edge (0, 1), or holding it twice, so
-        # that it has two distinct edges; the repeat is rejected before
-        # the third pair is looked up: (2, 3) is not an edge of g, (2, 5) is
-        for first in (space[1][0], ((0, 1), (0, 1), (2, 3)),
-                      ((0, 1), (0, 1), (2, 5))):
-            bad = (first, space[1][0], space[2][0])
-            with pytest.raises(InvalidMoveError, match="triple 0"):
-                um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
-
-    def test_triple_with_non_edge_rejected(self):
-        g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
-        assert g.adj[1, 3] == 0 and g.adj[4, 5] == 1
-        bad = (((0, 1), (1, 3), (4, 5)), space[1][0], space[2][0])
-        with pytest.raises(InvalidMoveError, match="not an edge"):
-            um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
-
-    def test_triple_vertex_out_of_range_rejected(self):
-        g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
-        bad = (((0, 1), (2, 99), (4, 5)), space[1][0], space[2][0])
-        with pytest.raises(InvalidParametersError, match="out of range"):
-            um_simultaneous_switch(g, TripleSelection(bad, (1, 1, 1)))
-
-    def test_first_offending_pair_raises(self):
-        g = enumerate_simple_regular(6, 3)[0]
-        assert g.adj[1, 3] == 0 and g.adj[1, 2] == 1
-        with pytest.raises(InvalidMoveError, match=r"\(1, 3\)"):
-            switchings._require_edges(g, [(4, 5), (1, 3), (2, 99)])
-        with pytest.raises(InvalidParametersError, match=r"\(2, 99\)"):
-            switchings._require_edges(g, [(4, 5), (2, 99), (1, 3)])
-        # (0, 8) has the code of the edge (1, 2), and (-1, 2) a negative one
-        for pair in ((0, 8), (-1, 2)):
-            with pytest.raises(InvalidParametersError, match="out of range"):
-                switchings._require_edges(g, [(4, 5), pair])
-        switchings._require_edges(g, [])
+        um_simultaneous_switch(g, TripleSelection((14, 0, 7), (1, 1, 1)))
+        with pytest.raises(error, match=message):
+            um_simultaneous_switch(g, TripleSelection(ranks, (1, 1, 1)))
 
     def test_switch_index_range_enforced(self):
-        g = enumerate_simple_regular(6, 3)[0]
-        space = triple_space(g)
         with pytest.raises(InvalidParametersError):
-            TripleSelection(tuple(t[0] for t in space), (0, 1, 1))
+            TripleSelection((0, 0, 0), (0, 1, 1))
         with pytest.raises(InvalidParametersError):
-            TripleSelection(tuple(t[0] for t in space), (1, 9, 1))
+            TripleSelection((0, 0, 0), (1, 9, 1))
 
 
 class TestPermutationSwitch:
