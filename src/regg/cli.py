@@ -180,7 +180,7 @@ def _cmd_lawsweep(args, argv) -> int:
         raise InvalidParametersError("lawsweep needs d >= 2")
     D = effective_D(n, args.d, args.model)
     if D < 1:
-        # every record would carry the D<1 flag that the fit drops
+        # fit_envelope_constant drops every record with D < 1
         raise InvalidParametersError(
             f"the {args.model} model's effective D = {D:.4g} < 1 at "
             f"n = {n}, d = {args.d}: no record would be usable")

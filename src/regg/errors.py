@@ -13,7 +13,6 @@ __all__ = [
     "BudgetExceededError",
     "NumericalDegeneracyError",
     "InsufficientDataError",
-    "OutOfRegimeWarning",
 ]
 
 
@@ -41,7 +40,3 @@ class NumericalDegeneracyError(ReggError, ArithmeticError):
 class InsufficientDataError(ReggError, ValueError):
     """An aggregation was asked to fit constants with no usable records."""
 
-
-class OutOfRegimeWarning(UserWarning):
-    """Parameters are outside the regime where the bounds are meaningful
-    (for example an effective D below 1)."""

@@ -17,7 +17,7 @@ from .graphs import check_ram, sample_model
 from .rng import stream
 from .spectral import (ResolventView, build_H, default_xi, effective_D,
                        eigvalsh_inplace, f_envelope, grid_bytes, m_semicircle,
-                       phi_envelope, psi_envelope, routine)
+                       phi_envelope, routine)
 
 __all__ = [
     "LawRecord",
@@ -32,7 +32,7 @@ __all__ = [
     "CSV_VERSION",
 ]
 
-CSV_VERSION = "v1"
+CSV_VERSION = "v2"
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class LawRecord:
     s_minus_m: float
     phi: float
     f_xi_phi: float
-    psi: float
-    flag: str = ""
 
 
 #: the law CSV's columns: LawRecord's fields, in order
@@ -119,12 +117,6 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
     for k, z in enumerate(zs):
         m = m_semicircle(z)
         phi = phi_envelope(z, n, D)
-        xi_phi = xi * phi
-        flags = []
-        if D < 1:
-            flags.append("D<1")
-        if xi_phi > 1:
-            flags.append("xiPhi>1")
         records.append(LawRecord(
             model=model, N=n, d=d, seed=seed, trial=trial,
             E=float(z.real), eta=float(z.imag),
@@ -132,9 +124,7 @@ def records_for_view(view: ResolventView, model: str, n: int, d: int,
             max_offdiag=float(np.abs(off[:, k]).max()) if off.size else 0.0,
             s_minus_m=float(abs(diag[:, k].mean() - m)),
             phi=float(phi),
-            f_xi_phi=float(f_envelope(z, min(1.0, xi_phi))),
-            psi=float(psi_envelope(z, n, D)),
-            flag=";".join(flags),
+            f_xi_phi=float(f_envelope(z, min(1.0, xi * phi))),
         ))
     return records
 
@@ -180,13 +170,17 @@ def fit_envelope_constant(records: list[LawRecord]) -> dict:
     """99th-percentile ratio of each error statistic to its envelope.
 
     The off-diagonal envelope is xi Phi with xi = default_xi(N) of each
-    record's N, the xi its f_xi_phi was built with.  Records flagged D<1
-    are dropped; the xiPhi>1 flag is informational (its envelope saturates
-    at F = 1) and kept.
+    record's N, the xi its f_xi_phi was built with.  Records whose
+    effective_D(N, d, model) is below 1 are dropped: there 1/sqrt(D) > 1
+    and the envelopes carry no content.
     """
-    usable = [r for r in records if "D<1" not in r.flag.split(";")]
+    usable = [r for r in records if effective_D(r.N, r.d, r.model) >= 1]
     if not usable:
-        raise InsufficientDataError("no usable records after flag filtering")
+        regimes = sorted({f"{r.model} model, effective D = "
+                          f"{effective_D(r.N, r.d, r.model):.4g}"
+                          for r in records})
+        raise InsufficientDataError(
+            f"no usable records, each has D < 1: {'; '.join(regimes)}")
     diag = np.array([r.max_diag_err / r.f_xi_phi for r in usable])
     off = np.array([r.max_offdiag / (default_xi(r.N) * r.phi)
                     for r in usable])
@@ -209,7 +203,8 @@ def _format(value) -> str:
 
 
 def write_table(path: str, kind: str, columns: list[str], rows: list[list]) -> None:
-    """Versioned CSV: '# regg-csv v1 <kind>' header line, then columns."""
+    """Versioned CSV: '# regg-csv <CSV_VERSION> <kind>' header line, then
+    columns."""
     lines = [f"# regg-csv {CSV_VERSION} {kind}", ",".join(columns)]
     lines.extend(",".join(_format(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:

@@ -104,10 +104,8 @@ def interval_counts(lam: np.ndarray, edges) -> np.ndarray:
 def delocalization_stats(view: ResolventView) -> dict:
     """Sup-norm statistics of the l2-normalized eigenvectors."""
     v = view.eigenvectors
-    per_vec = np.abs(v).max(axis=0)
-    max_inf = float(per_vec.max())
+    max_inf = float(max(v.max(), -v.min()))  # no N x N |v| temporary
     return {
-        "per_eigenvector_sup": per_vec,
         "max_inf_norm": max_inf,
         "normalized": view.n * max_inf ** 2,
     }

@@ -1,5 +1,5 @@
 """Centered matrix H, the resolvent z-grid, the semicircle law's Stieltjes
-transform and the error envelopes.
+transform and the error envelopes Phi and F_z.
 
 H = (d-1)^{-1/2} (A - d e e*) with e the normalized all-ones vector, so the
 Perron direction is an exact null vector.  The resolvent G(z) = (H - z)^{-1}
@@ -43,13 +43,11 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import warnings
 from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .errors import (InvalidParametersError, NumericalDegeneracyError,
-                     OutOfRegimeWarning, ReggError)
+from .errors import InvalidParametersError, NumericalDegeneracyError, ReggError
 from .graphs import ModelKind, MultiGraph, mapped_matrix, triangle_blocks
 from .rng import stream
 
@@ -65,7 +63,6 @@ __all__ = [
     "default_xi",
     "phi_envelope",
     "f_envelope",
-    "psi_envelope",
 ]
 
 
@@ -498,14 +495,10 @@ def default_xi(n: int) -> float:
 
 
 def phi_envelope(z: complex, n: int, D: float) -> float:
-    """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D).  Warns when D < 1 (outside the
-    regime where the bounds carry content)."""
+    """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D)."""
     eta = complex(z).imag
     if not eta > 0:
         raise InvalidParametersError("phi_envelope needs eta > 0")
-    if D < 1:
-        warnings.warn(f"effective D = {D:.4g} < 1: out of regime",
-                      OutOfRegimeWarning, stacklevel=2)
     return 1.0 / math.sqrt(n * eta) + 1.0 / math.sqrt(D)
 
 
@@ -521,11 +514,3 @@ def f_envelope(z: complex, r: float) -> float:
         return math.sqrt(r)
     return min((1.0 + 1.0 / math.sqrt(gap)) * r, math.sqrt(r))
 
-
-def psi_envelope(z: complex, n: int, D: float) -> float:
-    """Refined envelope xi sqrt(Im m / (N eta)) + xi / sqrt(D)
-    + (xi^2 / (N eta))^{2/3}, with xi = default_xi(n) and m = m(z)."""
-    m, xi = m_semicircle(z), default_xi(n)  # m_semicircle rejects eta <= 0
-    n_eta = n * complex(z).imag
-    return (xi * math.sqrt(max(m.imag, 0.0) / n_eta) + xi / math.sqrt(D)
-            + (xi ** 2 / n_eta) ** (2.0 / 3.0))

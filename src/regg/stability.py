@@ -31,7 +31,6 @@ __all__ = [
     "simulate_martingale_tails",
     "exchangeable_moment_exact",
     "exchangeable_moment_bound_check",
-    "exchangeable_matrix_bound_check",
 ]
 
 
@@ -240,20 +239,17 @@ def exchangeable_moment_exact(ens: ExchangeableEnsemble, p: int):
     if ens.base_vector is not None:
         y = list(ens.base_vector)
         exact = _all_rational(a) and _all_rational(y)
-        terms = []
-        for perm in itertools.permutations(range(n)):
-            x = sum(ai * y[pi] for ai, pi in zip(a, perm))
-            terms.append(x ** p)
-        if exact:
-            return Fraction(sum(terms), math.factorial(n))
-        return math.fsum(terms) / math.factorial(n)
-    ymat = [list(row) for row in ens.base_matrix]
-    exact = _all_rational(a) and all(_all_rational(row) for row in ymat)
-    terms = []
-    for perm in itertools.permutations(range(n)):
-        x = sum(a[i] * a[j] * ymat[perm[i]][perm[j]]
-                for i in range(n) for j in range(n))
-        terms.append(x ** p)
+
+        def form(perm):
+            return sum(ai * y[pi] for ai, pi in zip(a, perm))
+    else:
+        ymat = [list(row) for row in ens.base_matrix]
+        exact = _all_rational(a) and all(_all_rational(row) for row in ymat)
+
+        def form(perm):
+            return sum(a[i] * a[j] * ymat[perm[i]][perm[j]]
+                       for i in range(n) for j in range(n))
+    terms = [form(perm) ** p for perm in itertools.permutations(range(n))]
     if exact:
         return Fraction(sum(terms), math.factorial(n))
     return math.fsum(terms) / math.factorial(n)
@@ -268,39 +264,28 @@ def _p_factor(p: int) -> float:
 
 
 def exchangeable_moment_bound_check(ens: ExchangeableEnsemble, p: int) -> dict:
-    """Vector-case moment inequality: the L^p norm of sum a_i Y_i is at most
-    C (p^2/log p) times the L^p norm of a single entry, C = MOMENT_CONSTANT."""
-    if ens.base_vector is None:
-        raise InvalidParametersError("vector-case check needs a base vector")
+    """The moment inequality for the ensemble's base, C = MOMENT_CONSTANT.
+    Vector: the L^p norm of sum a_i Y_i is at most C (p^2/log p) times the
+    L^p norm of a single entry.  Matrix: the bilinear form's L^p norm is at
+    most the diagonal entry norm plus C (p^2/log p)^2 times the
+    off-diagonal entry norm."""
     if p < 2 or p % 2:
         raise InvalidParametersError("bound check needs even p >= 2")
     moment = exchangeable_moment_exact(ens, p)
     lhs = float(moment) ** (1.0 / p)
-    y = np.asarray(ens.base_vector, dtype=float)
-    norm_y1 = float(np.mean(np.abs(y) ** p)) ** (1.0 / p)
-    rhs = MOMENT_CONSTANT * _p_factor(p) * norm_y1
-    return {"check": "exchangeable_vector_bound", "p": p,
-            "C": MOMENT_CONSTANT, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
-            "pass": lhs <= rhs + 1e-12}
-
-
-def exchangeable_matrix_bound_check(ens: ExchangeableEnsemble, p: int) -> dict:
-    """Matrix-case inequality: the bilinear form's L^p norm is at most the
-    diagonal entry norm plus C (p^2/log p)^2 times the off-diagonal entry
-    norm, C = MOMENT_CONSTANT."""
-    if ens.base_matrix is None:
-        raise InvalidParametersError("matrix-case check needs a base matrix")
-    if p < 2 or p % 2:
-        raise InvalidParametersError("bound check needs even p >= 2")
-    moment = exchangeable_moment_exact(ens, p)
-    lhs = float(moment) ** (1.0 / p)
-    ymat = np.asarray(ens.base_matrix, dtype=float)
-    n = ens.n
-    diag = np.abs(np.diag(ymat)) ** p
-    off = np.abs(ymat[~np.eye(n, dtype=bool)]) ** p
-    norm_diag = float(diag.mean()) ** (1.0 / p)
-    norm_off = float(off.mean()) ** (1.0 / p) if off.size else 0.0
-    rhs = norm_diag + MOMENT_CONSTANT * _p_factor(p) ** 2 * norm_off
-    return {"check": "exchangeable_matrix_bound", "p": p,
+    if ens.base_vector is not None:
+        y = np.asarray(ens.base_vector, dtype=float)
+        norm_y1 = float(np.mean(np.abs(y) ** p)) ** (1.0 / p)
+        check = "exchangeable_vector_bound"
+        rhs = MOMENT_CONSTANT * _p_factor(p) * norm_y1
+    else:
+        ymat = np.asarray(ens.base_matrix, dtype=float)
+        diag = np.abs(np.diag(ymat)) ** p
+        off = np.abs(ymat[~np.eye(ens.n, dtype=bool)]) ** p
+        norm_diag = float(diag.mean()) ** (1.0 / p)
+        norm_off = float(off.mean()) ** (1.0 / p) if off.size else 0.0
+        check = "exchangeable_matrix_bound"
+        rhs = norm_diag + MOMENT_CONSTANT * _p_factor(p) ** 2 * norm_off
+    return {"check": check, "p": p,
             "C": MOMENT_CONSTANT, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs else math.inf,
             "pass": lhs <= rhs + 1e-12}

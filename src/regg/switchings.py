@@ -267,12 +267,13 @@ def um_resample(g: MultiGraph, rng: np.random.Generator) -> ResampleOutcome:
     """Draw a uniform TripleSelection and apply the simultaneous switch.
     Preserves the uniform distribution on simple d-regular graphs.  Raises
     InvalidParametersError before drawing when a pivot edge has no
-    admissible triple (see _require_triples).
+    admissible triple (see _require_triples), and after drawing when g is
+    not simple (the switch's own pivot_edges call).
 
     Each pivot edge draws its triple's rank uniformly among the C(m, 2)
     pairs of the m non-pivot edges, then each draws its switch index.
     """
-    d = len(pivot_edges(g))
+    d = g.deg
     _require_triples(g.n, d)
     m = g.codes.size - d
     ranks = tuple(int(rng.integers(math.comb(m, 2))) for _ in range(d))

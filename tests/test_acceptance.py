@@ -24,7 +24,6 @@ from regg.observables import (deloc_bound, delocalization_stats,
 from regg.rng import stream
 from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
 from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
-                            exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
                             exchangeable_moment_exact, ladder_sweep,
                             simulate_martingale_tails, stability_sweep)
@@ -250,7 +249,7 @@ def test_criterion_10_exchangeable_moments():
         exchangeable_moment_bound_check(vec, p)["pass"]
         for p in (2, 4, 6))
     bound_ok = bound_ok and all(
-        exchangeable_matrix_bound_check(mat, p)["pass"]
+        exchangeable_moment_bound_check(mat, p)["pass"]
         for p in (2, 4, 6))
     ok = mc_ok and bound_ok
     detail = (f"exact-vs-MC within 4 SE: {mc_ok}; "

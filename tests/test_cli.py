@@ -125,7 +125,7 @@ class TestUsage:
                      "--mc", "--samples", "0"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
                      "--mc", "--samples", "-2"],
-                    # D = N^2/d^3 = 0.185: every record would be flagged D<1
+                    # D = N^2/d^3 = 0.185: the fit would drop every record
                     ["lawsweep", "--model", "uniform", "--n", "200", "--d", "60",
                      "--out", str(tmp_path / "law.csv")]):
             assert run(bad) == EXIT_PRECONDITION
@@ -312,6 +312,23 @@ class TestLawsweep:
         assert man.params["eta_grid"] == [1.0, 0.5]
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
 
+    def test_law_csv_matches_recorded_bytes(self, tmp_path):
+        # sha256 of the v1 file with its psi and flag columns dropped and
+        # the v2 header; at N = 100 the bytes do not depend on the number
+        # of BLAS threads
+        out = tmp_path / "law.csv"
+        code = run(["lawsweep", "--model", "permutation", "--n", "100",
+                    "--d", "6", "--seed", "4", "--samples", "2",
+                    "--e-min", "-1", "--e-max", "1", "--e-step", "1",
+                    "--eta-min", "0.4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[:2] == [
+            "# regg-csv v2 law",
+            "model,N,d,seed,trial,E,eta,max_diag_err,max_offdiag,s_minus_m,"
+            "phi,f_xi_phi"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "637da0f6a84521f974abc5c1f1c31c219ffd921f7a43419f039778dd54d02fad")
+
     @pytest.mark.parametrize("argv, reason", [
         # 2 * 10^12 energies: refused before the tuple is built
         (["--n", "100", "--e-min=-1e9", "--e-max", "1e9", "--e-step", "1e-3"],
@@ -454,25 +471,27 @@ class TestEigen:
 
     def test_intervals_csv_matches_recorded_bytes(self, tmp_path):
         # sha256 recorded with the closed-form reference masses; against the
-        # quadrature masses only the rho column differs, by at most 8e-17
+        # quadrature masses only the rho column differs, by at most 8e-17.
+        # Re-recorded for the v2 header; the rows below it are unchanged
         out = tmp_path / "int.csv"
         code = run(["eigen", "--mode", "intervals", "--model", "matching",
                     "--n", "1500", "--d", "3", "--seed", "5", "--samples", "2",
                     "--out", str(out)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "75cee855c5198fb8d282730fc7f1cfd3db54f00bd67b7fad4a7bdf8e856679c8")
+            "59e389bef3099584de2c7523b7033d2600e581e5d261031f622ffa2499243b9b")
 
     def test_intervals_with_loops_matches_recorded_bytes(self, tmp_path):
         # permutation graphs carry loops and multi-edges; sha256 recorded
-        # with the full dense matrix handed to LAPACK
+        # with the full dense matrix handed to LAPACK, and re-recorded for
+        # the v2 header; the rows below it are unchanged
         out = tmp_path / "int.csv"
         code = run(["eigen", "--mode", "intervals", "--model", "permutation",
                     "--n", "400", "--d", "6", "--seed", "5", "--samples", "2",
                     "--out", str(out)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "010556992d65134f6dcb54b9cde6b03f1716ef5cb61bbfc2e7b452a6ccd9eca4")
+            "fa8db7eb65090461b84caded9528f7ed3467590441843215295825781fc11950")
 
     @pytest.mark.parametrize("mode", ["deloc", "que", "lawsweep"])
     def test_trials_do_not_accumulate_memory(self, tmp_path, monkeypatch,

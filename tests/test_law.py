@@ -9,8 +9,8 @@ from regg.graphs import sample_permutation_model
 from regg.law import (LawRecord, SweepPlan, fit_envelope_constant, law_sweep,
                       read_table, write_law_csv, write_table)
 from regg.rng import stream
-from regg.spectral import (ResolventView, build_H, default_xi, f_envelope,
-                           m_semicircle, psi_envelope)
+from regg.spectral import (ResolventView, build_H, default_xi, effective_D,
+                           f_envelope, m_semicircle)
 
 from oracles import resolvent_solve
 
@@ -73,12 +73,6 @@ class TestSweep:
         assert rec.max_offdiag == pytest.approx(
             float(np.abs(oracle[i, j]).max()), abs=1e-13)
 
-    def test_flags_present_at_desk_scale(self, small_sweep):
-        # xi = (log 100)^2 = 21.2 makes xi*Phi > 1 on this grid
-        _, records = small_sweep
-        assert all("xiPhi>1" in r.flag for r in records)
-        assert all("D<1" not in r.flag for r in records)
-
     def test_errors_bounded_by_envelopes(self, small_sweep):
         # at eta >= 0.5 the statistics sit far inside the saturated envelope
         _, records = small_sweep
@@ -87,31 +81,31 @@ class TestSweep:
             assert r.s_minus_m <= 10 * r.f_xi_phi
 
 
-#: (trial, E, eta, max_diag_err, max_offdiag, s_minus_m, phi, f_xi_phi, psi)
+#: (trial, E, eta, max_diag_err, max_offdiag, s_minus_m, phi, f_xi_phi)
 #: of law_sweep(_RECORDED_PLAN, "permutation", 300, 10, seed=11), recorded
 #: with the single complex matrix product per grid that preceded the blocked
 #: real evaluator; the two agree to rounding, not to the last bit
 _RECORDED_PLAN = SweepPlan(e_grid=(-1.9, 0.0, 0.7),
                            eta_grid=(1.0, 0.0625, 0.00390625), samples=2)
 _RECORDED = [
-    (0, -1.9, 1.0, 0.13976840354043, 0.2442355878040416, 0.01191101944937037, 0.3739627929358005, 1.0, 13.675086759625806),
-    (0, -1.9, 0.0625, 1.0469756888176887, 1.104909553914123, 0.07855793007425435, 0.5471678736926882, 1.0, 29.086947600925512),
-    (0, -1.9, 0.00390625, 5.080539464031497, 5.554430869994454, 0.54176149603267, 1.239988196720239, 1.0, 120.46616159858773),
-    (0, 0.0, 1.0, 0.252872191463241, 0.31660501657023865, 0.0240882940269033, 0.3739627929358005, 1.0, 14.08201305708124),
-    (0, 0.0, 0.0625, 0.8406587578913985, 0.8983269648282759, 0.06085639267473863, 0.5471678736926882, 1.0, 32.39985257107887),
-    (0, 0.0, 0.00390625, 3.199526790977468, 3.3801163345272656, 0.3320082553769247, 1.239988196720239, 1.0, 133.74724984735008),
-    (0, 0.7, 1.0, 0.269819098751932, 0.3183831063930483, 0.024866365032704132, 0.3739627929358005, 1.0, 14.028761154615275),
-    (0, 0.7, 0.0625, 1.1855238478017636, 0.9040760014017454, 0.11557573133786316, 0.5471678736926882, 1.0, 32.15485042451667),
-    (0, 0.7, 0.00390625, 3.581758482707479, 3.808636371875813, 0.4577690993195816, 1.239988196720239, 1.0, 132.78033247607857),
-    (1, -1.9, 1.0, 0.1355688355406047, 0.23798026024835542, 0.01541351437700997, 0.3739627929358005, 1.0, 13.675086759625806),
-    (1, -1.9, 0.0625, 0.9225733541332403, 0.9721603404329411, 0.13293560201464172, 0.5471678736926882, 1.0, 29.086947600925512),
-    (1, -1.9, 0.00390625, 4.719954015194039, 4.731976898518932, 0.2963798614538843, 1.239988196720239, 1.0, 120.46616159858773),
-    (1, 0.0, 1.0, 0.2552569054731254, 0.31086578467961073, 0.02443898421371725, 0.3739627929358005, 1.0, 14.08201305708124),
-    (1, 0.0, 0.0625, 0.8457912563720348, 0.8390192983133149, 0.036892496796660484, 0.5471678736926882, 1.0, 32.39985257107887),
-    (1, 0.0, 0.00390625, 5.973966090126476, 5.785984186335159, 0.8504081647898563, 1.239988196720239, 1.0, 133.74724984735008),
-    (1, 0.7, 1.0, 0.25936944764978853, 0.3038780688755976, 0.02293264701591077, 0.3739627929358005, 1.0, 14.028761154615275),
-    (1, 0.7, 0.0625, 0.9055104018315033, 0.8222153325559459, 0.105626351653803, 0.5471678736926882, 1.0, 32.15485042451667),
-    (1, 0.7, 0.00390625, 4.379727416641342, 4.54422059881132, 0.634744240529064, 1.239988196720239, 1.0, 132.78033247607857),
+    (0, -1.9, 1.0, 0.13976840354043, 0.2442355878040416, 0.01191101944937037, 0.3739627929358005, 1.0),
+    (0, -1.9, 0.0625, 1.0469756888176887, 1.104909553914123, 0.07855793007425435, 0.5471678736926882, 1.0),
+    (0, -1.9, 0.00390625, 5.080539464031497, 5.554430869994454, 0.54176149603267, 1.239988196720239, 1.0),
+    (0, 0.0, 1.0, 0.252872191463241, 0.31660501657023865, 0.0240882940269033, 0.3739627929358005, 1.0),
+    (0, 0.0, 0.0625, 0.8406587578913985, 0.8983269648282759, 0.06085639267473863, 0.5471678736926882, 1.0),
+    (0, 0.0, 0.00390625, 3.199526790977468, 3.3801163345272656, 0.3320082553769247, 1.239988196720239, 1.0),
+    (0, 0.7, 1.0, 0.269819098751932, 0.3183831063930483, 0.024866365032704132, 0.3739627929358005, 1.0),
+    (0, 0.7, 0.0625, 1.1855238478017636, 0.9040760014017454, 0.11557573133786316, 0.5471678736926882, 1.0),
+    (0, 0.7, 0.00390625, 3.581758482707479, 3.808636371875813, 0.4577690993195816, 1.239988196720239, 1.0),
+    (1, -1.9, 1.0, 0.1355688355406047, 0.23798026024835542, 0.01541351437700997, 0.3739627929358005, 1.0),
+    (1, -1.9, 0.0625, 0.9225733541332403, 0.9721603404329411, 0.13293560201464172, 0.5471678736926882, 1.0),
+    (1, -1.9, 0.00390625, 4.719954015194039, 4.731976898518932, 0.2963798614538843, 1.239988196720239, 1.0),
+    (1, 0.0, 1.0, 0.2552569054731254, 0.31086578467961073, 0.02443898421371725, 0.3739627929358005, 1.0),
+    (1, 0.0, 0.0625, 0.8457912563720348, 0.8390192983133149, 0.036892496796660484, 0.5471678736926882, 1.0),
+    (1, 0.0, 0.00390625, 5.973966090126476, 5.785984186335159, 0.8504081647898563, 1.239988196720239, 1.0),
+    (1, 0.7, 1.0, 0.25936944764978853, 0.3038780688755976, 0.02293264701591077, 0.3739627929358005, 1.0),
+    (1, 0.7, 0.0625, 0.9055104018315033, 0.8222153325559459, 0.105626351653803, 0.5471678736926882, 1.0),
+    (1, 0.7, 0.00390625, 4.379727416641342, 4.54422059881132, 0.634744240529064, 1.239988196720239, 1.0),
 ]
 
 
@@ -122,7 +116,7 @@ class TestRecordedValues:
         for r, (trial, E, eta, *values) in zip(records, _RECORDED):
             assert (r.trial, r.E, r.eta) == (trial, E, eta)
             got = [r.max_diag_err, r.max_offdiag, r.s_minus_m, r.phi,
-                   r.f_xi_phi, r.psi]
+                   r.f_xi_phi]
             assert got == pytest.approx(values, rel=1e-12, abs=0)
 
 
@@ -143,8 +137,6 @@ class TestUniformEnvelopes:
             phi = 1 / math.sqrt(n * r.eta) + 1 / math.sqrt(D)
             assert r.phi == phi
             assert r.f_xi_phi == f_envelope(z, min(1.0, default_xi(n) * phi))
-            assert r.psi == psi_envelope(z, n, D)
-            assert r.flag == "xiPhi>1"
 
 
 class TestDyadicScan:
@@ -183,10 +175,17 @@ class TestFitConstant:
             fit_envelope_constant(records)["C_offdiag"], rel=1e-12)
 
     def test_excludes_flagged(self, small_sweep):
+        # relabelled uniform (100, 30): D = N^2/d^3 = 0.37, so the fit
+        # drops every record, and drops only those when mixed with the rest
         _, records = small_sweep
-        flagged = [LawRecord(**{**r.__dict__, "flag": "D<1"}) for r in records]
-        with pytest.raises(InsufficientDataError):
-            fit_envelope_constant(flagged)
+        low = [LawRecord(**{**r.__dict__, "model": "uniform", "d": 30})
+               for r in records]
+        assert effective_D(100, 30, "uniform") < 1
+        with pytest.raises(InsufficientDataError,
+                           match="uniform model, effective D = 0.3704"):
+            fit_envelope_constant(low)
+        assert fit_envelope_constant(low + records) == \
+            fit_envelope_constant(records)
 
 
 def read_records(path):
@@ -215,9 +214,11 @@ class TestCsv:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("# regg-csv v0 law\nmodel\n")
-        with pytest.raises(InvalidParametersError):
-            read_table(str(path), "law")
+        # v1, the law CSV with psi and flag columns, is rejected too
+        for version in ("v0", "v1"):
+            path.write_text(f"# regg-csv {version} law\nmodel\n")
+            with pytest.raises(InvalidParametersError):
+                read_table(str(path), "law")
         path.write_text("no header\n")
         with pytest.raises(InvalidParametersError):
             read_table(str(path), "law")

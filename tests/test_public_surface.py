@@ -24,8 +24,6 @@ ALLOWED = {
     # the benchmark reads edge lists back and checks adjacency through these
     "from_edgelist",
     "adj",
-    # criterion 10 checks the paper's matrix moment inequality with it
-    "exchangeable_matrix_bound_check",
     # the tests read versioned CSVs back with it
     "read_table",
     # the only check of the abstract's isotropic delocalization claim; a

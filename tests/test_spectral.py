@@ -18,8 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regg import spectral
-from regg.errors import (InvalidParametersError, NumericalDegeneracyError,
-                         OutOfRegimeWarning)
+from regg.errors import InvalidParametersError, NumericalDegeneracyError
 from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_matching_model, sample_permutation_model,
                          sample_uniform)
@@ -28,7 +27,7 @@ from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, PAIR_PATH,
                            ResolventView,
                            _check_centred, build_H, default_xi, effective_D,
                            eigvalsh_inplace, f_envelope, m_semicircle,
-                           phi_envelope, psi_envelope)
+                           phi_envelope)
 
 from oracles import kesten_mckay_density, resolvent_solve, semicircle_density
 
@@ -752,10 +751,6 @@ class TestEnvelopes:
         # 1/sqrt(100 * 1) + 1/sqrt(25)
         assert abs(phi_envelope(1j, 100, 25) - 0.3) < 1e-12
 
-    def test_phi_warns_out_of_regime(self):
-        with pytest.warns(OutOfRegimeWarning):
-            phi_envelope(1j, 100, 0.5)
-
     def test_f_envelope_example(self):
         assert abs(f_envelope(10 + 0.1j, 0.01) - 0.011021) < 1e-5
 
@@ -768,19 +763,6 @@ class TestEnvelopes:
             f_envelope(1j, 1.5)
         with pytest.raises(InvalidParametersError):
             f_envelope(1j, -0.1)
-
-    def test_psi_example(self):
-        # xi = (log 10^4)^2, N eta = 100, and on the imaginary axis
-        # m(i eta) = i (sqrt(eta^2 + 4) - eta) / 2
-        xi = math.log(10**4) ** 2
-        im_m = (math.sqrt(0.01 ** 2 + 4) - 0.01) / 2
-        expected = (xi * math.sqrt(im_m / 100) + xi / math.sqrt(100)
-                    + (xi ** 2 / 100) ** (2 / 3))
-        got = psi_envelope(0.01j, 10**4, 100)
-        assert abs(got - expected) < 1e-12
-        assert abs(got - 34.246) < 1e-3
-        with pytest.raises(InvalidParametersError):
-            psi_envelope(1.0, 10**4, 100)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,6 @@ from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.spectral import m_semicircle, solve_two_roots
 from regg import stability
 from regg.stability import (ExchangeableEnsemble, arcsinh_tail_bound,
-                            exchangeable_matrix_bound_check,
                             exchangeable_moment_bound_check,
                             exchangeable_moment_exact, ladder_check,
                             ladder_sweep, simulate_martingale_tails,
@@ -165,6 +164,7 @@ class TestMomentBounds:
                                    base_vector=(3.0, 1.0, -2.0, 0.5, 0.0, -1.0))
         for p in (2, 4, 6):
             out = exchangeable_moment_bound_check(ens, p)
+            assert out["check"] == "exchangeable_vector_bound"
             assert out["pass"]
 
     def test_matrix_bound(self):
@@ -175,7 +175,8 @@ class TestMomentBounds:
         ens = ExchangeableEnsemble((0.5, -0.5, 0.25, -0.25, 0.0),
                                    base_matrix=sym)
         for p in (2, 4):
-            out = exchangeable_matrix_bound_check(ens, p)
+            out = exchangeable_moment_bound_check(ens, p)
+            assert out["check"] == "exchangeable_matrix_bound"
             assert out["pass"]
 
     def test_even_p_required(self):

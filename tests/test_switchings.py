@@ -283,6 +283,19 @@ class TestSimultaneousSwitch:
             um_resample(g, rng)
         assert rng.integers(2**62) == stream(33, 0).integers(2**62)
 
+    @pytest.mark.parametrize("codes", [
+        [1, 1, 15, 17, 22, 29],  # a double pivot edge, then a 4-cycle
+        [1, 3, 8, 15, 28, 35],   # a 4-cycle through the pivot, two loops
+    ], ids=["double-edge", "loops"])
+    def test_resample_on_a_non_simple_graph_rejected(self, codes):
+        # um_resample reads d from g.deg; the switch's own pivot_edges call
+        # still rejects the graph
+        g = MultiGraph(6, 2, codes)
+        assert not g.simple
+        with pytest.raises(InvalidParametersError,
+                           match="needs a simple graph"):
+            um_resample(g, stream(33, 0))
+
     def test_wrong_triple_count_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
         with pytest.raises(InvalidMoveError, match="one triple per pivot edge"):
