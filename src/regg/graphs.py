@@ -12,6 +12,13 @@ A / sqrt(d-1) or of the centred H, by MultiGraph.upper_triangle alone.  It
 writes the triangle into an anonymous mapping from mapped_matrix whose
 rows are padded so that each row's triangle starts a page, block by block
 of triangle_blocks.
+
+The public constructors MultiGraph(...), Matching(...) and Permutation(...)
+validate their input, as from_edgelist does through MultiGraph(...).  An
+array the package builds itself, sorted and regular (or an involution, or
+a bijection) by construction, goes through the private _built constructor
+of its value type instead, which sets the fields and marks the array
+read-only with no check.
 """
 
 from __future__ import annotations
@@ -183,6 +190,18 @@ class MultiGraph:
         c.flags.writeable = False
         object.__setattr__(self, "codes", c)
 
+    @classmethod
+    def _built(cls, n: int, deg: int, codes: np.ndarray) -> "MultiGraph":
+        """The graph of `codes`, which the package built: a sorted int64
+        array of the edge codes of a deg-regular multigraph on n vertices.
+        Marks the array read-only and checks nothing."""
+        codes.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "deg", deg)
+        object.__setattr__(g, "codes", codes)
+        return g
+
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (i, j), i <= j, of the edge copies in code order."""
         return np.divmod(self.codes, self.n)
@@ -198,15 +217,18 @@ class MultiGraph:
         codes, mult = np.unique(self.codes, return_counts=True)
         return (*np.divmod(codes, self.n), mult)
 
-    def replace_edges(self, removed, added) -> "MultiGraph":
+    def _replace_edges(self, removed, added) -> "MultiGraph":
         """This graph with one copy of each edge in `removed` deleted and
-        each edge in `added` inserted.  The removed edges must be present
-        and distinct; vertex pairs may come in either order."""
+        each edge in `added` inserted; vertex pairs may come in either
+        order.  Nothing is checked, so the caller guarantees that the
+        removed edges are present and distinct and that the edit keeps
+        every vertex's degree: each vertex ends as many removed edges as
+        added ones."""
         pairs = np.asarray([*removed, *added], dtype=np.int64).reshape(-1, 2)
         codes = _codes(self.n, *pairs.T)
         drop = self.codes.searchsorted(codes[:len(removed)])
-        return MultiGraph(self.n, self.deg, np.concatenate(
-            [np.delete(self.codes, drop), codes[len(removed):]]))
+        return MultiGraph._built(self.n, self.deg, np.sort(np.concatenate(
+            [np.delete(self.codes, drop), codes[len(removed):]])))
 
     def upper_triangle(self, divisor: float, shift: float = 0.0,
                        copies: int = 1) -> np.ndarray:
@@ -287,6 +309,15 @@ class Matching:
         p.flags.writeable = False
         object.__setattr__(self, "pairing", p)
 
+    @classmethod
+    def _built(cls, pairing: np.ndarray) -> "Matching":
+        """The matching of `pairing`, an int64 fixed-point-free involution
+        the package built.  Marks it read-only and checks nothing."""
+        pairing.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "pairing", pairing)
+        return m
+
     @property
     def n(self) -> int:
         return int(self.pairing.shape[0])
@@ -306,6 +337,15 @@ class Permutation:
         p.flags.writeable = False
         object.__setattr__(self, "mapping", p)
 
+    @classmethod
+    def _built(cls, mapping: np.ndarray) -> "Permutation":
+        """The permutation of `mapping`, an int64 bijection on [0, n) the
+        package built.  Marks it read-only and checks nothing."""
+        mapping.flags.writeable = False
+        p = object.__new__(cls)
+        object.__setattr__(p, "mapping", mapping)
+        return p
+
     @property
     def n(self) -> int:
         return int(self.mapping.shape[0])
@@ -319,11 +359,11 @@ def random_matching(n: int, rng: np.random.Generator) -> Matching:
     pairing = np.empty(n, dtype=np.int64)
     pairing[order[0::2]] = order[1::2]
     pairing[order[1::2]] = order[0::2]
-    return Matching(pairing)
+    return Matching._built(pairing)
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(rng.permutation(n))
+    return Permutation._built(rng.permutation(n))
 
 
 def sample_matching_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
@@ -338,7 +378,7 @@ def sample_matching_model(n: int, d: int, rng: np.random.Generator) -> MultiGrap
         p = random_matching(n, rng).pairing
         first = idx < p
         parts.append(_codes(n, idx[first], p[first]))
-    return MultiGraph(n, d, _join(parts))
+    return MultiGraph._built(n, d, np.sort(_join(parts)))
 
 
 def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
@@ -349,7 +389,7 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
     idx = np.arange(n)
     parts = [_codes(n, idx, random_permutation(n, rng).mapping)
              for _ in range(d // 2)]
-    return MultiGraph(n, d, _join(parts))
+    return MultiGraph._built(n, d, np.sort(_join(parts)))
 
 
 def _configuration_codes(n: int, d: int, rng: np.random.Generator,
@@ -365,7 +405,7 @@ def _configuration_codes(n: int, d: int, rng: np.random.Generator,
 def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
     """Uniform pairing of the n*d half-edges, projected to a multigraph."""
     ModelKind.CONFIGURATION.check_parity(n, d)
-    return MultiGraph(n, d, _configuration_codes(n, d, rng)[0])
+    return MultiGraph._built(n, d, np.sort(_configuration_codes(n, d, rng)[0]))
 
 
 def _circulant_simple(n: int, d: int) -> np.ndarray:
@@ -496,7 +536,7 @@ def _rejection_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         simple = _simple(codes, n)
         first = simple.argmax()
         if simple[first]:
-            return codes[first]
+            return codes[first].copy()  # a copy, so the block is freed
         tries += block
     raise BudgetExceededError(
         f"rejection sampler: no simple graph in {REJECTION_TRIES} tries "
@@ -544,9 +584,9 @@ def sample_uniform(n: int, d: int, rng: np.random.Generator,
     if d >= n:
         raise InvalidParametersError("simple graph needs d < n")
     if uniform_method(n, d, method) == "rejection":
-        return MultiGraph(n, d, _rejection_codes(n, d, rng))
+        return MultiGraph._built(n, d, _rejection_codes(n, d, rng))
     codes = _chain_burn_in(_circulant_simple(n, d), n, rng, moves=10 * n * d)
-    return MultiGraph(n, d, codes)
+    return MultiGraph._built(n, d, np.sort(np.array(codes, dtype=np.int64)))
 
 
 def enumerate_simple_regular(n: int, d: int) -> list[MultiGraph]:
@@ -556,9 +596,9 @@ def enumerate_simple_regular(n: int, d: int) -> list[MultiGraph]:
     with missing degree is completed first, choosing its remaining partners
     among strictly larger vertices, so every edge set is produced in exactly
     one order.  The edges {u, v} come out with u nondecreasing and, for each
-    u, v increasing, so their codes u*n + v are built already sorted; each
-    graph is still validated by MultiGraph.  Independent of the sampler code
-    paths.
+    u, v increasing, so their codes u*n + v are built already sorted, and
+    each graph is built with MultiGraph._built, unchecked.  Independent of
+    the sampler code paths.
     """
     if n > 10:
         raise BudgetExceededError(f"enumeration limited to n <= 10, got {n}")
@@ -574,7 +614,8 @@ def enumerate_simple_regular(n: int, d: int) -> list[MultiGraph]:
         # the vertices before start are complete
         u = next((v for v in range(start, n) if rem[v]), None)
         if u is None:
-            results.append(MultiGraph(n, d, np.array(codes, dtype=np.int64)))
+            results.append(
+                MultiGraph._built(n, d, np.array(codes, dtype=np.int64)))
             return
         need = rem[u]
         cands = [v for v in range(u + 1, n) if rem[v]]

@@ -86,8 +86,14 @@ class ResampleOutcome:
 def mm_switch(m: Matching, i: int, j: int, k: int) -> Matching:
     """Re-pair i with j (and close up the two broken pairs) unless the six
     points i, j, k, m(i), m(j), m(k) are not distinct, in which case the
-    matching is unchanged."""
-    p = m.pairing
+    matching is unchanged.  Raises InvalidParametersError unless i, j and k
+    lie in [0, n).  When the six are distinct the three new pairs {i, j},
+    {m(j), k} and {m(k), m(i)} cover the six once each, so the result,
+    built unchecked with Matching._built, is again a fixed-point-free
+    involution."""
+    p, n = m.pairing, m.n
+    if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+        raise InvalidParametersError(f"i, j, k out of range [0, {n})")
     mi, mj, mk = int(p[i]), int(p[j]), int(p[k])
     if len({i, j, k, mi, mj, mk}) < 6:
         return m
@@ -95,7 +101,7 @@ def mm_switch(m: Matching, i: int, j: int, k: int) -> Matching:
     q[i], q[j] = j, i
     q[mj], q[k] = k, mj
     q[mk], q[mi] = mi, mk
-    return Matching(q)
+    return Matching._built(q)
 
 
 def mm_resample(m: Matching, rng: np.random.Generator) -> tuple[Matching, int, int]:
@@ -213,8 +219,8 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     reverses its edge.  The triple switches by replacing its three edges
     with {0, a}, {abar, b}, {bbar, r}: the pivot's neighbour r becomes a.
     Active triples share only the pivot, so their removed edges are
-    distinct and their added edges absent, and one replace_edges call
-    applies them all.
+    distinct and present, each triple's edit keeps every degree, and one
+    MultiGraph._replace_edges call applies them all.
     """
     pe = pivot_edges(g)  # raises InvalidParametersError unless g is simple
     d, n, codes = len(pe), g.n, g.codes
@@ -246,7 +252,7 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
             added += [(0, a), (abar, b), (bbar, r)]
         a_list.append(a)
         alpha.append(a if act else r)
-    out = g.replace_edges(removed, added) if removed else g
+    out = g._replace_edges(removed, added) if removed else g
     return ResampleOutcome(out, tuple(a_list), tuple(alpha), tuple(active),
                            selection)
 
@@ -297,7 +303,9 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
     pi must fix the pair (0, 1) as a 2-cycle: pi(0) = 1 and pi(1) = 0.  The
     result composes four transpositions of vertex 1 around pi; when the six
     indices 0, 1, a+, a-, b+, b- are distinct, result(0) = a+ and
-    result^{-1}(0) = a-.
+    result^{-1}(0) = a-.  The range checks below keep every transposition
+    inside [0, n), so the composition of bijections is one, and it is
+    built unchecked with Permutation._built.
     """
     n = pi.n
     if pi.mapping[0] != 1 or pi.mapping[1] != 0:
@@ -311,5 +319,5 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
     comp = pi.mapping[comp]
     comp = _transposition(n, a_plus)[comp]
     comp = _transposition(n, b_plus)[comp]
-    return Permutation(comp)
+    return Permutation._built(comp)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from regg import spectral
+from regg.graphs import Matching, MultiGraph, Permutation
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +50,34 @@ def lapack_exports(monkeypatch):
 
     yield install
     spectral.routine.cache_clear()
+
+
+#: each value type's unchecked constructor and the field it fills
+_BUILT = ((MultiGraph, "codes"), (Matching, "pairing"),
+          (Permutation, "mapping"))
+
+
+def _checked(cls, name):
+    """cls._built that also runs the validating cls(...) on copies of its
+    arguments and asserts that both hold the same int64 array."""
+    built = cls._built.__func__
+
+    def check(klass, *args):
+        want = getattr(cls(*(np.array(a) if isinstance(a, np.ndarray) else a
+                             for a in args)), name)
+        out = built(klass, *args)
+        got = getattr(out, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
+            f"{cls.__name__}._built was given {name} that {cls.__name__}(...) "
+            f"reads as {want}: {got}")
+        return out
+    return classmethod(check)
+
+
+@pytest.fixture(autouse=True)
+def checked_builds(monkeypatch):
+    """Every graph, matching and permutation the package builds unchecked
+    in a test is also built by its validating constructor, which must
+    accept it and agree on the array: sorted codes, pairing or mapping."""
+    for cls, name in _BUILT:
+        monkeypatch.setattr(cls, "_built", _checked(cls, name))

@@ -46,6 +46,20 @@ class TestMultiGraph:
             with pytest.raises(InvalidParametersError):
                 MultiGraph(2, d, codes)
 
+    def test_unchecked_builds_checked_in_tests(self):
+        # conftest's checked_builds builds every _built value again with its
+        # validating constructor: a valid graph's unsorted codes differ from
+        # the sorted ones MultiGraph(...) reads, and a pairing with fixed
+        # points is refused
+        codes = np.array([2 * 4 + 3, 0 * 4 + 1])
+        assert MultiGraph._built(4, 1, np.sort(codes)) == MultiGraph(4, 1, codes)
+        with pytest.raises(AssertionError, match="MultiGraph._built"):
+            MultiGraph._built(4, 1, codes)
+        with pytest.raises(InvalidParametersError):
+            Matching._built(np.array([0, 1]))
+        with pytest.raises(InvalidParametersError):
+            Permutation._built(np.array([1, 1]))
+
     def test_equality_and_hash(self):
         g = sample_permutation_model(30, 4, stream(7, 0))
         same = sample_permutation_model(30, 4, stream(7, 0))

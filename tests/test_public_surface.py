@@ -194,3 +194,20 @@ def test_allowlist_names_only_unused_names():
             unused.update(_unreferenced(_class_members(cls), path,
                                         attribute=True, allowed=set()))
     assert ALLOWED - unused == set()
+
+
+def test_only_package_builders_skip_validation():
+    """MultiGraph._built, Matching._built and Permutation._built check
+    nothing, so only the modules that build the arrays they take call them:
+    graphs and switchings.  from_edgelist, the CLI and the scripts read
+    outside input and go through the validating constructors."""
+    calls = [(path, line) for path, found in USES.items()
+             for line, used, dotted in found if used == "_built" and dotted]
+    regg = ROOT / "src" / "regg"
+    assert {path for path, _ in calls} == {regg / "graphs.py",
+                                           regg / "switchings.py"}
+    (reader,) = [node for node in TREES[regg / "graphs.py"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "from_edgelist"]
+    assert not [line for path, line in calls
+                if path == regg / "graphs.py" and line in _span(reader)]

@@ -40,6 +40,13 @@ class TestMatchingSwitch:
         assert mm_switch(m, 0, 1, 4) is m  # j = m(0)
         assert mm_switch(m, 0, 2, 3) is m  # k = m(j)
 
+    def test_rejects_out_of_range_points(self):
+        # -1 indexes vertex 5, so (-1, 0, 2) would write -1 into the pairing
+        m = Matching(np.array([1, 0, 3, 2, 5, 4]))
+        for ijk in ((-1, 0, 2), (0, 6, 4), (0, 2, 6)):
+            with pytest.raises(InvalidParametersError, match="out of range"):
+                mm_switch(m, *ijk)
+
     def test_resample_sets_pivot_partner(self):
         rng = stream(21, 0)
         m = random_matching(10, rng)
@@ -167,14 +174,14 @@ def switch_oracle(g, selection):
 
 @pytest.fixture
 def replace_calls(monkeypatch):
-    """Count MultiGraph.replace_edges calls."""
+    """Count MultiGraph._replace_edges calls."""
     calls = []
-    replace = MultiGraph.replace_edges
+    replace = MultiGraph._replace_edges
 
     def counted(self, removed, added):
         calls.append(len(removed))
         return replace(self, removed, added)
-    monkeypatch.setattr(MultiGraph, "replace_edges", counted)
+    monkeypatch.setattr(MultiGraph, "_replace_edges", counted)
     return calls
 
 
