@@ -2,9 +2,9 @@
 """Fit the resolvent-error envelope constants across several matrix sizes
 and report their stability.
 
-For each N the permutation-model sweep runs the standard protocol (E grid
-[-2.4, 2.4] step 0.2, dyadic eta from 1 down to 64/N, xi = (log N)^2) and
-the 99th-percentile ratios of each error statistic to its envelope are
+For each N the permutation-model sweep runs the standard protocol, whose
+one definition is regg.law.SweepPlan.standard, with xi = (log N)^2, and the
+99th-percentile ratios of each error statistic to its envelope are
 fitted.  Constants drifting by more than 2x across sizes would signal that
 the envelope does not capture the true error scale.
 
@@ -30,12 +30,9 @@ def main():
     args = ap.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    e_grid = tuple(round(-2.4 + 0.2 * k, 12) for k in range(25))
     rows = []
     for n in sizes:
-        plan = SweepPlan(e_grid=e_grid,
-                         eta_grid=SweepPlan.dyadic_etas(64 / n),
-                         samples=1)
+        plan = SweepPlan.standard(n)
         xi = default_xi(n)
         records = []
         for seed in range(args.seeds):

@@ -9,7 +9,7 @@ from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      enumerate_simple_regular, sample_configuration_model,
                      sample_matching_model, sample_model,
                      sample_permutation_model, sample_uniform)
-from .rng import resolve_seed, stream
+from .rng import stream
 from .spectral import (ResolventView, build_H, default_xi, effective_D,
                        f_envelope, m_semicircle, phi_envelope)
 from .switchings import (ResampleOutcome, TripleSelection, mm_resample,

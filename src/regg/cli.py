@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -26,7 +25,7 @@ from .manifest import RunManifest
 from .observables import (_kappa, counting_bounds, deloc_bound,
                           delocalization_stats, density_mass, interval_counts,
                           que_bound, que_statistics)
-from .rng import resolve_seed, stream
+from .rng import stream
 from .spectral import OFFDIAG_PAIRS, default_xi, effective_D
 from .svg import line_plot
 
@@ -63,11 +62,16 @@ def _write_manifest(command: str, argv: list[str], params: dict,
     return man
 
 
+def _approximate(model: str, n: int, d: int) -> bool:
+    """True when sample_model draws this model's graphs from the
+    switching chain, which is only approximately uniform."""
+    return model == "uniform" and uniform_method(n, d) == "switching-chain"
+
+
 # ---------------------------------------------------------------------------
 # sample
 
 def _cmd_sample(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     kwargs = {}
     if args.model == "uniform":
         kwargs["method"] = args.method
@@ -75,13 +79,13 @@ def _cmd_sample(args, argv) -> int:
         raise InvalidParametersError(
             f"--method {args.method} applies to the uniform model only, "
             f"not to {args.model}")
-    g = sample_model(args.model, args.n, args.d, stream(seed, 0), **kwargs)
-    text = to_edgelist(g, args.model, seed)
+    g = sample_model(args.model, args.n, args.d, stream(args.seed, 0), **kwargs)
+    text = to_edgelist(g, args.model, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     method = (uniform_method(args.n, args.d, args.method)
               if args.model == "uniform" else None)
-    params = {"model": args.model, "n": args.n, "d": args.d, "seed": seed,
+    params = {"model": args.model, "n": args.n, "d": args.d, "seed": args.seed,
               "method": method, "approximate": method == "switching-chain"}
     _write_manifest("sample", argv, params, [args.out], {},
                     args.out + ".manifest.json")
@@ -97,16 +101,16 @@ _MOVE_DEGREE = {"matching": 1, "permutation": 2}
 
 
 def _cmd_invariance(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     if _MOVE_DEGREE.get(args.model, args.d) != args.d:
         raise InvalidParametersError(
             f"the {args.model} move acts on d = {_MOVE_DEGREE[args.model]}, "
             f"got --d {args.d}")
     if args.mc:
-        tv = mc_pivot_tv(args.model, args.n, args.d, seed, args.samples)
+        tv = mc_pivot_tv(args.model, args.n, args.d, args.seed, args.samples)
         payload = {"model": args.model, "n": args.n, "d": args.d,
                    "method": "mc", "tv_distance": tv, "samples": args.samples,
-                   "seed": seed}
+                   "seed": args.seed,
+                   "approximate": _approximate(args.model, args.n, args.d)}
     else:
         if args.model == "matching":
             report = mm_exact_invariance(args.n)
@@ -134,48 +138,14 @@ def _cmd_invariance(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # lawsweep
 
-def _approximate(model: str, n: int, d: int) -> bool:
-    """True when sample_model draws this model's graphs from the
-    switching chain, which is only approximately uniform."""
-    return model == "uniform" and uniform_method(n, d) == "switching-chain"
-
-
-#: most points an energy grid may hold, a lawsweep's energies or the bins
-#: of eigen --mode intervals; finer grids exit 2
-E_GRID_MAX = 100_000
-
-
-def _e_grid(e_min: float, e_max: float, e_step: float) -> tuple[float, ...]:
-    if not e_step > 0:
-        raise InvalidParametersError("--e-step must be positive")
-    if e_max < e_min:
-        raise InvalidParametersError(
-            f"the energy grid is empty: --e-max {e_max} lies below "
-            f"--e-min {e_min}")
-    span = (e_max - e_min) / e_step
-    if not math.isfinite(span):
-        raise InvalidParametersError(
-            f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
-            f"steps of {e_step} is not finite")
-    count = int(round(span)) + 1
-    if count > E_GRID_MAX:
-        raise InvalidParametersError(
-            f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
-            f"steps of {e_step} has {count} points, more than {E_GRID_MAX}")
-    return tuple(round(e_min + k * e_step, 12) for k in range(count))
-
-
 def _cmd_lawsweep(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     n = args.n
     ModelKind(args.model).check_parity(n, args.d)  # n > 0 for the defaults
     xi = default_xi(n)
-    eta_min = args.eta_min if args.eta_min is not None else 64.0 / n
-    eta_grid = law_mod.SweepPlan.dyadic_etas(eta_min=eta_min,
-                                             eta_max=args.eta_max)
-    plan = law_mod.SweepPlan(
-        e_grid=_e_grid(args.e_min, args.e_max, args.e_step),
-        eta_grid=eta_grid, samples=args.samples)
+    bounds = {key: value for key in ("e_min", "e_max", "e_step", "eta_min",
+                                     "eta_max")
+              if (value := getattr(args, key)) is not None}
+    plan = law_mod.SweepPlan.standard(n, args.samples, **bounds)
     if args.d < 2:
         raise InvalidParametersError("lawsweep needs d >= 2")
     D = effective_D(n, args.d, args.model)
@@ -184,7 +154,7 @@ def _cmd_lawsweep(args, argv) -> int:
         raise InvalidParametersError(
             f"the {args.model} model's effective D = {D:.4g} < 1 at "
             f"n = {n}, d = {args.d}: no record would be usable")
-    records = law_mod.law_sweep(plan, args.model, n, args.d, seed)
+    records = law_mod.law_sweep(plan, args.model, n, args.d, args.seed)
     law_mod.write_law_csv(records, args.out)
 
     accept = law_mod.ACCEPTANCE_CONSTANT
@@ -194,7 +164,7 @@ def _cmd_lawsweep(args, argv) -> int:
         "acceptance_constant": accept,
         "pass": constants["C_diag"] <= accept and constants["C_offdiag"] <= accept,
     }
-    params = {"model": args.model, "n": n, "d": args.d, "seed": seed,
+    params = {"model": args.model, "n": n, "d": args.d, "seed": args.seed,
               "samples": plan.samples, "e_grid": list(plan.e_grid),
               "eta_grid": list(plan.eta_grid), "xi": xi,
               "offdiag_pairs": OFFDIAG_PAIRS,
@@ -231,10 +201,9 @@ def _cmd_eigen(args, argv) -> int:
         raise InvalidParametersError("--samples must be at least 1")
     if not args.bin_width > 0:
         raise InvalidParametersError("--bin-width must be positive")
-    seed = resolve_seed(args.seed)
     n, d = args.n, args.d
     ModelKind(args.model).check_parity(n, d)  # n > 0 for the bounds
-    keys = [(seed, trial) for trial in range(args.samples)]
+    keys = [(args.seed, trial) for trial in range(args.samples)]
     rows: list[list] = []
     if args.mode == "deloc":
         columns = ["seed", "trial", "max_inf_norm", "normalized", "bound"]
@@ -269,10 +238,10 @@ def _cmd_eigen(args, argv) -> int:
                    "bound_bulk", "bound_edge"]
         lo, hi, width = -2.2, 2.2, args.bin_width
         span = (hi - lo) / width  # inf for a subnormal width
-        if span >= E_GRID_MAX + 0.5:
+        if span >= law_mod.E_GRID_MAX + 0.5:
             raise InvalidParametersError(
-                f"--bin-width {width} gives more than {E_GRID_MAX} bins on "
-                f"[{lo}, {hi}]")
+                f"--bin-width {width} gives more than {law_mod.E_GRID_MAX} "
+                f"bins on [{lo}, {hi}]")
         nbins = int(round(span))
         if nbins < 1:
             raise InvalidParametersError(
@@ -298,7 +267,7 @@ def _cmd_eigen(args, argv) -> int:
 
     law_mod.write_table(args.out, f"eigen-{args.mode}", columns, rows)
     params_out = {"mode": args.mode, "model": args.model, "n": n, "d": d,
-                  "seed": seed, "samples": args.samples,
+                  "seed": args.seed, "samples": args.samples,
                   "approximate": _approximate(args.model, n, d)}
     if args.mode == "que":
         params_out["interval_size"] = size
@@ -313,20 +282,19 @@ def _cmd_eigen(args, argv) -> int:
 # stability
 
 def _cmd_stability(args, argv) -> int:
-    seed = resolve_seed(args.seed)
     checks = []
     names = ([args.check] if args.check != "all"
              else ["sweep", "ladder", "arcsinh", "moments"])
     for name in names:
         if name == "sweep":
-            checks.append(stab_mod.stability_sweep(args.points, seed=seed))
+            checks.append(stab_mod.stability_sweep(args.points, seed=args.seed))
         elif name == "ladder":
             # one track per 50 points, at least one; a point count below 1
             # passes through for ladder_sweep to reject
             checks.append(stab_mod.ladder_sweep(
-                min(args.points, max(1, args.points // 50)), seed=seed))
+                min(args.points, max(1, args.points // 50)), seed=args.seed))
         elif name == "arcsinh":
-            checks.append(stab_mod.simulate_martingale_tails(args.runs, seed))
+            checks.append(stab_mod.simulate_martingale_tails(args.runs, args.seed))
         elif name == "moments":
             ens = stab_mod.ExchangeableEnsemble(
                 coefficients=(0.5, -0.5, 0.25, -0.25, 0.0, 0.0),
@@ -335,7 +303,7 @@ def _cmd_stability(args, argv) -> int:
                 checks.append(stab_mod.exchangeable_moment_bound_check(ens, p))
         else:
             raise ReggError(f"unknown stability check {name!r}")
-    payload = {"seed": seed, "checks": checks,
+    payload = {"seed": args.seed, "checks": checks,
                "pass": all(c.get("pass", True) for c in checks)}
     text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     print(text, end="")
@@ -343,7 +311,7 @@ def _cmd_stability(args, argv) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _write_manifest("stability", argv,
-                        {"seed": seed, "check": args.check,
+                        {"seed": args.seed, "check": args.check,
                          "points": args.points, "runs": args.runs},
                         [args.out], {"pass": payload["pass"]},
                         args.out + ".manifest.json")
@@ -404,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[k.value for k in ModelKind])
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--d", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None,
-                       help="falls back to $REGG_SEED, then 0")
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sample", help="sample one graph to an edge list")
     add_common(p)
@@ -425,11 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lawsweep", help="resolvent error sweep")
     add_common(p)
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--e-min", type=float, default=-2.4)
-    p.add_argument("--e-max", type=float, default=2.4)
-    p.add_argument("--e-step", type=float, default=0.2)
-    p.add_argument("--eta-max", type=float, default=1.0)
-    p.add_argument("--eta-min", type=float, default=None)
+    # the bounds default to SweepPlan.standard's
+    p.add_argument("--e-min", type=float)
+    p.add_argument("--e-max", type=float)
+    p.add_argument("--e-step", type=float)
+    p.add_argument("--eta-max", type=float)
+    p.add_argument("--eta-min", type=float)
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_lawsweep)

@@ -292,7 +292,7 @@ class MultiGraph:
         return hash(self.edge_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
     """A perfect matching on [0, n), stored as a fixed-point-free
     involution: pairing[pairing[i]] == i and pairing[i] != i."""
@@ -322,8 +322,15 @@ class Matching:
     def n(self) -> int:
         return int(self.pairing.shape[0])
 
+    def __eq__(self, other: object) -> bool:
+        return (np.array_equal(self.pairing, other.pairing)
+                if isinstance(other, Matching) else NotImplemented)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(self.pairing.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection on [0, n)."""
 
@@ -349,6 +356,13 @@ class Permutation:
     @property
     def n(self) -> int:
         return int(self.mapping.shape[0])
+
+    def __eq__(self, other: object) -> bool:
+        return (np.array_equal(self.mapping, other.mapping)
+                if isinstance(other, Permutation) else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self.mapping.tobytes())
 
 
 def random_matching(n: int, rng: np.random.Generator) -> Matching:

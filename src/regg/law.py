@@ -64,10 +64,16 @@ ACCEPTANCE_CONSTANT = 10.0
 #: smallest eta a sweep grid may contain
 ETA_FLOOR = 1e-8
 
+#: most points an energy grid may hold, a sweep's energies or the bins of
+#: eigen --mode intervals
+E_GRID_MAX = 100_000
+
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grid and sampling plan for one sweep."""
+    """Grid and sampling plan for one sweep.  SweepPlan.standard(n) is the
+    standard protocol: E from -2.4 to 2.4 in steps of 0.2 and dyadic eta
+    from 1 down to 64/N, one sample."""
 
     e_grid: tuple[float, ...]
     eta_grid: tuple[float, ...]
@@ -103,6 +109,39 @@ class SweepPlan:
             out.append(eta)
             eta /= 2
         return tuple(out)
+
+    @classmethod
+    def standard(cls, n: int, samples: int = 1, e_min: float = -2.4,
+                 e_max: float = 2.4, e_step: float = 0.2,
+                 eta_min: float | None = None,
+                 eta_max: float = 1.0) -> "SweepPlan":
+        """`samples` graphs of size n on the energies from e_min to e_max in
+        steps of e_step and dyadic_etas(eta_min, eta_max), eta_min 64/n if
+        None.  An empty, non-finite or over-long grid raises
+        InvalidParametersError naming the lawsweep flags of the bounds,
+        before the energies are built."""
+        eta_grid = cls.dyadic_etas(64.0 / n if eta_min is None else eta_min,
+                                   eta_max)
+        if not e_step > 0:
+            raise InvalidParametersError("--e-step must be positive")
+        if e_max < e_min:
+            raise InvalidParametersError(
+                f"the energy grid is empty: --e-max {e_max} lies below "
+                f"--e-min {e_min}")
+        span = (e_max - e_min) / e_step
+        if not math.isfinite(span):
+            raise InvalidParametersError(
+                f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
+                f"steps of {e_step} is not finite")
+        count = int(round(span)) + 1
+        if count > E_GRID_MAX:
+            raise InvalidParametersError(
+                f"the energy grid from --e-min {e_min} to --e-max {e_max} in "
+                f"steps of {e_step} has {count} points, more than "
+                f"{E_GRID_MAX}")
+        return cls(e_grid=tuple(round(e_min + k * e_step, 12)
+                                for k in range(count)),
+                   eta_grid=eta_grid, samples=samples)
 
 
 def records_for_view(view: ResolventView, model: str, n: int, d: int,

@@ -2,9 +2,9 @@
 
 Every file-producing command writes a JSON manifest next to its outputs
 holding the fully resolved parameters (including the seed and every default
-that applied), the tool version, and content hashes of the outputs.
-Re-running the recorded argv at the same BLAS thread count reproduces the
-data files byte-identically.  The manifest does not record that count, and
+that applied), the tool version, and content hashes of the outputs.  The
+argv holds every setting a command reads, seed included, so re-running it
+at the same BLAS thread count reproduces the data files byte-identically.  The manifest does not record that count, and
 the last bits of a law table's floats can change with it (N = 150, d = 10
 differs between one and two threads); the tests pin the law CSV at N = 100,
 whose bytes are the same at one to four threads.

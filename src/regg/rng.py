@@ -9,15 +9,11 @@ so distinct paths can never alias each other's state.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import InvalidParametersError
 
-__all__ = ["stream", "resolve_seed", "SEED_ENV_VAR"]
-
-SEED_ENV_VAR = "REGG_SEED"
+__all__ = ["stream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,18 +29,3 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def resolve_seed(seed: int | None) -> int:
-    """Pick the effective seed: explicit value, else the environment
-    variable, else 0."""
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParametersError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return 0

@@ -37,16 +37,13 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number} ({name}): {detail}"
 
 
-E_GRID = tuple(round(-2.4 + 0.2 * k, 12) for k in range(25))
 SWEEP_SEEDS = (0, 1, 2, 3, 4)
 
 
 def _sweep(n: int, d: int, seeds) -> dict:
     """Law records, fitted constants, and per-(E, eta) Gamma values for the
-    permutation-model sweep protocol."""
-    plan = SweepPlan(e_grid=E_GRID,
-                     eta_grid=SweepPlan.dyadic_etas(64 / n),
-                     samples=1)
+    permutation-model sweep on the standard plan."""
+    plan = SweepPlan.standard(n)
     xi = default_xi(n)
     zs = np.array([complex(E, eta) for E in plan.e_grid
                    for eta in plan.eta_grid])
@@ -150,14 +147,15 @@ def test_criterion_4_gamma_dyadic_monotonicity(sweep_2000):
     by_key = {(s, E, eta): g for s, E, eta, g in sweep_2000["gammas"]}
     violations = 0
     checked = 0
-    etas = sweep_2000["plan"].eta_grid
+    plan = sweep_2000["plan"]
     for (s, E, eta), g in by_key.items():
         half = eta / 2
         if (s, E, half) in by_key:
             checked += 1
             if by_key[(s, E, half)] > 2.0 * g + 1e-12:
                 violations += 1
-    ok = violations == 0 and checked == len(SWEEP_SEEDS) * len(E_GRID) * (len(etas) - 1)
+    ok = violations == 0 and checked == (
+        len(SWEEP_SEEDS) * len(plan.e_grid) * (len(plan.eta_grid) - 1))
     detail = f"{checked} dyadic ladder steps, {violations} violations"
     report(4, "gamma-halving-monotonicity", ok, detail)
 

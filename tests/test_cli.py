@@ -166,14 +166,6 @@ class TestSample:
         assert man.command == "sample"
         assert str(out) in man.outputs
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REGG_SEED", "77")
-        out = tmp_path / "g.edges"
-        assert run(["sample", "--model", "matching", "--n", "10", "--d", "3",
-                    "--out", str(out)]) == EXIT_OK
-        _, header = from_edgelist(out.read_text())
-        assert header["seed"] == 77
-
     def test_manifest_records_resolved_method(self, tmp_path):
         for d, method in ((3, "rejection"), (8, "switching-chain")):
             out = tmp_path / f"g{d}.edges"
@@ -243,6 +235,20 @@ class TestInvariance:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "mc"
         assert 0 <= payload["tv_distance"] <= 1
+
+    @pytest.mark.parametrize("model, n, d, approximate", [
+        ("uniform", 200, 8, True),   # auto picks the switching chain here
+        ("matching", 12, 1, False),
+    ])
+    def test_mc_labels_approximate_sampling(self, tmp_path, capsys, model, n,
+                                            d, approximate):
+        out = tmp_path / "mc.json"
+        assert run(["invariance", "--model", model, "--n", str(n), "--d",
+                    str(d), "--samples", "5", "--mc",
+                    "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["approximate"] is approximate
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.params["approximate"] is approximate
 
     def test_mc_manifest_records_no_pass(self, tmp_path, capsys):
         # a Monte-Carlo TV distance has no gate: its manifest holds the
@@ -725,6 +731,23 @@ class TestRerun:
         man = RunManifest.load(str(redo) + ".manifest.json")
         assert man.outputs[str(redo)] == \
             RunManifest.load(str(out) + ".manifest.json").outputs[str(out)]
+
+    def test_rerun_ignores_the_environment(self, tmp_path, monkeypatch):
+        # the argv alone fixes the seed: a REGG_SEED in the environment of
+        # the first run neither reaches it nor is needed to redo it
+        out = tmp_path / "g.edges"
+        monkeypatch.setenv("REGG_SEED", "5")
+        assert run(["sample", "--model", "matching", "--n", "10", "--d", "3",
+                    "--out", str(out)]) == EXIT_OK
+        monkeypatch.delenv("REGG_SEED")
+        redo = tmp_path / "g2.edges"
+        assert rerun_manifest(str(out) + ".manifest.json",
+                              {str(out): str(redo)}) == EXIT_OK
+        assert out.read_bytes() == redo.read_bytes()
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.params["seed"] == 0
+        assert RunManifest.load(str(redo) + ".manifest.json").outputs[
+            str(redo)] == man.outputs[str(out)]
 
 
 class TestManifest:

@@ -72,6 +72,20 @@ class TestMultiGraph:
         counts[other] = counts.get(other, 0) + 1
         assert counts == {g: 2, other: 1}
 
+    def test_matching_and_permutation_equality_and_hash(self):
+        # by content, like MultiGraph: the dataclass default compared the
+        # arrays inside a tuple and raised, and could not hash them
+        for cls, a, b in ((Matching, [1, 0, 3, 2], [2, 3, 0, 1]),
+                          (Permutation, [1, 2, 0], [2, 0, 1])):
+            x, same, other = (cls(np.array(a)), cls(np.array(a)),
+                              cls(np.array(b)))
+            assert x == same and hash(x) == hash(same)
+            assert x != other
+            assert {x: 1, same: 2, other: 3} == {x: 2, other: 3}
+        assert random_matching(6, stream(3, 0)) == random_matching(
+            6, stream(3, 0))
+        assert Matching(np.array([1, 0])) != Permutation(np.array([1, 0]))
+
     def test_simple_flag(self):
         assert MultiGraph(2, 1, [1]).simple
         assert not MultiGraph(2, 2, [1, 1]).simple  # a double edge

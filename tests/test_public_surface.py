@@ -211,3 +211,24 @@ def test_only_package_builders_skip_validation():
                  and node.name == "from_edgelist"]
     assert not [line for path, line in calls
                 if path == regg / "graphs.py" and line in _span(reader)]
+
+
+#: the names through which a module reads the process environment
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    """A command's argv holds every setting it runs with, so a manifest's
+    recorded argv reproduces its outputs: no module of src/regg reads
+    os.environ or calls os.getenv, directly or through an import."""
+    readers = {}
+    for path in MODULES:
+        found = sorted({node.lineno for node in ast.walk(TREES[path])
+                        if getattr(node, "attr", None) in _ENVIRONMENT
+                        or (isinstance(node, ast.ImportFrom)
+                            and node.module == "os"
+                            and {alias.name for alias in node.names}
+                            & _ENVIRONMENT)})
+        if found:
+            readers[path.stem] = found
+    assert readers == {}

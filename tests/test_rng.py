@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from regg.errors import InvalidParametersError
-from regg.rng import SEED_ENV_VAR, resolve_seed, stream
+from regg.rng import stream
 
 
 def test_equal_paths_bit_identical():
@@ -27,20 +27,6 @@ def test_seed_must_fit_64_bits():
         stream(1 << 64)
     with pytest.raises(InvalidParametersError):
         stream(-1)
-
-
-def test_resolve_seed_precedence(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "99")
-    assert resolve_seed(5) == 5
-    assert resolve_seed(None) == 99
-    monkeypatch.delenv(SEED_ENV_VAR)
-    assert resolve_seed(None) == 0
-
-
-def test_resolve_seed_rejects_garbage_env(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    with pytest.raises(InvalidParametersError):
-        resolve_seed(None)
 
 
 #: names that build a generator or its state, besides a call of Generator

@@ -382,9 +382,7 @@ class TestResolventView:
             from regg.law import SweepPlan, per_trial, records_for_view
 
             n, d = 2000, 40
-            plan = SweepPlan(
-                e_grid=tuple(round(-2.4 + 0.2 * k, 12) for k in range(25)),
-                eta_grid=SweepPlan.dyadic_etas(64 / n), samples=3)
+            plan = SweepPlan.standard(n, samples=3)
 
             def stat(seed, trial, view):
                 records_for_view(view, "permutation", n, d, seed, trial, plan)
