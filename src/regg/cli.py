@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=[k.value for k in ModelKind])
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--d", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="defaults to 0")
 
     p = sub.add_parser("sample", help="sample one graph to an edge list")
     add_common(p)
