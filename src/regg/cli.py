@@ -22,9 +22,9 @@ from .graphs import ModelKind, sample_model, to_edgelist, uniform_method
 from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
                          um_exact_invariance)
 from .manifest import RunManifest
-from .observables import (_kappa, counting_bounds, deloc_bound,
+from .observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
                           delocalization_stats, density_mass, interval_counts,
-                          que_bound, que_statistics)
+                          que_ratio, que_statistics)
 from .rng import stream
 from .spectral import OFFDIAG_PAIRS, default_xi, effective_D
 from .svg import line_plot
@@ -199,44 +199,53 @@ def _cmd_eigen(args, argv) -> int:
         raise InvalidParametersError(f"eigen needs --d >= 2, got {args.d}")
     if args.samples < 1:
         raise InvalidParametersError("--samples must be at least 1")
-    if not args.bin_width > 0:
-        raise InvalidParametersError("--bin-width must be positive")
+    for flag, mode in (("bin_width", "intervals"), ("interval_size", "que")):
+        if getattr(args, flag) is not None and args.mode != mode:
+            raise InvalidParametersError(
+                f"--{flag.replace('_', '-')} applies to --mode {mode} only")
     n, d = args.n, args.d
-    ModelKind(args.model).check_parity(n, d)  # n > 0 for the bounds
+    ModelKind(args.model).check_parity(n, d)  # n > 0 for the statistics
+    if args.mode != "intervals" and n < 3:
+        raise InvalidParametersError(f"--mode {args.mode} needs --n >= 3")
     keys = [(args.seed, trial) for trial in range(args.samples)]
     rows: list[list] = []
     if args.mode == "deloc":
-        columns = ["seed", "trial", "max_inf_norm", "normalized", "bound"]
-        bound = deloc_bound(n)
+        columns = ["seed", "trial", "max_inf_norm", "normalized", "fourth"]
 
         def stat(seed, trial, view):
             s = delocalization_stats(view)
-            rows.append([seed, trial, s["max_inf_norm"], s["normalized"], bound])
-            return s["normalized"]
-        worst = max(law_mod.per_trial(args.model, n, d, keys, stat))
-        results = {"worst_normalized": worst, "bound": bound,
-                   "pass": worst <= bound}
+            rows.append([seed, trial, s["max_inf_norm"], s["normalized"],
+                         s["fourth"]])
+            return s
+        stats = law_mod.per_trial(args.model, n, d, keys, stat)
+        results = {f"worst_{key}": max(s[key] for s in stats)
+                   for key in ("normalized", "max_ratio", "fourth")}
+        results |= {"max_ratio_gate": MAX_RATIO_GATE, "fourth_gate": FOURTH_GATE,
+                    "pass": (results["worst_max_ratio"] <= MAX_RATIO_GATE
+                             and results["worst_fourth"] <= FOURTH_GATE)}
     elif args.mode == "que":
-        columns = ["seed", "trial", "alpha", "stat", "bound"]
+        columns = ["seed", "trial", "alpha", "stat"]
         size = (min(200, n - 1) if args.interval_size is None
                 else args.interval_size)
         if not 1 <= size <= n - 1:
             raise InvalidParametersError(
                 f"--interval-size must lie in 1..{n - 1}, got {size}")
-        bound = que_bound(n, size)
 
         def stat(seed, trial, view):
             stats = que_statistics(view, size)
-            rows.extend([seed, trial, alpha, float(stats[alpha]), bound]
+            rows.extend([seed, trial, alpha, float(stats[alpha])]
                         for alpha in range(n))
-            return float(np.abs(stats).max())
-        worst = max(law_mod.per_trial(args.model, n, d, keys, stat))
-        results = {"worst_stat": worst, "bound": bound, "xi": default_xi(n),
-                   "interval_size": size, "pass": worst <= bound}
+            return float(np.abs(stats).max()), que_ratio(stats, size)
+        worst, ratios = zip(*law_mod.per_trial(args.model, n, d, keys, stat))
+        results = {"worst_stat": max(worst), "que_ratio_per_trial": list(ratios),
+                   "que_gate": QUE_GATE, "interval_size": size,
+                   "pass": max(ratios) <= QUE_GATE}
     elif args.mode == "intervals":
-        columns = ["seed", "trial", "a", "b", "nu", "rho", "kappa",
-                   "bound_bulk", "bound_edge"]
-        lo, hi, width = -2.2, 2.2, args.bin_width
+        columns = ["seed", "trial", "a", "b", "nu", "rho"]
+        lo, hi = -2.2, 2.2
+        width = 0.1 if args.bin_width is None else args.bin_width
+        if not width > 0:
+            raise InvalidParametersError("--bin-width must be positive")
         span = (hi - lo) / width  # inf for a subnormal width
         if span >= law_mod.E_GRID_MAX + 0.5:
             raise InvalidParametersError(
@@ -247,18 +256,15 @@ def _cmd_eigen(args, argv) -> int:
             raise InvalidParametersError(
                 f"--bin-width {width} gives no bin on [{lo}, {hi}]")
         edges = [lo + k * width for k in range(nbins + 1)]
-        D = effective_D(n, d, args.model)
-        kappas = [_kappa(a, b) for a, b in zip(edges, edges[1:])]
-        bins = [(a, b, density_mass(a, b, d), k,
-                 *counting_bounds(width, k, n, D))
-                for a, b, k in zip(edges, edges[1:], kappas)]
+        bins = [(a, b, density_mass(a, b, d))
+                for a, b in zip(edges, edges[1:])]
 
         def stat(seed, trial, lam):
             tv = 0.0
-            for count, (a, b, rho, *rest) in zip(
+            for count, (a, b, rho) in zip(
                     interval_counts(lam, edges).tolist(), bins):
                 tv += abs(count / n - rho)
-                rows.append([seed, trial, a, b, count / n, rho, *rest])
+                rows.append([seed, trial, a, b, count / n, rho])
             return tv
         tvs = law_mod.per_trial(args.model, n, d, keys, stat, vectors=False)
         results = {"tv_per_trial": tvs, "tv_mean": sum(tvs) / len(tvs)}
@@ -272,7 +278,7 @@ def _cmd_eigen(args, argv) -> int:
     if args.mode == "que":
         params_out["interval_size"] = size
     if args.mode == "intervals":
-        params_out["bin_width"] = args.bin_width
+        params_out["bin_width"] = width
     _write_manifest("eigen", argv, params_out, [args.out], results,
                     args.out + ".manifest.json")
     return EXIT_OK
@@ -407,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["deloc", "que", "intervals"])
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--interval-size", type=int, default=None,
-                   help="defaults to min(200, n - 1)")
-    p.add_argument("--bin-width", type=float, default=0.1)
+                   help="que mode only; defaults to min(200, n - 1)")
+    p.add_argument("--bin-width", type=float, default=None,
+                   help="intervals mode only; defaults to 0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eigen)
 

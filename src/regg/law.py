@@ -32,7 +32,7 @@ __all__ = [
     "CSV_VERSION",
 ]
 
-CSV_VERSION = "v2"
+CSV_VERSION = "v3"
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from regg.invariance import (mm_exact_invariance, pm_exact_uniformity,
 from regg.law import (ACCEPTANCE_CONSTANT, SweepPlan, fit_envelope_constant,
                       per_trial, records_for_view)
 from regg.manifest import RunManifest
-from regg.observables import (deloc_bound, delocalization_stats,
-                              density_mass, interval_counts, que_bound,
-                              que_statistics)
+from regg.observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
+                              delocalization_stats, density_mass,
+                              interval_counts, que_ratio, que_statistics)
 from regg.rng import stream
 from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
 from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
@@ -72,16 +72,40 @@ def sweep_2000():
     return _sweep(2000, 40, SWEEP_SEEDS)
 
 
+def eigvec_stats(seed, trial, view):
+    """(delocalization_stats, que_ratio at |I| = 200) of one view."""
+    return (delocalization_stats(view),
+            que_ratio(que_statistics(view, 200), 200))
+
+
+def deloc_check(stats, n: int) -> tuple[bool, str]:
+    """Criterion 6's check on eigvec_stats of some seeds at size n: the
+    largest entry on the Gaussian scale and the fourth moment against their
+    gates."""
+    worst = max(deloc["normalized"] for deloc, _ in stats)
+    fourth = max(deloc["fourth"] for deloc, _ in stats)
+    limit = MAX_RATIO_GATE * 4 * math.log(n)
+    detail = (f"N max v^2 = {worst:.2f} <= {MAX_RATIO_GATE} (4 log N) = "
+              f"{limit:.1f}, fourth moment / null = {fourth:.4f} <= "
+              f"{FOURTH_GATE}, {len(stats)} seeds")
+    return worst <= limit and fourth <= FOURTH_GATE, detail
+
+
+def que_check(stats) -> tuple[bool, str]:
+    """Criterion 11's check on eigvec_stats of some seeds: the RMS of the
+    QUE statistics of all eigenvectors over its null value."""
+    worst = max(ratio for _, ratio in stats)
+    detail = (f"RMS_alpha (sum_I v^2 - |I|/N) / null = {worst:.3f} <= "
+              f"{QUE_GATE}, all eigenvectors, {len(stats)} seeds")
+    return worst <= QUE_GATE, detail
+
+
 @pytest.fixture(scope="module")
 def eigvec_stats_2000_d30():
-    """(N max v^2, max |QUE statistic| at |I| = 200) for seeds 0..4 of the
-    permutation model at N = 2000, d = 30."""
-    def stat(seed, trial, view):
-        return (delocalization_stats(view)["normalized"],
-                float(np.abs(que_statistics(view, 200)).max()))
-
+    """eigvec_stats for seeds 0..4 of the permutation model at N = 2000,
+    d = 30."""
     return per_trial("permutation", 2000, 30,
-                     [(seed, 0) for seed in range(5)], stat)
+                     [(seed, 0) for seed in range(5)], eigvec_stats)
 
 
 def test_criterion_1_exact_switching_invariance():
@@ -181,11 +205,8 @@ def test_criterion_5_local_law_envelope(sweep_2000):
 
 
 def test_criterion_6_delocalization(eigvec_stats_2000_d30):
-    bound = deloc_bound(2000)
-    worst = max(deloc for deloc, _ in eigvec_stats_2000_d30)
-    ok = worst <= bound
-    detail = f"N max v^2 = {worst:.2f} <= 10 (log N)^2 = {bound:.2f}, 5 seeds"
-    report(6, "eigenvector-delocalization", ok, detail)
+    report(6, "eigenvector-delocalization",
+           *deloc_check(eigvec_stats_2000_d30, 2000))
 
 
 def test_criterion_7_kesten_mckay_histogram():
@@ -256,13 +277,8 @@ def test_criterion_10_exchangeable_moments():
 
 
 def test_criterion_11_que_flatness(eigvec_stats_2000_d30):
-    n, size = 2000, 200
-    bound = que_bound(n, size)
-    worst = max(que for _, que in eigvec_stats_2000_d30[:3])
-    ok = worst <= bound
-    detail = (f"max |sum_I v^2 - |I|/N| = {worst:.4f} <= {bound:.4f}, "
-              f"all eigenvectors, 3 seeds")
-    report(11, "que-eigenvector-flatness", ok, detail)
+    report(11, "que-eigenvector-flatness",
+           *que_check(eigvec_stats_2000_d30[:3]))
 
 
 def test_criterion_12_manifest_rerun_reproducibility(tmp_path):

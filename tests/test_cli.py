@@ -146,7 +146,7 @@ class TestUsage:
     @pytest.mark.parametrize("n", ["0", "-4"])
     def test_nonpositive_size_exits_2(self, tmp_path, capsys, command, n):
         # lawsweep's eta and xi defaults divide by n and take log(n), and so
-        # do the eigen modes' bounds
+        # do the null values of the eigen modes' statistics
         assert run([*command, "--model", "permutation", "--n", n, "--d", "4",
                     "--out", str(tmp_path / "out.csv")]) == EXIT_PRECONDITION
         assert "need n > 0" in capsys.readouterr().err
@@ -320,8 +320,9 @@ class TestLawsweep:
 
     def test_law_csv_matches_recorded_bytes(self, tmp_path):
         # sha256 of the v1 file with its psi and flag columns dropped and
-        # the v2 header; at N = 100 the bytes do not depend on the number
-        # of BLAS threads
+        # the v2 header, then of that file with the v3 header, its only
+        # change; at N = 100 the bytes do not depend on the number of BLAS
+        # threads
         out = tmp_path / "law.csv"
         code = run(["lawsweep", "--model", "permutation", "--n", "100",
                     "--d", "6", "--seed", "4", "--samples", "2",
@@ -329,11 +330,11 @@ class TestLawsweep:
                     "--eta-min", "0.4", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().splitlines()[:2] == [
-            "# regg-csv v2 law",
+            "# regg-csv v3 law",
             "model,N,d,seed,trial,E,eta,max_diag_err,max_offdiag,s_minus_m,"
             "phi,f_xi_phi"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "637da0f6a84521f974abc5c1f1c31c219ffd921f7a43419f039778dd54d02fad")
+            "d75da0435c260aea20fee2ce98babd740eaab101932bb6670add8853fea9f3f5")
 
     @pytest.mark.parametrize("argv, reason", [
         # 2 * 10^12 energies: refused before the tuple is built
@@ -414,6 +415,46 @@ class TestEigen:
         assert sampled == []
         assert not (tmp_path / "iv.csv").exists()
 
+    @pytest.mark.parametrize("mode, flags, message", [
+        # deloc never bins, so no bin width is checked or read
+        ("deloc", ["--bin-width", "0"], "--bin-width applies to --mode "
+         "intervals only"),
+        ("deloc", ["--interval-size", "5", "--bin-width", "7"],
+         "--bin-width applies to --mode intervals only"),
+        ("que", ["--bin-width", "0.1"], "--bin-width applies to --mode "
+         "intervals only"),
+        ("intervals", ["--interval-size", "5"], "--interval-size applies to "
+         "--mode que only"),
+        ("deloc", ["--interval-size", "5"], "--interval-size applies to "
+         "--mode que only"),
+        # the fourth moment's and the QUE statistics' null values vanish
+        ("deloc", ["--n", "2", "--d", "2"], "--mode deloc needs --n >= 3"),
+        ("que", ["--n", "2", "--d", "2"], "--mode que needs --n >= 3"),
+    ])
+    def test_mode_precondition_exits_2_before_sampling(self, tmp_path, capsys,
+                                                       monkeypatch, mode, flags,
+                                                       message):
+        sampled = []
+        monkeypatch.setattr(law_mod, "sample_model",
+                            lambda *args, **kwargs: sampled.append(args))
+        out = tmp_path / "x.csv"
+        assert run(["eigen", "--mode", mode, "--model", "permutation",
+                    "--n", "40", "--d", "4", *flags,
+                    "--out", str(out)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sampled == []
+        assert not out.exists()
+
+    def test_intervals_default_bin_width(self, tmp_path):
+        out = tmp_path / "iv.csv"
+        assert run(["eigen", "--mode", "intervals", "--model", "matching",
+                    "--n", "40", "--d", "3", "--out", str(out)]) == EXIT_OK
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.params["bin_width"] == 0.1
+        columns, rows = read_table(str(out), "eigen-intervals")
+        assert columns == ["seed", "trial", "a", "b", "nu", "rho"]
+        assert len(rows) == 44
+
     def test_deloc(self, tmp_path):
         out = tmp_path / "deloc.csv"
         code = run(["eigen", "--mode", "deloc", "--model", "permutation",
@@ -478,26 +519,28 @@ class TestEigen:
     def test_intervals_csv_matches_recorded_bytes(self, tmp_path):
         # sha256 recorded with the closed-form reference masses; against the
         # quadrature masses only the rho column differs, by at most 8e-17.
-        # Re-recorded for the v2 header; the rows below it are unchanged
+        # Re-recorded for the v2 header, then as that file with the v3
+        # header and its kappa, bound_bulk and bound_edge columns removed
         out = tmp_path / "int.csv"
         code = run(["eigen", "--mode", "intervals", "--model", "matching",
                     "--n", "1500", "--d", "3", "--seed", "5", "--samples", "2",
                     "--out", str(out)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "59e389bef3099584de2c7523b7033d2600e581e5d261031f622ffa2499243b9b")
+            "77aff59392704d373a05a5be1d9a34d5e46dc9c0c19c26da498ba6670c762d07")
 
     def test_intervals_with_loops_matches_recorded_bytes(self, tmp_path):
         # permutation graphs carry loops and multi-edges; sha256 recorded
-        # with the full dense matrix handed to LAPACK, and re-recorded for
-        # the v2 header; the rows below it are unchanged
+        # with the full dense matrix handed to LAPACK, re-recorded for the
+        # v2 header, then as that file with the v3 header and its kappa,
+        # bound_bulk and bound_edge columns removed
         out = tmp_path / "int.csv"
         code = run(["eigen", "--mode", "intervals", "--model", "permutation",
                     "--n", "400", "--d", "6", "--seed", "5", "--samples", "2",
                     "--out", str(out)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "fa8db7eb65090461b84caded9528f7ed3467590441843215295825781fc11950")
+            "644e3b52ce143ab2aa23ef98456c1e91f6438f4250ee8772fe2e4d5550c410d1")
 
     @pytest.mark.parametrize("mode", ["deloc", "que", "lawsweep"])
     def test_trials_do_not_accumulate_memory(self, tmp_path, monkeypatch,

@@ -214,8 +214,9 @@ class TestCsv:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "x.csv"
-        # v1, the law CSV with psi and flag columns, is rejected too
-        for version in ("v0", "v1"):
+        # v1, the law CSV with psi and flag columns, and v2, before the
+        # eigen CSVs dropped their bound columns, are rejected too
+        for version in ("v0", "v1", "v2"):
             path.write_text(f"# regg-csv {version} law\nmodel\n")
             with pytest.raises(InvalidParametersError):
                 read_table(str(path), "law")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from regg.errors import InvalidParametersError
 from regg.graphs import sample_permutation_model, sample_uniform
-from regg.observables import (_kappa, counting_bounds, deloc_bound,
+from regg.observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
                               delocalization_stats, density_mass,
-                              interval_counts, isotropic_error, que_bound,
+                              interval_counts, isotropic_error, que_ratio,
                               que_statistics, random_unit_perp_e)
 from regg.rng import stream
-from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
+from regg.spectral import ResolventView, build_H, m_semicircle
 
 from oracles import kesten_mckay_density, resolvent_solve
 
@@ -159,28 +160,10 @@ class TestIntervalCount:
         nu = count / view.n
         assert 0 <= nu <= 1
         assert abs(nu - density_mass(-0.5, 0.5, d=20)) < 0.1
-        assert _kappa(-0.5, 0.5) == 1.5
-        bulk, edge = counting_bounds(1.0, 1.5, 300, 20)
-        assert bulk > 0 and edge > 0
-
-    def test_counting_bounds_example(self):
-        # |I| = 1, kappa = 3, N = 10^4, D = 16: sqrt(kappa + |I|) = 2,
-        # 1/sqrt(D) + 1/sqrt(N |I|) = 0.26 and D^-1/4 + (N |I|)^-1/4 = 0.6
-        xi = math.log(10**4) ** 2
-        bulk, edge = counting_bounds(1.0, 3.0, 10**4, 16)
-        assert bulk == pytest.approx(xi / 2 * 0.26 + xi ** 2 / 10**4,
-                                     rel=1e-14)
-        assert edge == pytest.approx(math.sqrt(xi) * 0.6 + xi ** 2 / 10**4,
-                                     rel=1e-14)
-
-    def test_kappa_zero_across_edge(self):
-        assert _kappa(1.9, 2.1) == 0.0
 
     def test_degenerate_interval(self, view):
         assert interval_counts(view.eigenvalues, [0.5, 0.5]).tolist() == [0]
         assert density_mass(0.5, 0.5, d=20) == 0.0
-        bulk, edge = counting_bounds(0.0, _kappa(0.5, 0.5), 300, 20)
-        assert bulk == edge == default_xi(300) ** 2 / 300
 
     def test_matches_half_open_loop(self, view):
         # edges placed on eigenvalues: each bin [a, b) counts a but not b
@@ -200,8 +183,14 @@ class TestDelocalization:
         assert stats["max_inf_norm"] == np.abs(view.eigenvectors).max()
         assert stats["max_inf_norm"] >= n ** -0.5 - 1e-12
         assert stats["normalized"] == n * stats["max_inf_norm"] ** 2
-        # delocalized at this size: all mass spread to within polylog factors
-        assert stats["normalized"] <= deloc_bound(n)
+        assert stats["max_ratio"] == pytest.approx(
+            stats["normalized"] / (4 * math.log(n)), rel=1e-15)
+        v4 = (view.eigenvectors ** 4).sum()
+        assert stats["fourth"] == pytest.approx(
+            (v4 - 1) * n * (n + 1) / (2 * (n - 1) * (n - 2)), rel=1e-12)
+        # delocalized at this size, on the Gaussian scale
+        assert stats["max_ratio"] <= MAX_RATIO_GATE
+        assert stats["fourth"] <= FOURTH_GATE
 
 
 class TestIsotropic:
@@ -233,7 +222,7 @@ class TestQueStatistic:
     def test_small_for_delocalized_vectors(self, view):
         stats = que_statistics(view, 50)
         assert stats.shape == (view.n,)
-        assert np.abs(stats).max() < que_bound(view.n, 50)
+        assert que_ratio(stats, 50) <= QUE_GATE
 
     def test_sum_zero_enforced(self, view):
         # a = 1_I - |I|/N sums to zero, and sum_alpha v_alpha(i)^2 = 1, so
@@ -268,3 +257,33 @@ def test_que_projection_invariance_property(shift, size, seed):
     shifted[:size] += 1.0
     expect = (shifted - shifted.mean()) @ view.eigenvectors ** 2
     assert np.abs(que_statistics(view, size) - expect).max() < 1e-10
+
+
+class TestNullModel:
+    """Haar-random orthonormal bases of e-perp plus e/sqrt(N): the fourth
+    moment and the mean square of que_ratio have null mean 1 at every N."""
+
+    @staticmethod
+    def haar_view(n: int, rng):
+        # QR of [e, Gaussian columns] with the signs of R's diagonal: the
+        # first column is e/sqrt(N) and the rest are Haar on e-perp
+        g = rng.standard_normal((n, n))
+        g[:, 0] = 1.0
+        q, r = np.linalg.qr(g)
+        return SimpleNamespace(n=n, eigenvectors=q * np.sign(np.diag(r)))
+
+    @pytest.mark.parametrize("n, size, draws", [(4, 1, 4000), (10, 3, 4000),
+                                                (40, 20, 1000),
+                                                (100, 7, 400)])
+    def test_null_mean_is_one(self, n, size, draws):
+        rng = stream(53, n)
+        fourth, que2 = np.empty(draws), np.empty(draws)
+        for k in range(draws):
+            view = self.haar_view(n, rng)
+            assert np.allclose(view.eigenvectors[:, 0], n ** -0.5,
+                               rtol=0, atol=1e-15)
+            fourth[k] = delocalization_stats(view)["fourth"]
+            que2[k] = que_ratio(que_statistics(view, size), size) ** 2
+        for sample in (fourth, que2):
+            err = sample.std(ddof=1) / math.sqrt(draws)
+            assert abs(sample.mean() - 1) <= 3 * err, (sample.mean(), err)
