@@ -65,7 +65,6 @@ def main():
 
     run(["stability", "--check", "all", "--seed", seed,
          "--points", "2000" if args.quick else "10000",
-         "--runs", "20000" if args.quick else "1000000",
          "--out", str(out / "stability.json")])
 
     code = regg_main(["report", "--dir", str(out), "--strict"])

@@ -175,6 +175,8 @@ class MultiGraph:
 
     def __post_init__(self) -> None:
         n = self.n
+        if n < 1:
+            raise InvalidParametersError(f"need n >= 1 vertices, got {n}")
         c = np.sort(np.asarray(self.codes, dtype=np.int64))
         if c.size and (c[0] < 0 or c[-1] >= n * n):
             raise InvalidParametersError(f"edge codes out of range [0, {n * n})")
@@ -675,10 +677,13 @@ def from_edgelist(text: str) -> tuple[MultiGraph, dict]:
     head = lines[0].split()
     if len(head) != 4:
         raise InvalidParametersError(f"bad header {lines[0]!r}")
-    n, d = int(head[0]), int(head[1])
-    header = {"n": n, "d": d, "model": head[2], "seed": int(head[3])}
-    rows = (np.loadtxt(lines[1:], dtype=np.int64, ndmin=2) if len(lines) > 1
-            else np.empty((0, 3), dtype=np.int64))
+    try:
+        n, d, seed = int(head[0]), int(head[1]), int(head[3])
+        rows = (np.loadtxt(lines[1:], dtype=np.int64, ndmin=2)
+                if len(lines) > 1 else np.empty((0, 3), dtype=np.int64))
+    except ValueError as exc:
+        raise InvalidParametersError(f"malformed edge list: {exc}") from exc
+    header = {"n": n, "d": d, "model": head[2], "seed": seed}
     if rows.shape[1] != 3:
         raise InvalidParametersError("edge lines must read 'i j multiplicity'")
     i, j, m = rows.T

@@ -1,7 +1,7 @@
 """Reference implementations the tests check the package against.
 
 Each is the direct, slow form of a quantity the package computes another
-way, or a Monte-Carlo estimate of one it enumerates exactly; no command
+way, or a Monte-Carlo rate a test compares with a stated bound; no command
 runs them.
 """
 
@@ -106,22 +106,3 @@ def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
         tot += len(out.a)
     return hit / tot
 
-
-def exchangeable_moment_mc(ens, p: int, samples: int,
-                           seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the moment that
-    stability.exchangeable_moment_exact enumerates, over `samples` uniform
-    relabelings."""
-    rng = stream(seed, 3)
-    n = ens.n
-    a = np.asarray(ens.coefficients, dtype=float)
-    perms = rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1)
-    if ens.base_vector is not None:
-        y = np.asarray(ens.base_vector, dtype=float)
-        vals = (y[perms] @ a) ** p
-    else:
-        ymat = np.asarray(ens.base_matrix, dtype=float)
-        b = np.zeros((samples, n))
-        np.put_along_axis(b, perms, a[None, :].repeat(samples, axis=0), axis=1)
-        vals = np.einsum("ki,ij,kj->k", b, ymat, b) ** p
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -23,12 +23,9 @@ from regg.observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
                               interval_counts, que_ratio, que_statistics)
 from regg.rng import stream
 from regg.spectral import ResolventView, build_H, default_xi, m_semicircle
-from regg.stability import (MOMENT_CONSTANT, ExchangeableEnsemble,
-                            exchangeable_moment_bound_check,
-                            exchangeable_moment_exact, ladder_sweep,
-                            simulate_martingale_tails, stability_sweep)
+from regg.stability import ladder_sweep, stability_sweep
 
-from oracles import exchangeable_moment_mc, resolvent_solve
+from oracles import resolvent_solve
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -239,41 +236,6 @@ def test_criterion_8_quadratic_stability():
               f"ladder constant 10 (worst {ladder['worst_ratio']:.3f}); "
               f"{elapsed:.1f}s < 10s")
     report(8, "self-consistent-stability", ok, detail)
-
-
-def test_criterion_9_arcsinh_tail_bound():
-    out = simulate_martingale_tails(runs=1000000, seed=0)
-    worst = max((row["empirical"] / row["bound"] for row in out["rows"]
-                 if row["bound"] > 0), default=0.0)
-    detail = (f"10^6 runs, 100 steps: empirical <= bound at all xi "
-              f"(worst ratio {worst:.3f})")
-    report(9, "martingale-arcsinh-tails", out["pass"], detail)
-
-
-def test_criterion_10_exchangeable_moments():
-    vec = ExchangeableEnsemble((0.5, -0.5, 0.25, -0.25, 0.0, 0.0),
-                               base_vector=(3.0, 1.0, -2.0, 0.5, 0.0, -1.0))
-    mat_rows = tuple(tuple(float((i * 7 + j * 3) % 5 - 2) for j in range(6))
-                     for i in range(6))
-    sym = tuple(tuple((mat_rows[i][j] + mat_rows[j][i]) / 2 for j in range(6))
-                for i in range(6))
-    mat = ExchangeableEnsemble((0.5, -0.5, 0.25, -0.25, 0.0, 0.0),
-                               base_matrix=sym)
-    mc_ok = True
-    for ens, p in ((vec, 2), (vec, 4), (vec, 6), (mat, 2), (mat, 4)):
-        exact = float(exchangeable_moment_exact(ens, p))
-        mean, se = exchangeable_moment_mc(ens, p, samples=200000, seed=p)
-        mc_ok = mc_ok and abs(mean - exact) <= 4 * se
-    bound_ok = all(
-        exchangeable_moment_bound_check(vec, p)["pass"]
-        for p in (2, 4, 6))
-    bound_ok = bound_ok and all(
-        exchangeable_moment_bound_check(mat, p)["pass"]
-        for p in (2, 4, 6))
-    ok = mc_ok and bound_ok
-    detail = (f"exact-vs-MC within 4 SE: {mc_ok}; "
-              f"vector+matrix bounds at C={MOMENT_CONSTANT:g}: {bound_ok}")
-    report(10, "exchangeable-moment-bounds", ok, detail)
 
 
 def test_criterion_11_que_flatness(eigvec_stats_2000_d30):

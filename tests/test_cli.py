@@ -15,7 +15,6 @@ import pytest
 
 from regg import graphs, spectral
 from regg import law as law_mod
-from regg import stability as stab_mod
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
                       build_parser, main, rerun_manifest)
 from regg.errors import InvalidParametersError
@@ -45,6 +44,10 @@ class TestUsage:
         assert run([*sweep, "--envelope", "psi"]) == EXIT_USAGE
         # xi is always default_xi(n)
         assert run([*sweep, "--xi", "0"]) == EXIT_USAGE
+        # the martingale tail and exchangeable moment checks are retired
+        assert run(["stability", "--runs", "10"]) == EXIT_USAGE
+        assert run(["stability", "--check", "arcsinh"]) == EXIT_USAGE
+        assert run(["stability", "--check", "moments"]) == EXIT_USAGE
         # no command reads a config file
         model = ["--model", "matching", "--n", "10", "--d", "3"]
         for argv in (["sample", *model, "--out", str(tmp_path / "g.edges")],
@@ -114,13 +117,11 @@ class TestUsage:
                     ["invariance", "--model", "permutation", "--n", "4", "--d", "7"],
                     ["invariance", "--model", "permutation", "--n", "4", "--d", "4",
                      "--mc", "--samples", "10"],
-                    # counts below 1: an empty sweep, NaN tails or a NaN TV
+                    # counts below 1: an empty sweep or a NaN TV
                     ["stability", "--check", "sweep", "--points", "-5"],
                     ["stability", "--check", "sweep", "--points", "0"],
                     ["stability", "--check", "ladder", "--points", "-5"],
                     ["stability", "--check", "ladder", "--points", "0"],
-                    ["stability", "--check", "arcsinh", "--runs", "0"],
-                    ["stability", "--check", "arcsinh", "--runs", "-1"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
                      "--mc", "--samples", "0"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
@@ -690,14 +691,13 @@ class TestEigen:
 class TestStability:
     def test_quick_all(self, tmp_path, capsys):
         out = tmp_path / "stab.json"
-        code = run(["stability", "--points", "200", "--runs", "2000",
-                    "--seed", "0", "--out", str(out)])
+        code = run(["stability", "--points", "200", "--seed", "0",
+                    "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
         names = {c["check"] for c in payload["checks"]}
-        assert {"stability_sweep", "ladder_sweep", "arcsinh_tails",
-                "exchangeable_vector_bound"} <= names
+        assert names == {"stability_sweep", "ladder_sweep"}
 
     def test_ladder_runs_a_track_per_50_points_and_at_least_one(self, capsys):
         for points, tracks in ((10, 1), (120, 2)):
@@ -705,17 +705,6 @@ class TestStability:
                         str(points), "--seed", "0"]) == EXIT_OK
             (check,) = json.loads(capsys.readouterr().out)["checks"]
             assert check["tracks"] == tracks
-
-    def test_arcsinh_runs_beyond_ram_exit_2_before_drawing(self, monkeypatch,
-                                                           capsys):
-        # one int8 per step of each run: 100 steps per run
-        def draw(*args):
-            raise AssertionError("the steps were drawn before the RAM check")
-        monkeypatch.setattr(stab_mod, "stream", draw)
-        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        assert run(["stability", "--check", "arcsinh", "--runs",
-                    str(ram // 100 + 1)]) == EXIT_PRECONDITION
-        assert "RAM" in capsys.readouterr().err
 
 
 class TestReport:

@@ -370,6 +370,16 @@ class TestSerialization:
         for line in ("0 2 1", "-1 1 1", "0 1 -1"):
             with pytest.raises(InvalidParametersError):
                 from_edgelist(f"2 1 configuration 0\n{line}\n")
+        # fields that are not integers, and vertex counts below 1
+        for text in ("x 3 matching 0\n", "2 1 configuration x\n",
+                     "2 1 configuration 0\n0 1 x\n",
+                     "2 1 configuration 0\n0 1 1.5\n",
+                     "0 3 matching 0\n", "-2 3 matching 0\n"):
+            with pytest.raises(InvalidParametersError):
+                from_edgelist(text)
+        for n in (0, -2):
+            with pytest.raises(InvalidParametersError):
+                MultiGraph(n, 3, [])
 
     def test_loops_serialized_once_with_loop_count(self):
         g = MultiGraph(2, 2, [0, 3])  # a loop at 0 and a loop at 1

@@ -1,21 +1,13 @@
 import math
-from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regg.errors import BudgetExceededError, InvalidParametersError
+from regg.errors import InvalidParametersError
 from regg.spectral import m_semicircle, solve_two_roots
-from regg import stability
-from regg.stability import (ExchangeableEnsemble, arcsinh_tail_bound,
-                            exchangeable_moment_bound_check,
-                            exchangeable_moment_exact, ladder_check,
-                            ladder_sweep, simulate_martingale_tails,
-                            stability_check, stability_sweep)
-
-from oracles import exchangeable_moment_mc
+from regg.stability import (ladder_check, ladder_sweep, stability_check,
+                            stability_sweep)
 
 
 class TestRoots:
@@ -64,125 +56,6 @@ class TestLadder:
             with pytest.raises(InvalidParametersError):
                 ladder_sweep(ntracks=ntracks, seed=1)
         assert ladder_sweep(ntracks=1, seed=1)["tracks"] == 1
-
-
-class TestArcsinhBound:
-    def test_example_value(self):
-        # M = 1, S = 1, xi = 2 sqrt 2: bound = 4 exp(-asinh 1) = 4/(1 + sqrt 2)
-        got = arcsinh_tail_bound(2 * math.sqrt(2), 1.0, 1.0)
-        assert abs(got - 4 / (1 + math.sqrt(2))) < 1e-12
-        assert abs(got - 1.6569) < 1e-4
-
-    def test_vacuous_at_zero(self):
-        assert arcsinh_tail_bound(0.0, 1.0, 1.0) == 4.0
-
-    def test_monotone_in_xi(self):
-        vals = [arcsinh_tail_bound(x, 1.0, 100.0) for x in (1, 5, 20, 50)]
-        assert vals == sorted(vals, reverse=True)
-
-    def test_validates(self):
-        with pytest.raises(InvalidParametersError):
-            arcsinh_tail_bound(1.0, 0.0, 1.0)
-
-    def test_simulated_walk_within_bound(self, monkeypatch):
-        monkeypatch.setattr(stability, "MARTINGALE_STEPS", 64)
-        monkeypatch.setattr(stability, "TAIL_XI", (2.0, 6.0, 12.0, 24.0))
-        out = simulate_martingale_tails(runs=20000, seed=4)
-        assert out["pass"]
-        assert [row["xi"] for row in out["rows"]] == [2.0, 6.0, 12.0, 24.0]
-        for row in out["rows"]:
-            assert row["empirical"] <= row["bound"]
-
-
-class TestExchangeableEnsemble:
-    def test_coefficient_constraints(self):
-        with pytest.raises(InvalidParametersError):
-            ExchangeableEnsemble((1.0, 1.0), base_vector=(1.0, 2.0))
-        with pytest.raises(InvalidParametersError):
-            ExchangeableEnsemble((1.0, -1.0), base_vector=(1.0, 2.0))
-        with pytest.raises(InvalidParametersError):
-            ExchangeableEnsemble((0.5, -0.5), base_vector=(1.0,),
-                                 base_matrix=((1.0,),))
-
-    def test_budget(self):
-        a = (0.25, -0.25) + (0.0,) * 8
-        ens = ExchangeableEnsemble(a, base_vector=(1.0,) * 10)
-        with pytest.raises(BudgetExceededError):
-            exchangeable_moment_exact(ens, 2)
-
-
-class TestExactMoments:
-    def test_hand_computed_second_moment(self):
-        # a = (1/2, -1/2), Y = (0, 1): X = +-1/2 each with prob 1/2 -> E X^2 = 1/4
-        ens = ExchangeableEnsemble((Fraction(1, 2), Fraction(-1, 2)),
-                                   base_vector=(Fraction(0), Fraction(1)))
-        assert exchangeable_moment_exact(ens, 2) == Fraction(1, 4)
-        assert exchangeable_moment_exact(ens, 1) == 0
-        assert exchangeable_moment_exact(ens, 3) == 0
-
-    def test_rational_in_rational_out(self):
-        ens = ExchangeableEnsemble(
-            (Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4)),
-            base_vector=(Fraction(1), Fraction(2), Fraction(4)))
-        out = exchangeable_moment_exact(ens, 4)
-        assert isinstance(out, Fraction)
-
-    def test_float_inputs_give_float(self):
-        ens = ExchangeableEnsemble((0.5, -0.5), base_vector=(0.0, 1.3))
-        out = exchangeable_moment_exact(ens, 2)
-        assert isinstance(out, float)
-        assert out == pytest.approx(0.25 * 1.3 ** 2)
-
-    def test_matrix_case_hand_value(self):
-        # a = (1/2, -1/2), Y = [[0, 1], [1, 0]]: form = 2 a1 a2 Y12 = -1/2 always
-        ens = ExchangeableEnsemble(
-            (Fraction(1, 2), Fraction(-1, 2)),
-            base_matrix=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-        assert exchangeable_moment_exact(ens, 1) == Fraction(-1, 2)
-        assert exchangeable_moment_exact(ens, 2) == Fraction(1, 4)
-
-
-class TestMonteCarloMoments:
-    def test_vector_mc_matches_exact(self):
-        ens = ExchangeableEnsemble((0.5, -0.25, -0.25, 0.0),
-                                   base_vector=(3.0, 1.0, -2.0, 0.5))
-        exact = float(exchangeable_moment_exact(ens, 4))
-        mean, se = exchangeable_moment_mc(ens, 4, samples=40000, seed=6)
-        assert abs(mean - exact) <= 4 * se
-
-    def test_matrix_mc_matches_exact(self):
-        y = ((1.0, 0.5, -0.25), (0.5, -1.0, 0.75), (-0.25, 0.75, 0.5))
-        ens = ExchangeableEnsemble((0.5, -0.5, 0.0), base_matrix=y)
-        exact = float(exchangeable_moment_exact(ens, 2))
-        mean, se = exchangeable_moment_mc(ens, 2, samples=40000, seed=7)
-        assert abs(mean - exact) <= 4 * se
-
-
-class TestMomentBounds:
-    def test_vector_bound(self):
-        ens = ExchangeableEnsemble((0.5, -0.5, 0.25, -0.25, 0.0, 0.0),
-                                   base_vector=(3.0, 1.0, -2.0, 0.5, 0.0, -1.0))
-        for p in (2, 4, 6):
-            out = exchangeable_moment_bound_check(ens, p)
-            assert out["check"] == "exchangeable_vector_bound"
-            assert out["pass"]
-
-    def test_matrix_bound(self):
-        y = tuple(tuple(float((i * 7 + j * 3) % 5 - 2) for j in range(5))
-                  for i in range(5))
-        sym = tuple(tuple((y[i][j] + y[j][i]) / 2 for j in range(5))
-                    for i in range(5))
-        ens = ExchangeableEnsemble((0.5, -0.5, 0.25, -0.25, 0.0),
-                                   base_matrix=sym)
-        for p in (2, 4):
-            out = exchangeable_moment_bound_check(ens, p)
-            assert out["check"] == "exchangeable_matrix_bound"
-            assert out["pass"]
-
-    def test_even_p_required(self):
-        ens = ExchangeableEnsemble((0.5, -0.5), base_vector=(1.0, 0.0))
-        with pytest.raises(InvalidParametersError):
-            exchangeable_moment_bound_check(ens, 3)
 
 
 @settings(max_examples=60, deadline=None)
