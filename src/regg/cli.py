@@ -398,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["deloc", "que", "intervals"])
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--interval-size", type=int, default=None,
-                   help="que mode only; defaults to min(200, n - 1)")
+                   help="que mode only; defaults to min(200, n - 1), which "
+                        "for n <= 201 is every vertex but one, so que_ratio "
+                        "there measures one vertex's spread")
     p.add_argument("--bin-width", type=float, default=None,
                    help="intervals mode only; defaults to 0.1")
     p.add_argument("--out", required=True)

@@ -24,6 +24,7 @@ read-only with no check.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import mmap
@@ -87,10 +88,13 @@ class ModelKind(str, Enum):
             raise InvalidParametersError("configuration model needs n*d even")
 
 
-def _codes(n: int, u, v) -> np.ndarray:
-    """Codes min(u, v) * n + max(u, v) of the edges {u[k], v[k]}."""
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    return np.minimum(u, v) * n + np.maximum(u, v)
+def _codes(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Codes min(u, v) * n + max(u, v) of the edges {u[k], v[k]}, for int64
+    arrays u and v, formed in place in the array np.minimum returns."""
+    codes = np.minimum(u, v)
+    codes *= n
+    codes += np.maximum(u, v)
+    return codes
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
@@ -100,9 +104,12 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
 def _simple(codes: np.ndarray, n: int) -> np.ndarray:
     """Whether the sorted edge codes along the last axis hold no loop (a
     loop's code i*n + i is a multiple of n + 1) and no repeated code: one
-    flag per row."""
-    return ((codes % (n + 1)).all(axis=-1)
-            & (codes[..., 1:] != codes[..., :-1]).all(axis=-1))
+    flag per row, from one bool array that both tests write into and one
+    reduction."""
+    ok = codes % (n + 1) != 0
+    np.logical_and(ok[..., 1:], codes[..., 1:] != codes[..., :-1],
+                   out=ok[..., 1:])
+    return np.logical_and.reduce(ok, axis=-1)
 
 
 def check_ram(need: int, what: str) -> None:
@@ -408,13 +415,23 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
     return MultiGraph._built(n, d, np.sort(_join(parts)))
 
 
+@functools.lru_cache(maxsize=8)
+def _sorted_stubs(n: int, d: int, rows: int) -> np.ndarray:
+    """A read-only (rows, n*d) array, each row the stubs of n vertices of
+    degree d in order: the input layout _configuration_codes shuffles a
+    copy of.  Built once per (n, d, rows); the cache holds at most 8 of
+    these layouts and never a sampled graph."""
+    stubs = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
+    stubs.flags.writeable = False
+    return stubs
+
+
 def _configuration_codes(n: int, d: int, rng: np.random.Generator,
                          rows: int = 1) -> np.ndarray:
     """Edge codes of `rows` independent uniform pairings of the n*d stubs,
-    one pairing per row: one rng.permuted call shuffles each row of sorted
-    stubs on its own, and consecutive stubs are paired."""
-    stubs = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
-    rng.permuted(stubs, axis=1, out=stubs)
+    one pairing per row: one rng.permuted call shuffles a copy of each row
+    of sorted stubs on its own, and consecutive stubs are paired."""
+    stubs = rng.permuted(_sorted_stubs(n, d, rows), axis=1)
     return _codes(n, stubs[:, 0::2], stubs[:, 1::2])
 
 
@@ -483,12 +500,17 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
             f"the switching chain needs at least 3 edges, got {m}")
     ends = [x for c in codes for x in divmod(c, n)]
     present = set(codes)
+    add, remove = present.add, present.remove
     for idx, flip in _chain_proposals(m, moves, rng):
-        for p1, p2, p3 in zip(*(2 * idx + flip).T.tolist()):
+        for p1, p2, p3 in (2 * idx + flip).tolist():
             r, rb = ends[p1], ends[p1 ^ 1]
             aa, ab = ends[p2], ends[p2 ^ 1]
             b, bb = ends[p3], ends[p3 ^ 1]
-            if len({r, rb, aa, ab, b, bb}) < 6:
+            # the six endpoints must be distinct: all 15 pairs differ
+            if (r == rb or r == aa or r == ab or r == b or r == bb
+                    or rb == aa or rb == ab or rb == b or rb == bb
+                    or aa == ab or aa == b or aa == bb
+                    or ab == b or ab == bb or b == bb):
                 continue
             # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
             if rb > aa:
@@ -507,12 +529,12 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
             if c3 in present:
                 continue
             e1, e2, e3 = p1 >> 1, p2 >> 1, p3 >> 1
-            present.remove(codes[e1])
-            present.remove(codes[e2])
-            present.remove(codes[e3])
-            present.add(c1)
-            present.add(c2)
-            present.add(c3)
+            remove(codes[e1])
+            remove(codes[e2])
+            remove(codes[e3])
+            add(c1)
+            add(c2)
+            add(c3)
             codes[e1], codes[e2], codes[e3] = c1, c2, c3
             ends[2 * e1], ends[2 * e1 + 1] = rb, aa
             ends[2 * e2], ends[2 * e2 + 1] = ab, b
@@ -532,23 +554,26 @@ def _expected_tries(d: int) -> float:
 _REJECTION_STUBS = 1 << 14
 
 
-def _rejection_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def _rejection_codes(n: int, d: int, rng: np.random.Generator,
+                     expected_tries: float) -> np.ndarray:
     """Sorted edge codes of the first simple configuration pairing, drawn
     in blocks; raises BudgetExceededError after REJECTION_TRIES pairings.
 
     A block is B rows of _configuration_codes, each a uniform pairing
     independent of all rows before it, so the first simple row is exactly
     uniform over simple graphs.  Rows after it are discarded.  B is twice
-    the expected tries, so most blocks hold a simple row, but at most
-    _REJECTION_STUBS // (n*d) and at least 1, and never more than the
-    tries left: every examined row counts against REJECTION_TRIES.
+    `expected_tries`, the caller's _expected_tries(d), so most blocks hold
+    a simple row, but at most _REJECTION_STUBS // (n*d) and at least 1,
+    and never more than the tries left: every examined row counts against
+    REJECTION_TRIES.
     """
-    rows = max(1, min(math.ceil(2 * _expected_tries(d)),
+    rows = max(1, min(math.ceil(2 * expected_tries),
                       _REJECTION_STUBS // max(n * d, 1)))
     tries = 0
     while tries < REJECTION_TRIES:
         block = min(rows, REJECTION_TRIES - tries)
-        codes = np.sort(_configuration_codes(n, d, rng, block), axis=1)
+        codes = _configuration_codes(n, d, rng, block)
+        codes.sort(axis=1)
         simple = _simple(codes, n)
         first = simple.argmax()
         if simple[first]:
@@ -569,7 +594,12 @@ def uniform_method(n: int, d: int, method: str = "auto") -> str:
     expected tries exceed REJECTION_TRIES raises BudgetExceededError at
     once.
     """
-    expected_tries = _expected_tries(d)
+    return _resolve_method(n, d, method, _expected_tries(d))
+
+
+def _resolve_method(n: int, d: int, method: str,
+                    expected_tries: float) -> str:
+    """uniform_method, given expected_tries = _expected_tries(d)."""
     if method == "auto":
         fits = d <= 2 * math.log(n) and expected_tries <= REJECTION_TRIES / 10
         return "rejection" if fits else "switching-chain"
@@ -599,8 +629,10 @@ def sample_uniform(n: int, d: int, rng: np.random.Generator,
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
         raise InvalidParametersError("simple graph needs d < n")
-    if uniform_method(n, d, method) == "rejection":
-        return MultiGraph._built(n, d, _rejection_codes(n, d, rng))
+    expected_tries = _expected_tries(d)
+    if _resolve_method(n, d, method, expected_tries) == "rejection":
+        return MultiGraph._built(
+            n, d, _rejection_codes(n, d, rng, expected_tries))
     codes = _chain_burn_in(_circulant_simple(n, d), n, rng, moves=10 * n * d)
     return MultiGraph._built(n, d, np.sort(np.array(codes, dtype=np.int64)))
 
@@ -671,6 +703,11 @@ def to_edgelist(g: MultiGraph, model: str | ModelKind, seed: int) -> str:
 
 
 def from_edgelist(text: str) -> tuple[MultiGraph, dict]:
+    """The graph and header of to_edgelist's text.  Raises
+    InvalidParametersError for malformed text, for an unknown model, for
+    (n, d) that violate the model's parity constraint, and for a graph its
+    model cannot produce: a loop under matching or uniform, or a
+    multi-edge under uniform."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParametersError("empty edge-list text")
@@ -683,7 +720,13 @@ def from_edgelist(text: str) -> tuple[MultiGraph, dict]:
                 if len(lines) > 1 else np.empty((0, 3), dtype=np.int64))
     except ValueError as exc:
         raise InvalidParametersError(f"malformed edge list: {exc}") from exc
-    header = {"n": n, "d": d, "model": head[2], "seed": seed}
+    try:
+        kind = ModelKind(head[2])
+    except ValueError:
+        raise InvalidParametersError(
+            f"unknown model {head[2]!r} in the edge-list header") from None
+    kind.check_parity(n, d)
+    header = {"n": n, "d": d, "model": kind.value, "seed": seed}
     if rows.shape[1] != 3:
         raise InvalidParametersError("edge lines must read 'i j multiplicity'")
     i, j, m = rows.T
@@ -691,7 +734,12 @@ def from_edgelist(text: str) -> tuple[MultiGraph, dict]:
             or (m < 0).any():
         raise InvalidParametersError(
             f"edge list has a vertex outside [0, {n}) or a negative multiplicity")
-    return MultiGraph(n, d, np.repeat(_codes(n, i, j), m)), header
+    g = MultiGraph(n, d, np.repeat(_codes(n, i, j), m))
+    if kind is ModelKind.MATCHING and (g.codes % (n + 1) == 0).any():
+        raise InvalidParametersError("matching graph with a loop")
+    if kind is ModelKind.UNIFORM and not g.simple:
+        raise InvalidParametersError("uniform graph with a loop or a multi-edge")
+    return g, header
 
 
 def sample_model(model: str | ModelKind, n: int, d: int,

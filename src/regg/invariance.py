@@ -6,8 +6,10 @@ input space: every (state, randomness) pair is applied once and the counts
 of resulting states are compared, with no floating point and no sampling.
 
 The simple-graph check runs the program's own operator: every transition
-comes from switchings.um_simultaneous_switch, which alone decides which
-triples are active, and only the active triples' switch indices are
+comes from the simultaneous switch of switchings, which alone decides
+which triples are active.  It calls the switch's private entry with each
+enumerated graph's pivot edges, so the simplicity check runs once per
+graph and not once per call; only the active triples' switch indices are
 enumerated, each outcome weighted by the 8^(d - |A|) indices of the
 inactive ones.  A selection names each pivot edge's triple by its rank.
 Selections with no switchable triple are idle, so they are counted in
@@ -32,9 +34,10 @@ from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      enumerate_simple_regular, random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _require_triples, mm_resample,
-                         mm_switch, pm_switch, triple_space_flags, um_resample,
-                         um_simultaneous_switch)
+from .switchings import (TripleSelection, _require_triples,
+                         _simultaneous_switch, mm_resample, mm_switch,
+                         pivot_edges, pm_switch, triple_space_flags,
+                         um_resample)
 
 __all__ = [
     "InvarianceReport",
@@ -117,7 +120,7 @@ def mm_exact_invariance(n: int) -> InvarianceReport:
     states = math.prod(range(n - 1, 0, -2))
     _check_budget("matching", "inputs", states * (n - 1) ** 2, EXACT_INPUT_LIMIT)
     return _uniform_report("matching", n, 1, states, (
-        tuple(mm_switch(m, 0, a, b).pairing)
+        tuple(mm_switch(m, 0, a, b).pairing.tolist())
         for m in map(_pairing, enumerate_simple_regular(n, 1))
         for a in range(1, n) for b in range(1, n)))
 
@@ -159,10 +162,11 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
         if idle == choices:
             continue
         rows = flags.tolist()
+        pe = pivot_edges(g)
         for ranks in itertools.product(range(flags.shape[1]), repeat=d):
             if not any(row[k] for row, k in zip(rows, ranks)):
                 continue
-            first = um_simultaneous_switch(g, TripleSelection(ranks, ones))
+            first = _simultaneous_switch(g, pe, TripleSelection(ranks, ones))
             active = first.switched
             weight = 8 ** (d - sum(active))
             for s_active in itertools.product(range(1, 9), repeat=sum(active)):
@@ -170,7 +174,7 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
                 # an inactive triple's index leaves the outcome unchanged
                 s = tuple(next(it) if act else 1 for act in active)
                 out = (first if s == ones else
-                       um_simultaneous_switch(g, TripleSelection(ranks, s)))
+                       _simultaneous_switch(g, pe, TripleSelection(ranks, s)))
                 dst = index.get(out.graph)
                 if dst is None:
                     off_states += weight
@@ -217,7 +221,7 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
     _check_budget("permutation", "inputs",
                   math.factorial(n - 2) * n * (n - 1) ** 3, EXACT_INPUT_LIMIT)
     return _uniform_report("permutation", n, 2, math.factorial(n), (
-        tuple(pm_switch(pi, a_plus, *rest).mapping)
+        tuple(pm_switch(pi, a_plus, *rest).mapping.tolist())
         for pi in _embedded_pivot_permutations(n) for a_plus in range(n)
         for rest in itertools.product(range(1, n), repeat=3)))
 

@@ -94,7 +94,7 @@ def mm_switch(m: Matching, i: int, j: int, k: int) -> Matching:
     p, n = m.pairing, m.n
     if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
         raise InvalidParametersError(f"i, j, k out of range [0, {n})")
-    mi, mj, mk = int(p[i]), int(p[j]), int(p[k])
+    mi, mj, mk = p.item(i), p.item(j), p.item(k)
     if len({i, j, k, mi, mj, mk}) < 6:
         return m
     q = p.copy()
@@ -220,9 +220,16 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     with {0, a}, {abar, b}, {bbar, r}: the pivot's neighbour r becomes a.
     Active triples share only the pivot, so their removed edges are
     distinct and present, each triple's edit keeps every degree, and one
-    MultiGraph._replace_edges call applies them all.
+    MultiGraph._replace_edges call applies them all.  Raises
+    InvalidParametersError unless g is simple.
     """
-    pe = pivot_edges(g)  # raises InvalidParametersError unless g is simple
+    return _simultaneous_switch(g, pivot_edges(g), selection)
+
+
+def _simultaneous_switch(g: MultiGraph, pe: list[Edge],
+                         selection: TripleSelection) -> ResampleOutcome:
+    """um_simultaneous_switch with the pivot edges pe = pivot_edges(g) of
+    a graph known to be simple, which it does not check again."""
     d, n, codes = len(pe), g.n, g.codes
     m = codes.size - d
     if len(selection.ranks) != d:
@@ -290,9 +297,13 @@ def um_resample(g: MultiGraph, rng: np.random.Generator) -> ResampleOutcome:
 # ---------------------------------------------------------------------------
 # Permutation model
 
-def _transposition(n: int, x: int) -> np.ndarray:
+def _two_transpositions(n: int, x: int, y: int) -> np.ndarray:
+    """The array of t_x o t_y on [0, n), t_v the transposition of 1 and v:
+    the identity with its entries at 1 and x swapped, which is t_x, then
+    those at 1 and y, which composes t_y on the right."""
     t = np.arange(n)
     t[1], t[x] = t[x], t[1]
+    t[1], t[y] = t[y], t[1]
     return t
 
 
@@ -301,11 +312,13 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
     """Conjugation-style move redrawing the image and preimage of the pivot.
 
     pi must fix the pair (0, 1) as a 2-cycle: pi(0) = 1 and pi(1) = 0.  The
-    result composes four transpositions of vertex 1 around pi; when the six
-    indices 0, 1, a+, a-, b+, b- are distinct, result(0) = a+ and
-    result^{-1}(0) = a-.  The range checks below keep every transposition
-    inside [0, n), so the composition of bijections is one, and it is
-    built unchecked with Permutation._built.
+    result is t_{b+} o t_{a+} o pi o t_{a-} o t_{b-}, t_v the transposition
+    of 1 and v: one gather of pi by sigma = t_{a-} o t_{b-} and one
+    relabelling by tau = t_{b+} o t_{a+}.  When the six indices 0, 1, a+,
+    a-, b+, b- are distinct, result(0) = a+ and result^{-1}(0) = a-.  The
+    range checks below keep every transposition inside [0, n), so the
+    composition of bijections is one, and it is built unchecked with
+    Permutation._built.
     """
     n = pi.n
     if pi.mapping[0] != 1 or pi.mapping[1] != 0:
@@ -315,9 +328,6 @@ def pm_switch(pi: Permutation, a_plus: int, a_minus: int,
     for name, v in (("a-", a_minus), ("b+", b_plus), ("b-", b_minus)):
         if not (1 <= v < n):
             raise InvalidParametersError(f"{name} out of range [1, {n})")
-    comp = _transposition(n, a_minus)[_transposition(n, b_minus)]
-    comp = pi.mapping[comp]
-    comp = _transposition(n, a_plus)[comp]
-    comp = _transposition(n, b_plus)[comp]
-    return Permutation._built(comp)
-
+    sigma = _two_transpositions(n, a_minus, b_minus)
+    tau = _two_transpositions(n, b_plus, a_plus)
+    return Permutation._built(tau[pi.mapping[sigma]])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from regg.errors import InvalidParametersError, NumericalDegeneracyError
-from regg.graphs import sample_uniform
+from regg.graphs import _chain_proposals, sample_uniform
 from regg.rng import stream
 from regg.switchings import um_resample
 
@@ -106,3 +106,74 @@ def um_alpha_match_rate(n: int, d: int, seed: int, trials: int) -> float:
         tot += len(out.a)
     return hit / tot
 
+
+
+def chain_burn_in(codes, n: int, rng, moves: int) -> list[int]:
+    """The switching chain's walk as graphs._chain_burn_in ran it before
+    its endpoint test became pairwise comparisons: a set of the six
+    endpoints, and a zip over the columns of each block of proposals
+    (drawn by graphs._chain_proposals).  Returns the codes in edge order."""
+    codes = codes.tolist()
+    m = len(codes)
+    ends = [x for c in codes for x in divmod(c, n)]
+    present = set(codes)
+    for idx, flip in _chain_proposals(m, moves, rng):
+        for p1, p2, p3 in zip(*(2 * idx + flip).T.tolist()):
+            r, rb = ends[p1], ends[p1 ^ 1]
+            aa, ab = ends[p2], ends[p2 ^ 1]
+            b, bb = ends[p3], ends[p3 ^ 1]
+            if len({r, rb, aa, ab, b, bb}) < 6:
+                continue
+            # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
+            if rb > aa:
+                rb, aa = aa, rb
+            c1 = rb * n + aa
+            if c1 in present:
+                continue
+            if ab > b:
+                ab, b = b, ab
+            c2 = ab * n + b
+            if c2 in present:
+                continue
+            if bb > r:
+                bb, r = r, bb
+            c3 = bb * n + r
+            if c3 in present:
+                continue
+            e1, e2, e3 = p1 >> 1, p2 >> 1, p3 >> 1
+            present.remove(codes[e1])
+            present.remove(codes[e2])
+            present.remove(codes[e3])
+            present.add(c1)
+            present.add(c2)
+            present.add(c3)
+            codes[e1], codes[e2], codes[e3] = c1, c2, c3
+            ends[2 * e1], ends[2 * e1 + 1] = rb, aa
+            ends[2 * e2], ends[2 * e2 + 1] = ab, b
+            ends[2 * e3], ends[2 * e3 + 1] = bb, r
+    return codes
+
+
+def simple_rows(codes, n: int):
+    """Per row of edge codes (the last axis), whether no code is a loop
+    i*n + i and no code repeats, by a set of each row's codes."""
+    *lead, e = np.shape(codes)
+    rows = np.reshape(codes, (math.prod(lead), e)).tolist()
+    flags = [len(set(row)) == len(row) and all(c // n != c % n for c in row)
+             for row in rows]
+    return np.reshape(flags, lead)
+
+
+def pm_switch_transpositions(mapping, a_plus, a_minus, b_plus, b_minus):
+    """pm_switch's permutation t_{b+} o t_{a+} o pi o t_{a-} o t_{b-},
+    t_v the transposition of 1 and v, as four transposition arrays and
+    four gathers."""
+    n = len(mapping)
+
+    def t(x):
+        out = np.arange(n)
+        out[1], out[x] = out[x], out[1]
+        return out
+
+    comp = np.asarray(mapping)[t(a_minus)[t(b_minus)]]
+    return t(b_plus)[t(a_plus)[comp]]

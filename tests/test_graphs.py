@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -16,6 +16,8 @@ from regg.graphs import (Matching, ModelKind, MultiGraph, Permutation,
                          sample_permutation_model, sample_uniform,
                          to_edgelist, uniform_method)
 from regg.rng import stream
+
+from oracles import chain_burn_in, simple_rows
 
 
 def assert_model_invariants(g: MultiGraph, loops_ok: bool, multi_ok: bool):
@@ -246,10 +248,46 @@ class TestUniformModel:
         digest = hashlib.sha256(g.codes.tobytes()).hexdigest()
         assert digest.startswith("d35212b5d71389d6")
 
+    def test_rejection_draws_golden(self):
+        # 1000 consecutive draws at (6, 3) from one stream, as the resample
+        # benchmark makes them: 277 of their 1277 blocks hold no simple row
+        rng = stream(3, 1)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            h.update(sample_uniform(6, 3, rng, method="rejection").codes.tobytes())
+        assert h.hexdigest() == (
+            "55d795998ddbea28e4af45c13124d5dc1d27ba634c0215cf0596144660d84f7d")
+
     def test_seed_determinism(self):
         g1 = sample_uniform(20, 3, stream(9, 0))
         g2 = sample_uniform(20, 3, stream(9, 0))
         assert np.array_equal(g1.adj, g2.adj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 16), d=st.integers(1, 6), seed=st.integers(0, 2**32),
+       moves=st.integers(0, 700))
+def test_chain_matches_set_oracle_property(n, d, seed, moves):
+    # moves above _CHAIN_BLOCK = 256 cross blocks of proposals
+    assume(d < n and (n * d) % 2 == 0 and n * d >= 6)
+    start = graphs._circulant_simple(n, d)
+    got = graphs._chain_burn_in(start, n, stream(seed, 0), moves)
+    assert got == chain_burn_in(start, n, stream(seed, 0), moves)
+
+
+def test_simple_matches_set_oracle():
+    # small code ranges, so that loops and repeats are common; code 0 is
+    # the loop at vertex 0
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 8):
+        for shape in ((0,), (1,), (6,), (40, 0), (40, 1), (40, 4), (3, 10, 3)):
+            codes = np.sort(rng.integers(n * n, size=shape), axis=-1)
+            got = graphs._simple(codes, n)
+            assert np.array_equal(got, simple_rows(codes, n))
+            assert np.shape(got) == shape[:-1]
+        loop = np.array([0, n + 2, 2 * n + 3]) if n > 3 else np.array([0])
+        assert not graphs._simple(loop, n)
+        assert graphs._simple(loop[1:], n)
 
 
 class TestChainProposals:
@@ -380,6 +418,27 @@ class TestSerialization:
         for n in (0, -2):
             with pytest.raises(InvalidParametersError):
                 MultiGraph(n, 3, [])
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1 c 0\n0 1 1\n", "unknown model 'c'"),
+        ("2 2 matching 0\n0 0 1\n1 1 1\n", "matching graph with a loop"),
+        ("2 2 uniform 0\n0 0 1\n1 1 1\n", "loop or a multi-edge"),
+        ("4 2 uniform 0\n0 1 2\n2 3 2\n", "loop or a multi-edge"),
+    ], ids=["unknown-model", "matching-loops", "uniform-loops",
+            "uniform-multi-edges"])
+    def test_rejects_graph_its_model_cannot_produce(self, text, message):
+        with pytest.raises(InvalidParametersError, match=message):
+            from_edgelist(text)
+        # the configuration model has every such graph
+        head, rest = text.split("\n", 1)
+        n, d, _, seed = head.split()
+        from_edgelist(f"{n} {d} configuration {seed}\n{rest}")
+
+    def test_rejects_parity_violation(self):
+        for text in ("3 1 matching 0\n", "3 1 permutation 0\n",
+                     "3 1 uniform 0\n", "3 1 configuration 0\n"):
+            with pytest.raises(InvalidParametersError, match="needs"):
+                from_edgelist(text)
 
     def test_loops_serialized_once_with_loop_count(self):
         g = MultiGraph(2, 2, [0, 3])  # a loop at 0 and a loop at 1

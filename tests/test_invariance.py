@@ -125,7 +125,7 @@ def test_unswitchable_graph_counted_idle(monkeypatch):
     """A graph with no switchable triple is counted as all C(m, 2)^d of its
     selections idle, with no call to the switch: no (8, 2) graph has one."""
     calls = []
-    monkeypatch.setattr(invariance, "um_simultaneous_switch",
+    monkeypatch.setattr(invariance, "_simultaneous_switch",
                         lambda *args: calls.append(args))
     rep = um_exact_invariance(8, 2)
     assert not calls
@@ -145,10 +145,10 @@ def test_mixed_flags_switch_each_selection_once(monkeypatch):
                         lambda graphs: (flags for _ in graphs))
     calls = Counter()
 
-    def idle_switch(g, selection):
+    def idle_switch(g, pe, selection):
         calls[g, selection.ranks, selection.s] += 1
         return ResampleOutcome(g, (0, 0), (0, 0), (False, False), selection)
-    monkeypatch.setattr(invariance, "um_simultaneous_switch", idle_switch)
+    monkeypatch.setattr(invariance, "_simultaneous_switch", idle_switch)
     rep = um_exact_invariance(6, 2)
     graphs = enumerate_simple_regular(6, 2)
     assert set(calls) == {

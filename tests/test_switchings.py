@@ -19,8 +19,8 @@ from regg.switchings import (TripleSelection, mm_resample, mm_switch,
                              um_resample, um_simultaneous_switch, _unrank_pair)
 from regg.spectral import build_H
 
-from oracles import (rank_triples, resolvent_solve, switch_pair_table,
-                     switchable)
+from oracles import (pm_switch_transpositions, rank_triples, resolvent_solve,
+                     switch_pair_table, switchable)
 
 
 def cycle_graph(n):
@@ -296,12 +296,15 @@ class TestSimultaneousSwitch:
     ], ids=["double-edge", "loops"])
     def test_resample_on_a_non_simple_graph_rejected(self, codes):
         # um_resample reads d from g.deg; the switch's own pivot_edges call
-        # still rejects the graph
+        # still rejects the graph, called directly or through um_resample
         g = MultiGraph(6, 2, codes)
         assert not g.simple
         with pytest.raises(InvalidParametersError,
                            match="needs a simple graph"):
             um_resample(g, stream(33, 0))
+        with pytest.raises(InvalidParametersError,
+                           match="needs a simple graph"):
+            um_simultaneous_switch(g, TripleSelection((0, 0), (1, 1)))
 
     def test_wrong_triple_count_rejected(self):
         g = enumerate_simple_regular(6, 3)[0]
@@ -349,6 +352,16 @@ class TestPermutationSwitch:
             if len({0, 1, a_plus, a_minus, b_plus, b_minus}) == 6:
                 assert out.mapping[0] == a_plus
                 assert out.mapping[a_minus] == 0
+
+    def test_matches_four_transpositions(self):
+        # every input at n = 5: 3! pivot-fixing permutations, 5 * 4^3 moves
+        for tail in itertools.permutations(range(2, 5)):
+            pi = Permutation(np.array([1, 0, *tail]))
+            for a_plus in range(5):
+                for rest in itertools.product(range(1, 5), repeat=3):
+                    assert np.array_equal(
+                        pm_switch(pi, a_plus, *rest).mapping,
+                        pm_switch_transpositions(pi.mapping, a_plus, *rest))
 
     def test_identity_choice_returns_same_mapping(self):
         pi = Permutation(np.array([1, 0, 3, 2]))
