@@ -75,7 +75,8 @@ class ModelKind(str, Enum):
     CONFIGURATION = "configuration"
 
     def check_parity(self, n: int, d: int) -> None:
-        """Raise if (n, d) violates the model's parity constraint."""
+        """Raise if (n, d) violates the model's constraints: n > 0, d >= 0,
+        its parity rule, and d >= 1 for matching."""
         if n <= 0 or d < 0:
             raise InvalidParametersError(f"need n > 0 and d >= 0, got n={n} d={d}")
         if self is ModelKind.UNIFORM and (n * d) % 2:
@@ -84,6 +85,8 @@ class ModelKind(str, Enum):
             raise InvalidParametersError("permutation model needs d even")
         if self is ModelKind.MATCHING and n % 2:
             raise InvalidParametersError("matching model needs n even")
+        if self is ModelKind.MATCHING and d < 1:
+            raise InvalidParametersError("matching model needs d >= 1")
         if self is ModelKind.CONFIGURATION and (n * d) % 2:
             raise InvalidParametersError("configuration model needs n*d even")
 
@@ -393,8 +396,6 @@ def sample_matching_model(n: int, d: int, rng: np.random.Generator) -> MultiGrap
     """Sum of d independent uniform perfect matchings.  No loops; multi-edges
     allowed."""
     ModelKind.MATCHING.check_parity(n, d)
-    if d < 1:
-        raise InvalidParametersError("matching model needs d >= 1")
     idx = np.arange(n)
     parts = []
     for _ in range(d):
@@ -415,30 +416,81 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
     return MultiGraph._built(n, d, np.sort(_join(parts)))
 
 
-@functools.lru_cache(maxsize=8)
-def _sorted_stubs(n: int, d: int, rows: int) -> np.ndarray:
+#: most stubs (rows times n*d) one block of rejection tries holds: 128 KiB
+#: of int64, so a block stays small next to the sampled graph's arrays; also
+#: the most stubs a cached layout, and the most entries a cached pair-code
+#: table, holds
+_REJECTION_STUBS = 1 << 14
+
+
+def _stub_layout(n: int, d: int, rows: int) -> np.ndarray:
     """A read-only (rows, n*d) array, each row the stubs of n vertices of
-    degree d in order: the input layout _configuration_codes shuffles a
-    copy of.  Built once per (n, d, rows); the cache holds at most 8 of
-    these layouts and never a sampled graph."""
+    degree d in order: the input layout a configuration pairing shuffles a
+    copy of."""
     stubs = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
     stubs.flags.writeable = False
     return stubs
 
 
-def _configuration_codes(n: int, d: int, rng: np.random.Generator,
-                         rows: int = 1) -> np.ndarray:
-    """Edge codes of `rows` independent uniform pairings of the n*d stubs,
-    one pairing per row: one rng.permuted call shuffles a copy of each row
-    of sorted stubs on its own, and consecutive stubs are paired."""
-    stubs = rng.permuted(_sorted_stubs(n, d, rows), axis=1)
-    return _codes(n, stubs[:, 0::2], stubs[:, 1::2])
+_cached_layout = functools.lru_cache(maxsize=8)(_stub_layout)
+
+
+def _sorted_stubs(n: int, d: int, rows: int) -> np.ndarray:
+    """_stub_layout(n, d, rows), from a cache of at most 8 layouts when it
+    holds at most _REJECTION_STUBS stubs, so the cache never holds a
+    sampled graph or a layout larger than one rejection block."""
+    if rows * n * d <= _REJECTION_STUBS:
+        return _cached_layout(n, d, rows)
+    return _stub_layout(n, d, rows)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_codes(n: int) -> np.ndarray | None:
+    """The read-only n x n table whose entry [u, v] is the code
+    min(u, v) * n + max(u, v) of the edge {u, v}, and -1 on the diagonal,
+    where the loops are; None when n*n > _REJECTION_STUBS, since regg
+    keeps no n^2 structure of a large graph."""
+    if n * n > _REJECTION_STUBS:
+        return None
+    idx = np.arange(n)
+    table = _codes(n, idx[:, np.newaxis], idx)
+    np.fill_diagonal(table, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _block_codes(n: int, stubs: np.ndarray,
+                 table: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sorted edge codes, pairing consecutive stubs of the
+    (rows, 2k) array `stubs`, and whether the row is simple.
+
+    With table = _pair_codes(n), the codes are gathered from it, so a loop
+    reads -1 and sorts first, and a row is simple iff its codes strictly
+    increase and its first code is at least 0; the empty rows of d = 0
+    are simple.  The codes of a simple row are real codes.  With table
+    None they are formed by _codes and tested by _simple.
+    """
+    u, v = stubs[:, 0::2], stubs[:, 1::2]
+    if table is None:
+        codes = _codes(n, u, v)
+        codes.sort(axis=1)
+        return codes, _simple(codes, n)
+    codes = table[u, v]
+    codes.sort(axis=1)
+    simple = np.logical_and.reduce(codes[:, 1:] > codes[:, :-1], axis=1)
+    if codes.size:  # no first column at d = 0
+        simple &= codes[:, 0] >= 0
+    return codes, simple
 
 
 def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
-    """Uniform pairing of the n*d half-edges, projected to a multigraph."""
+    """Uniform pairing of the n*d half-edges, projected to a multigraph:
+    one rng.permuted call shuffles a copy of the sorted stubs, and
+    consecutive stubs are paired."""
     ModelKind.CONFIGURATION.check_parity(n, d)
-    return MultiGraph._built(n, d, np.sort(_configuration_codes(n, d, rng)[0]))
+    stubs = rng.permuted(_sorted_stubs(n, d, 1), axis=1)
+    return MultiGraph._built(
+        n, d, np.sort(_codes(n, stubs[0, 0::2], stubs[0, 1::2])))
 
 
 def _circulant_simple(n: int, d: int) -> np.ndarray:
@@ -491,7 +543,10 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
 
     Edge e is held as its code and as its endpoints i < j at ends[2e] and
     ends[2e + 1], so an edge drawn with orientation bit f runs from
-    ends[2e + f] to ends[2e + f ^ 1].  Returns the codes in edge order.
+    ends[2e + f] to ends[2e + f ^ 1].  No held edge is a loop: the start
+    is simple, and an accepted move writes edges among six distinct
+    endpoints.  So the six endpoints of a proposal are distinct iff the 12
+    pairs from different edges differ.  Returns the codes in edge order.
     """
     codes = codes.tolist()
     m = len(codes)
@@ -506,11 +561,10 @@ def _chain_burn_in(codes: np.ndarray, n: int, rng: np.random.Generator,
             r, rb = ends[p1], ends[p1 ^ 1]
             aa, ab = ends[p2], ends[p2 ^ 1]
             b, bb = ends[p3], ends[p3 ^ 1]
-            # the six endpoints must be distinct: all 15 pairs differ
-            if (r == rb or r == aa or r == ab or r == b or r == bb
+            # the six endpoints must be distinct
+            if (r == aa or r == ab or r == b or r == bb
                     or rb == aa or rb == ab or rb == b or rb == bb
-                    or aa == ab or aa == b or aa == bb
-                    or ab == b or ab == bb or b == bb):
+                    or aa == b or aa == bb or ab == b or ab == bb):
                 continue
             # new edges: {rb, aa}, {ab, b}, {bb, r}; require all currently absent
             if rb > aa:
@@ -549,36 +603,33 @@ def _expected_tries(d: int) -> float:
     return math.exp(min((d * d - 1) / 4, 700.0))  # finite float
 
 
-#: most stubs (rows times n*d) one block of rejection tries holds: 128 KiB
-#: of int64, so a block stays small next to the sampled graph's arrays
-_REJECTION_STUBS = 1 << 14
-
-
 def _rejection_codes(n: int, d: int, rng: np.random.Generator,
                      expected_tries: float) -> np.ndarray:
     """Sorted edge codes of the first simple configuration pairing, drawn
     in blocks; raises BudgetExceededError after REJECTION_TRIES pairings.
 
-    A block is B rows of _configuration_codes, each a uniform pairing
-    independent of all rows before it, so the first simple row is exactly
-    uniform over simple graphs.  Rows after it are discarded.  B is twice
-    `expected_tries`, the caller's _expected_tries(d), so most blocks hold
-    a simple row, but at most _REJECTION_STUBS // (n*d) and at least 1,
-    and never more than the tries left: every examined row counts against
-    REJECTION_TRIES.
+    A block is B rows, each a copy of the sorted stubs that one
+    rng.permuted call shuffles on its own, so each row is a uniform
+    pairing independent of all rows before it, and the first simple row
+    is exactly uniform over simple graphs.  Rows after it are discarded.
+    _block_codes pairs and tests the rows, by the pair-code table up to
+    n = 128.  B is twice `expected_tries`, the caller's _expected_tries(d),
+    so most blocks hold a simple row, but at most _REJECTION_STUBS // (n*d)
+    and at least 1, and never more than the tries left: every examined
+    row counts against REJECTION_TRIES.  The stub layout is fetched once
+    per call.
     """
     rows = max(1, min(math.ceil(2 * expected_tries),
                       _REJECTION_STUBS // max(n * d, 1)))
+    layout, table = _sorted_stubs(n, d, rows), _pair_codes(n)
     tries = 0
     while tries < REJECTION_TRIES:
-        block = min(rows, REJECTION_TRIES - tries)
-        codes = _configuration_codes(n, d, rng, block)
-        codes.sort(axis=1)
-        simple = _simple(codes, n)
+        stubs = rng.permuted(layout[:REJECTION_TRIES - tries], axis=1)
+        codes, simple = _block_codes(n, stubs, table)
         first = simple.argmax()
         if simple[first]:
             return codes[first].copy()  # a copy, so the block is freed
-        tries += block
+        tries += len(stubs)
     raise BudgetExceededError(
         f"rejection sampler: no simple graph in {REJECTION_TRIES} tries "
         f"(n={n}, d={d}); try method='switching-chain'")

@@ -131,21 +131,22 @@ _SIX_PAIRS = np.triu_indices(6)
 
 
 def _switchable(codes: np.ndarray, n: int, triples) -> np.ndarray:
-    """Switchability of T triples on each of B graphs on n vertices with
-    the same edge count: `codes` is the (B, E) array whose row k holds
+    """Switchability of T triples on each of B simple graphs on n vertices
+    with the same edge count: `codes` is the (B, E) array whose row k holds
     graph k's sorted edge codes, and `triples` holds T triples of three
     distinct edges of each graph, shape (B, T, 3, 2) or any shape with B
     rows of 6T endpoints.  Returns the (B, T) flags: whether a triple's six
     endpoints are distinct and the subgraph they induce holds only its
-    three edges, once each.
+    three edges.
 
     Graph k's codes are offset by k*n^2, which keeps the flattened batch
-    sorted, so one searchsorted pair counts the edge copies on the 21
-    pairs (loops included) of every triple's six sorted endpoints.  The
-    count alone decides: it is at least 3, one for each triple edge, and a
-    vertex shared by two triple edges makes one of them count twice, so it
-    is exactly 3 only for six distinct endpoints with no further edge
-    among them.
+    sorted, so one searchsorted finds each of the 21 pairs (loops
+    included) of every triple's six sorted endpoints, and a gather tells
+    whether it is an edge.  The graphs must be simple, as both callers'
+    are (the switch checks, and enumerated graphs are simple).  Then 3 of
+    the 21 pairs are edges exactly when the triple is switchable: each
+    triple edge is one of them, and a vertex shared by two triple edges
+    makes one of them appear twice.
     """
     offset = np.arange(len(codes), dtype=np.int64)[:, np.newaxis] * (n * n)
     flat = (codes + offset).ravel()
@@ -153,9 +154,9 @@ def _switchable(codes: np.ndarray, n: int, triples) -> np.ndarray:
                 .reshape(len(codes), -1, 6), axis=2)
     pairs = (v[..., _SIX_PAIRS[0]] * n + v[..., _SIX_PAIRS[1]]
              + offset[..., np.newaxis])
-    induced = (flat.searchsorted(pairs, "right")
-               - flat.searchsorted(pairs, "left")).sum(axis=2)
-    return induced == 3
+    at = flat.searchsorted(pairs)
+    np.minimum(at, flat.size - 1, out=at)  # a pair past the last code
+    return (flat[at] == pairs).sum(axis=2) == 3
 
 
 #: most triples one _switchable call of triple_space_flags decides, which

@@ -172,6 +172,22 @@ class TestConfigurationModel:
         g = sample_configuration_model(20, 3, stream(5, 0))
         assert_model_invariants(g, loops_ok=True, multi_ok=True)
 
+    def test_only_small_stub_layouts_cached(self, monkeypatch):
+        # a layout of more than _REJECTION_STUBS stubs is built once per
+        # sampler call and dropped with it; a smaller one is kept
+        built = []
+        layout = graphs._stub_layout
+        monkeypatch.setattr(graphs, "_stub_layout",
+                            lambda *args: built.append(args) or layout(*args))
+        graphs._cached_layout.cache_clear()
+        sample_configuration_model(200, 100, stream(5, 0))  # 20 000 stubs
+        # seed 5 draws 3 blocks of one pairing each at (9000, 2)
+        sample_uniform(9000, 2, stream(5, 0), method="rejection")
+        assert built == [(200, 100, 1), (9000, 2, 1)]
+        assert graphs._cached_layout.cache_info().currsize == 0
+        sample_configuration_model(20, 3, stream(5, 0))
+        assert graphs._cached_layout.cache_info().currsize == 1
+
 
 class TestUniformModel:
     def test_k4_forced(self):
@@ -258,6 +274,17 @@ class TestUniformModel:
         assert h.hexdigest() == (
             "55d795998ddbea28e4af45c13124d5dc1d27ba634c0215cf0596144660d84f7d")
 
+    def test_rejection_draws_golden_without_table(self):
+        # 20 consecutive draws at (200, 3): n*n exceeds _REJECTION_STUBS,
+        # so the block's codes are formed by arithmetic, not a table
+        assert graphs._pair_codes(200) is None
+        rng = stream(4, 2)
+        h = hashlib.sha256()
+        for _ in range(20):
+            h.update(sample_uniform(200, 3, rng, method="rejection").codes.tobytes())
+        assert h.hexdigest() == (
+            "0378cd724d863e6ed27c4c97652731d5daf926d53aa297399f4ad7b0d5d01445")
+
     def test_seed_determinism(self):
         g1 = sample_uniform(20, 3, stream(9, 0))
         g2 = sample_uniform(20, 3, stream(9, 0))
@@ -288,6 +315,31 @@ def test_simple_matches_set_oracle():
         loop = np.array([0, n + 2, 2 * n + 3]) if n > 3 else np.array([0])
         assert not graphs._simple(loop, n)
         assert graphs._simple(loop[1:], n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3, 5, 8, 128, 129, 300]),
+       k=st.integers(0, 6), rows=st.integers(1, 5))
+def test_block_simplicity_matches_set_oracle_property(data, n, k, rows):
+    # rows of k stub pairs (d = 0 at k = 0) over a few vertices, so that
+    # repeated edges are common, each row with up to two loops put in;
+    # n = 128 is the largest with a pair-code table
+    table = graphs._pair_codes(n)
+    assert (table is None) == (n * n > graphs._REJECTION_STUBS)
+    vertex = st.sampled_from(sorted({0, 1 % n, n // 2, n - 1}))
+    block = []
+    for _ in range(rows):
+        pairs = [data.draw(st.tuples(vertex, vertex)) for _ in range(k)]
+        for at in data.draw(st.lists(st.integers(0, max(k - 1, 0)),
+                                     max_size=min(k, 2), unique=True)):
+            pairs[at] = (w := data.draw(vertex), w)
+        block.append([x for pair in pairs for x in pair])
+    stubs = np.array(block, dtype=np.int64).reshape(rows, 2 * k)
+    codes, simple = graphs._block_codes(n, stubs, table)
+    u, v = stubs[:, 0::2], stubs[:, 1::2]
+    want = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
+    assert np.array_equal(simple, simple_rows(want, n))
+    assert np.array_equal(codes[simple], want[simple])
 
 
 class TestChainProposals:
@@ -424,8 +476,9 @@ class TestSerialization:
         ("2 2 matching 0\n0 0 1\n1 1 1\n", "matching graph with a loop"),
         ("2 2 uniform 0\n0 0 1\n1 1 1\n", "loop or a multi-edge"),
         ("4 2 uniform 0\n0 1 2\n2 3 2\n", "loop or a multi-edge"),
+        ("2 0 matching 0\n", "matching model needs d >= 1"),
     ], ids=["unknown-model", "matching-loops", "uniform-loops",
-            "uniform-multi-edges"])
+            "uniform-multi-edges", "matching-degree-0"])
     def test_rejects_graph_its_model_cannot_produce(self, text, message):
         with pytest.raises(InvalidParametersError, match=message):
             from_edgelist(text)

@@ -130,6 +130,18 @@ class TestTripleMachinery:
                 seen.add((g.n, bool(flags.any())))
         assert seen == {(8, False), (16, True)}
 
+    @pytest.mark.parametrize("n, d", [(6, 3), (7, 2), (8, 1)])
+    def test_switchable_matches_oracle_on_every_triple(self, n, d):
+        # every triple of every simple graph, including those whose edges
+        # share a vertex: none switches at (6, 3) and (7, 2), all at (8, 1)
+        found = enumerate_simple_regular(n, d)
+        triples = [[t for per_edge in rank_triples(g) for t in per_edge]
+                   for g in found]
+        flags = switchings._switchable(np.stack([g.codes for g in found]),
+                                       n, triples)
+        assert flags.tolist() == [[switchable(g, t) for t in ts]
+                                  for g, ts in zip(found, triples)]
+
     def test_loop_at_a_triple_vertex_blocks_the_switch(self):
         # a 3-regular multigraph on 10 vertices: the triple's six vertices
         # carry only its three edges and a loop at 0, and the loop counts
