@@ -131,8 +131,8 @@ _SIX_PAIRS = np.triu_indices(6)
 
 
 def _switchable(codes: np.ndarray, n: int, triples) -> np.ndarray:
-    """Switchability of T triples on each of B simple graphs on n vertices
-    with the same edge count: `codes` is the (B, E) array whose row k holds
+    """Switchability of T triples on each of B graphs on n vertices with
+    the same edge count: `codes` is the (B, E) array whose row k holds
     graph k's sorted edge codes, and `triples` holds T triples of three
     distinct edges of each graph, shape (B, T, 3, 2) or any shape with B
     rows of 6T endpoints.  Returns the (B, T) flags: whether a triple's six
@@ -142,11 +142,12 @@ def _switchable(codes: np.ndarray, n: int, triples) -> np.ndarray:
     Graph k's codes are offset by k*n^2, which keeps the flattened batch
     sorted, so one searchsorted finds each of the 21 pairs (loops
     included) of every triple's six sorted endpoints, and a gather tells
-    whether it is an edge.  The graphs must be simple, as both callers'
-    are (the switch checks, and enumerated graphs are simple).  Then 3 of
-    the 21 pairs are edges exactly when the triple is switchable: each
-    triple edge is one of them, and a vertex shared by two triple edges
-    makes one of them appear twice.
+    whether it is an edge.  No graph may hold an edge twice, and both
+    callers' graphs are simple: the switch checks, and enumerated graphs
+    are simple.  Then 3 of the 21 pairs are edges exactly when the triple
+    is switchable: each triple edge is one of them, a vertex shared by two
+    triple edges makes one of them appear twice, and any further edge
+    among the six, a loop included, is one more.
     """
     offset = np.arange(len(codes), dtype=np.int64)[:, np.newaxis] * (n * n)
     flat = (codes + offset).ravel()

@@ -94,8 +94,9 @@ class TestMultiGraph:
         assert not MultiGraph(1, 2, [0]).simple  # a loop
 
     def test_simple_rows(self):
-        # the rejection sampler tests a block of sorted code rows at once;
-        # each row's flag must be the one MultiGraph.simple gives
+        # the rejection sampler above n = 128 tests a block of sorted code
+        # rows at once; each row's flag must be the one MultiGraph.simple
+        # gives
         rows = [sample_configuration_model(6, 3, stream(s, 0)).codes
                 for s in range(20)]
         rows += [g.codes for g in enumerate_simple_regular(6, 3)[:5]]
