@@ -26,7 +26,7 @@ from .observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
                           delocalization_stats, density_mass, interval_counts,
                           que_ratio, que_statistics)
 from .rng import stream
-from .spectral import OFFDIAG_PAIRS, default_xi, effective_D
+from .spectral import default_xi, effective_D, pair_sample_size
 from .svg import line_plot
 
 __all__ = ["main", "entrypoint", "rerun_manifest", "build_parser"]
@@ -167,7 +167,7 @@ def _cmd_lawsweep(args, argv) -> int:
     params = {"model": args.model, "n": n, "d": args.d, "seed": args.seed,
               "samples": plan.samples, "e_grid": list(plan.e_grid),
               "eta_grid": list(plan.eta_grid), "xi": xi,
-              "offdiag_pairs": OFFDIAG_PAIRS,
+              "offdiag_pairs": pair_sample_size(n),
               "approximate": _approximate(args.model, n, args.d)}
     outputs = [args.out]
     if args.svg:

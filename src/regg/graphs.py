@@ -218,9 +218,10 @@ class MultiGraph:
         """Arrays (i, j), i <= j, of the edge copies in code order."""
         return np.divmod(self.codes, self.n)
 
-    @property
+    @cached_property
     def simple(self) -> bool:
-        """True when there are no loops and no multi-edges."""
+        """True when there are no loops and no multi-edges; decided on first
+        use and kept, as the graph never changes."""
         return bool(_simple(self.codes, self.n))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,40 +424,34 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
 _REJECTION_STUBS = 1 << 14
 
 
-def _stub_layout(n: int, d: int, rows: int) -> np.ndarray:
-    """A read-only (rows, n*d) array, each row the stubs of n vertices of
-    degree d in order: the input layout a configuration pairing shuffles a
-    copy of."""
-    stubs = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
-    stubs.flags.writeable = False
-    return stubs
+def _rejection_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The read-only arrays _rejection_codes draws with at (n, d).
 
-
-_cached_layout = functools.lru_cache(maxsize=8)(_stub_layout)
-
-
-def _sorted_stubs(n: int, d: int, rows: int) -> np.ndarray:
-    """_stub_layout(n, d, rows), from a cache of at most 8 layouts when it
-    holds at most _REJECTION_STUBS stubs, so the cache never holds a
-    sampled graph or a layout larger than one rejection block."""
-    if rows * n * d <= _REJECTION_STUBS:
-        return _cached_layout(n, d, rows)
-    return _stub_layout(n, d, rows)
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_codes(n: int) -> np.ndarray | None:
-    """The read-only n x n table whose entry [u, v] is the code
-    min(u, v) * n + max(u, v) of the edge {u, v}, and -1 on the diagonal,
-    where the loops are; None when n*n > _REJECTION_STUBS, since regg
-    keeps no n^2 structure of a large graph."""
+    layout is (rows, n*d), each row the stubs of n vertices of degree d in
+    order, which one rng.permuted call shuffles a copy of.  rows is twice
+    _expected_tries(d), so most blocks hold a simple row, but at most
+    _REJECTION_STUBS // (n*d) and at least 1.  table is the n x n array
+    whose entry [u, v] is the code min(u, v) * n + max(u, v) of the edge
+    {u, v}, and -1 on the diagonal, where the loops are; None when
+    n*n > _REJECTION_STUBS, since regg keeps no n^2 structure of a large
+    graph.
+    """
+    rows = max(1, min(math.ceil(2 * _expected_tries(d)),
+                      _REJECTION_STUBS // max(n * d, 1)))
+    layout = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
+    layout.flags.writeable = False
     if n * n > _REJECTION_STUBS:
-        return None
+        return layout, None
     idx = np.arange(n)
     table = _codes(n, idx[:, np.newaxis], idx)
     np.fill_diagonal(table, -1)
     table.flags.writeable = False
-    return table
+    return layout, table
+
+
+#: _rejection_plan for n*d <= _REJECTION_STUBS, so the cache never holds a
+#: layout larger than one rejection block
+_cached_plan = functools.lru_cache(maxsize=8)(_rejection_plan)
 
 
 def _block_codes(n: int, stubs: np.ndarray,
@@ -464,11 +459,12 @@ def _block_codes(n: int, stubs: np.ndarray,
     """Each row's sorted edge codes, pairing consecutive stubs of the
     (rows, 2k) array `stubs`, and whether the row is simple.
 
-    With table = _pair_codes(n), the codes are gathered from it, so a loop
-    reads -1 and sorts first, and a row is simple iff its codes strictly
-    increase and its first code is at least 0; the empty rows of d = 0
-    are simple.  The codes of a simple row are real codes.  With table
-    None they are formed by _codes and tested by _simple.
+    With the pair-code table of _rejection_plan, the codes are gathered
+    from it, so a loop reads -1 and sorts first, and a row is simple iff
+    its codes strictly increase and its first code is at least 0; the
+    empty rows of d = 0 are simple.  The codes of a simple row are real
+    codes.  With table None they are formed by _codes and tested by
+    _simple.
     """
     u, v = stubs[:, 0::2], stubs[:, 1::2]
     if table is None:
@@ -485,12 +481,11 @@ def _block_codes(n: int, stubs: np.ndarray,
 
 def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
     """Uniform pairing of the n*d half-edges, projected to a multigraph:
-    one rng.permuted call shuffles a copy of the sorted stubs, and
-    consecutive stubs are paired."""
+    one rng.permutation call shuffles the sorted stubs, and consecutive
+    stubs are paired."""
     ModelKind.CONFIGURATION.check_parity(n, d)
-    stubs = rng.permuted(_sorted_stubs(n, d, 1), axis=1)
-    return MultiGraph._built(
-        n, d, np.sort(_codes(n, stubs[0, 0::2], stubs[0, 1::2])))
+    stubs = rng.permutation(np.repeat(np.arange(n), d))
+    return MultiGraph._built(n, d, np.sort(_codes(n, stubs[0::2], stubs[1::2])))
 
 
 def _circulant_simple(n: int, d: int) -> np.ndarray:
@@ -603,25 +598,22 @@ def _expected_tries(d: int) -> float:
     return math.exp(min((d * d - 1) / 4, 700.0))  # finite float
 
 
-def _rejection_codes(n: int, d: int, rng: np.random.Generator,
-                     expected_tries: float) -> np.ndarray:
+def _rejection_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted edge codes of the first simple configuration pairing, drawn
     in blocks; raises BudgetExceededError after REJECTION_TRIES pairings.
 
-    A block is B rows, each a copy of the sorted stubs that one
-    rng.permuted call shuffles on its own, so each row is a uniform
-    pairing independent of all rows before it, and the first simple row
-    is exactly uniform over simple graphs.  Rows after it are discarded.
-    _block_codes pairs and tests the rows, by the pair-code table up to
-    n = 128.  B is twice `expected_tries`, the caller's _expected_tries(d),
-    so most blocks hold a simple row, but at most _REJECTION_STUBS // (n*d)
-    and at least 1, and never more than the tries left: every examined
-    row counts against REJECTION_TRIES.  The stub layout is fetched once
-    per call.
+    A block is the rows of _rejection_plan's layout, each a copy of the
+    sorted stubs that one rng.permuted call shuffles on its own, so each
+    row is a uniform pairing independent of all rows before it, and the
+    first simple row is exactly uniform over simple graphs.  Rows after it
+    are discarded.  _block_codes pairs and tests the rows, by the plan's
+    pair-code table up to n = 128.  A block never holds more rows than
+    the tries left: every examined row counts against REJECTION_TRIES.
+    The plan is fetched once per call, from a cache when n*d is at most
+    _REJECTION_STUBS.
     """
-    rows = max(1, min(math.ceil(2 * expected_tries),
-                      _REJECTION_STUBS // max(n * d, 1)))
-    layout, table = _sorted_stubs(n, d, rows), _pair_codes(n)
+    plan = _cached_plan if n * d <= _REJECTION_STUBS else _rejection_plan
+    layout, table = plan(n, d)
     tries = 0
     while tries < REJECTION_TRIES:
         stubs = rng.permuted(layout[:REJECTION_TRIES - tries], axis=1)
@@ -645,12 +637,7 @@ def uniform_method(n: int, d: int, method: str = "auto") -> str:
     expected tries exceed REJECTION_TRIES raises BudgetExceededError at
     once.
     """
-    return _resolve_method(n, d, method, _expected_tries(d))
-
-
-def _resolve_method(n: int, d: int, method: str,
-                    expected_tries: float) -> str:
-    """uniform_method, given expected_tries = _expected_tries(d)."""
+    expected_tries = _expected_tries(d)
     if method == "auto":
         fits = d <= 2 * math.log(n) and expected_tries <= REJECTION_TRIES / 10
         return "rejection" if fits else "switching-chain"
@@ -680,10 +667,8 @@ def sample_uniform(n: int, d: int, rng: np.random.Generator,
     ModelKind.UNIFORM.check_parity(n, d)
     if d >= n:
         raise InvalidParametersError("simple graph needs d < n")
-    expected_tries = _expected_tries(d)
-    if _resolve_method(n, d, method, expected_tries) == "rejection":
-        return MultiGraph._built(
-            n, d, _rejection_codes(n, d, rng, expected_tries))
+    if uniform_method(n, d, method) == "rejection":
+        return MultiGraph._built(n, d, _rejection_codes(n, d, rng))
     codes = _chain_burn_in(_circulant_simple(n, d), n, rng, moves=10 * n * d)
     return MultiGraph._built(n, d, np.sort(np.array(codes, dtype=np.int64)))
 

@@ -7,9 +7,7 @@ of resulting states are compared, with no floating point and no sampling.
 
 The simple-graph check runs the program's own operator: every transition
 comes from the simultaneous switch of switchings, which alone decides
-which triples are active.  It calls the switch's private entry with each
-enumerated graph's pivot edges, so the simplicity check runs once per
-graph and not once per call; only the active triples' switch indices are
+which triples are active.  Only the active triples' switch indices are
 enumerated, each outcome weighted by the 8^(d - |A|) indices of the
 inactive ones.  A selection names each pivot edge's triple by its rank.
 Selections with no switchable triple are idle, so they are counted in
@@ -34,10 +32,9 @@ from .errors import BudgetExceededError, InvalidParametersError
 from .graphs import (Matching, ModelKind, MultiGraph, Permutation,
                      enumerate_simple_regular, random_matching, sample_uniform)
 from .rng import stream
-from .switchings import (TripleSelection, _require_triples,
-                         _simultaneous_switch, mm_resample, mm_switch,
-                         pivot_edges, pm_switch, triple_space_flags,
-                         um_resample)
+from .switchings import (TripleSelection, _require_triples, mm_resample,
+                         mm_switch, pm_switch, triple_space_flags,
+                         um_resample, um_simultaneous_switch)
 
 __all__ = [
     "InvarianceReport",
@@ -162,11 +159,10 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
         if idle == choices:
             continue
         rows = flags.tolist()
-        pe = pivot_edges(g)
         for ranks in itertools.product(range(flags.shape[1]), repeat=d):
             if not any(row[k] for row, k in zip(rows, ranks)):
                 continue
-            first = _simultaneous_switch(g, pe, TripleSelection(ranks, ones))
+            first = um_simultaneous_switch(g, TripleSelection(ranks, ones))
             active = first.switched
             weight = 8 ** (d - sum(active))
             for s_active in itertools.product(range(1, 9), repeat=sum(active)):
@@ -174,7 +170,7 @@ def um_exact_invariance(n: int = 6, d: int = 3) -> InvarianceReport:
                 # an inactive triple's index leaves the outcome unchanged
                 s = tuple(next(it) if act else 1 for act in active)
                 out = (first if s == ones else
-                       _simultaneous_switch(g, pe, TripleSelection(ranks, s)))
+                       um_simultaneous_switch(g, TripleSelection(ranks, s)))
                 dst = index.get(out.graph)
                 if dst is None:
                     off_states += weight

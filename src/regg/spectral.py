@@ -56,6 +56,7 @@ __all__ = [
     "build_H",
     "eigvalsh_inplace",
     "routine",
+    "pair_sample_size",
     "grid_bytes",
     "m_semicircle",
     "solve_two_roots",
@@ -336,13 +337,22 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     return w
 
 
+def pair_sample_size(n: int) -> int:
+    """Off-diagonal pairs ResolventView draws for its pair sample at size
+    n: all N(N-1)/2 pairs i < j up to ResolventView.EXHAUSTIVE_N, and
+    above it OFFDIAG_PAIRS seeded pairs (i, j), of which those with i == j
+    are then dropped."""
+    if n <= ResolventView.EXHAUSTIVE_N:
+        return n * (n - 1) // 2
+    return OFFDIAG_PAIRS
+
+
 def grid_bytes(n: int, nz: int) -> int:
     """Bytes that ResolventView.grid maps for nz points at size n beyond
     the view's own matrices: the complex N x nz and P x nz outputs, the two
     real N x nz weights, the dgemm product buffer (nz times N or a pair
     block, whichever is larger), the pair block and its gathered rows."""
-    pairs = (n * (n - 1) // 2 if n <= ResolventView.EXHAUSTIVE_N
-             else OFFDIAG_PAIRS)
+    pairs = pair_sample_size(n)
     block = min(PAIR_BLOCK, pairs)
     return 8 * ((2 * (n + pairs) + 2 * n + max(n, block)) * nz
                 + (block + min(GATHER_ROWS, block)) * n)
@@ -374,15 +384,15 @@ class ResolventView:
 
     @cached_property
     def _pair_sample(self) -> tuple[np.ndarray, np.ndarray]:
-        """Seeded off-diagonal index pairs used by grid(); exhaustive below
-        EXHAUSTIVE_N."""
-        n = self.n
+        """Seeded off-diagonal index pairs used by grid(), as many as
+        pair_sample_size(n) draws; exhaustive up to EXHAUSTIVE_N."""
+        n, size = self.n, pair_sample_size(self.n)
         if n <= self.EXHAUSTIVE_N:
             i, j = np.triu_indices(n, k=1)
             return i, j
         rng = stream(self.pair_seed, *PAIR_PATH)
-        i = rng.integers(0, n, size=OFFDIAG_PAIRS)
-        j = rng.integers(0, n, size=OFFDIAG_PAIRS)
+        i = rng.integers(0, n, size=size)
+        j = rng.integers(0, n, size=size)
         keep = i != j
         return i[keep], j[keep]
 

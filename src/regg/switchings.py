@@ -174,11 +174,13 @@ def triple_space_flags(graphs):
 
     Sorted codes list the d pivot edges (0, r) first, whose code is r,
     then the m non-pivot edges, whose pairs np.triu_indices lists in rank
-    order, the order _unrank_pair inverts.
+    order, the order _unrank_pair inverts.  Raises InvalidParametersError
+    when a pivot edge has no admissible triple (see _require_triples).
     """
     if not graphs:
         return
     n, d = graphs[0].n, graphs[0].deg
+    _require_triples(n, d)
     a, b = np.triu_indices(graphs[0].codes.size - d, 1)
     per_call = max(1, _SWITCHABLE_BATCH // (d * a.size))
     for lo in range(0, len(graphs), per_call):
@@ -223,15 +225,10 @@ def um_simultaneous_switch(g: MultiGraph, selection: TripleSelection) -> Resampl
     Active triples share only the pivot, so their removed edges are
     distinct and present, each triple's edit keeps every degree, and one
     MultiGraph._replace_edges call applies them all.  Raises
-    InvalidParametersError unless g is simple.
+    InvalidParametersError unless g is simple; MultiGraph.simple decides
+    that once per graph, so switching one graph many times checks it once.
     """
-    return _simultaneous_switch(g, pivot_edges(g), selection)
-
-
-def _simultaneous_switch(g: MultiGraph, pe: list[Edge],
-                         selection: TripleSelection) -> ResampleOutcome:
-    """um_simultaneous_switch with the pivot edges pe = pivot_edges(g) of
-    a graph known to be simple, which it does not check again."""
+    pe = pivot_edges(g)
     d, n, codes = len(pe), g.n, g.codes
     m = codes.size - d
     if len(selection.ranks) != d:

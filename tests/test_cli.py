@@ -319,6 +319,17 @@ class TestLawsweep:
         assert man.params["eta_grid"] == [1.0, 0.5]
         assert man.params["e_grid"] == [-1.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("n, pairs", [(100, 4950), (400, 10000)])
+    def test_manifest_records_pairs_drawn(self, tmp_path, n, pairs):
+        # every pair i < j up to EXHAUSTIVE_N = 300, OFFDIAG_PAIRS above
+        out = tmp_path / "law.csv"
+        code = run(["lawsweep", "--model", "permutation", "--n", str(n),
+                    "--d", "10", "--samples", "1", "--e-step", "4.8",
+                    "--eta-min", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        man = RunManifest.load(str(out) + ".manifest.json")
+        assert man.params["offdiag_pairs"] == pairs
+
     def test_law_csv_matches_recorded_bytes(self, tmp_path):
         # sha256 of the v1 file with its psi and flag columns dropped and
         # the v2 header, then of that file with the v3 header, its only

@@ -174,20 +174,24 @@ class TestConfigurationModel:
         assert_model_invariants(g, loops_ok=True, multi_ok=True)
 
     def test_only_small_stub_layouts_cached(self, monkeypatch):
-        # a layout of more than _REJECTION_STUBS stubs is built once per
-        # sampler call and dropped with it; a smaller one is kept
+        # a plan whose layout holds more than _REJECTION_STUBS stubs is
+        # built once per sampler call and dropped with it; a smaller one is
+        # kept; the configuration model shuffles its own stubs
         built = []
-        layout = graphs._stub_layout
-        monkeypatch.setattr(graphs, "_stub_layout",
-                            lambda *args: built.append(args) or layout(*args))
-        graphs._cached_layout.cache_clear()
+        plan = graphs._rejection_plan
+        monkeypatch.setattr(graphs, "_rejection_plan",
+                            lambda *args: built.append(args) or plan(*args))
+        graphs._cached_plan.cache_clear()
         sample_configuration_model(200, 100, stream(5, 0))  # 20 000 stubs
         # seed 5 draws 3 blocks of one pairing each at (9000, 2)
         sample_uniform(9000, 2, stream(5, 0), method="rejection")
-        assert built == [(200, 100, 1), (9000, 2, 1)]
-        assert graphs._cached_layout.cache_info().currsize == 0
+        sample_uniform(9000, 2, stream(5, 0), method="rejection")
+        assert built == [(9000, 2), (9000, 2)]
+        assert graphs._cached_plan.cache_info().currsize == 0
         sample_configuration_model(20, 3, stream(5, 0))
-        assert graphs._cached_layout.cache_info().currsize == 1
+        assert graphs._cached_plan.cache_info().currsize == 0
+        sample_uniform(20, 3, stream(5, 0), method="rejection")
+        assert graphs._cached_plan.cache_info().currsize == 1
 
 
 class TestUniformModel:
@@ -278,7 +282,7 @@ class TestUniformModel:
     def test_rejection_draws_golden_without_table(self):
         # 20 consecutive draws at (200, 3): n*n exceeds _REJECTION_STUBS,
         # so the block's codes are formed by arithmetic, not a table
-        assert graphs._pair_codes(200) is None
+        assert graphs._rejection_plan(200, 3)[1] is None
         rng = stream(4, 2)
         h = hashlib.sha256()
         for _ in range(20):
@@ -325,7 +329,7 @@ def test_block_simplicity_matches_set_oracle_property(data, n, k, rows):
     # rows of k stub pairs (d = 0 at k = 0) over a few vertices, so that
     # repeated edges are common, each row with up to two loops put in;
     # n = 128 is the largest with a pair-code table
-    table = graphs._pair_codes(n)
+    _, table = graphs._rejection_plan(n, 1)
     assert (table is None) == (n * n > graphs._REJECTION_STUBS)
     vertex = st.sampled_from(sorted({0, 1 % n, n // 2, n - 1}))
     block = []

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from regg import graphs as graphs_mod
 from regg import invariance
 from regg.errors import BudgetExceededError, InvalidParametersError
 from regg.graphs import enumerate_simple_regular
@@ -125,7 +126,7 @@ def test_unswitchable_graph_counted_idle(monkeypatch):
     """A graph with no switchable triple is counted as all C(m, 2)^d of its
     selections idle, with no call to the switch: no (8, 2) graph has one."""
     calls = []
-    monkeypatch.setattr(invariance, "_simultaneous_switch",
+    monkeypatch.setattr(invariance, "um_simultaneous_switch",
                         lambda *args: calls.append(args))
     rep = um_exact_invariance(8, 2)
     assert not calls
@@ -145,10 +146,10 @@ def test_mixed_flags_switch_each_selection_once(monkeypatch):
                         lambda graphs: (flags for _ in graphs))
     calls = Counter()
 
-    def idle_switch(g, pe, selection):
+    def idle_switch(g, selection):
         calls[g, selection.ranks, selection.s] += 1
         return ResampleOutcome(g, (0, 0), (0, 0), (False, False), selection)
-    monkeypatch.setattr(invariance, "_simultaneous_switch", idle_switch)
+    monkeypatch.setattr(invariance, "um_simultaneous_switch", idle_switch)
     rep = um_exact_invariance(6, 2)
     graphs = enumerate_simple_regular(6, 2)
     assert set(calls) == {
@@ -157,6 +158,19 @@ def test_mixed_flags_switch_each_selection_once(monkeypatch):
         if flags[0, ranks[0]] or flags[1, ranks[1]]}
     assert len(calls) == 70 * 16 and set(calls.values()) == {1}
     assert rep.exact_equal and rep.counts["per_state"] == [36 * 64] * 2
+
+
+def test_simplicity_decided_once_per_graph(monkeypatch):
+    """Every (8, 1) selection switches, each a call of the public switch,
+    which checks that its graph is simple; MultiGraph.simple keeps the
+    answer, so the check runs once for each of the 105 graphs."""
+    calls = []
+    simple = graphs_mod._simple
+    monkeypatch.setattr(graphs_mod, "_simple",
+                        lambda *args: calls.append(args) or simple(*args))
+    rep = um_exact_invariance(8, 1)
+    assert len(calls) == rep.states == 105
+    assert rep.exact_equal and rep.detailed_balance
 
 
 @pytest.mark.parametrize("check, args", [

@@ -1,7 +1,8 @@
 """Every public name of every module of src/regg, and every public member of
 its public classes, is used by the program: src/ or scripts/ reference it
 outside its own definition.  A name only tests call is a second
-implementation that the commands never run.  Each module's __all__ lists
+implementation that the commands never run.  So is a private top-level
+name left beside the entry that replaced it, which this checks too.  Each module's __all__ lists
 exactly its public functions and classes, and may add its constants.
 
 Dataclass fields are out of scope: some are read only through column-name
@@ -101,12 +102,14 @@ def _uses(path):
 USES = {path: _uses(path) for path in SOURCES}
 
 
-def _unreferenced(candidates, home, attribute, allowed=ALLOWED):
+def _unreferenced(candidates, home, attribute, allowed=ALLOWED,
+                  private=False):
     """Names of `candidates`, defined in `home`, with no use elsewhere; with
-    attribute=True only uses after a dot count."""
+    attribute=True only uses after a dot count.  Only the public names are
+    looked at, or with private=True only the private ones."""
     out = []
     for name, lines in candidates:
-        if name.startswith("_") or name in allowed:
+        if name.startswith("_") != private or name in allowed:
             continue
         if not any(used == name and (dotted or not attribute)
                    and not (path == home and line in lines)
@@ -129,6 +132,14 @@ def test_every_module_is_walked():
 def test_module_names_are_used_by_the_program():
     unused = {path.stem: _unreferenced(_module_names(TREES[path]), path,
                                        attribute=False)
+              for path in MODULES}
+    assert {stem: names for stem, names in unused.items() if names} == {}
+
+
+def test_private_module_names_are_used_by_the_program():
+    unused = {path.stem: _unreferenced(_module_names(TREES[path]), path,
+                                       attribute=False, allowed=set(),
+                                       private=True)
               for path in MODULES}
     assert {stem: names for stem, names in unused.items() if names} == {}
 

@@ -71,6 +71,14 @@ class TestTripleMachinery:
         assert flags.shape == (3, 15)
         assert [len(t) for t in rank_triples(g)] == [15, 15, 15]
 
+    @pytest.mark.parametrize("n, d", [(4, 0), (4, 1), (3, 2)])
+    def test_triple_space_flags_needs_admissible_triples(self, n, d):
+        # d = 0, or fewer than two edges off the pivot: no triple at all
+        every = enumerate_simple_regular(n, d)
+        assert every
+        with pytest.raises(InvalidParametersError, match="d >= 1|no admissible"):
+            list(triple_space_flags(every))
+
     def test_switch_pair_table_order(self):
         S = ((0, 1), (2, 3), (4, 5))
         table = [
