@@ -72,14 +72,8 @@ def _approximate(model: str, n: int, d: int) -> bool:
 # sample
 
 def _cmd_sample(args, argv) -> int:
-    kwargs = {}
-    if args.model == "uniform":
-        kwargs["method"] = args.method
-    elif args.method != "auto":
-        raise InvalidParametersError(
-            f"--method {args.method} applies to the uniform model only, "
-            f"not to {args.model}")
-    g = sample_model(args.model, args.n, args.d, stream(args.seed, 0), **kwargs)
+    g = sample_model(args.model, args.n, args.d, stream(args.seed, 0),
+                     args.method)
     text = to_edgelist(g, args.model, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

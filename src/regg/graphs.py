@@ -419,34 +419,23 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> MultiG
 
 #: most stubs (rows times n*d) one block of rejection tries holds: 128 KiB
 #: of int64, so a block stays small next to the sampled graph's arrays; also
-#: the most stubs a cached layout, and the most entries a cached pair-code
-#: table, holds
+#: the most stubs a cached layout holds
 _REJECTION_STUBS = 1 << 14
 
 
-def _rejection_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The read-only arrays _rejection_codes draws with at (n, d).
+def _rejection_plan(n: int, d: int) -> np.ndarray:
+    """The read-only layout _rejection_codes draws with at (n, d).
 
-    layout is (rows, n*d), each row the stubs of n vertices of degree d in
+    It is (rows, n*d), each row the stubs of n vertices of degree d in
     order, which one rng.permuted call shuffles a copy of.  rows is twice
     _expected_tries(d), so most blocks hold a simple row, but at most
-    _REJECTION_STUBS // (n*d) and at least 1.  table is the n x n array
-    whose entry [u, v] is the code min(u, v) * n + max(u, v) of the edge
-    {u, v}, and -1 on the diagonal, where the loops are; None when
-    n*n > _REJECTION_STUBS, since regg keeps no n^2 structure of a large
-    graph.
+    _REJECTION_STUBS // (n*d) and at least 1.
     """
     rows = max(1, min(math.ceil(2 * _expected_tries(d)),
                       _REJECTION_STUBS // max(n * d, 1)))
     layout = np.repeat(np.repeat(np.arange(n), d)[np.newaxis], rows, 0)
     layout.flags.writeable = False
-    if n * n > _REJECTION_STUBS:
-        return layout, None
-    idx = np.arange(n)
-    table = _codes(n, idx[:, np.newaxis], idx)
-    np.fill_diagonal(table, -1)
-    table.flags.writeable = False
-    return layout, table
+    return layout
 
 
 #: _rejection_plan for n*d <= _REJECTION_STUBS, so the cache never holds a
@@ -454,29 +443,20 @@ def _rejection_plan(n: int, d: int) -> tuple[np.ndarray, np.ndarray | None]:
 _cached_plan = functools.lru_cache(maxsize=8)(_rejection_plan)
 
 
-def _block_codes(n: int, stubs: np.ndarray,
-                 table: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _block_codes(n: int, stubs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's sorted edge codes, pairing consecutive stubs of the
     (rows, 2k) array `stubs`, and whether the row is simple.
 
-    With the pair-code table of _rejection_plan, the codes are gathered
-    from it, so a loop reads -1 and sorts first, and a row is simple iff
-    its codes strictly increase and its first code is at least 0; the
-    empty rows of d = 0 are simple.  The codes of a simple row are real
-    codes.  With table None they are formed by _codes and tested by
-    _simple.
+    A pair of equal stubs is a loop, and equal neighbours among a row's
+    sorted codes are a repeated edge; both tests write into one bool array,
+    reduced once per row.  The empty rows of d = 0 are simple.
     """
     u, v = stubs[:, 0::2], stubs[:, 1::2]
-    if table is None:
-        codes = _codes(n, u, v)
-        codes.sort(axis=1)
-        return codes, _simple(codes, n)
-    codes = table[u, v]
+    ok = u != v
+    codes = _codes(n, u, v)
     codes.sort(axis=1)
-    simple = np.logical_and.reduce(codes[:, 1:] > codes[:, :-1], axis=1)
-    if codes.size:  # no first column at d = 0
-        simple &= codes[:, 0] >= 0
-    return codes, simple
+    ok[:, 1:] &= codes[:, 1:] != codes[:, :-1]
+    return codes, np.logical_and.reduce(ok, axis=1)
 
 
 def sample_configuration_model(n: int, d: int, rng: np.random.Generator) -> MultiGraph:
@@ -606,18 +586,17 @@ def _rejection_codes(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     sorted stubs that one rng.permuted call shuffles on its own, so each
     row is a uniform pairing independent of all rows before it, and the
     first simple row is exactly uniform over simple graphs.  Rows after it
-    are discarded.  _block_codes pairs and tests the rows, by the plan's
-    pair-code table up to n = 128.  A block never holds more rows than
-    the tries left: every examined row counts against REJECTION_TRIES.
-    The plan is fetched once per call, from a cache when n*d is at most
-    _REJECTION_STUBS.
+    are discarded.  _block_codes pairs and tests the rows.  A block never
+    holds more rows than the tries left: every examined row counts against
+    REJECTION_TRIES.  The layout is fetched once per call, from a cache when
+    n*d is at most _REJECTION_STUBS.
     """
     plan = _cached_plan if n * d <= _REJECTION_STUBS else _rejection_plan
-    layout, table = plan(n, d)
+    layout = plan(n, d)
     tries = 0
     while tries < REJECTION_TRIES:
         stubs = rng.permuted(layout[:REJECTION_TRIES - tries], axis=1)
-        codes, simple = _block_codes(n, stubs, table)
+        codes, simple = _block_codes(n, stubs)
         first = simple.argmax()
         if simple[first]:
             return codes[first].copy()  # a copy, so the block is freed
@@ -779,13 +758,18 @@ def from_edgelist(text: str) -> tuple[MultiGraph, dict]:
 
 
 def sample_model(model: str | ModelKind, n: int, d: int,
-                 rng: np.random.Generator, **kwargs) -> MultiGraph:
-    """Dispatch on ModelKind."""
+                 rng: np.random.Generator, method: str = "auto") -> MultiGraph:
+    """Dispatch on ModelKind; `method` is sample_uniform's, and any other
+    model takes only "auto"."""
     kind = ModelKind(model)
+    if kind is not ModelKind.UNIFORM and method != "auto":
+        raise InvalidParametersError(
+            f"--method {method} applies to the uniform model only, "
+            f"not to {kind.value}")
     if kind is ModelKind.MATCHING:
         return sample_matching_model(n, d, rng)
     if kind is ModelKind.PERMUTATION:
         return sample_permutation_model(n, d, rng)
     if kind is ModelKind.CONFIGURATION:
         return sample_configuration_model(n, d, rng)
-    return sample_uniform(n, d, rng, **kwargs)
+    return sample_uniform(n, d, rng, method=method)

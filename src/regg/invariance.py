@@ -227,11 +227,15 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
 
 def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     """Empirical TV distance between the law of the pivot's first neighbour
-    after one resampling step and the uniform law on the other vertices."""
+    after one resampling step and the uniform law on the other vertices.
+    The matching move acts on one perfect matching, so it needs d = 1."""
     if samples < 1:
         raise InvalidParametersError(
             f"the TV report needs at least 1 sample, got {samples}")
     ModelKind(model).check_parity(n, d)
+    if model == "matching" and d != 1:
+        raise InvalidParametersError(
+            f"the matching move acts on d = 1, got d = {d}")
     hits = np.zeros(n, dtype=np.int64)
     for t in range(samples):
         rng = stream(seed, t)

@@ -117,9 +117,11 @@ class SweepPlan:
                  eta_max: float = 1.0) -> "SweepPlan":
         """`samples` graphs of size n on the energies from e_min to e_max in
         steps of e_step and dyadic_etas(eta_min, eta_max), eta_min 64/n if
-        None.  An empty, non-finite or over-long grid raises
-        InvalidParametersError naming the lawsweep flags of the bounds,
-        before the energies are built."""
+        None.  n < 1 raises InvalidParametersError, and so does an empty,
+        non-finite or over-long grid, naming the lawsweep flags of the
+        bounds, before the energies are built."""
+        if n < 1:
+            raise InvalidParametersError(f"a sweep needs n >= 1, got {n}")
         eta_grid = cls.dyadic_etas(64.0 / n if eta_min is None else eta_min,
                                    eta_max)
         if not e_step > 0:

@@ -492,8 +492,11 @@ def solve_two_roots(z: complex, R: complex) -> tuple[complex, complex]:
 def effective_D(n: int, d: int, model: str | ModelKind) -> float:
     """Model-dependent effective parameter: d ∧ n²/d³ for the uniform
     model, d ∧ n²/d for the permutation/matching (and configuration)
-    models."""
+    models.  Needs n >= 1 and d >= 1."""
     kind = ModelKind(model)
+    if n < 1 or d < 1:
+        raise InvalidParametersError(
+            f"effective_D needs n >= 1 and d >= 1, got n={n} d={d}")
     if kind is ModelKind.UNIFORM:
         return min(d, n * n / d ** 3)
     return min(d, n * n / d)
@@ -505,10 +508,13 @@ def default_xi(n: int) -> float:
 
 
 def phi_envelope(z: complex, n: int, D: float) -> float:
-    """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D)."""
+    """Phi(z) = 1/sqrt(N eta) + 1/sqrt(D), for n >= 1 and D > 0."""
     eta = complex(z).imag
     if not eta > 0:
         raise InvalidParametersError("phi_envelope needs eta > 0")
+    if n < 1 or not D > 0:
+        raise InvalidParametersError(
+            f"phi_envelope needs n >= 1 and D > 0, got n={n} D={D}")
     return 1.0 / math.sqrt(n * eta) + 1.0 / math.sqrt(D)
 
 

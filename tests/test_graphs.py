@@ -192,6 +192,18 @@ class TestConfigurationModel:
         assert graphs._cached_plan.cache_info().currsize == 0
         sample_uniform(20, 3, stream(5, 0), method="rejection")
         assert graphs._cached_plan.cache_info().currsize == 1
+        layout = graphs._cached_plan(20, 3)  # the entry just cached
+        assert graphs._cached_plan.cache_info().hits == 1
+        assert layout.shape[1] == 60 and not layout.flags.writeable
+        assert (layout == np.repeat(np.arange(20), 3)).all()
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (128, 1), (129, 1), (9000, 2)])
+    def test_rejection_plan_is_one_small_array(self, n, d):
+        # O(n*d) memory: one block of at most _REJECTION_STUBS stubs, or a
+        # single row when n*d is larger
+        layout = graphs._rejection_plan(n, d)
+        assert isinstance(layout, np.ndarray) and layout.shape[1] == n * d
+        assert layout.size <= max(graphs._REJECTION_STUBS, n * d)
 
 
 class TestUniformModel:
@@ -280,9 +292,8 @@ class TestUniformModel:
             "55d795998ddbea28e4af45c13124d5dc1d27ba634c0215cf0596144660d84f7d")
 
     def test_rejection_draws_golden_without_table(self):
-        # 20 consecutive draws at (200, 3): n*n exceeds _REJECTION_STUBS,
-        # so the block's codes are formed by arithmetic, not a table
-        assert graphs._rejection_plan(200, 3)[1] is None
+        # 20 consecutive draws at (200, 3) from one stream, a size whose
+        # blocks hold 15 pairings each
         rng = stream(4, 2)
         h = hashlib.sha256()
         for _ in range(20):
@@ -327,10 +338,7 @@ def test_simple_matches_set_oracle():
        k=st.integers(0, 6), rows=st.integers(1, 5))
 def test_block_simplicity_matches_set_oracle_property(data, n, k, rows):
     # rows of k stub pairs (d = 0 at k = 0) over a few vertices, so that
-    # repeated edges are common, each row with up to two loops put in;
-    # n = 128 is the largest with a pair-code table
-    _, table = graphs._rejection_plan(n, 1)
-    assert (table is None) == (n * n > graphs._REJECTION_STUBS)
+    # repeated edges are common, each row with up to two loops put in
     vertex = st.sampled_from(sorted({0, 1 % n, n // 2, n - 1}))
     block = []
     for _ in range(rows):
@@ -340,7 +348,7 @@ def test_block_simplicity_matches_set_oracle_property(data, n, k, rows):
             pairs[at] = (w := data.draw(vertex), w)
         block.append([x for pair in pairs for x in pair])
     stubs = np.array(block, dtype=np.int64).reshape(rows, 2 * k)
-    codes, simple = graphs._block_codes(n, stubs, table)
+    codes, simple = graphs._block_codes(n, stubs)
     u, v = stubs[:, 0::2], stubs[:, 1::2]
     want = np.sort(np.minimum(u, v) * n + np.maximum(u, v), axis=1)
     assert np.array_equal(simple, simple_rows(want, n))
@@ -538,3 +546,13 @@ def test_model_kind_parity_table():
         ModelKind.PERMUTATION.check_parity(5, 3)
     with pytest.raises(InvalidParametersError):
         ModelKind.MATCHING.check_parity(5, 2)
+
+
+@pytest.mark.parametrize("model", ["matching", "permutation", "configuration"])
+def test_sample_model_method_needs_uniform_model(model):
+    for method in ("rejection", "switching-chain", "chain"):
+        with pytest.raises(InvalidParametersError,
+                           match="applies to the uniform model only"):
+            sample_model(model, 4, 2, stream(11, 0), method=method)
+    g = sample_model(model, 4, 2, stream(11, 0), method="auto")
+    assert g == sample_model(model, 4, 2, stream(11, 0))

@@ -213,6 +213,12 @@ class TestMonteCarloReports:
         with pytest.raises(InvalidParametersError):
             mc_pivot_tv("configuration", 10, 3, seed=0, samples=10)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matching_needs_degree_one(self, d):
+        # the move resamples one perfect matching, whatever d asks for
+        with pytest.raises(InvalidParametersError, match="acts on d = 1"):
+            mc_pivot_tv("matching", 6, d, seed=0, samples=10)
+
     def test_alpha_match_rate_high(self):
         # targeted neighbour realized with probability 1 - C*d/n; the
         # dominant miss cause is two triples sharing a non-pivot vertex

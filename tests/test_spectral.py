@@ -22,6 +22,7 @@ from regg.errors import InvalidParametersError, NumericalDegeneracyError
 from regg.graphs import (MultiGraph, sample_configuration_model,
                          sample_matching_model, sample_permutation_model,
                          sample_uniform)
+from regg.law import SweepPlan
 from regg.rng import stream
 from regg.spectral import (OFFDIAG_PAIRS, PAIR_BLOCK, PAIR_PATH,
                            ResolventView,
@@ -741,6 +742,22 @@ class TestEnvelopes:
         assert effective_D(100, 30, "uniform") == 100**2 / 30**3
         assert effective_D(1000, 10, "permutation") == 10
         assert effective_D(100, 300, "matching") == 100**2 / 300
+
+    @pytest.mark.parametrize("call,args", [
+        pytest.param(SweepPlan.standard, (0,), id="sweep-n0"),
+        pytest.param(SweepPlan.standard, (-3, 1, -2.4, 2.4, 0.2, 0.1),
+                     id="sweep-n-3"),
+        *(pytest.param(effective_D, (10, 0, m), id=f"D-d0-{m}") for m in
+          ("uniform", "permutation", "matching", "configuration")),
+        pytest.param(effective_D, (0, 3, "uniform"), id="D-n0"),
+        pytest.param(phi_envelope, (1j, 10, 0), id="phi-D0"),
+        pytest.param(phi_envelope, (1j, 10, -4.0), id="phi-D-4"),
+        pytest.param(phi_envelope, (1j, 0, 25), id="phi-n0"),
+    ])
+    def test_degenerate_sizes_rejected(self, call, args):
+        # no envelope or grid has a meaning at these sizes
+        with pytest.raises(InvalidParametersError):
+            call(*args)
 
     def test_default_xi(self):
         assert default_xi(2000) == math.log(2000) ** 2
