@@ -19,8 +19,8 @@ from . import law as law_mod
 from . import stability as stab_mod
 from .errors import InvalidParametersError, ReggError
 from .graphs import ModelKind, sample_model, to_edgelist, uniform_method
-from .invariance import (mc_pivot_tv, mm_exact_invariance, pm_exact_uniformity,
-                         um_exact_invariance)
+from .invariance import (check_move_degree, mc_pivot_tv, mm_exact_invariance,
+                         pm_exact_uniformity, um_exact_invariance)
 from .manifest import RunManifest
 from .observables import (FOURTH_GATE, MAX_RATIO_GATE, QUE_GATE,
                           delocalization_stats, density_mass, interval_counts,
@@ -89,16 +89,8 @@ def _cmd_sample(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # invariance
 
-#: the degree each model's resampling move acts on: one matching, or one
-#: permutation with its inverse
-_MOVE_DEGREE = {"matching": 1, "permutation": 2}
-
-
 def _cmd_invariance(args, argv) -> int:
-    if _MOVE_DEGREE.get(args.model, args.d) != args.d:
-        raise InvalidParametersError(
-            f"the {args.model} move acts on d = {_MOVE_DEGREE[args.model]}, "
-            f"got --d {args.d}")
+    check_move_degree(args.model, args.d)
     if args.mc:
         tv = mc_pivot_tv(args.model, args.n, args.d, args.seed, args.samples)
         payload = {"model": args.model, "n": args.n, "d": args.d,

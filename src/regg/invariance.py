@@ -42,6 +42,7 @@ __all__ = [
     "um_exact_invariance",
     "pm_exact_uniformity",
     "mc_pivot_tv",
+    "check_move_degree",
 ]
 
 #: most (state, randomness) inputs the matching and permutation checks
@@ -51,6 +52,19 @@ EXACT_INPUT_LIMIT = 10**6
 #: in n, and in its triple choices per graph, C(nd/2 - d, 2)^d
 UM_EXACT_MAX_N = 8
 UM_TRIPLE_CHOICE_LIMIT = 10**4
+
+
+#: the degree each model's resampling move acts on: one matching, or one
+#: permutation with its inverse
+_MOVE_DEGREE = {"matching": 1, "permutation": 2}
+
+
+def check_move_degree(model: str, d: int) -> None:
+    """Raise InvalidParametersError when the model's resampling move acts on
+    another degree than d; the uniform move acts on any d."""
+    if _MOVE_DEGREE.get(model, d) != d:
+        raise InvalidParametersError(
+            f"the {model} move acts on d = {_MOVE_DEGREE[model]}, got d = {d}")
 
 
 def _check_budget(model: str, unit: str, count: int, limit: int) -> None:
@@ -227,15 +241,13 @@ def pm_exact_uniformity(n: int = 4) -> InvarianceReport:
 
 def mc_pivot_tv(model: str, n: int, d: int, seed: int, samples: int) -> float:
     """Empirical TV distance between the law of the pivot's first neighbour
-    after one resampling step and the uniform law on the other vertices.
-    The matching move acts on one perfect matching, so it needs d = 1."""
+    after one resampling step and the uniform law on the other vertices;
+    d must be the one the model's move acts on (check_move_degree)."""
     if samples < 1:
         raise InvalidParametersError(
             f"the TV report needs at least 1 sample, got {samples}")
     ModelKind(model).check_parity(n, d)
-    if model == "matching" and d != 1:
-        raise InvalidParametersError(
-            f"the matching move acts on d = 1, got d = {d}")
+    check_move_degree(model, d)
     hits = np.zeros(n, dtype=np.int64)
     for t in range(samples):
         rng = stream(seed, t)

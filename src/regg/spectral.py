@@ -503,7 +503,10 @@ def effective_D(n: int, d: int, model: str | ModelKind) -> float:
 
 
 def default_xi(n: int) -> float:
-    """The logarithmic error parameter (log N)^2 of every envelope."""
+    """The logarithmic error parameter (log N)^2 of every envelope, for
+    n >= 1."""
+    if n < 1:
+        raise InvalidParametersError(f"default_xi needs n >= 1, got {n}")
     return math.log(n) ** 2
 
 

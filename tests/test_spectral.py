@@ -750,6 +750,7 @@ class TestEnvelopes:
         *(pytest.param(effective_D, (10, 0, m), id=f"D-d0-{m}") for m in
           ("uniform", "permutation", "matching", "configuration")),
         pytest.param(effective_D, (0, 3, "uniform"), id="D-n0"),
+        pytest.param(default_xi, (0,), id="xi-n0"),
         pytest.param(phi_envelope, (1j, 10, 0), id="phi-D0"),
         pytest.param(phi_envelope, (1j, 10, -4.0), id="phi-D-4"),
         pytest.param(phi_envelope, (1j, 0, 25), id="phi-n0"),
