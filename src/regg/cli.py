@@ -91,10 +91,14 @@ def _cmd_sample(args, argv) -> int:
 
 def _cmd_invariance(args, argv) -> int:
     check_move_degree(args.model, args.d)
+    if args.samples is not None and not args.mc:
+        raise InvalidParametersError(
+            "--samples applies to --mc only: the exact checks draw nothing")
     if args.mc:
-        tv = mc_pivot_tv(args.model, args.n, args.d, args.seed, args.samples)
+        samples = 10000 if args.samples is None else args.samples
+        tv = mc_pivot_tv(args.model, args.n, args.d, args.seed, samples)
         payload = {"model": args.model, "n": args.n, "d": args.d,
-                   "method": "mc", "tv_distance": tv, "samples": args.samples,
+                   "method": "mc", "tv_distance": tv, "samples": samples,
                    "seed": args.seed,
                    "approximate": _approximate(args.model, args.n, args.d)}
     else:
@@ -362,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mc", action="store_true",
                    help="Monte-Carlo TV report instead of exact counts")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=int, default=None,
+                   help="--mc only; defaults to 10000")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_invariance)
 

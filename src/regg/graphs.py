@@ -5,13 +5,8 @@ plus an exact enumerator of small simple regular graphs used as an oracle
 by the invariance tests.  A graph is stored as the sorted array of its
 edge codes i*n + j (i <= j), one entry per edge copy, so storing,
 validating and switching cost O(n d) rather than O(n^2); a loop is one
-entry and adds two to its vertex's degree.  Dense matrices are built only
-on demand: the full int64 adjacency matrix on the heap by MultiGraph.adj,
-and the upper triangle that the in-place LAPACK calls read, of
-A / sqrt(d-1) or of the centred H, by MultiGraph.upper_triangle alone.  It
-writes the triangle into an anonymous mapping from mapped_matrix whose
-rows are padded so that each row's triangle starts a page, block by block
-of triangle_blocks.
+entry and adds two to its vertex's degree.  The only dense matrix here is
+MultiGraph.adj, built on demand.
 
 The public constructors MultiGraph(...), Matching(...) and Permutation(...)
 validate their input, as from_edgelist does through MultiGraph(...).  An
@@ -23,11 +18,9 @@ read-only with no check.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
-import mmap
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,18 +44,10 @@ __all__ = [
     "sample_model",
     "uniform_method",
     "check_ram",
-    "mapped_matrix",
-    "triangle_blocks",
     "enumerate_simple_regular",
     "to_edgelist",
     "from_edgelist",
 ]
-
-#: float64 entries per memory page
-PAGE_REALS = mmap.PAGESIZE // 8
-
-#: rows per block of triangle_blocks
-TRIANGLE_ROWS = 64
 
 #: configuration pairings the rejection sampler draws before it gives up
 REJECTION_TRIES = 100_000
@@ -123,47 +108,6 @@ def check_ram(need: int, what: str) -> None:
         raise InvalidParametersError(
             f"{what}: {need / 1e9:.3g} GB, more than the "
             f"{ram / 1e9:.3g} GB of RAM")
-
-
-def mapped_matrix(shape: tuple[int, ...], dtype=np.float64, copies: int = 1,
-                  huge_pages: bool = True) -> np.ndarray:
-    """A zeroed, writable, C-contiguous array of `shape` and `dtype` in its
-    own anonymous mapping.
-
-    Its pages go back to the kernel as soon as the array is freed: a heap
-    array of this size may stay resident after it is freed, once glibc's
-    dynamic mmap threshold has risen above it.  With `huge_pages` the
-    mapping asks for transparent huge pages, which a caller that writes
-    every entry faults in about twice as fast; without, they are turned
-    off, so that only the 4 KiB pages a write touches become resident.
-    `copies` is how many arrays of this size the caller's computation holds
-    at once; when they would not fit in physical RAM, raises
-    InvalidParametersError before mapping.
-    """
-    dtype = np.dtype(dtype)
-    size = math.prod(shape)
-    check_ram(copies * dtype.itemsize * size,
-              f"{copies} mapped {'x'.join(map(str, shape))} {dtype.name} "
-              f"arrays")
-    buf = mmap.mmap(-1, max(1, dtype.itemsize * size),
-                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    with contextlib.suppress(OSError):  # a kernel without THP
-        buf.madvise(mmap.MADV_HUGEPAGE if huge_pages
-                    else mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
-
-
-def triangle_blocks(n: int):
-    """Yield (start, stop, (rows, cols)) for each block of TRIANGLE_ROWS
-    rows [start, stop) of an n x n matrix, with the indices, within the
-    square [start, stop)^2, of that square's upper triangle, diagonal
-    included.  With the rectangles [start, stop) x [stop, n), they cover
-    the matrix's upper triangle once and touch no other entry."""
-    rows, cols = np.triu_indices(TRIANGLE_ROWS)
-    for start in range(0, n, TRIANGLE_ROWS):
-        stop = min(start + TRIANGLE_ROWS, n)
-        keep = cols < stop - start
-        yield start, stop, (rows[keep], cols[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,40 +186,6 @@ class MultiGraph:
         drop = self.codes.searchsorted(codes[:len(removed)])
         return MultiGraph._built(self.n, self.deg, np.sort(np.concatenate(
             [np.delete(self.codes, drop), codes[len(removed):]])))
-
-    def upper_triangle(self, divisor: float, shift: float = 0.0,
-                       copies: int = 1) -> np.ndarray:
-        """The upper triangle (diagonal included) of (A - shift J) / divisor,
-        J the all-ones matrix, as the n x n view buf[:, :n] of a mapping buf
-        of n rows of L >= n reals; the strictly lower triangle and the
-        padding columns are left unwritten and read zero.
-
-        Entry (i, j), i <= j, holds (m - shift) / divisor with m the entry
-        of adj as a float: mult for an edge, 2 loops on the diagonal and
-        0 off the edges, which with shift 0 are not written at all.  L is n
-        below n = PAGE_REALS - 1 and otherwise the smallest L >= n with
-        L + 1 a multiple of PAGE_REALS, so that every row's first upper
-        entry (i, i), at byte 8 i (L + 1), starts a page.  Huge pages are
-        off, so only the pages a write touches are faulted in; with padded
-        rows that is the sum over k = 1..n of ceil(8 k / page) pages, none
-        of them shared by two rows.  An in-place LAPACK call that reads and
-        writes this triangle with LDA = L never brings in the rest.
-        `copies` is how many mappings of this size the caller's computation
-        holds at once; raises InvalidParametersError before mapping when
-        they would not fit in physical RAM.
-        """
-        n = self.n
-        pages = -(-(n + 1) // PAGE_REALS)
-        width = n if pages == 1 else pages * PAGE_REALS - 1
-        a = mapped_matrix((n, width), copies=copies, huge_pages=False)[:, :n]
-        if shift:
-            empty = (0.0 - shift) / divisor
-            for start, stop, tri in triangle_blocks(n):
-                a[start:stop, stop:] = empty
-                a[start:stop, start:stop][tri] = empty
-        i, j, mult = self.edge_arrays()
-        a[i, j] = (np.where(i == j, 2 * mult, mult) - shift) / divisor
-        return a
 
     @cached_property
     def adj(self) -> np.ndarray:

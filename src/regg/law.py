@@ -17,7 +17,7 @@ from .graphs import check_ram, sample_model
 from .rng import stream
 from .spectral import (ResolventView, build_H, default_xi, effective_D,
                        eigvalsh_inplace, f_envelope, grid_bytes, m_semicircle,
-                       phi_envelope, routine)
+                       phi_envelope, routine, upper_triangle)
 
 __all__ = [
     "LawRecord",
@@ -186,7 +186,7 @@ def per_trial(model: str, n: int, d: int, keys, stat,
         g = sample_model(model, n, d, stream(seed, trial))
         spectrum = (ResolventView(build_H(g), pair_seed=seed)
                     if vectors else
-                    eigvalsh_inplace(g.upper_triangle(math.sqrt(d - 1))))
+                    eigvalsh_inplace(upper_triangle(g, math.sqrt(d - 1))))
         out.append(stat(seed, trial, spectrum))
         del spectrum  # before the next trial's build and decomposition
     return out
@@ -196,11 +196,11 @@ def law_sweep(plan: SweepPlan, model: str, n: int, d: int,
               seed: int) -> list[LawRecord]:
     """Sample `plan.samples` graphs and evaluate the full grid on each.
     Deterministic given the seed; trial streams are independent.  Raises
-    InvalidParametersError before sampling when one sample's grid arrays
+    InvalidParametersError before sampling when one sample's grid_bytes
     would not fit in physical RAM."""
     nz = len(plan.e_grid) * len(plan.eta_grid)
     check_ram(grid_bytes(n, nz),
-              f"the z-grid arrays of {nz} points at N = {n}")
+              f"the eigenvectors and z-grid arrays of {nz} points at N = {n}")
     per = per_trial(model, n, d, [(seed, t) for t in range(plan.samples)],
                     lambda s, t, view: records_for_view(
                         view, model, n, d, s, t, plan))

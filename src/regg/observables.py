@@ -89,7 +89,11 @@ def delocalization_stats(view: ResolventView) -> dict:
 
 def random_unit_perp_e(n: int, rng: np.random.Generator) -> np.ndarray:
     """Standard normal vector with its constant component removed, then
-    normalized: a rotation-invariant unit test direction orthogonal to e."""
+    normalized: a rotation-invariant unit test direction orthogonal to e,
+    which exists for n >= 2."""
+    if n < 2:
+        raise InvalidParametersError(f"no unit vector is orthogonal to e "
+                                     f"at n = {n}")
     v = rng.standard_normal(n)
     v -= v.mean()
     return v / np.linalg.norm(v)
@@ -125,7 +129,12 @@ def que_ratio(stats: np.ndarray, size: int) -> float:
     """Root mean square of the N que_statistics(view, size) over its null
     value sqrt((N-1)/N) sigma_I: sigma_I^2 = 2 (1 - 2/N) |I| (1 - |I|/N) /
     ((N-1)(N+1)) for a uniform unit vector in e-perp, where
-    tr(P diag(a) P) = 0, and 0 for e/sqrt(N).  Needs N >= 3."""
+    tr(P diag(a) P) = 0, and 0 for e/sqrt(N).  Needs N >= 3 and
+    1 <= size <= N - 1, where the null value is positive."""
     n = stats.size
+    if n < 3 or not 1 <= size <= n - 1:
+        raise InvalidParametersError(
+            f"que_ratio needs N >= 3 and 1 <= size <= N - 1, got N = {n}, "
+            f"size = {size}")
     null = 2 * (1 - 2 / n) * size * (1 - size / n) / (n * (n + 1))
     return math.sqrt(float(stats @ stats) / n / null)

@@ -16,23 +16,14 @@ has an ndpointer type: a strided, read-only or wrongly typed array raises
 ctypes.ArgumentError before LAPACK sees it.
 
 Both decompositions read only the upper triangle of the matrix they are
-given, and overwrite it.  The matrix is C-contiguous, or the view that
-MultiGraph.upper_triangle maps, whose rows lie L >= N reals apart so that
-each row's triangle starts a page; LAPACK reads its transpose with
-LDA = L, and only the triangle's pages are ever faulted in.
-eigvalsh_inplace calls dsyevd_2stage, with O(N kd) workspace for a band of
-kd columns.  ResolventView runs the three steps of dsyevd itself (dsytrd
-in place, dstedc into a new N x N matrix Z, dormtr on Z), so that H, which
-build_H writes as a triangle only, is never faulted in whole: dsyevd would
-end by copying Z over all of H.  At its peak the decomposition holds the
-resident half of H, Z and dstedc's N^2 workspace.
-Every array of a trial with N rows or columns, or of N^2 entries, is a
-mapped_matrix, whose pages go back to the kernel when it is freed; only
-vectors of N reals or fewer live on the heap.  grid works in real
-arithmetic on dgemm and in blocks of PAIR_BLOCK pairs: beyond the
-eigenvectors, its outputs and its weights it holds at most
-N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals, within the EIGH_COPIES N L
-reals that build_H checks RAM for.
+given, and overwrite it: a C-contiguous matrix, or the padded view that
+upper_triangle maps from a graph's edges, whose layout it describes.
+eigvalsh_inplace calls dsyevd_2stage; ResolventView runs the three steps
+of dsyevd itself, so that H, which build_H writes as a triangle only, is
+never faulted in whole.  Every array of N rows or columns, or of N^2
+entries, that this module builds is mapped by _mapped_matrix, and only
+vectors of N reals or fewer live on the heap; the eigenvector statistics
+of observables (eigen --mode deloc and que) square V on the heap.
 """
 
 from __future__ import annotations
@@ -42,17 +33,19 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import math
+import mmap
 import os
 from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .errors import InvalidParametersError, NumericalDegeneracyError, ReggError
-from .graphs import ModelKind, MultiGraph, mapped_matrix, triangle_blocks
+from .graphs import ModelKind, MultiGraph, check_ram
 from .rng import stream
 
 __all__ = [
     "ResolventView",
+    "upper_triangle",
     "build_H",
     "eigvalsh_inplace",
     "routine",
@@ -66,6 +59,12 @@ __all__ = [
     "f_envelope",
 ]
 
+
+#: float64 entries per memory page
+_PAGE_REALS = mmap.PAGESIZE // 8
+
+#: rows per block of _triangle_blocks
+_TRIANGLE_ROWS = 64
 
 #: N x N float64 mappings alive at once on the eigenvector path: H, Z and
 #: dstedc's workspace (N^2 + 4N + 1 reals).  Each is counted as H's whole
@@ -97,20 +96,96 @@ GATHER_ROWS = 128
 T_BLOCK = 65 * 64
 
 
+# ---------------------------------------------------------------------------
+# Mapped arrays, and the dense operand: an upper triangle in padded rows
+
+def _mapped_matrix(shape: tuple[int, ...], dtype=np.float64, copies: int = 1,
+                   huge_pages: bool = True) -> np.ndarray:
+    """A zeroed, writable, C-contiguous array of `shape` and `dtype` in its
+    own anonymous mapping.
+
+    Its pages go back to the kernel as soon as the array is freed: a heap
+    array of this size may stay resident after it is freed, once glibc's
+    dynamic mmap threshold has risen above it.  With `huge_pages` the
+    mapping asks for transparent huge pages, which a caller that writes
+    every entry faults in about twice as fast; without, they are turned
+    off, so that only the 4 KiB pages a write touches become resident.
+    `copies` is how many arrays of this size the caller's computation holds
+    at once; when they would not fit in physical RAM, raises
+    InvalidParametersError before mapping.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape)
+    check_ram(copies * dtype.itemsize * size,
+              f"{copies} mapped {'x'.join(map(str, shape))} {dtype.name} "
+              f"arrays")
+    buf = mmap.mmap(-1, max(1, dtype.itemsize * size),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # a kernel without THP
+        buf.madvise(mmap.MADV_HUGEPAGE if huge_pages
+                    else mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
+
+
+def _triangle_blocks(n: int):
+    """Yield (start, stop, (rows, cols)) for each block of _TRIANGLE_ROWS
+    rows [start, stop) of an n x n matrix, with the indices, within the
+    square [start, stop)^2, of that square's upper triangle, diagonal
+    included.  With the rectangles [start, stop) x [stop, n), they cover
+    the matrix's upper triangle once and touch no other entry."""
+    rows, cols = np.triu_indices(_TRIANGLE_ROWS)
+    for start in range(0, n, _TRIANGLE_ROWS):
+        stop = min(start + _TRIANGLE_ROWS, n)
+        keep = cols < stop - start
+        yield start, stop, (rows[keep], cols[keep])
+
+
+def upper_triangle(g: MultiGraph, divisor: float, shift: float = 0.0,
+                   copies: int = 1) -> np.ndarray:
+    """The upper triangle (diagonal included) of (A - shift J) / divisor,
+    A = g.adj and J the all-ones matrix, as the n x n view buf[:, :n] of a
+    mapping buf of n rows of L >= n reals; the strictly lower triangle and
+    the padding columns are left unwritten and read zero.
+
+    Entry (i, j), i <= j, holds (m - shift) / divisor with m the entry of
+    adj as a float: mult for an edge, 2 loops on the diagonal and 0 off
+    the edges, which with shift 0 are not written at all.  L is n below
+    n = _PAGE_REALS - 1 and otherwise the smallest L >= n with L + 1 a
+    multiple of _PAGE_REALS, so that every row's first upper entry (i, i),
+    at byte 8 i (L + 1), starts a page.  Huge pages are off, so only the
+    pages a write touches are faulted in; with padded rows that is the sum
+    over k = 1..n of ceil(8 k / page) pages, none of them shared by two
+    rows.  An in-place LAPACK call that reads and writes this triangle
+    with LDA = L never brings in the rest.  `copies` is how many mappings
+    of this size the caller's computation holds at once; raises
+    InvalidParametersError before mapping when they would not fit in
+    physical RAM.
+    """
+    n = g.n
+    pages = -(-(n + 1) // _PAGE_REALS)
+    width = n if pages == 1 else pages * _PAGE_REALS - 1
+    a = _mapped_matrix((n, width), copies=copies, huge_pages=False)[:, :n]
+    if shift:
+        empty = (0.0 - shift) / divisor
+        for start, stop, tri in _triangle_blocks(n):
+            a[start:stop, stop:] = empty
+            a[start:stop, start:stop][tri] = empty
+    i, j, mult = g.edge_arrays()
+    a[i, j] = (np.where(i == j, 2 * mult, mult) - shift) / divisor
+    return a
+
+
 def build_H(g: MultiGraph) -> np.ndarray:
     """The upper triangle (diagonal included) of
-    H = (d-1)^{-1/2} (A - (d/n) J), as MultiGraph.upper_triangle maps it:
-    the n x n view of rows padded so that each row's triangle starts a
-    page, whose strictly lower triangle and padding are left unwritten,
-    ready to be consumed by ResolventView.  Each entry holds the bits of
-    the full matrix's, and only the pages of the triangle become resident.
-    Requires d >= 2; raises InvalidParametersError before mapping when the
-    EIGH_COPIES mappings of the decomposition would not fit in physical
-    RAM."""
+    H = (d-1)^{-1/2} (A - (d/n) J), as upper_triangle maps it, ready to be
+    consumed by ResolventView; each entry holds the bits of the full
+    matrix's.  Requires d >= 2; raises InvalidParametersError before
+    mapping when the EIGH_COPIES mappings of the decomposition would not
+    fit in physical RAM."""
     if g.deg < 2:
         raise InvalidParametersError("build_H needs degree >= 2")
-    h = g.upper_triangle(math.sqrt(g.deg - 1), shift=g.deg / g.n,
-                         copies=EIGH_COPIES)
+    h = upper_triangle(g, math.sqrt(g.deg - 1), shift=g.deg / g.n,
+                       copies=EIGH_COPIES)
     _check_centred(h)
     return h
 
@@ -119,11 +194,11 @@ def _check_centred(h: np.ndarray) -> None:
     """Raise unless |H e| <= 1e-12 sqrt(N), e the normalized all-ones vector,
     for the symmetric H whose upper triangle is h's; H e is the row sums
     over sqrt(N): row i of the triangle plus column i, less the diagonal
-    entry.  They are summed block by block of triangle_blocks, so the
+    entry.  They are summed block by block of _triangle_blocks, so the
     strictly lower triangle is never read and its pages never faulted in."""
     n = h.shape[0]
     sums = -h.diagonal()
-    for start, stop, (rows, cols) in triangle_blocks(n):
+    for start, stop, (rows, cols) in _triangle_blocks(n):
         rect = h[start:stop, stop:]
         square = h[start:stop, start:stop][rows, cols]
         sums[start:stop] += (rect.sum(axis=1)
@@ -143,7 +218,7 @@ def _check_inplace(a: np.ndarray, who: str) -> np.ndarray:
     LDA = L.  `a` must be a writable, square float64 array that LAPACK can
     overwrite without an N x N copy: C-contiguous (L = N), or a view with
     unit column stride and a row stride of L >= N reals whose rows of L
-    reals lie inside its buffer, as MultiGraph.upper_triangle returns.
+    reals lie inside its buffer, as upper_triangle returns.
     The operand is built on that buffer by np.ndarray, which checks the
     bounds; anything else raises."""
     if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
@@ -256,7 +331,7 @@ def _call(name: str, *args) -> None:
 
 def _workspace(size: int) -> np.ndarray:
     """A mapped LAPACK workspace of `size` reals."""
-    return mapped_matrix((max(1, size),))
+    return _mapped_matrix((max(1, size),))
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +354,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reduce_work = int(query[0])
     reduce_(_workspace(reduce_work), _intc(reduce_work))
     # dstedc('I'): T's eigenvalues into w, its eigenvectors into z
-    z = mapped_matrix((n, n)).T
+    z = _mapped_matrix((n, n)).T
     solve = partial(_call, "dstedc", b"I", size, w, e, z, lead)
     solve(query, ask, iquery, ask)
     lwork, liwork = int(query[0]), int(iquery[0])
@@ -314,13 +389,10 @@ def eigvalsh_inplace(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose upper triangle
     (diagonal included) is that of `a`; the triangle is destroyed.
 
-    `a` must pass _check_inplace: C-contiguous, or a view of rows of
-    L >= N reals such as MultiGraph.upper_triangle returns.  Its operand,
-    a.T with LDA = L, is Fortran-ordered, and its lower triangle is a's
-    upper one, so LAPACK's dsyevd_2stage (jobz 'N', uplo 'L') reads and
-    overwrites only a's upper triangle, in a's own memory: the strictly
-    lower triangle and any padding are neither read nor written.  It
-    reduces to a band of kd columns with level-3 BLAS, then chases the band
+    `a` must pass _check_inplace, whose operand LAPACK's dsyevd_2stage
+    (jobz 'N', uplo 'L') reads: it overwrites only a's upper triangle, in
+    a's own memory, and neither reads nor writes the strictly lower
+    triangle or any padding.  It reduces to a band of kd columns with level-3 BLAS, then chases the band
     down to a tridiagonal matrix, so its workspace is O(N kd), about
     3.3 MB at N = 4000.  A nonzero LAPACK info raises
     NumericalDegeneracyError."""
@@ -348,23 +420,24 @@ def pair_sample_size(n: int) -> int:
 
 
 def grid_bytes(n: int, nz: int) -> int:
-    """Bytes that ResolventView.grid maps for nz points at size n beyond
-    the view's own matrices: the complex N x nz and P x nz outputs, the two
-    real N x nz weights, the dgemm product buffer (nz times N or a pair
-    block, whichever is larger), the pair block and its gathered rows."""
+    """Bytes mapped while ResolventView.grid evaluates nz points at size n:
+    the view's N x N eigenvectors V and grid's V * V, the complex N x nz
+    and P x nz outputs, the two real N x nz weights, the dgemm product
+    buffer (nz times N or a pair block, whichever is larger), the pair
+    block and its gathered rows."""
     pairs = pair_sample_size(n)
     block = min(PAIR_BLOCK, pairs)
     return 8 * ((2 * (n + pairs) + 2 * n + max(n, block)) * nz
-                + (block + min(GATHER_ROWS, block)) * n)
+                + (2 * n + block + min(GATHER_ROWS, block)) * n)
 
 
 class ResolventView:
     """One eigendecomposition of H, evaluated on a z-grid by grid().
 
     The view reads H's upper triangle (diagonal included) only, and
-    consumes it: H must pass _check_inplace (C-contiguous, or padded rows
-    as build_H returns them, which LAPACK reads with LDA = L), and dsytrd
-    writes its reflectors over that triangle (pass h.copy() to keep H).
+    consumes it: H must pass _check_inplace, as build_H's does, and
+    dsytrd writes its reflectors over that triangle (pass h.copy() to keep
+    H).
     Z, the N x N eigenvectors dstedc and dormtr build, is copied once into
     C order and dropped before the constructor returns.
     """
@@ -378,7 +451,7 @@ class ResolventView:
         self.n = operand.shape[1]
         self.eigenvalues, z = _eigh(operand)
         # C order once, so that grid gathers pair rows, not strided columns
-        self.eigenvectors = mapped_matrix((self.n, self.n))
+        self.eigenvectors = _mapped_matrix((self.n, self.n))
         self.eigenvectors[...] = z
         self.pair_seed = pair_seed
 
@@ -403,11 +476,11 @@ class ResolventView:
 
         G_ij(z) = sum_a v_ia v_ja / (lambda_a - z), taken as two real
         matrix products with the real and imaginary parts of the weights.
-        Every array of N rows or columns is a mapped_matrix; grid_bytes
-        counts them.  Beyond the eigenvectors, the outputs and the N x nz
-        weights it holds at most N^2 + (PAIR_BLOCK + GATHER_ROWS) N reals
-        (v*v, then one block of pair products and one chunk of gathered
-        rows), within the EIGH_COPIES N^2 budget of the decomposition.
+        Every array of N rows or columns is mapped, and grid_bytes counts
+        them with the eigenvectors.  Beyond those, the outputs and the
+        N x nz weights it holds at most N^2 + (PAIR_BLOCK + GATHER_ROWS) N
+        reals: v*v, then one block of pair products and one chunk of
+        gathered rows.
         """
         zs = np.asarray(zs, dtype=complex)
         n, nz = self.n, zs.size
@@ -415,7 +488,7 @@ class ResolventView:
         # w_re = gap / (gap^2 + eta^2) and w_im = eta / (gap^2 + eta^2),
         # gap = lambda - E, written in place as (nz, N) rows: their
         # transposes are Fortran-ordered (N, nz), which dgemm reads as is
-        weights = mapped_matrix((2, nz, n))
+        weights = _mapped_matrix((2, nz, n))
         gap, scale = weights
         np.subtract(self.eigenvalues, zs.real[:, None], out=gap)
         np.multiply(gap, gap, out=scale)
@@ -426,21 +499,21 @@ class ResolventView:
         w_re, w_im = gap.T, scale.T
 
         i, j = self._pair_sample
-        block = mapped_matrix((min(PAIR_BLOCK, i.size), n))
+        block = _mapped_matrix((min(PAIR_BLOCK, i.size), n))
         # one dgemm product buffer, for the diagonal and every pair block
-        products = mapped_matrix((max(n, block.shape[0]) * nz,))
+        products = _mapped_matrix((max(n, block.shape[0]) * nz,))
 
         def product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             return _product(x, w, products[:x.shape[0] * nz]
                             .reshape(nz, x.shape[0]).T)
 
-        diag = mapped_matrix((n, nz), complex)
-        sq = np.multiply(vec, vec, out=mapped_matrix((n, n)))
+        diag = _mapped_matrix((n, nz), complex)
+        sq = np.multiply(vec, vec, out=_mapped_matrix((n, n)))
         diag.real = product(sq, w_re)
         diag.imag = product(sq, w_im)
         del sq
-        off = mapped_matrix((i.size, nz), complex)
-        rows = mapped_matrix((min(GATHER_ROWS, block.shape[0]), n))
+        off = _mapped_matrix((i.size, nz), complex)
+        rows = _mapped_matrix((min(GATHER_ROWS, block.shape[0]), n))
         for start in range(0, i.size, PAIR_BLOCK):
             stop = min(start + PAIR_BLOCK, i.size)
             pairs = block[:stop - start]

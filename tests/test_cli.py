@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from regg import cli as cli_mod
 from regg import graphs, spectral
 from regg import law as law_mod
 from regg.cli import (EXIT_ACCEPTANCE, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE,
@@ -126,6 +127,9 @@ class TestUsage:
                      "--mc", "--samples", "0"],
                     ["invariance", "--model", "matching", "--n", "12", "--d", "1",
                      "--mc", "--samples", "-2"],
+                    # the exact checks draw nothing
+                    ["invariance", "--model", "matching", "--n", "6", "--d", "1",
+                     "--samples", "5"],
                     # D = N^2/d^3 = 0.185: the fit would drop every record
                     ["lawsweep", "--model", "uniform", "--n", "200", "--d", "60",
                      "--out", str(tmp_path / "law.csv")]):
@@ -229,6 +233,15 @@ class TestInvariance:
                     "--d", "2", "--seed", "0", "--out", str(out)]) == EXIT_OK
         man = RunManifest.load(str(out) + ".manifest.json")
         assert man.results["pass"] is True
+
+    def test_mc_samples_default_recorded(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli_mod, "mc_pivot_tv", lambda *args: drawn.append(
+            args[-1]) or 0.0)
+        assert run(["invariance", "--model", "matching", "--n", "12", "--d", "1",
+                    "--mc"]) == EXIT_OK
+        assert drawn == [10000]
+        assert json.loads(capsys.readouterr().out)["samples"] == 10000
 
     def test_mc_mode(self, capsys):
         assert run(["invariance", "--model", "matching", "--n", "12", "--d", "1",
@@ -563,7 +576,7 @@ class TestEigen:
         # are added to the traced heap peak
         views = []
         mapped = [0, 0]  # bytes mapped now, the most mapped at once
-        mmap = graphs.mmap.mmap
+        mmap = spectral.mmap.mmap
 
         def unmapped(length):
             mapped[0] -= length
@@ -590,7 +603,7 @@ class TestEigen:
         monkeypatch.setattr(spectral, "OFFDIAG_PAIRS", 100)
         monkeypatch.setattr(law_mod, "ResolventView", view)
         monkeypatch.setattr(law_mod, "build_H", build)
-        monkeypatch.setattr(graphs.mmap, "mmap", tracked)
+        monkeypatch.setattr(spectral.mmap, "mmap", tracked)
         model = ["--model", "permutation", "--n", "800", "--d", "10",
                  "--seed", "5"]
         if mode == "lawsweep":
@@ -632,7 +645,7 @@ class TestEigen:
         monkeypatch.setattr(graphs.os, "sysconf", lambda name: (
             256 if name == "SC_PHYS_PAGES" else sysconf(name)))
         mapped = []
-        monkeypatch.setattr(graphs.mmap, "mmap",
+        monkeypatch.setattr(spectral.mmap, "mmap",
                             lambda *args, **kwargs: mapped.append(args))
         code = run(["eigen", "--mode", "intervals", "--model", "matching",
                     "--n", "1000", "--d", "3", "--seed", "0",
@@ -645,6 +658,28 @@ class TestEigen:
         with pytest.raises(InvalidParametersError, match="GB of RAM"):
             build_H(g)
 
+    def test_sweep_counts_eigenvectors_beside_the_grid(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # at N = 1000 on the standard grid, grid_bytes without V and V * V
+        # read 29.2 MB and the decomposition's mappings 24.6 MB; with them
+        # the grid needs 45.2 MB, so 35 MB of RAM is refused before any
+        # graph is sampled or any array mapped
+        sysconf = graphs.os.sysconf
+        pages = 35_000_000 // sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(graphs.os, "sysconf", lambda name: (
+            pages if name == "SC_PHYS_PAGES" else sysconf(name)))
+        mapped, sampled = [], []
+        monkeypatch.setattr(spectral.mmap, "mmap",
+                            lambda *args, **kwargs: mapped.append(args))
+        monkeypatch.setattr(law_mod, "sample_model",
+                            lambda *args: sampled.append(args))
+        code = run(["lawsweep", "--model", "permutation", "--n", "1000",
+                    "--d", "10", "--seed", "0",
+                    "--out", str(tmp_path / "law.csv")])
+        assert code == EXIT_PRECONDITION
+        assert "eigenvectors and z-grid arrays" in capsys.readouterr().err
+        assert mapped == sampled == []
+
     def test_intervals_fail_fast_without_dsyevd_2stage(self, tmp_path, capsys,
                                                        monkeypatch,
                                                        lapack_exports):
@@ -652,7 +687,7 @@ class TestEigen:
         # before any graph's matrix is mapped
         lapack_exports({"scipy_dsyevd_2stage_": None, "dsyevd_2stage_": None})
         mapped = []
-        monkeypatch.setattr(graphs.mmap, "mmap",
+        monkeypatch.setattr(spectral.mmap, "mmap",
                             lambda *args, **kwargs: mapped.append(args))
         code = run(["eigen", "--mode", "intervals", "--model", "matching",
                     "--n", "300", "--d", "3", "--seed", "0",
@@ -686,7 +721,7 @@ class TestEigen:
         # before any graph's matrix is mapped
         lapack_exports({f"scipy_{routine}_": None, f"{routine}_": None})
         mapped = []
-        monkeypatch.setattr(graphs.mmap, "mmap",
+        monkeypatch.setattr(spectral.mmap, "mmap",
                             lambda *args, **kwargs: mapped.append(args))
         code = run([*argv, "--model", "permutation", "--n", "300",
                     "--d", "4", "--seed", "0",

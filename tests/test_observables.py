@@ -218,6 +218,23 @@ class TestIsotropic:
                             random_unit_perp_e(n, stream(0, 0)))
 
 
+#: que_ratio's null value is 0 at |I| = 0, at |I| = N and at N = 2, and
+#: negative outside 0..N; no unit vector is orthogonal to e below n = 2
+@pytest.mark.parametrize("helper, args", [
+    (que_ratio, (np.full(10, 0.1), 0)),
+    (que_ratio, (np.full(10, 0.1), 10)),
+    (que_ratio, (np.full(10, 0.1), -1)),
+    (que_ratio, (np.full(10, 0.1), 11)),
+    (que_ratio, (np.full(2, 0.1), 1)),
+    (random_unit_perp_e, (1, stream(0, 0))),
+    (random_unit_perp_e, (0, stream(0, 0))),
+], ids=["que-size-0", "que-size-N", "que-size-negative", "que-size-above-N",
+        "que-N-2", "perp-n-1", "perp-n-0"])
+def test_helpers_refuse_degenerate_sizes(helper, args):
+    with pytest.raises(InvalidParametersError):
+        helper(*args)
+
+
 class TestQueStatistic:
     def test_small_for_delocalized_vectors(self, view):
         stats = que_statistics(view, 50)

@@ -243,3 +243,23 @@ def test_no_module_reads_the_environment():
         if found:
             readers[path.stem] = found
     assert readers == {}
+
+
+def _maps_memory(node):
+    """Whether an AST node imports mmap or calls a madvise method."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "mmap" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "mmap"
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "madvise")
+
+
+def test_only_spectral_maps_memory():
+    """The dense operands and their anonymous mappings are built in
+    spectral, the one module that reads them; graphs keeps the edges, and
+    no other module of src/regg imports mmap or calls madvise."""
+    mappers = {path.stem: sorted({node.lineno for node in ast.walk(TREES[path])
+                                  if _maps_memory(node)})
+               for path in MODULES}
+    assert {stem for stem, lines in mappers.items() if lines} == {"spectral"}

@@ -102,7 +102,7 @@ def page_aligned_pages(n):
 
 
 def row_length(n):
-    """MultiGraph.upper_triangle's reals per row: n below a page's reals
+    """spectral.upper_triangle's reals per row: n below a page's reals
     less one, then the smallest L >= n with L + 1 a multiple of them."""
     page = mmap.PAGESIZE // 8
     return n if n < page - 1 else -(-(n + 1) // page) * page - 1
@@ -556,7 +556,7 @@ class TestEigvalshInplace:
         full = g.adj.astype(np.float64)
         full /= math.sqrt(d - 1)
         ref = scipy.linalg.eigvalsh(full, driver="evd")
-        a = g.upper_triangle(math.sqrt(d - 1))
+        a = spectral.upper_triangle(g, math.sqrt(d - 1))
         lower = np.tril_indices(n, -1)
         a[lower] = np.nan
         lam = eigvalsh_inplace(a)
@@ -602,7 +602,7 @@ class TestUpperTriangle:
         assert (i == j).any() == loops and (mult > 1).any()
         full = g.adj.astype(np.float64)
         full /= math.sqrt(d - 1)
-        tri = g.upper_triangle(math.sqrt(d - 1))
+        tri = spectral.upper_triangle(g, math.sqrt(d - 1))
         assert np.array_equal(tri, np.triu(full))
         assert np.array_equal(eigvalsh_inplace(tri), eigvalsh_inplace(full))
         # LAPACK neither wrote nor needed the strictly lower triangle
@@ -613,8 +613,8 @@ class TestUpperTriangle:
         # after LAPACK has read and written the whole triangle, the
         # resident pages are those of the triangle in the builder's layout,
         # never more than with rows of n reals
-        a = sample_matching_model(n, 3, stream(0, 0)).upper_triangle(
-            math.sqrt(2))
+        g = sample_matching_model(n, 3, stream(0, 0))
+        a = spectral.upper_triangle(g, math.sqrt(2))
         eigvalsh_inplace(a)
         pages = layout_pages(n, row_length(n))
         assert resident_pages(a) == pages <= layout_pages(n, n)
@@ -663,7 +663,7 @@ class TestUpperTriangle:
             import numpy as np
             from regg.graphs import sample_matching_model
             from regg.rng import stream
-            from regg.spectral import eigvalsh_inplace
+            from regg.spectral import eigvalsh_inplace, upper_triangle
 
             n = 3000
             g = sample_matching_model(n, 3, stream(0, 0))
@@ -676,7 +676,7 @@ class TestUpperTriangle:
                 np.add.at(a, (j, i), 1.0)
                 a /= math.sqrt(2)
             else:
-                a = g.upper_triangle(math.sqrt(2))
+                a = upper_triangle(g, math.sqrt(2))
             eigvalsh_inplace(a)
             print((status_kb("VmHWM:") - before) * 1024 / (8 * n * n))
         """)
