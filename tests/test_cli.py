@@ -235,9 +235,9 @@ class TestInvariance:
         assert man.results["pass"] is True
 
     def test_mc_samples_default_recorded(self, capsys, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(cli_mod, "mc_pivot_tv", lambda *args: drawn.append(
-            args[-1]) or 0.0)
+        drawn = []  # the sample count each Monte-Carlo check is given
+        monkeypatch.setattr(cli_mod, "mc_pivot_tv",
+                            lambda *args: drawn.append(args[-1]) or 0.0)
         assert run(["invariance", "--model", "matching", "--n", "12", "--d", "1",
                     "--mc"]) == EXIT_OK
         assert drawn == [10000]
